@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensors import as_feature_map
-
 __all__ = [
     "FirstNeighborGraph",
     "Partition",
@@ -31,9 +29,8 @@ NORM_FLOOR = 1e-12
 
 
 def instance_channel_means(x: np.ndarray) -> np.ndarray:
-    """Per-sample, per-channel spatial means: a (B, C) float64 matrix."""
-    x = as_feature_map(x)
-    return x.astype(np.float64).mean(axis=(2, 3))
+    """Per-sample, per-channel spatial means of a canonical map: a (B, C) float64 matrix."""
+    return x.reshape(x.shape[0], x.shape[1], -1).astype(np.float64).mean(axis=2)
 
 
 def cosine_similarity_matrix(means: np.ndarray) -> np.ndarray:
@@ -95,10 +92,13 @@ class Partition:
         return len(self.groups)
 
     def labels(self, batch_size: int) -> np.ndarray:
-        """Group id per sample index."""
+        """Group id per sample index; the groups must cover the batch exactly once."""
         lab = np.full(batch_size, -1, dtype=np.intp)
         for g, members in enumerate(self.groups):
             lab[members] = g
+        covered = sum(len(g) for g in self.groups)
+        if covered != batch_size or lab.min() < 0:
+            raise ValueError(f"partition covers {covered} samples but batch has {batch_size}")
         return lab
 
 
@@ -126,12 +126,11 @@ def _connected_components(adjacency: np.ndarray) -> list:
 
 
 def first_neighbor_partition(x: np.ndarray) -> Partition:
-    """Group a batch by connected components of its first-neighbor graph.
+    """Group a canonical batch by connected components of its first-neighbor graph.
 
     A single-sample batch is its own group; the graph is undefined
     without a distinct neighbor.
     """
-    x = as_feature_map(x)
     b = x.shape[0]
     if b == 1:
         return Partition(groups=[np.asarray([0], dtype=np.intp)])

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -225,15 +225,6 @@ def _scenario_dict(sc: StreamScenario) -> dict:
     }
 
 
-def _normalizer_dict(cfg: NormalizerConfig) -> dict:
-    return {
-        "mode": cfg.mode,
-        "alpha": cfg.alpha,
-        "gamma_threshold": cfg.gamma_threshold,
-        "cold_start_batches": cfg.cold_start_batches,
-    }
-
-
 @dataclass
 class MetricsRecord:
     scenario: dict
@@ -363,7 +354,7 @@ def run_experiment(net: Network, bank: TemplateBank, scenario: StreamScenario, n
 
     return MetricsRecord(
         scenario=_scenario_dict(scenario),
-        normalizer=_normalizer_dict(ncfg),
+        normalizer=asdict(ncfg),
         mean_accuracy=correct / total,
         num_batches=scenario.total_batches,
         num_samples=total,

@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .normalization import NormalizerConfig, SlotTrace, SourceStats, apply_normalizer
 from .tensors import ChannelStats, as_feature_map
@@ -33,7 +34,10 @@ MODEL_FORMAT = "neighbornorm-model-v1"
 
 
 def conv2d_3x3(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """3x3 convolution, stride 1, zero padding 1. w is (Cout, Cin, 3, 3)."""
+    """3x3 convolution, stride 1, zero padding 1. w is (Cout, Cin, 3, 3).
+
+    One im2col contraction: (Cout, Cin*9) kernel @ (B, Cin*9, H*W) windows.
+    """
     x = as_feature_map(x)
     w = np.asarray(w, dtype=np.float32)
     if w.ndim != 4 or w.shape[2:] != (3, 3) or w.shape[1] != x.shape[1]:
@@ -41,12 +45,9 @@ def conv2d_3x3(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     b, c_in, h, wd = x.shape
     xp = np.zeros((b, c_in, h + 2, wd + 2), dtype=np.float32)
     xp[:, :, 1:-1, 1:-1] = x
-    out = np.zeros((b, w.shape[0], h, wd), dtype=np.float32)
-    for dy in range(3):
-        for dx in range(3):
-            patch = xp[:, :, dy : dy + h, dx : dx + wd]
-            out += np.einsum("bihw,oi->bohw", patch, w[:, :, dy, dx], optimize=True)
-    return out
+    windows = sliding_window_view(xp, (3, 3), axis=(2, 3))  # (B, Cin, H, W, 3, 3)
+    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(b, c_in * 9, h * wd)
+    return (w.reshape(w.shape[0], c_in * 9) @ cols).reshape(b, w.shape[0], h, wd)
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -57,7 +58,7 @@ def avg_pool_2x2(x: np.ndarray) -> np.ndarray:
     b, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ValueError(f"avg_pool_2x2 needs even spatial dims, got {h}x{w}")
-    return x.reshape(b, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5), dtype=np.float32)
+    return (x[:, :, ::2, ::2] + x[:, :, ::2, 1::2] + x[:, :, 1::2, ::2] + x[:, :, 1::2, 1::2]) * np.float32(0.25)
 
 
 @dataclass(frozen=True)
@@ -100,32 +101,10 @@ def train_linear_head(features: np.ndarray, labels: np.ndarray, ridge_lambda: fl
     if not np.isfinite(w_aug).all():
         raise ArithmeticError("ridge solve produced non-finite coefficients")
     return LinearHead(
-        weight=w_aug[:d].T.astype(np.float32),
+        weight=np.ascontiguousarray(w_aug[:d].T, dtype=np.float32),
         bias=w_aug[d].astype(np.float32),
         ridge_lambda=float(ridge_lambda),
     )
-
-
-class _MomentAccumulator:
-    """Pooled per-channel mean/variance over a stream of feature maps."""
-
-    def __init__(self, channels: int):
-        self.count = 0
-        self.sum = np.zeros(channels, dtype=np.float64)
-        self.sumsq = np.zeros(channels, dtype=np.float64)
-
-    def update(self, x: np.ndarray) -> None:
-        x64 = x.astype(np.float64)
-        self.count += x.shape[0] * x.shape[2] * x.shape[3]
-        self.sum += x64.sum(axis=(0, 2, 3))
-        self.sumsq += np.square(x64).sum(axis=(0, 2, 3))
-
-    def finalize(self) -> ChannelStats:
-        if self.count == 0:
-            raise ValueError("no data accumulated")
-        mean = self.sum / self.count
-        var = np.maximum(self.sumsq / self.count - mean * mean, 0.0)
-        return ChannelStats(mean.astype(np.float32), var.astype(np.float32))
 
 
 class Network:
@@ -226,10 +205,15 @@ class Network:
             raise ValueError("clean training stream is empty")
         cfg = NormalizerConfig(mode="sbn")
         for k in range(self.num_slots):
-            acc = _MomentAccumulator(self.conv_weights[k].shape[0])
+            count, total, total_sq = 0, 0.0, 0.0
             for xb in batches:
-                acc.update(self._activations_before_slot(xb, k, cfg))
-            self.source_stats[k] = SourceStats.with_identity_affine(acc.finalize(), self.eps)
+                h = self._activations_before_slot(xb, k, cfg).astype(np.float64)
+                count += h.shape[0] * h.shape[2] * h.shape[3]
+                total = total + h.sum(axis=(0, 2, 3))
+                total_sq = total_sq + np.square(h).sum(axis=(0, 2, 3))
+            mean = total / count
+            stats = ChannelStats(mean, np.maximum(total_sq / count - mean * mean, 0.0))
+            self.source_stats[k] = SourceStats.with_identity_affine(stats, self.eps)
 
 
 def _tensor_manifest(net: Network) -> list[tuple[str, np.ndarray]]:

@@ -17,12 +17,14 @@ batches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
 from .grouping import Partition, first_neighbor_partition
-from .tensors import ChannelStats, as_feature_map, channel_moments
+from .tensors import ChannelStats, as_feature_map, channel_moments, segment_moments
 
 __all__ = [
     "MODES",
@@ -60,6 +62,16 @@ def canonical_mode(mode: str) -> str:
         raise ValueError(f"unknown normalizer mode {mode!r}; expected one of {MODES}") from None
 
 
+def _checked(name: str, value, lo: float, hi: float = math.inf, integral: bool = False):
+    """`value` if it is a finite real number in [lo, hi] (an integer when asked); never a bool."""
+    kind = "an integer" if integral else "a finite number"
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    if not lo <= value <= hi or (integral and value != int(value)):
+        raise ValueError(f"{name} must be {kind} in [{lo}, {hi}], got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class SourceStats:
     """Frozen per-channel source statistics plus the layer's affine parameters."""
@@ -75,7 +87,9 @@ class SourceStats:
         c = self.stats.num_channels
         if scale.shape[0] != c or shift.shape[0] != c:
             raise ValueError("affine parameter length must equal channel count")
-        if not self.eps > 0:
+        if not (np.isfinite(scale).all() and np.isfinite(shift).all()):
+            raise ValueError("affine parameters must be finite")
+        if _checked("eps", self.eps, 0.0) == 0:
             raise ValueError("eps must be positive")
         object.__setattr__(self, "affine_scale", scale)
         object.__setattr__(self, "affine_shift", shift)
@@ -99,13 +113,10 @@ class NormalizerConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "mode", canonical_mode(self.mode))
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.gamma_threshold < 0:
-            raise ValueError(f"gamma_threshold must be >= 0, got {self.gamma_threshold}")
-        if int(self.cold_start_batches) < 1:
-            raise ValueError(f"cold_start_batches must be >= 1, got {self.cold_start_batches}")
-        object.__setattr__(self, "cold_start_batches", int(self.cold_start_batches))
+        _checked("alpha", self.alpha, 0.0, 1.0)
+        _checked("gamma_threshold", self.gamma_threshold, 0.0)
+        cold_start = _checked("cold_start_batches", self.cold_start_batches, 1, integral=True)
+        object.__setattr__(self, "cold_start_batches", int(cold_start))
 
 
 @dataclass(frozen=True)
@@ -117,13 +128,25 @@ class SlotTrace:
     batch_stats: ChannelStats
 
 
+def _blend(mean: np.ndarray, var: np.ndarray, src: SourceStats, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """alpha parts source, (1 - alpha) parts test; rows of (r, C) blend independently."""
+    a = np.float32(alpha)
+    one_m = np.float32(1.0) - a
+    blended_var = a * src.stats.var + one_m * var
+    return a * src.stats.mean + one_m * mean, np.maximum(blended_var, np.float32(0.0))
+
+
+def _affine(x: np.ndarray, labels: np.ndarray, mean: np.ndarray, var: np.ndarray, src: SourceStats) -> np.ndarray:
+    """Normalize sample i with row labels[i] of the (r, C) mean/var, then apply the layer affine."""
+    scale = src.affine_scale * (1.0 / np.sqrt(var + np.float32(src.eps)))
+    return (x - mean[labels][:, :, None, None]) * scale[labels][:, :, None, None] + src.affine_shift[None, :, None, None]
+
+
 def group_channel_stats(x: np.ndarray, partition: Partition) -> list[ChannelStats]:
     """Channel moments of each partition group."""
     x = as_feature_map(x)
-    covered = sum(len(g) for g in partition.groups)
-    if covered != x.shape[0]:
-        raise ValueError(f"partition covers {covered} samples but batch has {x.shape[0]}")
-    return [channel_moments(x, g) for g in partition.groups]
+    mean, var = segment_moments(x, partition.labels(x.shape[0]), partition.r)
+    return [ChannelStats(m, v) for m, v in zip(mean, var)]
 
 
 def blend_stats(test: ChannelStats, src: SourceStats, alpha: float) -> ChannelStats:
@@ -131,23 +154,10 @@ def blend_stats(test: ChannelStats, src: SourceStats, alpha: float) -> ChannelSt
 
     Variances are blended directly (not standard deviations).
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    _checked("alpha", alpha, 0.0, 1.0)
     if test.num_channels != src.num_channels:
         raise ValueError("channel count mismatch between test and source statistics")
-    a = np.float32(alpha)
-    one_m = np.float32(1.0) - a
-    mean = a * src.stats.mean + one_m * test.mean
-    var = a * src.stats.var + one_m * test.var
-    return ChannelStats(mean, np.maximum(var, np.float32(0.0)))
-
-
-def _normalize_with(x: np.ndarray, stats: ChannelStats, src: SourceStats) -> np.ndarray:
-    mean = stats.mean[None, :, None, None]
-    inv = 1.0 / np.sqrt(stats.var + np.float32(src.eps))
-    scale = (src.affine_scale * inv)[None, :, None, None]
-    shift = src.affine_shift[None, :, None, None]
-    return (x - mean) * scale + shift
+    return ChannelStats(*_blend(test.mean, test.var, src, alpha))
 
 
 def normalize_groups(x: np.ndarray, partition: Partition, blended: list[ChannelStats], src: SourceStats) -> np.ndarray:
@@ -155,10 +165,8 @@ def normalize_groups(x: np.ndarray, partition: Partition, blended: list[ChannelS
     x = as_feature_map(x)
     if len(blended) != partition.r:
         raise ValueError(f"{len(blended)} stat entries for {partition.r} groups")
-    out = np.empty_like(x)
-    for members, stats in zip(partition.groups, blended):
-        out[members] = _normalize_with(x[members], stats, src)
-    return out
+    mean, var = np.stack([s.mean for s in blended]), np.stack([s.var for s in blended])
+    return _affine(x, partition.labels(x.shape[0]), mean, var, src)
 
 
 def apply_normalizer(
@@ -170,27 +178,25 @@ def apply_normalizer(
     """Normalize one layer's feature map, returning the result and a trace.
 
     `partition_enabled` only matters for the partitioning modes; a
-    disabled layer falls back to the alpha_bn transform.
+    disabled layer falls back to the alpha_bn transform, and so does a
+    one-sample batch or a one-group partition, through the same code.
     """
     x = as_feature_map(x)
     if x.shape[1] != src.num_channels:
         raise ValueError(f"feature map has {x.shape[1]} channels, source stats {src.num_channels}")
     batch_stats = channel_moments(x)
-
-    mode = cfg.mode
-    if mode in ("find", "find_star") and partition_enabled:
-        part = first_neighbor_partition(x)
-        blended = [blend_stats(s, src, cfg.alpha) for s in group_channel_stats(x, part)]
-        out = normalize_groups(x, part, blended, src)
-        return out, SlotTrace(cluster_count=part.r, batch_stats=batch_stats)
-
-    if mode == "sbn":
-        stats = src.stats
-    elif mode == "tbn":
-        stats = batch_stats
-    else:  # alpha_bn, or a partitioning mode with partitioning disabled
-        stats = blend_stats(batch_stats, src, cfg.alpha)
-    return _normalize_with(x, stats, src), SlotTrace(cluster_count=None, batch_stats=batch_stats)
+    stats = src.stats if cfg.mode == "sbn" else batch_stats
+    mean, var = stats.mean[None], stats.var[None]  # one group: row 0 for every sample
+    labels, count = np.zeros(x.shape[0], np.intp), None
+    if cfg.mode in ("find", "find_star") and partition_enabled:
+        part = first_neighbor_partition(x) if x.shape[0] > 1 else None
+        count = part.r if part else 1
+        if count > 1:
+            labels = part.labels(x.shape[0])
+            mean, var = (m.astype(np.float32) for m in segment_moments(x, labels, count))
+    if cfg.mode in ("alpha_bn", "find", "find_star"):
+        mean, var = _blend(mean, var, src, cfg.alpha)
+    return _affine(x, labels, mean, var, src), SlotTrace(cluster_count=count, batch_stats=batch_stats)
 
 
 def normalize_layer(

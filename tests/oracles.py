@@ -138,3 +138,17 @@ def loop_conv3x3(x, w):
                                     acc += x[n, ci, yy, zz] * w[o, ci, dy, dx]
                     out[n, o, y, z] = acc
     return out
+
+
+def loop_avg_pool2x2(x):
+    """Scalar-loop 2x2 average pooling, stride 2."""
+    x = np.asarray(x, dtype=np.float64)
+    b, c, h, w = x.shape
+    out = np.zeros((b, c, h // 2, w // 2))
+    for n in range(b):
+        for ch in range(c):
+            for y in range(h // 2):
+                for z in range(w // 2):
+                    block = [x[n, ch, 2 * y + dy, 2 * z + dx] for dy in range(2) for dx in range(2)]
+                    out[n, ch, y, z] = math.fsum(block) / 4.0
+    return out

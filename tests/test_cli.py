@@ -66,6 +66,12 @@ class TestRun:
         err = capsys.readouterr().err
         assert "config error" in err and "mode" in err
 
+    def test_nan_gamma_is_config_error(self, workspace, capsys):
+        _, cfg_path = workspace
+        assert main(["run", "--config", str(cfg_path), "--gamma", "nan"]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "gamma_threshold" in err
+
     def test_bad_config_file_is_config_error(self, tmp_path, capsys):
         bad = tmp_path / "broken.json"
         bad.write_text("{not json")

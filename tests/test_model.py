@@ -13,7 +13,9 @@ from neighbornorm.model import (
 from neighbornorm.normalization import NormalizerConfig, SourceStats
 from neighbornorm.tensors import ChannelStats
 
-from oracles import loop_conv3x3, ridge_normal_equations
+from oracles import loop_avg_pool2x2, loop_conv3x3, ridge_normal_equations
+
+MODES = ("sbn", "tbn", "alpha_bn", "find", "find_star")
 
 
 def build_trained_net(seed=0, channels=(4, 8), input_shape=(1, 8, 8), num_classes=3, n_batches=6, batch=16):
@@ -43,6 +45,21 @@ class TestConv:
         w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
         np.testing.assert_allclose(conv2d_3x3(x, w), loop_conv3x3(x, w), rtol=1e-5, atol=1e-6)
 
+    def test_single_sample_matches_scalar_loop_oracle(self):
+        rng = np.random.default_rng(17)
+        x = rng.normal(size=(1, 2, 6, 6)).astype(np.float32)
+        w = rng.normal(size=(3, 2, 3, 3)).astype(np.float32)
+        np.testing.assert_allclose(conv2d_3x3(x, w), loop_conv3x3(x, w), rtol=1e-5, atol=1e-6)
+
+    def test_non_square_odd_channels_match_scalar_loop_oracle(self):
+        rng = np.random.default_rng(18)
+        for b, c_in, c_out, h, wd in [(3, 5, 7, 3, 7), (2, 1, 3, 1, 5), (1, 3, 1, 7, 2)]:
+            x = rng.normal(size=(b, c_in, h, wd)).astype(np.float32)
+            w = rng.normal(size=(c_out, c_in, 3, 3)).astype(np.float32)
+            out = conv2d_3x3(x, w)
+            assert out.shape == (b, c_out, h, wd) and out.dtype == np.float32
+            np.testing.assert_allclose(out, loop_conv3x3(x, w), rtol=1e-5, atol=1e-5)
+
     def test_kernel_shape_check(self):
         with pytest.raises(ValueError):
             conv2d_3x3(np.ones((1, 2, 4, 4), np.float32), np.ones((1, 3, 3, 3), np.float32))
@@ -58,6 +75,14 @@ class TestPoolRelu:
         assert out[0, 0, 0, 0] == pytest.approx((0 + 1 + 4 + 5) / 4)
         with pytest.raises(ValueError):
             avg_pool_2x2(np.ones((1, 1, 3, 4), np.float32))
+
+    def test_avg_pool_matches_scalar_loop_oracle(self):
+        rng = np.random.default_rng(19)
+        for shape in [(1, 1, 2, 2), (3, 5, 4, 6), (2, 3, 8, 2)]:
+            x = rng.normal(size=shape).astype(np.float32)
+            out = avg_pool_2x2(x)
+            assert out.dtype == np.float32
+            np.testing.assert_allclose(out, loop_avg_pool2x2(x), rtol=1e-6, atol=1e-7)
 
 
 class TestLinearHead:
@@ -142,6 +167,16 @@ class TestNetworkForward:
         alpha_logits = net.forward(x, NormalizerConfig(mode="alpha_bn", alpha=0.8))
         assert np.array_equal(find_logits, alpha_logits)
 
+    def test_single_sample_partitioning_modes_match_alpha_bn_bitwise(self):
+        net, batches = build_trained_net(seed=9)
+        for i in range(4):
+            x = batches[0][i : i + 1]
+            alpha_logits = net.forward(x, NormalizerConfig(mode="alpha_bn", alpha=0.8))
+            for mode in ("find", "find_star"):
+                logits, traces = net.forward(x, NormalizerConfig(mode=mode, alpha=0.8), collect_traces=True)
+                assert np.array_equal(logits, alpha_logits)
+                assert [t.cluster_count for t in traces] == [1, 1]
+
     def test_gating_flags_control_slots(self):
         net, batches = build_trained_net(seed=10)
         cfg = NormalizerConfig(mode="find_star")
@@ -219,6 +254,17 @@ class TestSerialization:
         assert meta["clean_accuracy"] == 0.97
         cfg = NormalizerConfig(mode="find")
         assert np.array_equal(net.forward(batches[0], cfg), loaded.forward(batches[0], cfg))
+
+    def test_stock_shapes_roundtrip_logits_bitwise(self, tmp_path):
+        net, batches = build_trained_net(seed=20, channels=(8, 16), input_shape=(1, 16, 16), num_classes=10)
+        path = tmp_path / "model.nnm"
+        save_model(net, path)
+        loaded, _ = load_model(path)
+        for mode in MODES:
+            cfg = NormalizerConfig(mode=mode)
+            for x in batches[:3]:
+                assert np.array_equal(net.forward(x, cfg), loaded.forward(x, cfg)), mode
+        assert net.head.weight.flags.c_contiguous
 
     def test_header_is_json_line(self, tmp_path):
         import json

@@ -50,6 +50,43 @@ class TestConfig:
         with pytest.raises(ValueError):
             NormalizerConfig(cold_start_batches=0)
 
+    def test_nan_gamma_rejected(self):
+        with pytest.raises(ValueError, match="gamma_threshold"):
+            NormalizerConfig(gamma_threshold=float("nan"))
+        with pytest.raises(ValueError, match="gamma_threshold"):
+            NormalizerConfig(gamma_threshold=float("inf"))
+
+    def test_fractional_cold_start_rejected(self):
+        with pytest.raises(ValueError, match="cold_start_batches"):
+            NormalizerConfig(cold_start_batches=2.5)
+        assert NormalizerConfig(cold_start_batches=2.0).cold_start_batches == 2
+
+    def test_boolean_values_rejected(self):
+        with pytest.raises(ValueError, match="alpha"):
+            NormalizerConfig(alpha=True)
+        with pytest.raises(ValueError, match="cold_start_batches"):
+            NormalizerConfig(cold_start_batches=True)
+
+    def test_non_numeric_alpha_rejected(self):
+        with pytest.raises(ValueError, match="alpha"):
+            NormalizerConfig(alpha="0.5")
+        with pytest.raises(ValueError, match="alpha"):
+            NormalizerConfig(alpha=float("nan"))
+
+
+class TestSourceStatsValidation:
+    def test_non_finite_affine_rejected(self):
+        stats = ChannelStats(np.zeros(2, np.float32), np.ones(2, np.float32))
+        for scale, shift in [([1.0, np.nan], [0.0, 0.0]), ([1.0, 1.0], [np.inf, 0.0])]:
+            with pytest.raises(ValueError, match="finite"):
+                SourceStats(stats=stats, affine_scale=np.array(scale), affine_shift=np.array(shift))
+
+    def test_non_finite_eps_rejected(self):
+        stats = ChannelStats(np.zeros(2, np.float32), np.ones(2, np.float32))
+        for eps in (float("nan"), float("inf"), 0.0):
+            with pytest.raises(ValueError, match="eps"):
+                SourceStats.with_identity_affine(stats, eps=eps)
+
 
 class TestGroupChannelStats:
     def test_single_group_equals_full_batch(self):
@@ -76,6 +113,20 @@ class TestGroupChannelStats:
             mean_ref, var_ref = loop_channel_moments(x, group.tolist())
             np.testing.assert_allclose(stats.mean, mean_ref, rtol=1e-6, atol=1e-9)
             np.testing.assert_allclose(stats.var, var_ref, rtol=1e-6, atol=1e-9)
+
+    def test_random_labelings_match_scalar_loop_oracle(self):
+        # unsorted groups and singletons, as a Partition may hold them
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            b = int(rng.integers(2, 14))
+            x = rng.normal(loc=rng.normal(size=(b, 1, 1, 1)), size=(b, 3, 2, 3)).astype(np.float32)
+            perm = rng.permutation(b)
+            cuts = np.sort(rng.choice(np.arange(1, b), size=int(rng.integers(0, b)), replace=False))
+            part = Partition(groups=[g.astype(np.intp) for g in np.split(perm, cuts)])
+            for group, stats in zip(part.groups, group_channel_stats(x, part)):
+                mean_ref, var_ref = loop_channel_moments(x, group.tolist())
+                np.testing.assert_allclose(stats.mean, mean_ref, rtol=1e-6, atol=1e-7)
+                np.testing.assert_allclose(stats.var, var_ref, rtol=1e-6, atol=1e-7)
 
     def test_partition_batch_mismatch(self):
         x = np.ones((4, 2, 2, 2), np.float32)
@@ -149,6 +200,14 @@ class TestNormalizeGroups:
         part = Partition(groups=[np.array([0], np.intp)])
         out = normalize_groups(x, part, [src.stats], src)
         assert out[0, 0, 0, 0] == pytest.approx(3.0, abs=1e-9)
+
+    def test_partition_must_cover_batch_once(self):
+        x = np.ones((3, 2, 2, 2), np.float32)
+        src = src_stats(2)
+        for groups in ([[0, 1]], [[0, 1], [1, 2]]):
+            part = Partition(groups=[np.array(g, np.intp) for g in groups])
+            with pytest.raises(ValueError, match="covers"):
+                normalize_groups(x, part, [src.stats] * part.r, src)
 
     def test_moments_after_source_free_normalization(self):
         rng = np.random.default_rng(3)
