@@ -8,11 +8,12 @@ the grouping off where the shift does not reach.
 """
 
 from .grouping import (
-    FirstNeighborGraph,
     Partition,
     cosine_similarity_matrix,
-    first_neighbor_adjacency,
+    first_neighbor_components,
+    first_neighbor_labels,
     first_neighbor_partition,
+    first_neighbors,
     instance_channel_means,
 )
 from .normalization import (
@@ -41,11 +42,12 @@ __all__ = [
     "ChannelStats",
     "as_feature_map",
     "channel_moments",
-    "FirstNeighborGraph",
     "Partition",
     "instance_channel_means",
     "cosine_similarity_matrix",
-    "first_neighbor_adjacency",
+    "first_neighbors",
+    "first_neighbor_components",
+    "first_neighbor_labels",
     "first_neighbor_partition",
     "MODES",
     "NormalizerConfig",

@@ -3,8 +3,8 @@
 Subcommands: train (build model file), run (one experiment), compare
 (mode sweep over seeds), diagnose (cluster-count and sensitivity dumps),
 sweep-batch (batch-size sweep at fixed sample budget). Flags override
-the matching config fields. Exit codes: 0 success, 1 config error,
-2 runtime/numeric error.
+the matching config fields. Exit codes: 0 success, 1 config error
+(including a missing or malformed model file), 2 runtime/numeric error.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .harness import (
     write_comparison,
     write_metrics,
 )
-from .model import load_model
+from .model import ModelFormatError, load_model
 from .normalization import canonical_mode
 
 
@@ -46,6 +46,8 @@ def _load_model_checked(cfg: ExperimentConfig):
         net, meta = load_model(cfg.model_path)
     except FileNotFoundError:
         raise ConfigError(f"model file not found: {cfg.model_path}; run `train` first") from None
+    except ModelFormatError as exc:
+        raise ConfigError(f"malformed model file: {exc}; run `train` again") from None
     model_data = meta.get("data", {})
     for key, value in cfg.data.items():
         if key in model_data and model_data[key] != value:

@@ -1,11 +1,12 @@
 """Partition a batch into groups of like-distributed samples.
 
-Each sample is summarized by its per-channel spatial mean; samples are
-linked to their most cosine-similar neighbor, two samples also being
-linked when either is the other's first neighbor or both share one.
-Connected components of that graph are the groups. One pass, no
-recursive merging: components are taken directly from the first-neighbor
-links.
+Each sample is summarized by its per-channel spatial mean and pointed at its
+most cosine-similar other sample, `first[i]`; the groups are the components
+of the graph i -> first[i], in one pass with no recursive merging. Samples
+sharing a first neighbor k need no link of their own: i - k - j joins them.
+Ties break toward the lowest index and the similarity matrix is exactly
+symmetric, so the graph's only cycles are mutual pairs (first[first[i]] == i)
+and ceil(log2 B) rounds of pointer jumping bring every sample onto its pair.
 """
 
 from __future__ import annotations
@@ -15,11 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "FirstNeighborGraph",
     "Partition",
     "instance_channel_means",
     "cosine_similarity_matrix",
-    "first_neighbor_adjacency",
+    "first_neighbors",
+    "first_neighbor_components",
+    "first_neighbor_labels",
     "first_neighbor_partition",
 ]
 
@@ -29,8 +31,9 @@ NORM_FLOOR = 1e-12
 
 
 def instance_channel_means(x: np.ndarray) -> np.ndarray:
-    """Per-sample, per-channel spatial means of a canonical map: a (B, C) float64 matrix."""
-    return x.reshape(x.shape[0], x.shape[1], -1).astype(np.float64).mean(axis=2)
+    """Per-sample, per-channel spatial means of a canonical map: (B, C) float64, bitwise `sample_moments` sums / L."""
+    x3 = x.reshape(x.shape[0], x.shape[1], -1).astype(np.float64)
+    return x3.sum(axis=2) / x3.shape[2]
 
 
 def cosine_similarity_matrix(means: np.ndarray) -> np.ndarray:
@@ -45,17 +48,8 @@ def cosine_similarity_matrix(means: np.ndarray) -> np.ndarray:
     return np.clip(sim, -1.0, 1.0)
 
 
-@dataclass(frozen=True)
-class FirstNeighborGraph:
-    """first[i] is sample i's most-similar other sample; adjacency links
-    i and j when first[i]=j, first[j]=i, or first[i]=first[j]."""
-
-    first: np.ndarray
-    adjacency: np.ndarray
-
-
-def first_neighbor_adjacency(sim: np.ndarray) -> FirstNeighborGraph:
-    """Build the first-neighbor graph from a similarity matrix (B >= 2).
+def first_neighbors(sim: np.ndarray) -> np.ndarray:
+    """first[i]: the most similar other sample under a similarity matrix (B >= 2).
 
     Argmax ties break toward the lowest index; the diagonal never wins.
     """
@@ -67,14 +61,27 @@ def first_neighbor_adjacency(sim: np.ndarray) -> FirstNeighborGraph:
         raise ValueError("first neighbors need at least two samples")
     masked = sim.copy()
     np.fill_diagonal(masked, -np.inf)
-    first = np.argmax(masked, axis=1)  # np.argmax takes the lowest index on ties
+    return np.argmax(masked, axis=1)  # np.argmax takes the lowest index on ties
 
-    idx = np.arange(b)
-    points_to = first[:, None] == idx[None, :]  # first[i] == j
-    shares = first[:, None] == first[None, :]  # first[i] == first[j]
-    adjacency = points_to | points_to.T | shares
-    np.fill_diagonal(adjacency, False)
-    return FirstNeighborGraph(first=first, adjacency=adjacency.astype(np.uint8))
+
+def first_neighbor_components(first: np.ndarray) -> tuple[np.ndarray, int]:
+    """Components of i -> first[i]: a group id per sample and the group count.
+
+    Every cycle of `first` must be a mutual pair, as `first_neighbors`
+    guarantees. Ids are ordered by each group's smallest member.
+    """
+    first = np.asarray(first, dtype=np.intp)
+    reach = first
+    for _ in range((first.shape[0] - 1).bit_length()):  # ceil(log2 B) rounds
+        reach = reach[reach]  # first applied 2^k times: on the pair after k rounds
+    pair = np.minimum(reach, first[reach])
+    _, smallest, labels = np.unique(pair, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(smallest))[labels], smallest.size  # rank of each group's smallest member
+
+
+def first_neighbor_labels(means: np.ndarray) -> tuple[np.ndarray, int]:
+    """Group id per sample and group count from (B, C) instance means, B >= 2."""
+    return first_neighbor_components(first_neighbors(cosine_similarity_matrix(means)))
 
 
 @dataclass(frozen=True)
@@ -102,31 +109,8 @@ class Partition:
         return lab
 
 
-def _connected_components(adjacency: np.ndarray) -> list:
-    """Iterative traversal; no recursion so large batches cannot overflow."""
-    b = adjacency.shape[0]
-    seen = np.zeros(b, dtype=bool)
-    groups = []
-    for start in range(b):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        members = []
-        while stack:
-            node = stack.pop()
-            members.append(node)
-            for nb in np.nonzero(adjacency[node])[0]:
-                if not seen[nb]:
-                    seen[nb] = True
-                    stack.append(int(nb))
-        members.sort()
-        groups.append(np.asarray(members, dtype=np.intp))
-    return groups
-
-
 def first_neighbor_partition(x: np.ndarray) -> Partition:
-    """Group a canonical batch by connected components of its first-neighbor graph.
+    """Group a canonical batch by the components of its first-neighbor graph.
 
     A single-sample batch is its own group; the graph is undefined
     without a distinct neighbor.
@@ -134,7 +118,6 @@ def first_neighbor_partition(x: np.ndarray) -> Partition:
     b = x.shape[0]
     if b == 1:
         return Partition(groups=[np.asarray([0], dtype=np.intp)])
-    means = instance_channel_means(x)
-    sim = cosine_similarity_matrix(means)
-    graph = first_neighbor_adjacency(sim)
-    return Partition(groups=_connected_components(graph.adjacency))
+    labels, count = first_neighbor_labels(instance_channel_means(x))
+    order = np.argsort(labels, kind="stable")
+    return Partition(groups=np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1]))

@@ -176,14 +176,10 @@ def load_experiment_config(path=None, overrides: dict | None = None) -> Experime
         if value is None:
             continue
         section, _, name = dotted.partition(".")
-        if name:
-            if section not in raw or name not in raw[section]:
-                raise ConfigError(f"unknown config field {dotted}")
-            raw[section][name] = value
-        else:
-            if section not in raw:
-                raise ConfigError(f"unknown config field {dotted}")
-            raw[section] = value
+        target, key = (raw.get(section), name) if name else (raw, section)
+        if not isinstance(target, dict) or key not in target:
+            raise ConfigError(f"unknown config field {dotted}")
+        target[key] = value
 
     try:
         normalizer = NormalizerConfig(**raw["normalizer"])
@@ -202,27 +198,6 @@ def load_experiment_config(path=None, overrides: dict | None = None) -> Experime
         out=str(raw["out"]),
         seeds=list(seeds),
     )
-
-
-def _scenario_dict(sc: StreamScenario) -> dict:
-    return {
-        "kind": sc.kind,
-        "batch_size": sc.batch_size,
-        "num_batches": sc.num_batches,
-        "rounds": sc.rounds,
-        "seed": sc.seed,
-        "dirichlet_delta": sc.dirichlet_delta,
-        "domains": [
-            {
-                "id": d.id,
-                "contrast": d.contrast,
-                "brightness": d.brightness,
-                "noise_sigma": d.noise_sigma,
-                "severity": d.severity,
-            }
-            for d in sc.domains
-        ],
-    }
 
 
 @dataclass
@@ -353,7 +328,7 @@ def run_experiment(net: Network, bank: TemplateBank, scenario: StreamScenario, n
         true_domain_counts.append(len(np.unique(batch.domain_ids)))
 
     return MetricsRecord(
-        scenario=_scenario_dict(scenario),
+        scenario=asdict(scenario),
         normalizer=asdict(ncfg),
         mean_accuracy=correct / total,
         num_batches=scenario.total_batches,

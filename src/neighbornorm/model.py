@@ -11,13 +11,14 @@ the result does not depend on batch ordering.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .normalization import NormalizerConfig, SlotTrace, SourceStats, apply_normalizer
-from .tensors import ChannelStats, as_feature_map
+from .normalization import NormalizerConfig, SlotTrace, SourceStats, _checked, apply_normalizer
+from .tensors import ChannelStats, as_feature_map, merge_moments, sample_moments
 
 __all__ = [
     "LinearHead",
@@ -28,6 +29,7 @@ __all__ = [
     "train_linear_head",
     "save_model",
     "load_model",
+    "ModelFormatError",
 ]
 
 MODEL_FORMAT = "neighbornorm-model-v1"
@@ -204,29 +206,57 @@ class Network:
         if not batches:
             raise ValueError("clean training stream is empty")
         cfg = NormalizerConfig(mode="sbn")
+        _, height, width = self.input_shape
         for k in range(self.num_slots):
-            count, total, total_sq = 0, 0.0, 0.0
-            for xb in batches:
-                h = self._activations_before_slot(xb, k, cfg).astype(np.float64)
-                count += h.shape[0] * h.shape[2] * h.shape[3]
-                total = total + h.sum(axis=(0, 2, 3))
-                total_sq = total_sq + np.square(h).sum(axis=(0, 2, 3))
-            mean = total / count
-            stats = ChannelStats(mean, np.maximum(total_sq / count - mean * mean, 0.0))
-            self.source_stats[k] = SourceStats.with_identity_affine(stats, self.eps)
+            parts = [sample_moments(self._activations_before_slot(xb, k, cfg)) for xb in batches]
+            sums, m2 = (np.concatenate(p) for p in zip(*parts))
+            length = (height >> k) * (width >> k)  # every earlier stage pools 2x2
+            mean, var = merge_moments(sums, m2, length, np.zeros(sums.shape[0], np.intp), 1)
+            self.source_stats[k] = SourceStats.with_identity_affine(ChannelStats(mean[0], var[0]), self.eps)
+
+
+class ModelFormatError(ValueError):
+    """A model file `save_model` did not write: bad header, tensor shapes, size or values."""
+
+
+def _expected_manifest(channels: list, input_shape: list, num_classes: int) -> list:
+    """[name, shape] of every tensor, in payload order, for a network of these sizes."""
+    c_ins = (input_shape[0], *channels[:-1])
+    manifest = [[f"conv{k}", [c_out, c_in, 3, 3]] for k, (c_in, c_out) in enumerate(zip(c_ins, channels))]
+    for k, c in enumerate(channels):
+        manifest += [[f"slot{k}.{part}", [c]] for part in ("mean", "var", "affine_scale", "affine_shift")]
+    _, h, w = input_shape
+    scale = 2 ** len(channels)
+    head_dim = channels[-1] * (h // scale) * (w // scale)
+    return manifest + [["head.weight", [num_classes, head_dim]], ["head.bias", [num_classes]]]
 
 
 def _tensor_manifest(net: Network) -> list[tuple[str, np.ndarray]]:
-    named = [(f"conv{k}", net.conv_weights[k]) for k in range(net.num_slots)]
-    for k, src in enumerate(net.source_stats):
-        named += [
-            (f"slot{k}.mean", src.stats.mean),
-            (f"slot{k}.var", src.stats.var),
-            (f"slot{k}.affine_scale", src.affine_scale),
-            (f"slot{k}.affine_shift", src.affine_shift),
-        ]
-    named += [("head.weight", net.head.weight), ("head.bias", net.head.bias)]
-    return named
+    arrays = list(net.conv_weights)
+    for src in net.source_stats:
+        arrays += [src.stats.mean, src.stats.var, src.affine_scale, src.affine_shift]
+    names = [name for name, _ in _expected_manifest(list(net.channels), list(net.input_shape), net.head.num_classes)]
+    return list(zip(names, arrays + [net.head.weight, net.head.bias]))
+
+
+def _check_header(header) -> None:
+    """Raise ModelFormatError unless `save_model` could have written this header."""
+    if not isinstance(header, dict) or header.get("format") != MODEL_FORMAT or header.get("dtype") != "<f4":
+        raise ModelFormatError(f"not a {MODEL_FORMAT} header with a '<f4' payload")
+    channels, input_shape, num_classes = (header.get(key) for key in ("channels", "input_shape", "num_classes"))
+    lists = isinstance(channels, list) and isinstance(input_shape, list) and len(channels) > 0 and len(input_shape) == 3
+    if not (lists and all(type(v) is int and v > 0 for v in [*channels, *input_shape, num_classes])):
+        raise ModelFormatError(f"channels {channels!r}, input_shape {input_shape!r}, num_classes {num_classes!r}")
+    if input_shape[1] % 2 ** len(channels) or input_shape[2] % 2 ** len(channels):
+        raise ModelFormatError(f"input_shape {input_shape} does not pool evenly through {len(channels)} stages")
+    if not isinstance(header.get("meta", {}), dict):
+        raise ModelFormatError("meta must be an object")
+    _checked("seed", header.get("seed"), 0, integral=True)
+    _checked("eps", header.get("eps"), 0.0)  # SourceStats rejects 0
+    _checked("ridge_lambda", header.get("ridge_lambda"), 0.0)
+    expected = _expected_manifest(channels, input_shape, num_classes)
+    if header.get("tensors") != expected:
+        raise ModelFormatError(f"tensor manifest {header.get('tensors')!r} does not match the sizes, expected {expected}")
 
 
 def save_model(net: Network, path, meta: dict | None = None) -> None:
@@ -256,37 +286,44 @@ def save_model(net: Network, path, meta: dict | None = None) -> None:
 
 
 def load_model(path) -> tuple[Network, dict]:
-    """Read a model file written by `save_model`; returns (network, meta)."""
+    """Read a model file written by `save_model`; returns (network, meta).
+
+    Any header, tensor shape, payload size or value `save_model` would not
+    write raises ModelFormatError.
+    """
     with open(path, "rb") as fh:
         header_line = fh.readline()
         payload = fh.read()
-    header = json.loads(header_line.decode("utf-8"))
-    if header.get("format") != MODEL_FORMAT:
-        raise ValueError(f"unrecognized model format in {path}")
-    flat = np.frombuffer(payload, dtype="<f4")
-    tensors = {}
-    offset = 0
-    for name, shape in header["tensors"]:
-        size = int(np.prod(shape)) if shape else 1
-        tensors[name] = flat[offset : offset + size].reshape(shape).copy()
-        offset += size
-    if offset != flat.size:
-        raise ValueError(f"model payload size mismatch in {path}")
-
-    channels = header["channels"]
-    net = Network(
-        conv_weights=[tensors[f"conv{k}"] for k in range(len(channels))],
-        input_shape=tuple(header["input_shape"]),
-        seed=header["seed"],
-        eps=header["eps"],
-    )
-    for k in range(len(channels)):
-        net.source_stats[k] = SourceStats(
-            stats=ChannelStats(tensors[f"slot{k}.mean"], tensors[f"slot{k}.var"]),
-            affine_scale=tensors[f"slot{k}.affine_scale"],
-            affine_shift=tensors[f"slot{k}.affine_shift"],
+    try:
+        header = json.loads(header_line.decode("utf-8"))
+        _check_header(header)
+        sizes = [math.prod(shape) for _, shape in header["tensors"]]
+        if len(payload) != 4 * sum(sizes):
+            raise ModelFormatError(f"payload has {len(payload)} bytes, the header lists {4 * sum(sizes)}")
+        flat = np.frombuffer(payload, dtype="<f4")
+        if not np.isfinite(flat).all():
+            raise ModelFormatError("payload contains NaN or Inf")
+        ends = np.cumsum(sizes)
+        tensors = {
+            name: flat[end - size : end].reshape(shape).astype(np.float32)
+            for (name, shape), size, end in zip(header["tensors"], sizes, ends)
+        }
+        channels = header["channels"]
+        net = Network(
+            conv_weights=[tensors[f"conv{k}"] for k in range(len(channels))],
+            input_shape=tuple(header["input_shape"]),
+            seed=header["seed"],
             eps=header["eps"],
         )
+        for k in range(len(channels)):
+            net.source_stats[k] = SourceStats(
+                stats=ChannelStats(tensors[f"slot{k}.mean"], tensors[f"slot{k}.var"]),
+                affine_scale=tensors[f"slot{k}.affine_scale"],
+                affine_shift=tensors[f"slot{k}.affine_shift"],
+                eps=header["eps"],
+            )
+    except ValueError as exc:  # the checks above, an undecodable header, a negative variance
+        raise ModelFormatError(f"{path}: {exc}") from exc
     net.head = LinearHead(
         weight=tensors["head.weight"],
         bias=tensors["head.bias"],

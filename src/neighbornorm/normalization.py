@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grouping import Partition, first_neighbor_partition
-from .tensors import ChannelStats, as_feature_map, channel_moments, segment_moments
+from .grouping import Partition, first_neighbor_labels
+from .tensors import ChannelStats, as_feature_map, merge_moments, sample_moments, segment_moments
 
 __all__ = [
     "MODES",
@@ -41,18 +41,8 @@ __all__ = [
 
 MODES = ("sbn", "tbn", "alpha_bn", "find", "find_star")
 
-_MODE_ALIASES = {
-    "sbn": "sbn",
-    "tbn": "tbn",
-    "alphabn": "alpha_bn",
-    "alpha_bn": "alpha_bn",
-    "alpha-bn": "alpha_bn",
-    "find": "find",
-    "findstar": "find_star",
-    "find_star": "find_star",
-    "find-star": "find_star",
-    "find*": "find_star",
-}
+# Each mode by its name, without the underscore, or with a hyphen; find_star also as find*.
+_MODE_ALIASES = {alias: m for m in MODES for alias in (m, m.replace("_", ""), m.replace("_", "-"))} | {"find*": "find_star"}
 
 
 def canonical_mode(mode: str) -> str:
@@ -139,7 +129,10 @@ def _blend(mean: np.ndarray, var: np.ndarray, src: SourceStats, alpha: float) ->
 def _affine(x: np.ndarray, labels: np.ndarray, mean: np.ndarray, var: np.ndarray, src: SourceStats) -> np.ndarray:
     """Normalize sample i with row labels[i] of the (r, C) mean/var, then apply the layer affine."""
     scale = src.affine_scale * (1.0 / np.sqrt(var + np.float32(src.eps)))
-    return (x - mean[labels][:, :, None, None]) * scale[labels][:, :, None, None] + src.affine_shift[None, :, None, None]
+    out = x - mean[labels][:, :, None, None]
+    out *= scale[labels][:, :, None, None]
+    out += src.affine_shift[None, :, None, None]
+    return out
 
 
 def group_channel_stats(x: np.ndarray, partition: Partition) -> list[ChannelStats]:
@@ -182,18 +175,20 @@ def apply_normalizer(
     one-sample batch or a one-group partition, through the same code.
     """
     x = as_feature_map(x)
-    if x.shape[1] != src.num_channels:
-        raise ValueError(f"feature map has {x.shape[1]} channels, source stats {src.num_channels}")
-    batch_stats = channel_moments(x)
+    b, c, h, w = x.shape
+    if c != src.num_channels:
+        raise ValueError(f"feature map has {c} channels, source stats {src.num_channels}")
+    sums, m2 = sample_moments(x)
+    labels = np.zeros(b, np.intp)
+    batch_mean, batch_var = merge_moments(sums, m2, h * w, labels, 1)
+    batch_stats = ChannelStats(batch_mean[0], batch_var[0])
     stats = src.stats if cfg.mode == "sbn" else batch_stats
     mean, var = stats.mean[None], stats.var[None]  # one group: row 0 for every sample
-    labels, count = np.zeros(x.shape[0], np.intp), None
+    count = None
     if cfg.mode in ("find", "find_star") and partition_enabled:
-        part = first_neighbor_partition(x) if x.shape[0] > 1 else None
-        count = part.r if part else 1
+        labels, count = first_neighbor_labels(sums / (h * w)) if b > 1 else (labels, 1)
         if count > 1:
-            labels = part.labels(x.shape[0])
-            mean, var = (m.astype(np.float32) for m in segment_moments(x, labels, count))
+            mean, var = (m.astype(np.float32) for m in merge_moments(sums, m2, h * w, labels, count))
     if cfg.mode in ("alpha_bn", "find", "find_star"):
         mean, var = _blend(mean, var, src, cfg.alpha)
     return _affine(x, labels, mean, var, src), SlotTrace(cluster_count=count, batch_stats=batch_stats)

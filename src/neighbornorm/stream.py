@@ -42,15 +42,8 @@ __all__ = [
 
 SCENARIO_KINDS = ("static", "cross_mix", "shuffle", "random", "wild")
 
-_KIND_ALIASES = {
-    "static": "static",
-    "crossmix": "cross_mix",
-    "cross_mix": "cross_mix",
-    "cross-mix": "cross_mix",
-    "shuffle": "shuffle",
-    "random": "random",
-    "wild": "wild",
-}
+# Each kind by its name, without the underscore, or with a hyphen.
+_KIND_ALIASES = {alias: k for k in SCENARIO_KINDS for alias in (k, k.replace("_", ""), k.replace("_", "-"))}
 
 # Severity-to-parameter table: per unit of severity, contrast moves by
 # +-CONTRAST_STEP, brightness by +-BRIGHTNESS_STEP, and additive noise

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ChannelStats", "as_feature_map", "channel_moments", "segment_moments"]
+__all__ = ["ChannelStats", "as_feature_map", "channel_moments", "merge_moments", "sample_moments", "segment_moments"]
 
 
 def as_feature_map(x: np.ndarray) -> np.ndarray:
@@ -60,22 +60,45 @@ class ChannelStats:
         return self.mean.shape[0]
 
 
-def segment_moments(x: np.ndarray, labels: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-segment channel mean and biased variance: two (count, C) float64 arrays.
+def sample_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample channel sums and centered sums of squares: two (B, C) float64 arrays.
 
-    Sample i of the canonical map `x` belongs to segment `labels[i]` in
-    0..count-1; no segment may be empty. Per-sample channel sums are summed
-    by label, then the variance is centered on each segment's mean (two
-    passes, never E[x^2] - E[x]^2).
+    One sum pass over the canonical map, then one pass centered on each sample's
+    channel mean (never E[x^2] - E[x]^2); `merge_moments` groups them.
     """
     b, c = x.shape[:2]
-    x3 = x.reshape(b, c, -1)
+    dev = x.reshape(b, c, -1).astype(np.float64)
+    sums = dev.sum(axis=2)
+    dev -= (sums / dev.shape[2])[:, :, None]
+    return sums, np.einsum("bcl,bcl->bc", dev, dev)
+
+
+def merge_moments(sums: np.ndarray, m2: np.ndarray, length: int, labels: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-group channel mean and biased variance from `sample_moments`: two (count, C) float64 arrays.
+
+    Sample i, with `length` positions per channel, belongs to group
+    `labels[i]` in 0..count-1; no group may be empty. A group's centered sum
+    of squares sums, over its samples i, m2[i] + length * (m_i - mean_g)^2
+    (Chan, Golub & LeVeque, 1979).
+    """
+    if count == labels.shape[0]:  # all singletons, as at B=1: the one-hot sums below give the same bits
+        mean, var = np.empty_like(sums), np.empty_like(m2)
+        mean[labels], var[labels] = sums / length, m2 / length
+        return mean, var
     onehot = (labels == np.arange(count)[:, None]).astype(np.float64)  # (count, B)
-    n = onehot.sum(axis=1)[:, None] * x3.shape[2]
-    mean = onehot @ x3.sum(axis=2, dtype=np.float64) / n
-    dev = x3 - mean[labels][:, :, None]  # float64
-    var = onehot @ np.einsum("bcl,bcl->bc", dev, dev) / n
+    n = onehot.sum(axis=1)[:, None] * length
+    mean = onehot @ sums / n
+    offset = sums / length - mean[labels]
+    var = onehot @ (m2 + length * (offset * offset)) / n
     return mean, var
+
+
+def segment_moments(x: np.ndarray, labels: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-segment channel mean and biased variance of a canonical map: two (count, C) float64 arrays.
+
+    Sample i belongs to segment `labels[i]` in 0..count-1; no segment may be empty.
+    """
+    return merge_moments(*sample_moments(x), x.shape[2] * x.shape[3], labels, count)
 
 
 def channel_moments(x: np.ndarray, sample_indices=None) -> ChannelStats:

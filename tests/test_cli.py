@@ -60,6 +60,17 @@ class TestRun:
         assert main(["run", "--config", str(bad)]) == 1
         assert "model file not found" in capsys.readouterr().err
 
+    def test_malformed_model_is_config_error(self, workspace, tmp_path, capsys):
+        root, cfg_path = workspace
+        cfg = json.loads(cfg_path.read_text())
+        truncated = tmp_path / "truncated.nnm"
+        truncated.write_bytes((root / "model.nnm").read_bytes()[:-3])
+        cfg["model_path"] = str(truncated)
+        bad = tmp_path / "cfg.json"
+        bad.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(bad)]) == 1
+        assert "malformed model file" in capsys.readouterr().err
+
     def test_bad_mode_is_config_error(self, workspace, capsys):
         _, cfg_path = workspace
         assert main(["run", "--config", str(cfg_path), "--mode", "nope"]) == 1

@@ -3,10 +3,12 @@ import pytest
 
 from neighbornorm.grouping import (
     cosine_similarity_matrix,
-    first_neighbor_adjacency,
+    first_neighbor_components,
     first_neighbor_partition,
+    first_neighbors,
     instance_channel_means,
 )
+from neighbornorm.tensors import sample_moments
 
 from oracles import loop_cosine, loop_instance_means, union_find_partition
 
@@ -76,35 +78,60 @@ class TestCosineSimilarity:
 
 
 class TestFirstNeighborAdjacency:
+    """The links of the first-neighbor graph: the `first` array, i -> first[i]."""
+
     def test_two_samples_are_mutual(self):
         sim = np.array([[1.0, 0.4], [0.4, 1.0]])
-        g = first_neighbor_adjacency(sim)
-        np.testing.assert_array_equal(g.first, [1, 0])
-        np.testing.assert_array_equal(g.adjacency, [[0, 1], [1, 0]])
+        first = first_neighbors(sim)
+        np.testing.assert_array_equal(first, [1, 0])
+        labels, count = first_neighbor_components(first)
+        np.testing.assert_array_equal(labels, [0, 0])
+        assert count == 1
 
     def test_three_linking_clauses(self):
-        # first = [1, 0, 1]: (0,1) mutual, (2,1) via first[2]=1, (0,2) via shared neighbor
+        # first = [1, 0, 1]: (0,1) mutual, (2,1) via first[2]=1, and (0,2),
+        # which share neighbor 1, joined through it without a clause of their own
         sim = np.array([[1.0, 0.9, 0.2], [0.9, 1.0, 0.3], [0.2, 0.3, 1.0]])
-        g = first_neighbor_adjacency(sim)
-        np.testing.assert_array_equal(g.first, [1, 0, 1])
-        np.testing.assert_array_equal(g.adjacency, [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+        first = first_neighbors(sim)
+        np.testing.assert_array_equal(first, [1, 0, 1])
+        labels, count = first_neighbor_components(first)
+        np.testing.assert_array_equal(labels, [0, 0, 0])
+        assert count == 1
+
+    def test_shared_neighbor_chains_join_through_pair(self):
+        # 2 -> 0 and 3 -> 0 share a neighbor; 4 -> 2 hangs off 2; (5, 6) is a second pair
+        first = np.array([1, 0, 0, 0, 2, 6, 5])
+        labels, count = first_neighbor_components(first)
+        np.testing.assert_array_equal(labels, [0, 0, 0, 0, 0, 1, 1])
+        assert count == 2
+
+    def test_group_ids_follow_smallest_member(self):
+        # pairs (4, 5) and (1, 2); 0 hangs off 5 and 3 off 1, so 0's group is id 0
+        first = np.array([5, 2, 1, 1, 5, 4])
+        labels, count = first_neighbor_components(first)
+        np.testing.assert_array_equal(labels, [0, 1, 1, 1, 0, 0])
+        assert count == 2
+
+    def test_long_chain_reaches_its_pair(self):
+        # a path 9 -> 8 -> ... -> 1 <-> 0 needs every pointer-jumping round
+        first = np.concatenate([[1], np.arange(0, 9)])
+        labels, count = first_neighbor_components(first)
+        assert count == 1 and not labels.any()
 
     def test_tie_break_lowest_index(self):
         sim = np.ones((5, 5))
-        g = first_neighbor_adjacency(sim)
-        np.testing.assert_array_equal(g.first, [1, 0, 0, 0, 0])
+        np.testing.assert_array_equal(first_neighbors(sim), [1, 0, 0, 0, 0])
         part = first_neighbor_partition(maps_with_instance_means(np.ones((5, 3))))
         assert part.r == 1
 
     def test_diagonal_never_wins(self):
         rng = np.random.default_rng(17)
         sim = cosine_similarity_matrix(rng.normal(size=(10, 6)))
-        g = first_neighbor_adjacency(sim)
-        assert np.all(g.first != np.arange(10))
+        assert np.all(first_neighbors(sim) != np.arange(10))
 
     def test_rejects_single_sample(self):
         with pytest.raises(ValueError):
-            first_neighbor_adjacency(np.ones((1, 1)))
+            first_neighbors(np.ones((1, 1)))
 
 
 class TestPartition:
@@ -143,7 +170,7 @@ class TestPartition:
             part = first_neighbor_partition(x)
             assert_valid_partition(part, b)
             sim = cosine_similarity_matrix(instance_channel_means(x))
-            first = first_neighbor_adjacency(sim).first
+            first = first_neighbors(sim)
             labels = part.labels(b)
             assert np.array_equal(labels[first], labels)  # i groups with first[i]
             assert part.r <= -(-b // 2)
@@ -168,3 +195,30 @@ class TestPartition:
         x[1] = 0.0
         part = first_neighbor_partition(x)
         assert_valid_partition(part, 4)
+
+    def test_matches_union_find_oracle_with_exact_ties(self):
+        # Ties that are exact in floating point: duplicated instance-mean rows
+        # and all-equal rows, up to B = 128; B = 1 and B = 2 included.
+        rng = np.random.default_rng(43)
+        sizes = [1, 2, 2, 3, 128] + [int(b) for b in rng.integers(2, 129, 10)]
+        for trial, b in enumerate(sizes):
+            c = int(rng.integers(1, 9))
+            if trial % 3 == 2:
+                means = np.full((b, c), rng.normal())
+            else:
+                rows = rng.normal(size=(max(1, b // 3), c))
+                means = rows[rng.integers(0, rows.shape[0], b)]
+            x = maps_with_instance_means(means, h=1, w=2)
+            part = first_neighbor_partition(x)
+            assert [g.tolist() for g in part.groups] == union_find_partition(x), (trial, b)
+
+
+class TestInstanceMeansFromSampleMoments:
+    def test_equal_to_sample_sums_over_positions_at_stock_shapes(self):
+        rng = np.random.default_rng(47)
+        for shape in [(64, 8, 16, 16), (64, 16, 8, 8)]:
+            x = rng.normal(loc=rng.normal(size=(shape[0], 1, 1, 1)), size=shape).astype(np.float32)
+            sums, _ = sample_moments(x)
+            expected = x.reshape(shape[0], shape[1], -1).astype(np.float64).mean(axis=2)
+            assert np.array_equal(instance_channel_means(x), expected)
+            assert np.array_equal(sums / (shape[2] * shape[3]), expected)

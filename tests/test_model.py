@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from neighbornorm.model import (
+    ModelFormatError,
     Network,
     avg_pool_2x2,
     conv2d_3x3,
@@ -13,7 +14,7 @@ from neighbornorm.model import (
 from neighbornorm.normalization import NormalizerConfig, SourceStats
 from neighbornorm.tensors import ChannelStats
 
-from oracles import loop_avg_pool2x2, loop_conv3x3, ridge_normal_equations
+from oracles import loop_avg_pool2x2, loop_channel_moments, loop_conv3x3, ridge_normal_equations
 
 MODES = ("sbn", "tbn", "alpha_bn", "find", "find_star")
 
@@ -239,6 +240,22 @@ class TestCapture:
             assert np.array_equal(first[k][0], s.stats.mean)
             assert np.array_equal(first[k][1], s.stats.var)
 
+    def test_large_offset_matches_scalar_loop_oracle(self):
+        # a small spread on a large offset: E[x^2] - E[x]^2 is off by ~1e-5
+        # relative here; the center-tap kernel hands the input to the slot unchanged
+        rng = np.random.default_rng(19)
+        w = np.zeros((1, 1, 3, 3), np.float32)
+        w[0, 0, 1, 1] = 1.0
+        net = Network([w], input_shape=(1, 8, 8), seed=0)
+        batches = [
+            (np.float32(30000.0) + rng.normal(scale=0.01, size=(n, 1, 8, 8)) + 0.05 * i).astype(np.float32)
+            for i, n in enumerate((5, 9, 3))
+        ]
+        net.capture_source_stats(batches)
+        mean_ref, var_ref = loop_channel_moments(np.concatenate(batches))
+        np.testing.assert_allclose(net.source_stats[0].stats.mean, mean_ref, rtol=1e-7)
+        np.testing.assert_allclose(net.source_stats[0].stats.var, var_ref, rtol=1e-6)
+
     def test_empty_stream_rejected(self):
         net = Network.build(channels=(4,), input_shape=(1, 4, 4), seed=0)
         with pytest.raises(ValueError):
@@ -281,3 +298,122 @@ class TestSerialization:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_model(tmp_path / "nope.nnm")
+
+
+def _rewrite_header(path, edit):
+    """Apply `edit` to the parsed header of a model file and write it back."""
+    import json
+
+    raw = path.read_bytes()
+    cut = raw.index(b"\n")
+    header = json.loads(raw[:cut].decode("utf-8"))
+    edit(header)
+    path.write_bytes(json.dumps(header, sort_keys=True).encode("utf-8") + raw[cut:])
+
+
+class TestModelFileCorruption:
+    """Seeded corruptions of a good model file each give one ModelFormatError."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        net, _ = build_trained_net(seed=21)
+        path = tmp_path / "model.nnm"
+        save_model(net, path, meta={"note": "ok"})
+        return net, path
+
+    def test_good_file_round_trips_bitwise(self, saved, tmp_path):
+        net, path = saved
+        loaded, meta = load_model(path)
+        assert meta == {"note": "ok"}
+        assert loaded.channels == net.channels and loaded.input_shape == net.input_shape
+        for a, b in zip(net.conv_weights, loaded.conv_weights):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        again = tmp_path / "again.nnm"
+        save_model(loaded, again, meta=meta)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_truncation_anywhere(self, saved):
+        _, path = saved
+        raw = path.read_bytes()
+        header_end = raw.index(b"\n")
+        rng = np.random.default_rng(61)
+        cuts = list(rng.integers(header_end + 1, len(raw), 8)) + [header_end + 1, len(raw) - 1]
+        for cut in cuts:
+            path.write_bytes(raw[:cut])
+            with pytest.raises(ModelFormatError, match="payload has"):
+                load_model(path)
+        path.write_bytes(raw + b"\0\0\0\0")
+        with pytest.raises(ModelFormatError, match="payload has"):
+            load_model(path)
+
+    def test_cut_header(self, saved):
+        _, path = saved
+        raw = path.read_bytes()
+        rng = np.random.default_rng(62)
+        for cut in list(rng.integers(1, raw.index(b"\n"), 6)) + [0]:
+            path.write_bytes(raw[:cut])
+            with pytest.raises(ModelFormatError):
+                load_model(path)
+
+    def test_nan_and_inf_bit_flips(self, saved):
+        _, path = saved
+        raw = path.read_bytes()
+        start = raw.index(b"\n") + 1
+        rng = np.random.default_rng(63)
+        for word in rng.integers(0, (len(raw) - start) // 4, 6):
+            for exponent_bits in (0x7F800001, 0x7F800000):  # NaN, then +-Inf
+                payload = np.frombuffer(raw[start:], dtype="<u4").copy()
+                payload[word] |= np.uint32(exponent_bits)
+                path.write_bytes(raw[:start] + payload.tobytes())
+                with pytest.raises(ModelFormatError, match="NaN or Inf"):
+                    load_model(path)
+
+    def test_sign_flip_in_a_variance(self, saved):
+        net, path = saved
+        raw = path.read_bytes()
+        start = raw.index(b"\n") + 1
+        payload = np.frombuffer(raw[start:], dtype="<u4").copy()
+        first_var = sum(w.size for w in net.conv_weights) + net.channels[0]  # slot0.var[0]
+        assert net.source_stats[0].stats.var[0] > 0
+        payload[first_var] |= np.uint32(0x80000000)
+        path.write_bytes(raw[:start] + payload.tobytes())
+        with pytest.raises(ModelFormatError, match="variance"):
+            load_model(path)
+
+    def test_swapped_shape_entries(self, saved):
+        _, path = saved
+        raw = path.read_bytes()
+        for name in ("conv1", "head.weight"):
+            def swap(header, name=name):
+                for entry in header["tensors"]:
+                    if entry[0] == name:
+                        entry[1][0], entry[1][1] = entry[1][1], entry[1][0]
+
+            path.write_bytes(raw)
+            _rewrite_header(path, swap)
+            with pytest.raises(ModelFormatError, match="tensor manifest"):
+                load_model(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("channels", [4, 9]),
+            ("channels", [4]),
+            ("channels", [4, True]),
+            ("input_shape", [1, 8, 6]),
+            ("num_classes", 4),
+            ("dtype", "<f8"),
+            ("format", "neighbornorm-model-v0"),
+            ("eps", float("inf")),
+            ("ridge_lambda", -1.0),
+            ("seed", "11"),
+        ],
+    )
+    def test_wrong_header_field(self, saved, field, value):
+        _, path = saved
+        _rewrite_header(path, lambda header: header.__setitem__(field, value))
+        with pytest.raises(ModelFormatError):
+            load_model(path)
+
+    def test_is_a_value_error(self):
+        assert issubclass(ModelFormatError, ValueError)

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from neighbornorm.tensors import ChannelStats, as_feature_map, channel_moments, segment_moments
+from neighbornorm.tensors import (
+    ChannelStats,
+    as_feature_map,
+    channel_moments,
+    merge_moments,
+    sample_moments,
+    segment_moments,
+)
 
 from oracles import loop_channel_moments, pooled_moments
 
@@ -95,6 +102,51 @@ class TestSegmentMoments:
         rng = np.random.default_rng(15)
         x = (np.float32(3000.0) + rng.normal(scale=0.01, size=(8, 1, 8, 8))).astype(np.float32)
         _, var = segment_moments(x, np.zeros(8, np.intp), 1)
+        _, var_ref = loop_channel_moments(x)
+        np.testing.assert_allclose(var[0], var_ref, rtol=1e-10)
+
+
+class TestSampleMoments:
+    def test_per_sample_sums_and_centered_squares_match_scalar_loop_oracle(self):
+        rng = np.random.default_rng(16)
+        x = rng.normal(loc=rng.normal(scale=3.0, size=(6, 1, 1, 1)), size=(6, 3, 4, 5)).astype(np.float32)
+        sums, m2 = sample_moments(x)
+        assert sums.shape == m2.shape == (6, 3) and sums.dtype == m2.dtype == np.float64
+        for i in range(6):
+            mean_ref, var_ref = loop_channel_moments(x, [i])
+            np.testing.assert_allclose(sums[i] / 20, mean_ref, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(m2[i] / 20, var_ref, rtol=1e-10, atol=1e-12)
+
+    def test_merge_of_random_labelings_matches_scalar_loop_oracle(self):
+        rng = np.random.default_rng(17)
+        for _ in range(30):
+            b = int(rng.integers(1, 16))
+            x = rng.normal(loc=rng.normal(scale=3.0, size=(b, 1, 1, 1)), size=(b, 4, 2, 3)).astype(np.float32)
+            count = int(rng.integers(1, b + 1))
+            labels = np.concatenate([np.arange(count), rng.integers(0, count, b - count)])
+            rng.shuffle(labels)  # unsorted; some labels are singletons
+            mean, var = merge_moments(*sample_moments(x), 6, labels, count)
+            assert mean.shape == var.shape == (count, 4)
+            for g in range(count):
+                mean_ref, var_ref = loop_channel_moments(x, np.flatnonzero(labels == g).tolist())
+                np.testing.assert_allclose(mean[g], mean_ref, rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(var[g], var_ref, rtol=1e-10, atol=1e-12)
+
+    def test_merge_of_singletons_is_per_sample_moments(self):
+        rng = np.random.default_rng(18)
+        x = rng.normal(size=(4, 2, 3, 3)).astype(np.float32)
+        sums, m2 = sample_moments(x)
+        mean, var = merge_moments(sums, m2, 9, np.array([2, 0, 3, 1]), 4)
+        np.testing.assert_array_equal(mean[[2, 0, 3, 1]], sums / 9)
+        np.testing.assert_array_equal(var[[2, 0, 3, 1]], m2 / 9)
+
+    def test_large_offset_merge_stays_accurate(self):
+        # samples far apart on a large offset: the merge's mean-offset terms
+        # carry most of the variance and must not cancel
+        rng = np.random.default_rng(19)
+        x = (np.float32(3000.0) + rng.normal(scale=0.01, size=(8, 1, 8, 8))).astype(np.float32)
+        x[::2] += np.float32(0.5)
+        _, var = merge_moments(*sample_moments(x), 64, np.zeros(8, np.intp), 1)
         _, var_ref = loop_channel_moments(x)
         np.testing.assert_allclose(var[0], var_ref, rtol=1e-10)
 
