@@ -155,27 +155,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="stream seed override")
         p.add_argument("--out", default=None, help="output path prefix override")
 
-    p_train = sub.add_parser("train", help="build templates, capture source stats, fit head, write model file")
-    add_common(p_train)
-    p_train.set_defaults(func=cmd_train)
-
-    p_run = sub.add_parser("run", help="run one experiment and write metrics")
-    add_common(p_run)
-    p_run.set_defaults(func=cmd_run)
-
-    p_cmp = sub.add_parser("compare", help="sweep normalizer modes over the configured seeds")
-    add_common(p_cmp)
-    p_cmp.add_argument("--modes", default=None, help="comma-separated mode list")
-    p_cmp.set_defaults(func=cmd_compare)
-
-    p_diag = sub.add_parser("diagnose", help="run and dump cluster-count and sensitivity diagnostics")
-    add_common(p_diag)
-    p_diag.set_defaults(func=cmd_diagnose)
-
-    p_sweep = sub.add_parser("sweep-batch", help="accuracy across batch sizes at fixed sample budget")
-    add_common(p_sweep)
-    p_sweep.add_argument("--sizes", default=None, help="comma-separated batch sizes (default 1,4,16,64)")
-    p_sweep.set_defaults(func=cmd_sweep_batch)
+    for name, func, help_text, extra in (
+        ("train", cmd_train, "build templates, capture source stats, fit head, write model file", None),
+        ("run", cmd_run, "run one experiment and write metrics", None),
+        ("compare", cmd_compare, "sweep normalizer modes over the configured seeds", ("--modes", "comma-separated mode list")),
+        ("diagnose", cmd_diagnose, "run and dump cluster-count and sensitivity diagnostics", None),
+        ("sweep-batch", cmd_sweep_batch, "accuracy across batch sizes at fixed sample budget",
+         ("--sizes", "comma-separated batch sizes (default 1,4,16,64)")),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        add_common(p)
+        p.set_defaults(func=func)
+        if extra:
+            p.add_argument(extra[0], default=None, help=extra[1])
 
     return parser
 

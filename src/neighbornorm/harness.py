@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .model import Network, save_model, train_linear_head
-from .normalization import NormalizerConfig
+from .normalization import NormalizerConfig, _checked
 from .sensitivity import CalibrationState, gaussian_kl_per_channel, sensitivity_score
 from .stream import (
     DomainSpec,
@@ -115,6 +116,37 @@ def _merged(defaults: dict, user: dict) -> dict:
     return out
 
 
+# Numeric config fields by rule, (least, greatest, integral, least excluded) -> names, checked at
+# load so that no bool, non-finite or fractional value is cast or truncated later. A null delta is allowed.
+_NUMERIC_FIELDS = {
+    (1, math.inf, True, False): ("model.train_batches", "model.train_batch_size", "model.clean_eval_batches",
+                                 "scenario.num_domains", "scenario.batch_size", "scenario.num_batches", "scenario.rounds"),
+    (0, math.inf, True, False): ("data.template_seed", "model.seed", "model.train_seed", "scenario.seed"),
+    (2, math.inf, True, False): ("data.num_classes",),
+    (1, 5, True, False): ("scenario.severity",),
+    (0.0, math.inf, False, False): ("data.base_noise", "data.template_min_dist"),
+    (0.0, math.inf, False, True): ("model.eps", "model.head_lambda", "scenario.dirichlet_delta"),
+}
+# Integer-list fields -> (length or None, least entry).
+_INTEGER_LISTS = {"data.input_shape": (3, 1), "model.channels": (None, 1), "seeds": (None, 0)}
+
+
+def _check_numbers(raw: dict) -> None:
+    """Raise ValueError for a numeric field, or an integer-list entry, that breaks its rule."""
+    flat = raw | {f"{section}.{key}": v for section, fields in raw.items() if isinstance(fields, dict) for key, v in fields.items()}
+    checks = [(name, flat[name], rule) for rule, names in _NUMERIC_FIELDS.items() for name in names]
+    for name, (length, least) in _INTEGER_LISTS.items():
+        values = flat[name]
+        if not isinstance(values, (list, tuple)) or not values or len(values) != (length or len(values)):
+            raise ValueError(f"{name} must be a list of {length or 'one or more'} integers, got {values!r}")
+        checks += [(f"{name}[{i}]", v, (least, math.inf, True, False)) for i, v in enumerate(values)]
+    if any(side % 2 ** len(flat["model.channels"]) for side in flat["data.input_shape"][1:]):
+        raise ValueError(f"data.input_shape {flat['data.input_shape']} does not pool evenly through every model.channels stage")
+    for name, v, rule in checks:
+        if v is not None or name != "scenario.dirichlet_delta":
+            _checked(name, v, *rule)
+
+
 @dataclass
 class ExperimentConfig:
     data: dict
@@ -183,12 +215,11 @@ def load_experiment_config(path=None, overrides: dict | None = None) -> Experime
 
     try:
         normalizer = NormalizerConfig(**raw["normalizer"])
+        _check_numbers(raw)
     except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid normalizer config: {exc}") from exc
+        raise ConfigError(f"invalid config: {exc}") from exc
     scenario = scenario_from_config(raw["scenario"])
-    seeds = raw["seeds"]
-    if not isinstance(seeds, (list, tuple)) or not seeds or not all(isinstance(s, int) for s in seeds):
-        raise ConfigError("seeds must be a nonempty list of integers")
+    seeds = [int(s) for s in raw["seeds"]]
     return ExperimentConfig(
         data=raw["data"],
         model=raw["model"],
@@ -196,7 +227,7 @@ def load_experiment_config(path=None, overrides: dict | None = None) -> Experime
         normalizer=normalizer,
         model_path=str(raw["model_path"]),
         out=str(raw["out"]),
-        seeds=list(seeds),
+        seeds=seeds,
     )
 
 
@@ -231,15 +262,7 @@ def train_model(cfg: ExperimentConfig) -> tuple[Network, TemplateBank, dict]:
     the ridge head, and measure the clean-test baseline accuracy."""
     bank = bank_from_config(cfg.data)
     mc = cfg.model
-    try:
-        net = Network.build(
-            channels=tuple(mc["channels"]),
-            input_shape=tuple(cfg.data["input_shape"]),
-            seed=int(mc["seed"]),
-            eps=float(mc["eps"]),
-        )
-    except (ValueError, TypeError, KeyError) as exc:
-        raise ConfigError(f"invalid model config: {exc}") from exc
+    net = Network.build(tuple(mc["channels"]), tuple(cfg.data["input_shape"]), int(mc["seed"]), float(mc["eps"]))
 
     def clean_scenario(seed: int, num_batches: int) -> StreamScenario:
         return StreamScenario(

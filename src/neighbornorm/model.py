@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .normalization import NormalizerConfig, SlotTrace, SourceStats, _checked, apply_normalizer
 from .tensors import ChannelStats, as_feature_map, merge_moments, sample_moments
@@ -38,18 +37,21 @@ MODEL_FORMAT = "neighbornorm-model-v1"
 def conv2d_3x3(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """3x3 convolution, stride 1, zero padding 1. w is (Cout, Cin, 3, 3).
 
-    One im2col contraction: (Cout, Cin*9) kernel @ (B, Cin*9, H*W) windows.
+    One im2col matmul over a flat zero-padded (B, Cin, H+3, W+2) buffer: window
+    (dy, dx) of a channel is the contiguous run of H*(W+2) floats from row dy,
+    column dx, so the column copy moves long runs, and each output row carries
+    two spare columns, dropped at the end (the spare row bounds the last run).
     """
     x = as_feature_map(x)
     w = np.asarray(w, dtype=np.float32)
     if w.ndim != 4 or w.shape[2:] != (3, 3) or w.shape[1] != x.shape[1]:
         raise ValueError(f"kernel shape {w.shape} does not fit input {x.shape}")
     b, c_in, h, wd = x.shape
-    xp = np.zeros((b, c_in, h + 2, wd + 2), dtype=np.float32)
-    xp[:, :, 1:-1, 1:-1] = x
-    windows = sliding_window_view(xp, (3, 3), axis=(2, 3))  # (B, Cin, H, W, 3, 3)
-    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(b, c_in * 9, h * wd)
-    return (w.reshape(w.shape[0], c_in * 9) @ cols).reshape(b, w.shape[0], h, wd)
+    xp = np.zeros((b, c_in, h + 3, wd + 2), dtype=np.float32)
+    xp[:, :, 1 : h + 1, 1:-1] = x
+    windows = np.ndarray((b, c_in, 3, 3, h * (wd + 2)), np.float32, buffer=xp, strides=(*xp.strides[:3], 4, 4))
+    out = w.reshape(w.shape[0], c_in * 9) @ windows.reshape(b, c_in * 9, h * (wd + 2))
+    return np.ascontiguousarray(out.reshape(b, w.shape[0], h, wd + 2)[:, :, :, :wd])
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -84,8 +86,7 @@ def train_linear_head(features: np.ndarray, labels: np.ndarray, ridge_lambda: fl
     labels = np.asarray(labels).reshape(-1)
     if feats.ndim != 2 or feats.shape[0] != labels.shape[0]:
         raise ValueError("features must be (N, D) with one label per row")
-    if not ridge_lambda > 0:
-        raise ValueError("ridge_lambda must be positive")
+    _checked("ridge_lambda", ridge_lambda, 0.0, open_lo=True)
     k = int(num_classes) if num_classes is not None else int(labels.max()) + 1
     counts = np.bincount(labels, minlength=k)
     if counts.size > k or np.any(counts[:k] == 0):
@@ -252,8 +253,8 @@ def _check_header(header) -> None:
     if not isinstance(header.get("meta", {}), dict):
         raise ModelFormatError("meta must be an object")
     _checked("seed", header.get("seed"), 0, integral=True)
-    _checked("eps", header.get("eps"), 0.0)  # SourceStats rejects 0
-    _checked("ridge_lambda", header.get("ridge_lambda"), 0.0)
+    _checked("eps", header.get("eps"), 0.0, open_lo=True)
+    _checked("ridge_lambda", header.get("ridge_lambda"), 0.0, open_lo=True)
     expected = _expected_manifest(channels, input_shape, num_classes)
     if header.get("tensors") != expected:
         raise ModelFormatError(f"tensor manifest {header.get('tensors')!r} does not match the sizes, expected {expected}")

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -52,13 +53,13 @@ def canonical_mode(mode: str) -> str:
         raise ValueError(f"unknown normalizer mode {mode!r}; expected one of {MODES}") from None
 
 
-def _checked(name: str, value, lo: float, hi: float = math.inf, integral: bool = False):
-    """`value` if it is a finite real number in [lo, hi] (an integer when asked); never a bool."""
+def _checked(name: str, value, lo: float, hi: float = math.inf, integral: bool = False, open_lo: bool = False):
+    """`value` if it is a finite real number in [lo, hi], or (lo, hi] with `open_lo` (an integer when asked); never a bool."""
     kind = "an integer" if integral else "a finite number"
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real) or not math.isfinite(value):
         raise ValueError(f"{name} must be {kind}, got {value!r}")
-    if not lo <= value <= hi or (integral and value != int(value)):
-        raise ValueError(f"{name} must be {kind} in [{lo}, {hi}], got {value!r}")
+    if not lo <= value <= hi or (open_lo and value == lo) or (integral and value != int(value)):
+        raise ValueError(f"{name} must be {kind} in {'(' if open_lo else '['}{lo}, {hi}], got {value!r}")
     return value
 
 
@@ -79,8 +80,7 @@ class SourceStats:
             raise ValueError("affine parameter length must equal channel count")
         if not (np.isfinite(scale).all() and np.isfinite(shift).all()):
             raise ValueError("affine parameters must be finite")
-        if _checked("eps", self.eps, 0.0) == 0:
-            raise ValueError("eps must be positive")
+        _checked("eps", self.eps, 0.0, open_lo=True)
         object.__setattr__(self, "affine_scale", scale)
         object.__setattr__(self, "affine_shift", shift)
 
@@ -111,11 +111,20 @@ class NormalizerConfig:
 
 @dataclass(frozen=True)
 class SlotTrace:
-    """What one normalization call observed: group count (None when the
-    batch was normalized whole) and the incoming full-batch statistics."""
+    """What one normalization call observed: group count (None when the batch
+    was normalized whole) and the incoming map's `sample_moments`, (B, C) float64
+    sums and m2 over `length` positions, never the map itself. `batch_stats`, the
+    full-batch statistics, is merged from them on first read."""
 
     cluster_count: int | None
-    batch_stats: ChannelStats
+    sums: np.ndarray = field(compare=False)
+    m2: np.ndarray = field(compare=False)
+    length: int
+
+    @cached_property
+    def batch_stats(self) -> ChannelStats:
+        mean, var = merge_moments(self.sums, self.m2, self.length, np.zeros(self.sums.shape[0], np.intp), 1)
+        return ChannelStats(mean[0], var[0])
 
 
 def _blend(mean: np.ndarray, var: np.ndarray, src: SourceStats, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -179,19 +188,16 @@ def apply_normalizer(
     if c != src.num_channels:
         raise ValueError(f"feature map has {c} channels, source stats {src.num_channels}")
     sums, m2 = sample_moments(x)
-    labels = np.zeros(b, np.intp)
-    batch_mean, batch_var = merge_moments(sums, m2, h * w, labels, 1)
-    batch_stats = ChannelStats(batch_mean[0], batch_var[0])
-    stats = src.stats if cfg.mode == "sbn" else batch_stats
-    mean, var = stats.mean[None], stats.var[None]  # one group: row 0 for every sample
-    count = None
+    labels, count = np.zeros(b, np.intp), None
     if cfg.mode in ("find", "find_star") and partition_enabled:
         labels, count = first_neighbor_labels(sums / (h * w)) if b > 1 else (labels, 1)
-        if count > 1:
-            mean, var = (m.astype(np.float32) for m in merge_moments(sums, m2, h * w, labels, count))
+    if cfg.mode == "sbn":
+        mean, var = src.stats.mean[None], src.stats.var[None]  # one group: row 0 for every sample
+    else:
+        mean, var = (m.astype(np.float32) for m in merge_moments(sums, m2, h * w, labels, count or 1))
     if cfg.mode in ("alpha_bn", "find", "find_star"):
         mean, var = _blend(mean, var, src, cfg.alpha)
-    return _affine(x, labels, mean, var, src), SlotTrace(cluster_count=count, batch_stats=batch_stats)
+    return _affine(x, labels, mean, var, src), SlotTrace(count, sums, m2, h * w)
 
 
 def normalize_layer(

@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .normalization import _checked
+
 __all__ = [
     "DomainSpec",
     "StreamScenario",
@@ -69,12 +71,11 @@ class DomainSpec:
     severity: int
 
     def __post_init__(self):
-        if not self.contrast > 0:
-            raise ValueError("contrast must be positive")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be nonnegative")
-        if self.severity not in range(1, 6):
-            raise ValueError("severity must be an integer in 1..5")
+        _checked("domain id", self.id, -np.inf, integral=True)
+        _checked("contrast", self.contrast, 0.0, open_lo=True)
+        _checked("brightness", self.brightness, -np.inf)
+        _checked("noise_sigma", self.noise_sigma, 0.0)
+        _checked("severity", self.severity, 1, 5, integral=True)
 
 
 def identity_domain() -> DomainSpec:

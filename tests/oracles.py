@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def loop_channel_moments(x, sample_indices=None):
@@ -138,6 +139,22 @@ def loop_conv3x3(x, w):
                                     acc += x[n, ci, yy, zz] * w[o, ci, dy, dx]
                     out[n, o, y, z] = acc
     return out
+
+
+def window_conv3x3(x, w):
+    """3x3 convolution, zero padding 1, as one im2col matmul over `sliding_window_view`.
+
+    The columns hold the same products in the same (Cin, dy, dx) order as the
+    library's contiguous-row im2col, so a float32 input gives the same bits.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float32)
+    w = np.asarray(w, dtype=np.float32)
+    b, c_in, h, wd = x.shape
+    xp = np.zeros((b, c_in, h + 2, wd + 2), dtype=np.float32)
+    xp[:, :, 1:-1, 1:-1] = x
+    windows = sliding_window_view(xp, (3, 3), axis=(2, 3))  # (B, Cin, H, W, 3, 3)
+    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(b, c_in * 9, h * wd)
+    return (w.reshape(w.shape[0], c_in * 9) @ cols).reshape(b, w.shape[0], h, wd)
 
 
 def loop_avg_pool2x2(x):

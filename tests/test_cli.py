@@ -77,6 +77,15 @@ class TestRun:
         err = capsys.readouterr().err
         assert "config error" in err and "mode" in err
 
+    def test_fractional_batch_size_is_config_error(self, workspace, tmp_path, capsys):
+        _, cfg_path = workspace
+        cfg = json.loads(cfg_path.read_text())
+        cfg["scenario"]["batch_size"] = 2.5
+        bad = tmp_path / "cfg.json"
+        bad.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(bad)]) == 1
+        assert "scenario.batch_size" in capsys.readouterr().err
+
     def test_nan_gamma_is_config_error(self, workspace, capsys):
         _, cfg_path = workspace
         assert main(["run", "--config", str(cfg_path), "--gamma", "nan"]) == 1

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -68,6 +69,59 @@ class TestConfigLoading:
         cfg = load_experiment_config(p)
         assert cfg.scenario.num_domains == 1
         assert cfg.scenario.domains[0].contrast == 1.2
+
+
+class TestNumericConfigFields:
+    """Every numeric field is checked at load; none is truncated, cast or left to fail in training."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("scenario.batch_size", 2.5),
+            ("scenario.batch_size", True),
+            ("scenario.severity", 4.5),
+            ("scenario.seed", 1.5),
+            ("seeds", [True, 2]),
+            ("data.num_classes", 10.5),
+            ("model.train_batches", 2.5),
+            ("model.eps", True),
+            ("scenario.rounds", float("inf")),
+            ("model.train_batch_size", True),
+            ("model.head_lambda", float("nan")),
+        ],
+    )
+    def test_rejected_at_load(self, tmp_path, field, value):
+        section, _, name = field.partition(".")
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({section: {name: value}} if name else {section: value}))
+        with pytest.raises(ConfigError, match=re.escape(field)):
+            load_experiment_config(p)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("model.eps", 0.0),
+            ("model.channels", [8, 2.5]),
+            ("data.input_shape", [1, 16]),
+            ("data.base_noise", -0.1),
+            ("scenario.dirichlet_delta", float("nan")),
+            ("seeds", []),
+            ("data.input_shape", [1, 10, 16]),  # 10 does not halve through both stages
+        ],
+    )
+    def test_rejected_override(self, field, value):
+        with pytest.raises(ConfigError, match=re.escape(field)):
+            load_experiment_config(None, {field: value})
+
+    @pytest.mark.parametrize("key, value", [("brightness", float("nan")), ("severity", True), ("id", 0.5), ("noise_sigma", -1.0)])
+    def test_domain_entry_rejected(self, key, value):
+        domain = {"id": 0, "contrast": 1.2, "brightness": 0.5, "noise_sigma": 0.1, "severity": 2} | {key: value}
+        with pytest.raises(ConfigError, match=key):
+            load_experiment_config(None, {"scenario.domains": [domain]})
+
+    def test_integral_floats_and_null_delta_accepted(self):
+        cfg = load_experiment_config(None, {"scenario.batch_size": 8.0, "scenario.dirichlet_delta": None})
+        assert cfg.scenario.batch_size == 8 and type(cfg.scenario.batch_size) is int
 
 
 class TestRunExperiment:

@@ -14,7 +14,7 @@ from neighbornorm.model import (
 from neighbornorm.normalization import NormalizerConfig, SourceStats
 from neighbornorm.tensors import ChannelStats
 
-from oracles import loop_avg_pool2x2, loop_channel_moments, loop_conv3x3, ridge_normal_equations
+from oracles import loop_avg_pool2x2, loop_channel_moments, loop_conv3x3, ridge_normal_equations, window_conv3x3
 
 MODES = ("sbn", "tbn", "alpha_bn", "find", "find_star")
 
@@ -59,6 +59,25 @@ class TestConv:
             w = rng.normal(size=(c_out, c_in, 3, 3)).astype(np.float32)
             out = conv2d_3x3(x, w)
             assert out.shape == (b, c_out, h, wd) and out.dtype == np.float32
+            np.testing.assert_allclose(out, loop_conv3x3(x, w), rtol=1e-5, atol=1e-5)
+
+    @pytest.mark.parametrize("b", [1, 64, 256])
+    def test_stock_slot_shapes_bitwise_equal_window_oracle(self, b):
+        rng = np.random.default_rng(19 + b)
+        for c_in, c_out, side in [(1, 8, 16), (8, 16, 8)]:  # slot 0 and slot 1 of the stock network
+            x = rng.normal(size=(b, c_in, side, side)).astype(np.float32)
+            w = (rng.normal(size=(c_out, c_in, 3, 3)) / np.sqrt(c_in * 9)).astype(np.float32)
+            out = conv2d_3x3(x, w)
+            assert out.dtype == np.float32 and out.flags.c_contiguous
+            assert np.array_equal(out, window_conv3x3(x, w))
+
+    def test_edge_shapes_match_scalar_loop_oracle(self):
+        rng = np.random.default_rng(20)
+        for b, c_in, c_out, h, wd in [(1, 1, 2, 1, 1), (3, 2, 3, 1, 1), (1, 4, 5, 3, 7), (2, 3, 2, 5, 1), (1, 6, 4, 7, 5)]:
+            x = rng.normal(size=(b, c_in, h, wd)).astype(np.float32)
+            w = rng.normal(size=(c_out, c_in, 3, 3)).astype(np.float32)
+            out = conv2d_3x3(x, w)
+            assert out.shape == (b, c_out, h, wd) and out.dtype == np.float32 and out.flags.c_contiguous
             np.testing.assert_allclose(out, loop_conv3x3(x, w), rtol=1e-5, atol=1e-5)
 
     def test_kernel_shape_check(self):

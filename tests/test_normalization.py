@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -314,3 +316,42 @@ class TestNormalizeLayer:
         assert trace.cluster_count is None
         full = channel_moments(x)
         assert np.array_equal(trace.batch_stats.mean, full.mean)
+
+
+class TestSlotTrace:
+    MODES = ("sbn", "tbn", "alpha_bn", "find", "find_star")
+
+    @pytest.mark.parametrize("b", [1, 2, 64])
+    @pytest.mark.parametrize("partition_enabled", [True, False])
+    def test_batch_stats_bitwise_equal_channel_moments(self, b, partition_enabled):
+        rng = np.random.default_rng(30 + b)
+        x = (rng.normal(size=(b, 4, 5, 3)) * 3.0 + 1.5).astype(np.float32)
+        full = channel_moments(x)
+        for mode in self.MODES:
+            _, trace = apply_normalizer(x, src_stats(4), NormalizerConfig(mode=mode), partition_enabled=partition_enabled)
+            assert np.array_equal(trace.batch_stats.mean, full.mean)
+            assert np.array_equal(trace.batch_stats.var, full.var)
+
+    def test_batch_stats_merged_once(self):
+        x = np.random.default_rng(31).normal(size=(6, 3, 4, 4)).astype(np.float32)
+        _, trace = apply_normalizer(x, src_stats(3), NormalizerConfig(mode="find"))
+        assert trace.batch_stats is trace.batch_stats
+
+    def test_trace_holds_only_per_sample_arrays(self):
+        b, c = 7, 3
+        x = np.random.default_rng(32).normal(size=(b, c, 6, 6)).astype(np.float32)
+        for mode in self.MODES:
+            _, trace = apply_normalizer(x, src_stats(c), NormalizerConfig(mode=mode))
+            arrays = [getattr(trace, f.name) for f in dataclasses.fields(trace)]
+            arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+            assert len(arrays) == 2 and all(a.shape == (b, c) for a in arrays)
+            assert trace.length == 36
+
+    def test_traces_compare_without_raising(self):
+        rng = np.random.default_rng(33)
+        x, y = (rng.normal(size=(5, 3, 2, 2)).astype(np.float32) for _ in range(2))
+        _, tx = apply_normalizer(x, src_stats(3), NormalizerConfig(mode="tbn"))
+        _, ty = apply_normalizer(y, src_stats(3), NormalizerConfig(mode="tbn"))
+        assert tx == ty  # the moment arrays are left out of ==
+        _, tz = apply_normalizer(x, src_stats(3), NormalizerConfig(mode="find"))
+        assert tz.cluster_count is not None and tx != tz
