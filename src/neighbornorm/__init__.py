@@ -22,11 +22,7 @@ from .normalization import (
     SlotTrace,
     SourceStats,
     apply_normalizer,
-    blend_stats,
     canonical_mode,
-    group_channel_stats,
-    normalize_groups,
-    normalize_layer,
 )
 from .sensitivity import (
     CalibrationState,
@@ -54,11 +50,7 @@ __all__ = [
     "SourceStats",
     "SlotTrace",
     "canonical_mode",
-    "group_channel_stats",
-    "blend_stats",
-    "normalize_groups",
     "apply_normalizer",
-    "normalize_layer",
     "CalibrationState",
     "LayerSensitivity",
     "gaussian_kl_per_channel",

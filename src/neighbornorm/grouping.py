@@ -94,20 +94,6 @@ class Partition:
 
     groups: list = field(default_factory=list)
 
-    @property
-    def r(self) -> int:
-        return len(self.groups)
-
-    def labels(self, batch_size: int) -> np.ndarray:
-        """Group id per sample index; the groups must cover the batch exactly once."""
-        lab = np.full(batch_size, -1, dtype=np.intp)
-        for g, members in enumerate(self.groups):
-            lab[members] = g
-        covered = sum(len(g) for g in self.groups)
-        if covered != batch_size or lab.min() < 0:
-            raise ValueError(f"partition covers {covered} samples but batch has {batch_size}")
-        return lab
-
 
 def first_neighbor_partition(x: np.ndarray) -> Partition:
     """Group a canonical batch by the components of its first-neighbor graph.

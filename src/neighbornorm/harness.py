@@ -163,14 +163,14 @@ def scenario_from_config(sc: dict) -> StreamScenario:
         if sc.get("domains"):
             domains = [DomainSpec(**d) for d in sc["domains"]]
         else:
-            domains = make_domains(int(sc["num_domains"]), int(sc["severity"]), int(sc["seed"]))
+            domains = make_domains(sc["num_domains"], sc["severity"], sc["seed"])
         return StreamScenario(
             kind=sc["kind"],
             domains=domains,
-            batch_size=int(sc["batch_size"]),
-            num_batches=int(sc["num_batches"]),
-            rounds=int(sc["rounds"]),
-            seed=int(sc["seed"]),
+            batch_size=sc["batch_size"],
+            num_batches=sc["num_batches"],
+            rounds=sc["rounds"],
+            seed=sc["seed"],
             dirichlet_delta=sc.get("dirichlet_delta"),
         )
     except (ValueError, TypeError, KeyError) as exc:

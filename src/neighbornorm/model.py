@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .normalization import NormalizerConfig, SlotTrace, SourceStats, _checked, apply_normalizer
-from .tensors import ChannelStats, as_feature_map, merge_moments, sample_moments
+from .tensors import ChannelStats, as_feature_map, pooled_stats, sample_moments
 
 __all__ = [
     "LinearHead",
@@ -212,8 +212,7 @@ class Network:
             parts = [sample_moments(self._activations_before_slot(xb, k, cfg)) for xb in batches]
             sums, m2 = (np.concatenate(p) for p in zip(*parts))
             length = (height >> k) * (width >> k)  # every earlier stage pools 2x2
-            mean, var = merge_moments(sums, m2, length, np.zeros(sums.shape[0], np.intp), 1)
-            self.source_stats[k] = SourceStats.with_identity_affine(ChannelStats(mean[0], var[0]), self.eps)
+            self.source_stats[k] = SourceStats.with_identity_affine(pooled_stats(sums, m2, length), self.eps)
 
 
 class ModelFormatError(ValueError):

@@ -24,8 +24,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .grouping import Partition, first_neighbor_labels
-from .tensors import ChannelStats, as_feature_map, merge_moments, sample_moments, segment_moments
+from .grouping import first_neighbor_labels
+from .tensors import ChannelStats, as_feature_map, merge_moments, pooled_stats, sample_moments
 
 __all__ = [
     "MODES",
@@ -33,11 +33,7 @@ __all__ = [
     "NormalizerConfig",
     "SlotTrace",
     "canonical_mode",
-    "group_channel_stats",
-    "blend_stats",
-    "normalize_groups",
     "apply_normalizer",
-    "normalize_layer",
 ]
 
 MODES = ("sbn", "tbn", "alpha_bn", "find", "find_star")
@@ -114,17 +110,17 @@ class SlotTrace:
     """What one normalization call observed: group count (None when the batch
     was normalized whole) and the incoming map's `sample_moments`, (B, C) float64
     sums and m2 over `length` positions, never the map itself. `batch_stats`, the
-    full-batch statistics, is merged from them on first read."""
+    full-batch statistics, is merged from them on first read. `sbn` never
+    measures the batch: its sums, m2 and batch_stats are None."""
 
     cluster_count: int | None
-    sums: np.ndarray = field(compare=False)
-    m2: np.ndarray = field(compare=False)
+    sums: np.ndarray | None = field(compare=False)
+    m2: np.ndarray | None = field(compare=False)
     length: int
 
     @cached_property
-    def batch_stats(self) -> ChannelStats:
-        mean, var = merge_moments(self.sums, self.m2, self.length, np.zeros(self.sums.shape[0], np.intp), 1)
-        return ChannelStats(mean[0], var[0])
+    def batch_stats(self) -> ChannelStats | None:
+        return None if self.sums is None else pooled_stats(self.sums, self.m2, self.length)
 
 
 def _blend(mean: np.ndarray, var: np.ndarray, src: SourceStats, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -144,33 +140,6 @@ def _affine(x: np.ndarray, labels: np.ndarray, mean: np.ndarray, var: np.ndarray
     return out
 
 
-def group_channel_stats(x: np.ndarray, partition: Partition) -> list[ChannelStats]:
-    """Channel moments of each partition group."""
-    x = as_feature_map(x)
-    mean, var = segment_moments(x, partition.labels(x.shape[0]), partition.r)
-    return [ChannelStats(m, v) for m, v in zip(mean, var)]
-
-
-def blend_stats(test: ChannelStats, src: SourceStats, alpha: float) -> ChannelStats:
-    """Convex blend: alpha parts source statistics, (1 - alpha) parts test statistics.
-
-    Variances are blended directly (not standard deviations).
-    """
-    _checked("alpha", alpha, 0.0, 1.0)
-    if test.num_channels != src.num_channels:
-        raise ValueError("channel count mismatch between test and source statistics")
-    return ChannelStats(*_blend(test.mean, test.var, src, alpha))
-
-
-def normalize_groups(x: np.ndarray, partition: Partition, blended: list[ChannelStats], src: SourceStats) -> np.ndarray:
-    """Normalize each partition group with its own blended statistics."""
-    x = as_feature_map(x)
-    if len(blended) != partition.r:
-        raise ValueError(f"{len(blended)} stat entries for {partition.r} groups")
-    mean, var = np.stack([s.mean for s in blended]), np.stack([s.var for s in blended])
-    return _affine(x, partition.labels(x.shape[0]), mean, var, src)
-
-
 def apply_normalizer(
     x: np.ndarray,
     src: SourceStats,
@@ -187,24 +156,14 @@ def apply_normalizer(
     b, c, h, w = x.shape
     if c != src.num_channels:
         raise ValueError(f"feature map has {c} channels, source stats {src.num_channels}")
+    labels = np.zeros(b, np.intp)
+    if cfg.mode == "sbn":  # one group, row 0 for every sample; the batch is not measured
+        return _affine(x, labels, src.stats.mean[None], src.stats.var[None], src), SlotTrace(None, None, None, h * w)
     sums, m2 = sample_moments(x)
-    labels, count = np.zeros(b, np.intp), None
+    count = None
     if cfg.mode in ("find", "find_star") and partition_enabled:
         labels, count = first_neighbor_labels(sums / (h * w)) if b > 1 else (labels, 1)
-    if cfg.mode == "sbn":
-        mean, var = src.stats.mean[None], src.stats.var[None]  # one group: row 0 for every sample
-    else:
-        mean, var = (m.astype(np.float32) for m in merge_moments(sums, m2, h * w, labels, count or 1))
-    if cfg.mode in ("alpha_bn", "find", "find_star"):
+    mean, var = (m.astype(np.float32) for m in merge_moments(sums, m2, h * w, labels, count or 1))
+    if cfg.mode != "tbn":
         mean, var = _blend(mean, var, src, cfg.alpha)
     return _affine(x, labels, mean, var, src), SlotTrace(count, sums, m2, h * w)
-
-
-def normalize_layer(
-    x: np.ndarray,
-    src: SourceStats,
-    cfg: NormalizerConfig,
-    partition_enabled: bool = True,
-) -> np.ndarray:
-    """`apply_normalizer` without the trace."""
-    return apply_normalizer(x, src, cfg, partition_enabled)[0]

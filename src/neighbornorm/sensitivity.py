@@ -48,14 +48,12 @@ def gaussian_kl_per_channel(target: ChannelStats, source: ChannelStats, eps: flo
 
 @dataclass(frozen=True)
 class LayerSensitivity:
-    """Channel KL values with their mean, population std, and the combined
-    score; `normalized_score` is filled in after cold-start calibration."""
+    """Channel KL values with their mean, population std, and the combined score."""
 
     kl: np.ndarray
     kl_mean: float
     kl_std: float
     raw_score: float
-    normalized_score: float | None = None
 
 
 def sensitivity_score(kl: np.ndarray) -> LayerSensitivity:

@@ -90,9 +90,9 @@ def make_domains(num_domains: int, severity: int, seed: int) -> list[DomainSpec]
     seeded order; past four domains the magnitudes are halved per tier so
     every domain keeps a distinct photometric signature.
     """
-    if num_domains < 1:
-        raise ValueError("need at least one domain")
-    rng = np.random.default_rng([int(seed), 911])
+    num_domains = int(_checked("num_domains", num_domains, 1, integral=True))
+    severity = int(_checked("severity", severity, 1, 5, integral=True))
+    rng = np.random.default_rng([int(_checked("seed", seed, 0, integral=True)), 911])
     combos = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
     order = rng.permutation(4)
     domains = []
@@ -125,8 +125,8 @@ class StreamScenario:
         object.__setattr__(self, "kind", canonical_kind(self.kind))
         if len(self.domains) < 1:
             raise ValueError("scenario needs at least one domain")
-        if self.batch_size < 1 or self.num_batches < 1 or self.rounds < 1:
-            raise ValueError("batch_size, num_batches and rounds must be >= 1")
+        for name, least in (("batch_size", 1), ("num_batches", 1), ("rounds", 1), ("seed", 0)):
+            object.__setattr__(self, name, int(_checked(name, getattr(self, name), least, integral=True)))
         if self.kind == "wild":
             if self.dirichlet_delta is None or not self.dirichlet_delta > 0:
                 raise ValueError("wild scenarios require dirichlet_delta > 0")
@@ -252,7 +252,7 @@ def sample_batch(scenario: StreamScenario, bank: TemplateBank, batch_index: int)
     if not 0 <= batch_index < scenario.total_batches:
         raise ValueError(f"batch_index {batch_index} outside 0..{scenario.total_batches - 1}")
     eff = batch_index % scenario.num_batches
-    rng = np.random.default_rng([int(scenario.seed), int(eff)])
+    rng = np.random.default_rng([scenario.seed, int(eff)])
 
     k = bank.num_classes
     labels = _block_labels(rng, scenario.kind, scenario.dirichlet_delta, k, scenario.batch_size)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ChannelStats", "as_feature_map", "channel_moments", "merge_moments", "sample_moments", "segment_moments"]
+__all__ = ["ChannelStats", "as_feature_map", "channel_moments", "merge_moments", "pooled_stats", "sample_moments"]
 
 
 def as_feature_map(x: np.ndarray) -> np.ndarray:
@@ -93,27 +93,15 @@ def merge_moments(sums: np.ndarray, m2: np.ndarray, length: int, labels: np.ndar
     return mean, var
 
 
-def segment_moments(x: np.ndarray, labels: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-segment channel mean and biased variance of a canonical map: two (count, C) float64 arrays.
-
-    Sample i belongs to segment `labels[i]` in 0..count-1; no segment may be empty.
-    """
-    return merge_moments(*sample_moments(x), x.shape[2] * x.shape[3], labels, count)
+def pooled_stats(sums: np.ndarray, m2: np.ndarray, length: int) -> ChannelStats:
+    """Channel mean and biased variance of every sample together: the one-group `merge_moments`."""
+    mean, var = merge_moments(sums, m2, length, np.zeros(sums.shape[0], np.intp), 1)
+    return ChannelStats(mean[0], var[0])
 
 
-def channel_moments(x: np.ndarray, sample_indices=None) -> ChannelStats:
-    """Per-channel mean and biased variance over selected samples and all spatial positions.
+def channel_moments(x: np.ndarray) -> ChannelStats:
+    """Per-channel mean and biased variance of a canonical map over all samples and positions.
 
-    The one-segment case of `segment_moments`. `sample_indices=None`
-    selects the whole batch. Indices must be nonempty and in range.
     Variance divides by b*L (no Bessel correction).
     """
-    if sample_indices is not None:
-        idx = np.asarray(sample_indices, dtype=np.intp).reshape(-1)
-        if idx.size == 0:
-            raise ValueError("sample_indices must be nonempty")
-        if idx.min() < 0 or idx.max() >= x.shape[0]:
-            raise ValueError(f"sample index out of range for batch of {x.shape[0]}")
-        x = x[idx]
-    mean, var = segment_moments(x, np.zeros(x.shape[0], np.intp), 1)
-    return ChannelStats(mean[0], var[0])
+    return pooled_stats(*sample_moments(x), x.shape[2] * x.shape[3])

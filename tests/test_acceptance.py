@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from neighbornorm.grouping import (
-    Partition,
     cosine_similarity_matrix,
     first_neighbor_partition,
     instance_channel_means,
@@ -25,14 +24,7 @@ from neighbornorm.harness import (
     write_metrics,
 )
 from neighbornorm.model import conv2d_3x3
-from neighbornorm.normalization import (
-    NormalizerConfig,
-    SourceStats,
-    blend_stats,
-    group_channel_stats,
-    normalize_groups,
-    normalize_layer,
-)
+from neighbornorm.normalization import NormalizerConfig, SourceStats, apply_normalizer
 from neighbornorm.sensitivity import CalibrationState, gaussian_kl_per_channel, sensitivity_score
 from neighbornorm.stream import StreamScenario, sample_batch
 from neighbornorm.tensors import ChannelStats, channel_moments
@@ -74,21 +66,21 @@ def test_criterion_1_clustering_oracle_equivalence():
 def test_criterion_2_mode_degeneracies(default_setup):
     cfg, net, bank, _ = default_setup
     rng = np.random.default_rng(777)
-
-    # forced single-group partitioned path vs alpha_bn, <= 1e-6 rel
-    x = rng.normal(size=(16, 6, 4, 4)).astype(np.float32)
     src = unit_source(6, mean=0.2, var=1.7)
-    part = Partition(groups=[np.arange(16, dtype=np.intp)])
-    blended = [blend_stats(s, src, 0.8) for s in group_channel_stats(x, part)]
-    forced = normalize_groups(x, part, blended, src)
-    alpha = normalize_layer(x, src, NormalizerConfig(mode="alpha_bn", alpha=0.8))
-    np.testing.assert_allclose(forced, alpha, rtol=1e-6, atol=1e-7)
+
+    def normalized(x, mode, alpha=0.8):
+        return apply_normalizer(x, src, NormalizerConfig(mode=mode, alpha=alpha))
+
+    # a single-group find batch (16 copies of one sample) vs alpha_bn: bitwise
+    one = np.repeat(rng.normal(size=(1, 6, 4, 4)).astype(np.float32), 16, axis=0)
+    grouped, trace = normalized(one, "find")
+    assert trace.cluster_count == 1
+    assert np.array_equal(grouped, normalized(one, "alpha_bn")[0])
 
     # alpha limits are exact
-    sbn = normalize_layer(x, src, NormalizerConfig(mode="sbn"))
-    tbn = normalize_layer(x, src, NormalizerConfig(mode="tbn"))
-    assert np.array_equal(normalize_layer(x, src, NormalizerConfig(mode="alpha_bn", alpha=0.0)), tbn)
-    assert np.array_equal(normalize_layer(x, src, NormalizerConfig(mode="alpha_bn", alpha=1.0)), sbn)
+    x = rng.normal(size=(16, 6, 4, 4)).astype(np.float32)
+    assert np.array_equal(normalized(x, "alpha_bn", 0.0)[0], normalized(x, "tbn")[0])
+    assert np.array_equal(normalized(x, "alpha_bn", 1.0)[0], normalized(x, "sbn")[0])
 
     # find_star degeneracies over a stream, identical calibration
     sc = replace(cfg.scenario, num_batches=14)
@@ -137,15 +129,13 @@ def test_criterion_3_normalization_moments():
         loc = rng.normal(scale=2.0, size=(b, c, 1, 1))
         scale = rng.uniform(0.5, 2.0, size=(1, c, 1, 1))
         x = (loc + scale * rng.normal(size=(b, c, h, w))).astype(np.float32)
-        labels = rng.integers(0, max(1, b // 2), size=b)
-        part = Partition(groups=[np.flatnonzero(labels == g).astype(np.intp) for g in np.unique(labels)])
-        src = unit_source(c)
-        blended = [blend_stats(s, src, 0.0) for s in group_channel_stats(x, part)]
-        out = normalize_groups(x, part, blended, src)
-        for g in part.groups:
+        out, trace = apply_normalizer(x, unit_source(c), NormalizerConfig(mode="find", alpha=0.0))
+        groups = first_neighbor_partition(x).groups
+        assert trace.cluster_count == len(groups)
+        for g in groups:
             if len(g) * h * w < 16:
                 continue
-            stats = channel_moments(out, g)
+            stats = channel_moments(out[g])
             assert np.abs(stats.mean).max() <= 1e-4
             assert np.abs(stats.var - 1.0).max() <= 1e-3
             checked += 1

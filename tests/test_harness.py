@@ -272,9 +272,9 @@ class TestLifeLongAndGating:
 
         from neighbornorm.grouping import first_neighbor_partition
         from neighbornorm.model import Network
-        from neighbornorm.normalization import apply_normalizer, normalize_layer
+        from neighbornorm.normalization import apply_normalizer
 
-        for fn in (apply_normalizer, normalize_layer, first_neighbor_partition, Network.forward, Network.backbone):
+        for fn in (apply_normalizer, first_neighbor_partition, Network.forward, Network.backbone):
             assert not any("domain" in p for p in inspect.signature(fn).parameters)
 
 

@@ -3,17 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from neighbornorm.grouping import Partition, first_neighbor_partition
-from neighbornorm.normalization import (
-    NormalizerConfig,
-    SourceStats,
-    apply_normalizer,
-    blend_stats,
-    canonical_mode,
-    group_channel_stats,
-    normalize_groups,
-    normalize_layer,
-)
+from neighbornorm.grouping import first_neighbor_partition
+from neighbornorm.normalization import NormalizerConfig, SourceStats, apply_normalizer, canonical_mode
 from neighbornorm.tensors import ChannelStats, channel_moments
 
 from oracles import loop_channel_moments
@@ -28,10 +19,24 @@ def src_stats(c, mean=0.0, var=1.0, scale=1.0, shift=0.0, eps=1e-5):
     )
 
 
-def random_partition(rng, b):
-    labels = rng.integers(0, max(1, b // 3), size=b)
-    groups = [np.flatnonzero(labels == g) for g in np.unique(labels)]
-    return Partition(groups=[g.astype(np.intp) for g in groups])
+def find_alpha0(x, src):
+    """find at alpha=0, which normalizes each group with its own statistics, and the groups it formed."""
+    out, trace = apply_normalizer(x, src, NormalizerConfig(mode="find", alpha=0.0))
+    groups = first_neighbor_partition(x).groups
+    assert trace.cluster_count == len(groups)
+    return out, groups
+
+
+def oracle_normalized(x, group, eps=1e-5):
+    """x[group] normalized with the scalar-loop moments of its samples, in float64."""
+    mean, var = loop_channel_moments(x, group.tolist())
+    return (x[group].astype(np.float64) - mean[:, None, None]) / np.sqrt(var + eps)[:, None, None]
+
+
+def two_point_batch(mean, var):
+    """A (1, C, 1, 2) batch holding mean[c] -+ sqrt(var[c]) in channel c: its channel mean and variance."""
+    mean, d = np.asarray(mean, np.float32), np.sqrt(np.asarray(var, np.float32))
+    return np.stack([mean - d, mean + d], axis=-1)[None, :, None, :]
 
 
 class TestConfig:
@@ -91,74 +96,71 @@ class TestSourceStatsValidation:
 
 
 class TestGroupChannelStats:
+    """find normalizes each group with the channel statistics of its own samples."""
+
     def test_single_group_equals_full_batch(self):
+        # at alpha=0 a group comes out as tbn makes it when it is the whole batch
         rng = np.random.default_rng(0)
-        x = rng.normal(size=(6, 3, 2, 2)).astype(np.float32)
-        part = Partition(groups=[np.arange(6, dtype=np.intp)])
-        (stats,) = group_channel_stats(x, part)
-        full = channel_moments(x)
-        assert np.array_equal(stats.mean, full.mean)
-        assert np.array_equal(stats.var, full.var)
+        x = rng.normal(loc=rng.normal(size=(12, 1, 1, 1)), size=(12, 3, 2, 2)).astype(np.float32)
+        src = src_stats(3)
+        out, groups = find_alpha0(x, src)
+        assert len(groups) > 1
+        for g in groups:
+            assert np.array_equal(out[g], apply_normalizer(x[g], src, NormalizerConfig(mode="tbn"))[0])
 
     def test_singleton_constant_sample(self):
-        x = np.full((3, 2, 1, 1), 5.0, np.float32)
-        part = Partition(groups=[np.array([1], np.intp), np.array([0, 2], np.intp)])
-        stats = group_channel_stats(x, part)
-        np.testing.assert_array_equal(stats[0].mean, [5.0, 5.0])
-        np.testing.assert_array_equal(stats[0].var, [0.0, 0.0])
+        x = np.full((1, 2, 1, 1), 5.0, np.float32)
+        out, trace = apply_normalizer(x, src_stats(2), NormalizerConfig(mode="find", alpha=0.0))
+        assert trace.cluster_count == 1
+        np.testing.assert_array_equal(trace.batch_stats.mean, [5.0, 5.0])
+        np.testing.assert_array_equal(trace.batch_stats.var, [0.0, 0.0])
+        np.testing.assert_array_equal(out, np.zeros_like(x))
 
     def test_matches_scalar_loop_oracle(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(8, 3, 2, 2)).astype(np.float32)
-        part = random_partition(rng, 8)
-        for group, stats in zip(part.groups, group_channel_stats(x, part)):
-            mean_ref, var_ref = loop_channel_moments(x, group.tolist())
-            np.testing.assert_allclose(stats.mean, mean_ref, rtol=1e-6, atol=1e-9)
-            np.testing.assert_allclose(stats.var, var_ref, rtol=1e-6, atol=1e-9)
+        out, groups = find_alpha0(x, src_stats(3))
+        for g in groups:
+            np.testing.assert_allclose(out[g], oracle_normalized(x, g), rtol=1e-6, atol=1e-7)
 
     def test_random_labelings_match_scalar_loop_oracle(self):
-        # unsorted groups and singletons, as a Partition may hold them
+        # interleaved groups, and the singleton of a one-sample batch
         rng = np.random.default_rng(12)
         for _ in range(20):
-            b = int(rng.integers(2, 14))
+            b = int(rng.integers(1, 14))
             x = rng.normal(loc=rng.normal(size=(b, 1, 1, 1)), size=(b, 3, 2, 3)).astype(np.float32)
-            perm = rng.permutation(b)
-            cuts = np.sort(rng.choice(np.arange(1, b), size=int(rng.integers(0, b)), replace=False))
-            part = Partition(groups=[g.astype(np.intp) for g in np.split(perm, cuts)])
-            for group, stats in zip(part.groups, group_channel_stats(x, part)):
-                mean_ref, var_ref = loop_channel_moments(x, group.tolist())
-                np.testing.assert_allclose(stats.mean, mean_ref, rtol=1e-6, atol=1e-7)
-                np.testing.assert_allclose(stats.var, var_ref, rtol=1e-6, atol=1e-7)
-
-    def test_partition_batch_mismatch(self):
-        x = np.ones((4, 2, 2, 2), np.float32)
-        with pytest.raises(ValueError):
-            group_channel_stats(x, Partition(groups=[np.array([0, 1], np.intp)]))
+            out, groups = find_alpha0(x, src_stats(3))
+            for g in groups:
+                np.testing.assert_allclose(out[g], oracle_normalized(x, g), rtol=1e-6, atol=1e-7)
 
 
 class TestBlendStats:
+    """alpha_bn blends alpha parts source statistics with (1 - alpha) parts batch
+    statistics, variances directly; `two_point_batch` fixes the batch's."""
+
     def test_alpha_one_returns_source(self):
-        src = src_stats(3, mean=2.0, var=4.0)
-        test = ChannelStats(np.full(3, -1.0, np.float32), np.full(3, 9.0, np.float32))
-        out = blend_stats(test, src, 1.0)
-        assert np.array_equal(out.mean, src.stats.mean)
-        assert np.array_equal(out.var, src.stats.var)
+        src = src_stats(3, mean=2.0, var=4.0, eps=1e-12)
+        x = two_point_batch([-1.0] * 3, [9.0] * 3)
+        out, _ = apply_normalizer(x, src, NormalizerConfig(mode="alpha_bn", alpha=1.0))
+        assert np.array_equal(out, apply_normalizer(x, src, NormalizerConfig(mode="sbn"))[0])
+        np.testing.assert_allclose(out, (x - 2.0) / 2.0)
 
     def test_alpha_zero_returns_test(self):
-        src = src_stats(3, mean=2.0, var=4.0)
-        test = ChannelStats(np.full(3, -1.0, np.float32), np.full(3, 9.0, np.float32))
-        out = blend_stats(test, src, 0.0)
-        assert np.array_equal(out.mean, test.mean)
-        assert np.array_equal(out.var, test.var)
+        src = src_stats(3, mean=2.0, var=4.0, eps=1e-12)
+        x = two_point_batch([-1.0] * 3, [9.0] * 3)
+        out, _ = apply_normalizer(x, src, NormalizerConfig(mode="alpha_bn", alpha=0.0))
+        assert np.array_equal(out, apply_normalizer(x, src, NormalizerConfig(mode="tbn"))[0])
+        np.testing.assert_allclose(out, (x + 1.0) / 3.0)
 
     def test_halfway_scalar_case(self):
-        src = src_stats(1, mean=0.0, var=1.0)
-        test = ChannelStats(np.array([2.0], np.float32), np.array([3.0], np.float32))
-        out = blend_stats(test, src, 0.5)
-        assert out.mean == pytest.approx([1.0])
-        assert out.var == pytest.approx([2.0])
+        # batch mean 2, var 4 (values 0 and 4); source mean 0, var 14: blended mean 1, var 9
+        src = src_stats(1, mean=0.0, var=14.0, eps=1e-12)
+        out, _ = apply_normalizer(two_point_batch([2.0], [4.0]), src, NormalizerConfig(mode="alpha_bn", alpha=0.5))
+        assert out.ravel() == pytest.approx([-1.0 / 3.0, 1.0])
 
     def test_blended_variance_convex(self):
+        # the blended variance lies between the source and batch variances, so
+        # alpha_bn's spread of each channel's two values lies between sbn's and tbn's
         rng = np.random.default_rng(2)
         for _ in range(50):
             c = int(rng.integers(1, 6))
@@ -167,15 +169,15 @@ class TestBlendStats:
                 affine_scale=np.ones(c, np.float32),
                 affine_shift=np.zeros(c, np.float32),
             )
-            test = ChannelStats(rng.normal(size=c).astype(np.float32), rng.uniform(0, 4, c).astype(np.float32))
-            out = blend_stats(test, src, float(rng.uniform(0, 1)))
-            lo = np.minimum(src.stats.var, test.var)
-            hi = np.maximum(src.stats.var, test.var)
-            assert np.all(out.var >= lo - 1e-6) and np.all(out.var <= hi + 1e-6)
-
-    def test_channel_mismatch(self):
-        with pytest.raises(ValueError):
-            blend_stats(ChannelStats(np.zeros(2), np.ones(2)), src_stats(3), 0.5)
+            x = two_point_batch(rng.normal(size=c), rng.uniform(0, 4, c))
+            alpha = float(rng.uniform(0, 1))
+            spread = {
+                mode: np.ptp(apply_normalizer(x, src, NormalizerConfig(mode=mode, alpha=alpha))[0], axis=-1).ravel()
+                for mode in ("sbn", "tbn", "alpha_bn")
+            }
+            lo = np.minimum(spread["sbn"], spread["tbn"])
+            hi = np.maximum(spread["sbn"], spread["tbn"])
+            assert np.all(spread["alpha_bn"] >= lo * (1 - 1e-6)) and np.all(spread["alpha_bn"] <= hi * (1 + 1e-6))
 
 
 class TestNormalizeGroups:
@@ -184,14 +186,12 @@ class TestNormalizeGroups:
         x = np.zeros((4, 2, 1, 1), np.float32)
         x[:2, 0], x[:2, 1] = 3.0, -1.0
         x[2:, 0], x[2:, 1] = -2.0, 0.5
-        part = Partition(groups=[np.array([0, 1], np.intp), np.array([2, 3], np.intp)])
-        src = src_stats(2)
-        blended = [blend_stats(s, src, 0.0) for s in group_channel_stats(x, part)]
-        out = normalize_groups(x, part, blended, src)
+        out, groups = find_alpha0(x, src_stats(2))
+        assert [g.tolist() for g in groups] == [[0, 1], [2, 3]]
         np.testing.assert_array_equal(out, np.zeros_like(x))
 
     def test_scalar_hand_value(self):
-        # 2 * (3 - 1)/sqrt(4) + 1 = 3, with eps driven to negligible
+        # 2 * (3 - 1)/sqrt(4) + 1 = 3, with eps driven to negligible; at alpha=1 find takes the source statistics
         x = np.full((1, 1, 1, 1), 3.0, np.float32)
         src = SourceStats(
             stats=ChannelStats(np.array([1.0], np.float32), np.array([4.0], np.float32)),
@@ -199,31 +199,18 @@ class TestNormalizeGroups:
             affine_shift=np.array([1.0], np.float32),
             eps=1e-12,
         )
-        part = Partition(groups=[np.array([0], np.intp)])
-        out = normalize_groups(x, part, [src.stats], src)
+        out, trace = apply_normalizer(x, src, NormalizerConfig(mode="find", alpha=1.0))
+        assert trace.cluster_count == 1
         assert out[0, 0, 0, 0] == pytest.approx(3.0, abs=1e-9)
-
-    def test_partition_must_cover_batch_once(self):
-        x = np.ones((3, 2, 2, 2), np.float32)
-        src = src_stats(2)
-        for groups in ([[0, 1]], [[0, 1], [1, 2]]):
-            part = Partition(groups=[np.array(g, np.intp) for g in groups])
-            with pytest.raises(ValueError, match="covers"):
-                normalize_groups(x, part, [src.stats] * part.r, src)
 
     def test_moments_after_source_free_normalization(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             b = int(rng.integers(4, 16))
             x = rng.normal(loc=rng.normal(), scale=rng.uniform(0.5, 2), size=(b, 3, 4, 4)).astype(np.float32)
-            part = random_partition(rng, b)
-            src = src_stats(3)
-            blended = [blend_stats(s, src, 0.0) for s in group_channel_stats(x, part)]
-            out = normalize_groups(x, part, blended, src)
-            for g in part.groups:
-                if len(g) * 16 < 16:
-                    continue
-                stats = channel_moments(out, g)
+            out, groups = find_alpha0(x, src_stats(3))
+            for g in groups:
+                stats = channel_moments(out[g])
                 assert np.all(np.abs(stats.mean) <= 1e-4)
                 assert np.all(np.abs(stats.var - 1.0) <= 1e-3)
 
@@ -233,27 +220,30 @@ class TestNormalizeLayer:
         rng = np.random.default_rng(4)
         sample = rng.normal(size=(1, 3, 4, 4)).astype(np.float32)
         x = np.repeat(sample, 5, axis=0)  # identical rows cluster into one group
-        assert first_neighbor_partition(x).r == 1
+        assert len(first_neighbor_partition(x).groups) == 1
         src = src_stats(3, mean=0.3, var=2.0, scale=1.5, shift=-0.2)
-        cfg = NormalizerConfig(mode="find", alpha=0.8)
-        out_find = normalize_layer(x, src, cfg)
-        out_alpha = normalize_layer(x, src, NormalizerConfig(mode="alpha_bn", alpha=0.8))
+        out_find, _ = apply_normalizer(x, src, NormalizerConfig(mode="find", alpha=0.8))
+        out_alpha, _ = apply_normalizer(x, src, NormalizerConfig(mode="alpha_bn", alpha=0.8))
         assert np.array_equal(out_find, out_alpha)
 
     def test_forced_single_group_matches_alpha_bn(self):
+        # distinct samples forming one group: the instance means of samples 1..7
+        # sit one small step from sample 0's, each along its own orthogonal
+        # direction, so every one of them has sample 0 as its first neighbor
         rng = np.random.default_rng(5)
-        x = rng.normal(size=(8, 3, 4, 4)).astype(np.float32)
-        src = src_stats(3, mean=0.1, var=1.5)
-        part = Partition(groups=[np.arange(8, dtype=np.intp)])
-        blended = [blend_stats(s, src, 0.8) for s in group_channel_stats(x, part)]
-        forced = normalize_groups(x, part, blended, src)
-        alpha = normalize_layer(x, src, NormalizerConfig(mode="alpha_bn", alpha=0.8))
-        np.testing.assert_allclose(forced, alpha, rtol=1e-6, atol=1e-7)
+        steps = np.linalg.qr(np.column_stack([np.ones(8), rng.normal(size=(8, 7))]))[0][:, 1:].T
+        means = 2.0 + 0.1 * np.concatenate([np.zeros((1, 8)), steps])
+        noise = rng.normal(size=(8, 8, 4, 4))
+        x = (means[:, :, None, None] + noise - noise.mean(axis=(2, 3), keepdims=True)).astype(np.float32)
+        src = src_stats(8, mean=0.1, var=1.5)
+        find, trace = apply_normalizer(x, src, NormalizerConfig(mode="find", alpha=0.8))
+        assert trace.cluster_count == 1
+        assert np.array_equal(find, apply_normalizer(x, src, NormalizerConfig(mode="alpha_bn", alpha=0.8))[0])
 
     def test_tbn_constant_batch_outputs_shift(self):
         x = np.full((4, 2, 3, 3), 7.5, np.float32)
         src = src_stats(2, shift=0.25, scale=3.0)
-        out = normalize_layer(x, src, NormalizerConfig(mode="tbn"))
+        out, _ = apply_normalizer(x, src, NormalizerConfig(mode="tbn"))
         np.testing.assert_array_equal(out, np.full_like(x, 0.25))
 
     def test_sbn_ignores_batch_content(self):
@@ -263,33 +253,33 @@ class TestNormalizeLayer:
         a = rng.normal(size=(4, 2, 2, 2)).astype(np.float32)
         b = rng.normal(size=(4, 2, 2, 2)).astype(np.float32)
         b[1, 1, 0, 1] = a[1, 1, 0, 1]
-        out_a = normalize_layer(a, src, cfg)
-        out_b = normalize_layer(b, src, cfg)
+        out_a, _ = apply_normalizer(a, src, cfg)
+        out_b, _ = apply_normalizer(b, src, cfg)
         assert out_a[1, 1, 0, 1] == out_b[1, 1, 0, 1]
 
     def test_alpha_bn_limits_match_tbn_and_sbn(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(6, 4, 3, 3)).astype(np.float32)
         src = src_stats(4, mean=0.2, var=1.7)
-        tbn = normalize_layer(x, src, NormalizerConfig(mode="tbn"))
-        sbn = normalize_layer(x, src, NormalizerConfig(mode="sbn"))
-        assert np.array_equal(normalize_layer(x, src, NormalizerConfig(mode="alpha_bn", alpha=0.0)), tbn)
-        assert np.array_equal(normalize_layer(x, src, NormalizerConfig(mode="alpha_bn", alpha=1.0)), sbn)
+        tbn, _ = apply_normalizer(x, src, NormalizerConfig(mode="tbn"))
+        sbn, _ = apply_normalizer(x, src, NormalizerConfig(mode="sbn"))
+        assert np.array_equal(apply_normalizer(x, src, NormalizerConfig(mode="alpha_bn", alpha=0.0))[0], tbn)
+        assert np.array_equal(apply_normalizer(x, src, NormalizerConfig(mode="alpha_bn", alpha=1.0))[0], sbn)
 
     def test_find_alpha_one_equals_sbn_any_partition(self):
         rng = np.random.default_rng(8)
         x = rng.normal(loc=rng.normal(size=(10, 1, 1, 1)), size=(10, 4, 4, 4)).astype(np.float32)
         src = src_stats(4, mean=-0.4, var=0.9)
-        find = normalize_layer(x, src, NormalizerConfig(mode="find", alpha=1.0))
-        sbn = normalize_layer(x, src, NormalizerConfig(mode="sbn", alpha=1.0))
+        find, _ = apply_normalizer(x, src, NormalizerConfig(mode="find", alpha=1.0))
+        sbn, _ = apply_normalizer(x, src, NormalizerConfig(mode="sbn", alpha=1.0))
         assert np.array_equal(find, sbn)
 
     def test_partition_disabled_falls_back_to_alpha_bn(self):
         rng = np.random.default_rng(9)
         x = rng.normal(size=(8, 2, 4, 4)).astype(np.float32)
         src = src_stats(2)
-        off = normalize_layer(x, src, NormalizerConfig(mode="find_star", alpha=0.8), partition_enabled=False)
-        alpha = normalize_layer(x, src, NormalizerConfig(mode="alpha_bn", alpha=0.8))
+        off, _ = apply_normalizer(x, src, NormalizerConfig(mode="find_star", alpha=0.8), partition_enabled=False)
+        alpha, _ = apply_normalizer(x, src, NormalizerConfig(mode="alpha_bn", alpha=0.8))
         assert np.array_equal(off, alpha)
 
     def test_input_not_mutated_and_dims_preserved(self):
@@ -298,28 +288,28 @@ class TestNormalizeLayer:
         before = x.copy()
         src = src_stats(3)
         for mode in ("sbn", "tbn", "alpha_bn", "find", "find_star"):
-            out = normalize_layer(x, src, NormalizerConfig(mode=mode))
+            out, _ = apply_normalizer(x, src, NormalizerConfig(mode=mode))
             assert out.shape == x.shape
             assert np.array_equal(x, before)
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            normalize_layer(np.ones((2, 3, 2, 2), np.float32), src_stats(4), NormalizerConfig(mode="sbn"))
+            apply_normalizer(np.ones((2, 3, 2, 2), np.float32), src_stats(4), NormalizerConfig(mode="sbn"))
 
     def test_cluster_count_trace(self):
         rng = np.random.default_rng(11)
         x = rng.normal(size=(12, 3, 2, 2)).astype(np.float32)
         src = src_stats(3)
         _, trace = apply_normalizer(x, src, NormalizerConfig(mode="find"))
-        assert trace.cluster_count == first_neighbor_partition(x).r
-        _, trace = apply_normalizer(x, src, NormalizerConfig(mode="sbn"))
+        assert trace.cluster_count == len(first_neighbor_partition(x).groups)
+        _, trace = apply_normalizer(x, src, NormalizerConfig(mode="tbn"))
         assert trace.cluster_count is None
         full = channel_moments(x)
         assert np.array_equal(trace.batch_stats.mean, full.mean)
 
 
 class TestSlotTrace:
-    MODES = ("sbn", "tbn", "alpha_bn", "find", "find_star")
+    MEASURING = ("tbn", "alpha_bn", "find", "find_star")  # every mode but sbn measures the batch
 
     @pytest.mark.parametrize("b", [1, 2, 64])
     @pytest.mark.parametrize("partition_enabled", [True, False])
@@ -327,7 +317,7 @@ class TestSlotTrace:
         rng = np.random.default_rng(30 + b)
         x = (rng.normal(size=(b, 4, 5, 3)) * 3.0 + 1.5).astype(np.float32)
         full = channel_moments(x)
-        for mode in self.MODES:
+        for mode in self.MEASURING:
             _, trace = apply_normalizer(x, src_stats(4), NormalizerConfig(mode=mode), partition_enabled=partition_enabled)
             assert np.array_equal(trace.batch_stats.mean, full.mean)
             assert np.array_equal(trace.batch_stats.var, full.var)
@@ -340,12 +330,18 @@ class TestSlotTrace:
     def test_trace_holds_only_per_sample_arrays(self):
         b, c = 7, 3
         x = np.random.default_rng(32).normal(size=(b, c, 6, 6)).astype(np.float32)
-        for mode in self.MODES:
+        for mode in self.MEASURING:
             _, trace = apply_normalizer(x, src_stats(c), NormalizerConfig(mode=mode))
             arrays = [getattr(trace, f.name) for f in dataclasses.fields(trace)]
             arrays = [a for a in arrays if isinstance(a, np.ndarray)]
             assert len(arrays) == 2 and all(a.shape == (b, c) for a in arrays)
             assert trace.length == 36
+
+    def test_sbn_trace_carries_no_moments(self):
+        x = np.random.default_rng(34).normal(size=(5, 3, 4, 4)).astype(np.float32)
+        _, trace = apply_normalizer(x, src_stats(3), NormalizerConfig(mode="sbn"))
+        assert trace.cluster_count is None and trace.sums is None and trace.m2 is None
+        assert trace.batch_stats is None
 
     def test_traces_compare_without_raising(self):
         rng = np.random.default_rng(33)

@@ -98,6 +98,30 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             scenario_for("drift")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seed", 1.5), ("rounds", float("inf")), ("num_batches", 2.5), ("batch_size", True), ("seed", -1), ("rounds", 0)],
+    )
+    def test_bad_integer_field_rejected(self, field, value):
+        fields = {"batch_size": 8, "num_batches": 2, "rounds": 1, "seed": 1, field: value}
+        with pytest.raises(ValueError, match=field):
+            StreamScenario(kind="static", domains=[identity_domain()], **fields)
+
+    def test_integral_fields_stored_as_int(self):
+        sc = StreamScenario(kind="static", domains=[identity_domain()], batch_size=8.0, num_batches=np.int64(2), seed=3.0)
+        assert [type(v) for v in (sc.batch_size, sc.num_batches, sc.rounds, sc.seed)] == [int] * 4
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [((2.5, 5, 0), "num_domains"), ((True, 5, 0), "num_domains"), ((2, 4.5, 0), "severity"), ((2, 5, -1), "seed")],
+    )
+    def test_make_domains_bad_integer_rejected(self, args, name):
+        with pytest.raises(ValueError, match=name):
+            make_domains(*args)
+
+    def test_make_domains_integral_float_severity_stored_as_int(self):
+        assert all(type(d.severity) is int for d in make_domains(2, 5.0, 0))
+
 
 class TestSampling:
     def test_static_single_domain_with_persistence(self):
