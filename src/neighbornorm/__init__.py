@@ -26,7 +26,6 @@ from .normalization import (
 )
 from .sensitivity import (
     CalibrationState,
-    LayerSensitivity,
     gaussian_kl_per_channel,
     sensitivity_score,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "canonical_mode",
     "apply_normalizer",
     "CalibrationState",
-    "LayerSensitivity",
     "gaussian_kl_per_channel",
     "sensitivity_score",
     "__version__",

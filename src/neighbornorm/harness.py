@@ -116,8 +116,8 @@ def _merged(defaults: dict, user: dict) -> dict:
     return out
 
 
-# Numeric config fields by rule, (least, greatest, integral, least excluded) -> names, checked at
-# load so that no bool, non-finite or fractional value is cast or truncated later. A null delta is allowed.
+# Numeric config fields by rule, (least, greatest, integral, least excluded) -> names, checked at load and
+# stored as int or float once, so no bool, non-finite or fractional value is cast later. A null delta is allowed.
 _NUMERIC_FIELDS = {
     (1, math.inf, True, False): ("model.train_batches", "model.train_batch_size", "model.clean_eval_batches",
                                  "scenario.num_domains", "scenario.batch_size", "scenario.num_batches", "scenario.rounds"),
@@ -132,19 +132,21 @@ _INTEGER_LISTS = {"data.input_shape": (3, 1), "model.channels": (None, 1), "seed
 
 
 def _check_numbers(raw: dict) -> None:
-    """Raise ValueError for a numeric field, or an integer-list entry, that breaks its rule."""
-    flat = raw | {f"{section}.{key}": v for section, fields in raw.items() if isinstance(fields, dict) for key, v in fields.items()}
-    checks = [(name, flat[name], rule) for rule, names in _NUMERIC_FIELDS.items() for name in names]
+    """Store each numeric field and integer-list entry in `raw` as the int or float its rule checked; ValueError if it breaks it."""
+    for rule, names in _NUMERIC_FIELDS.items():
+        for name in names:
+            section, key = name.split(".")
+            if raw[section][key] is not None or name != "scenario.dirichlet_delta":
+                raw[section][key] = (int if rule[2] else float)(_checked(name, raw[section][key], *rule))
     for name, (length, least) in _INTEGER_LISTS.items():
-        values = flat[name]
+        section, _, key = name.rpartition(".")
+        target = raw[section] if section else raw
+        values = target[key]
         if not isinstance(values, (list, tuple)) or not values or len(values) != (length or len(values)):
             raise ValueError(f"{name} must be a list of {length or 'one or more'} integers, got {values!r}")
-        checks += [(f"{name}[{i}]", v, (least, math.inf, True, False)) for i, v in enumerate(values)]
-    if any(side % 2 ** len(flat["model.channels"]) for side in flat["data.input_shape"][1:]):
-        raise ValueError(f"data.input_shape {flat['data.input_shape']} does not pool evenly through every model.channels stage")
-    for name, v, rule in checks:
-        if v is not None or name != "scenario.dirichlet_delta":
-            _checked(name, v, *rule)
+        target[key] = [int(_checked(f"{name}[{i}]", v, least, integral=True)) for i, v in enumerate(values)]
+    if any(side % 2 ** len(raw["model"]["channels"]) for side in raw["data"]["input_shape"][1:]):
+        raise ValueError(f"data.input_shape {raw['data']['input_shape']} does not pool evenly through every model.channels stage")
 
 
 @dataclass
@@ -180,11 +182,11 @@ def scenario_from_config(sc: dict) -> StreamScenario:
 def bank_from_config(data: dict) -> TemplateBank:
     try:
         return build_templates(
-            num_classes=int(data["num_classes"]),
-            seed=int(data["template_seed"]),
+            num_classes=data["num_classes"],
+            seed=data["template_seed"],
             shape=tuple(data["input_shape"]),
-            base_noise=float(data["base_noise"]),
-            min_dist=float(data["template_min_dist"]),
+            base_noise=data["base_noise"],
+            min_dist=data["template_min_dist"],
         )
     except (ValueError, TypeError, KeyError) as exc:
         raise ConfigError(f"invalid data config: {exc}") from exc
@@ -219,7 +221,6 @@ def load_experiment_config(path=None, overrides: dict | None = None) -> Experime
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
     scenario = scenario_from_config(raw["scenario"])
-    seeds = [int(s) for s in raw["seeds"]]
     return ExperimentConfig(
         data=raw["data"],
         model=raw["model"],
@@ -227,7 +228,7 @@ def load_experiment_config(path=None, overrides: dict | None = None) -> Experime
         normalizer=normalizer,
         model_path=str(raw["model_path"]),
         out=str(raw["out"]),
-        seeds=seeds,
+        seeds=raw["seeds"],
     )
 
 
@@ -262,26 +263,26 @@ def train_model(cfg: ExperimentConfig) -> tuple[Network, TemplateBank, dict]:
     the ridge head, and measure the clean-test baseline accuracy."""
     bank = bank_from_config(cfg.data)
     mc = cfg.model
-    net = Network.build(tuple(mc["channels"]), tuple(cfg.data["input_shape"]), int(mc["seed"]), float(mc["eps"]))
+    net = Network.build(tuple(mc["channels"]), tuple(cfg.data["input_shape"]), mc["seed"], mc["eps"])
 
     def clean_scenario(seed: int, num_batches: int) -> StreamScenario:
         return StreamScenario(
             kind="static",
             domains=[identity_domain()],
-            batch_size=int(mc["train_batch_size"]),
+            batch_size=mc["train_batch_size"],
             num_batches=num_batches,
             seed=seed,
         )
 
-    train_batches = list(iter_batches(clean_scenario(int(mc["train_seed"]), int(mc["train_batches"])), bank))
+    train_batches = list(iter_batches(clean_scenario(mc["train_seed"], mc["train_batches"]), bank))
     net.capture_source_stats([b.x for b in train_batches])
 
     sbn = NormalizerConfig(mode="sbn")
     feats = np.concatenate([net.backbone(b.x, sbn)[0] for b in train_batches])
     labels = np.concatenate([b.labels for b in train_batches])
-    net.head = train_linear_head(feats, labels, float(mc["head_lambda"]), num_classes=int(cfg.data["num_classes"]))
+    net.head = train_linear_head(feats, labels, mc["head_lambda"], num_classes=cfg.data["num_classes"])
 
-    eval_scenario = clean_scenario(int(mc["train_seed"]) + 1, int(mc["clean_eval_batches"]))
+    eval_scenario = clean_scenario(mc["train_seed"] + 1, mc["clean_eval_batches"])
     correct = total = 0
     for b in iter_batches(eval_scenario, bank):
         preds = np.argmax(net.forward(b.x, sbn), axis=1)
@@ -313,7 +314,7 @@ def _calibrate_batch(net: Network, traces, calib: CalibrationState, ncfg: Normal
     scores = []
     for k, tr in enumerate(traces):
         kl = gaussian_kl_per_channel(tr.batch_stats, net.source_stats[k].stats)
-        scores.append(sensitivity_score(kl).raw_score)
+        scores.append(sensitivity_score(kl))
     calib.accumulate(scores)
     if calib.batches_seen == calib.cold_start_batches:
         calib.finalize(ncfg.gamma_threshold)

@@ -6,6 +6,10 @@ Gaussians scaled by 1/sqrt(fan-in) and are never trained; the head is a
 closed-form ridge regression on one-hot targets. Source statistics for
 each normalization slot are captured from clean data, slot by slot, so
 the result does not depend on batch ordering.
+
+The public kernels check their inputs. A `Network` checks its input once, at
+entry, runs the stages through the check-free bodies (`_conv`, `_normalize`,
+relu in place), and checks at exit that the result is finite (else ValueError).
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .normalization import NormalizerConfig, SlotTrace, SourceStats, _checked, apply_normalizer
+from .normalization import NormalizerConfig, SlotTrace, SourceStats, _checked, _normalize
 from .tensors import ChannelStats, as_feature_map, pooled_stats, sample_moments
 
 __all__ = [
@@ -35,17 +39,22 @@ MODEL_FORMAT = "neighbornorm-model-v1"
 
 
 def conv2d_3x3(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """3x3 convolution, stride 1, zero padding 1. w is (Cout, Cin, 3, 3).
+    """3x3 convolution, stride 1, zero padding 1. w is (Cout, Cin, 3, 3)."""
+    x = as_feature_map(x)
+    w = np.asarray(w, dtype=np.float32)
+    if w.ndim != 4 or w.shape[2:] != (3, 3) or w.shape[1] != x.shape[1]:
+        raise ValueError(f"kernel shape {w.shape} does not fit input {x.shape}")
+    return _conv(x, w)
+
+
+def _conv(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """`conv2d_3x3` of a canonical map and a float32 kernel that fits it, unchecked.
 
     One im2col matmul over a flat zero-padded (B, Cin, H+3, W+2) buffer: window
     (dy, dx) of a channel is the contiguous run of H*(W+2) floats from row dy,
     column dx, so the column copy moves long runs, and each output row carries
     two spare columns, dropped at the end (the spare row bounds the last run).
     """
-    x = as_feature_map(x)
-    w = np.asarray(w, dtype=np.float32)
-    if w.ndim != 4 or w.shape[2:] != (3, 3) or w.shape[1] != x.shape[1]:
-        raise ValueError(f"kernel shape {w.shape} does not fit input {x.shape}")
     b, c_in, h, wd = x.shape
     xp = np.zeros((b, c_in, h + 3, wd + 2), dtype=np.float32)
     xp[:, :, 1 : h + 1, 1:-1] = x
@@ -59,10 +68,22 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def avg_pool_2x2(x: np.ndarray) -> np.ndarray:
+    """Mean of each 2x2 block, summed ((a + b) + c) + d into one new array, then times 0.25."""
     b, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ValueError(f"avg_pool_2x2 needs even spatial dims, got {h}x{w}")
-    return (x[:, :, ::2, ::2] + x[:, :, ::2, 1::2] + x[:, :, 1::2, ::2] + x[:, :, 1::2, 1::2]) * np.float32(0.25)
+    out = x[:, :, ::2, ::2] + x[:, :, ::2, 1::2]
+    out += x[:, :, 1::2, ::2]
+    out += x[:, :, 1::2, 1::2]
+    out *= np.float32(0.25)
+    return out
+
+
+def _finite(x: np.ndarray) -> np.ndarray:
+    """`x`, or ValueError if an entry is NaN or Inf: the stages behind the entry check overflowed."""
+    if not np.isfinite(x).all():
+        raise ValueError("the network's stages overflowed to NaN or Inf on this input")
+    return x
 
 
 @dataclass(frozen=True)
@@ -157,26 +178,27 @@ class Network:
         if any(s is None for s in self.source_stats):
             raise RuntimeError("source statistics not captured; run capture_source_stats first")
 
+    def _stage(self, h: np.ndarray, k: int, cfg: NormalizerConfig, enabled: bool = True) -> tuple[np.ndarray, SlotTrace]:
+        """Stage k on a canonical map, unchecked: conv, normalize, relu in place, pool."""
+        h, trace = _normalize(_conv(h, self.conv_weights[k]), self.source_stats[k], cfg, enabled)
+        return avg_pool_2x2(np.maximum(h, np.float32(0.0), out=h)), trace
+
     def backbone(self, x: np.ndarray, cfg: NormalizerConfig, gating=None) -> tuple[np.ndarray, list[SlotTrace]]:
         """Features after all stages, plus one trace per normalization slot.
 
         `gating` is an optional per-slot sequence of partition flags; None
         leaves partitioning on everywhere (only the partitioning modes
-        look at it).
+        look at it). Checks the input once; non-finite features raise ValueError.
         """
-        x = self._check_input(x)
+        h = self._check_input(x)
         self._require_stats()
         if gating is not None and len(gating) != self.num_slots:
             raise ValueError(f"gating must list {self.num_slots} flags")
         traces = []
-        h = x
         for k in range(self.num_slots):
-            h = conv2d_3x3(h, self.conv_weights[k])
-            enabled = True if gating is None else bool(gating[k])
-            h, trace = apply_normalizer(h, self.source_stats[k], cfg, partition_enabled=enabled)
+            h, trace = self._stage(h, k, cfg, True if gating is None else bool(gating[k]))
             traces.append(trace)
-            h = avg_pool_2x2(relu(h))
-        return h.reshape(h.shape[0], -1), traces
+        return _finite(h.reshape(h.shape[0], -1)), traces
 
     def forward(self, x: np.ndarray, cfg: NormalizerConfig, gating=None, collect_traces: bool = False):
         """Class scores (B, K); with `collect_traces`, also per-slot traces."""
@@ -187,14 +209,11 @@ class Network:
         return (logits, traces) if collect_traces else logits
 
     def _activations_before_slot(self, x: np.ndarray, slot: int, cfg: NormalizerConfig) -> np.ndarray:
-        """Pre-normalization activations entering `slot`, with every earlier
-        slot applying its already-captured source statistics."""
-        h = self._check_input(x)
+        """Pre-normalization activations entering `slot` of a checked input,
+        with every earlier slot applying its already-captured source statistics."""
         for k in range(slot):
-            h = conv2d_3x3(h, self.conv_weights[k])
-            h, _ = apply_normalizer(h, self.source_stats[k], cfg)
-            h = avg_pool_2x2(relu(h))
-        return conv2d_3x3(h, self.conv_weights[slot])
+            x, _ = self._stage(x, k, cfg)
+        return _finite(_conv(x, self.conv_weights[slot]))
 
     def capture_source_stats(self, clean_batches) -> None:
         """Fit each slot's source statistics from clean training batches.

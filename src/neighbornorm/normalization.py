@@ -89,6 +89,15 @@ class SourceStats:
     def num_channels(self) -> int:
         return self.stats.num_channels
 
+    def _scale(self, var: np.ndarray) -> np.ndarray:
+        """Affine scale over the standard deviation, per row of the (r, C) variance."""
+        return self.affine_scale * (1.0 / np.sqrt(var + np.float32(self.eps)))
+
+    @cached_property
+    def source_scale(self) -> np.ndarray:
+        """`_scale` of the source variance as one (1, C) row, sbn's; computed on first read."""
+        return self._scale(self.stats.var[None])
+
 
 @dataclass(frozen=True)
 class NormalizerConfig:
@@ -131,11 +140,10 @@ def _blend(mean: np.ndarray, var: np.ndarray, src: SourceStats, alpha: float) ->
     return a * src.stats.mean + one_m * mean, np.maximum(blended_var, np.float32(0.0))
 
 
-def _affine(x: np.ndarray, labels: np.ndarray, mean: np.ndarray, var: np.ndarray, src: SourceStats) -> np.ndarray:
-    """Normalize sample i with row labels[i] of the (r, C) mean/var, then apply the layer affine."""
-    scale = src.affine_scale * (1.0 / np.sqrt(var + np.float32(src.eps)))
-    out = x - mean[labels][:, :, None, None]
-    out *= scale[labels][:, :, None, None]
+def _affine(x: np.ndarray, mean: np.ndarray, scale: np.ndarray, src: SourceStats) -> np.ndarray:
+    """(x - mean) * scale + shift into one new array; mean and scale are (B, C) rows, or one (1, C) row for all."""
+    out = x - mean[:, :, None, None]
+    out *= scale[:, :, None, None]
     out += src.affine_shift[None, :, None, None]
     return out
 
@@ -152,18 +160,24 @@ def apply_normalizer(
     disabled layer falls back to the alpha_bn transform, and so does a
     one-sample batch or a one-group partition, through the same code.
     """
-    x = as_feature_map(x)
+    return _normalize(as_feature_map(x), src, cfg, partition_enabled)
+
+
+def _normalize(x: np.ndarray, src: SourceStats, cfg: NormalizerConfig, partition_enabled: bool) -> tuple[np.ndarray, SlotTrace]:
+    """`apply_normalizer` of a canonical map, which it does not check; it checks only the channel count."""
     b, c, h, w = x.shape
     if c != src.num_channels:
         raise ValueError(f"feature map has {c} channels, source stats {src.num_channels}")
-    labels = np.zeros(b, np.intp)
-    if cfg.mode == "sbn":  # one group, row 0 for every sample; the batch is not measured
-        return _affine(x, labels, src.stats.mean[None], src.stats.var[None], src), SlotTrace(None, None, None, h * w)
+    if cfg.mode == "sbn":  # one group; the batch is not measured
+        return _affine(x, src.stats.mean[None], src.source_scale, src), SlotTrace(None, None, None, h * w)
     sums, m2 = sample_moments(x)
-    count = None
+    labels, count = np.zeros(b, np.intp), None
     if cfg.mode in ("find", "find_star") and partition_enabled:
         labels, count = first_neighbor_labels(sums / (h * w)) if b > 1 else (labels, 1)
     mean, var = (m.astype(np.float32) for m in merge_moments(sums, m2, h * w, labels, count or 1))
     if cfg.mode != "tbn":
         mean, var = _blend(mean, var, src, cfg.alpha)
-    return _affine(x, labels, mean, var, src), SlotTrace(count, sums, m2, h * w)
+    scale = src._scale(var)
+    if (count or 1) > 1:  # one row per sample; a single group's row broadcasts
+        mean, scale = mean[labels], scale[labels]
+    return _affine(x, mean, scale, src), SlotTrace(count, sums, m2, h * w)

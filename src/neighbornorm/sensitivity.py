@@ -18,7 +18,6 @@ import numpy as np
 from .tensors import ChannelStats
 
 __all__ = [
-    "LayerSensitivity",
     "CalibrationState",
     "gaussian_kl_per_channel",
     "sensitivity_score",
@@ -46,25 +45,12 @@ def gaussian_kl_per_channel(target: ChannelStats, source: ChannelStats, eps: flo
     return np.maximum(kl, 0.0)
 
 
-@dataclass(frozen=True)
-class LayerSensitivity:
-    """Channel KL values with their mean, population std, and the combined score."""
-
-    kl: np.ndarray
-    kl_mean: float
-    kl_std: float
-    raw_score: float
-
-
-def sensitivity_score(kl: np.ndarray) -> LayerSensitivity:
+def sensitivity_score(kl: np.ndarray) -> float:
     """Score = (1 + sigmoid(std(kl))) * mean(kl), with population std."""
     kl = np.asarray(kl, dtype=np.float64).reshape(-1)
     if kl.size < 1:
         raise ValueError("need at least one channel")
-    kl_mean = float(kl.mean())
-    kl_std = float(kl.std())
-    raw = (1.0 + 1.0 / (1.0 + np.exp(-kl_std))) * kl_mean
-    return LayerSensitivity(kl=kl, kl_mean=kl_mean, kl_std=kl_std, raw_score=float(raw))
+    return float((1.0 + 1.0 / (1.0 + np.exp(-kl.std()))) * kl.mean())
 
 
 @dataclass

@@ -38,7 +38,6 @@ __all__ = [
     "generate_class_templates",
     "build_templates",
     "sample_batch",
-    "dirichlet_label_schedule",
     "iter_batches",
 ]
 
@@ -71,11 +70,11 @@ class DomainSpec:
     severity: int
 
     def __post_init__(self):
-        _checked("domain id", self.id, -np.inf, integral=True)
-        _checked("contrast", self.contrast, 0.0, open_lo=True)
-        _checked("brightness", self.brightness, -np.inf)
-        _checked("noise_sigma", self.noise_sigma, 0.0)
-        _checked("severity", self.severity, 1, 5, integral=True)
+        object.__setattr__(self, "id", int(_checked("domain id", self.id, -np.inf, integral=True)))
+        object.__setattr__(self, "contrast", float(_checked("contrast", self.contrast, 0.0, open_lo=True)))
+        object.__setattr__(self, "brightness", float(_checked("brightness", self.brightness, -np.inf)))
+        object.__setattr__(self, "noise_sigma", float(_checked("noise_sigma", self.noise_sigma, 0.0)))
+        object.__setattr__(self, "severity", int(_checked("severity", self.severity, 1, 5, integral=True)))
 
 
 def identity_domain() -> DomainSpec:
@@ -206,8 +205,8 @@ def build_templates(
 
 
 def _block_labels(rng: np.random.Generator, scenario_kind: str, delta: float | None, k: int, b: int) -> np.ndarray:
-    """Label draws always come first on the batch RNG so the standalone
-    schedule below reproduces them exactly."""
+    """Labels, drawn first on the batch RNG. A wild batch draws class proportions from Dirichlet(delta * 1),
+    lower delta concentrating it on fewer classes, and lays the classes out in contiguous runs."""
     if scenario_kind == "wild":
         props = rng.dirichlet(np.full(k, delta))
         counts = rng.multinomial(b, props)
@@ -258,38 +257,19 @@ def sample_batch(scenario: StreamScenario, bank: TemplateBank, batch_index: int)
     labels = _block_labels(rng, scenario.kind, scenario.dirichlet_delta, k, scenario.batch_size)
     domain_ids = _domain_ids(rng, scenario, eff)
 
-    x = bank.templates[labels].astype(np.float32)
-    x = x + rng.normal(0.0, bank.base_noise, size=x.shape).astype(np.float32)
+    x = bank.templates[labels].astype(np.float32, copy=False)  # indexing already copied
+    x += rng.normal(0.0, bank.base_noise, size=x.shape).astype(np.float32)
 
     contrast = np.array([d.contrast for d in scenario.domains], dtype=np.float32)[domain_ids]
     brightness = np.array([d.brightness for d in scenario.domains], dtype=np.float32)[domain_ids]
     noise_sigma = np.array([d.noise_sigma for d in scenario.domains], dtype=np.float32)[domain_ids]
     shift_noise = rng.standard_normal(size=x.shape).astype(np.float32)
-    x = contrast[:, None, None, None] * x + brightness[:, None, None, None]
-    x = x + noise_sigma[:, None, None, None] * shift_noise
+    x *= contrast[:, None, None, None]
+    x += brightness[:, None, None, None]
+    shift_noise *= noise_sigma[:, None, None, None]
+    x += shift_noise
 
-    return LabeledBatch(x=x.astype(np.float32), labels=labels.astype(np.intp), domain_ids=domain_ids.astype(np.intp))
-
-
-def dirichlet_label_schedule(delta: float, num_classes: int, num_samples: int, seed: int, block_size: int = 64) -> np.ndarray:
-    """Temporally correlated label sequence: each block of `block_size`
-    samples draws class proportions from Dirichlet(delta * 1) and lays the
-    classes out in contiguous runs. Lower delta concentrates blocks on
-    fewer classes. Matches the labels of a wild stream whose batch size
-    equals `block_size`.
-    """
-    if not delta > 0:
-        raise ValueError("delta must be positive")
-    out = []
-    produced = 0
-    block = 0
-    while produced < num_samples:
-        rng = np.random.default_rng([int(seed), int(block)])
-        labels = _block_labels(rng, "wild", delta, num_classes, block_size)
-        out.append(labels[: num_samples - produced])
-        produced += out[-1].shape[0]
-        block += 1
-    return np.concatenate(out)
+    return LabeledBatch(x=x, labels=labels.astype(np.intp), domain_ids=domain_ids.astype(np.intp))
 
 
 def iter_batches(scenario: StreamScenario, bank: TemplateBank):

@@ -2,9 +2,10 @@
 
 Feature maps are plain float32 numpy arrays of shape (B, C, H, W); a
 (B, C, L) array is accepted anywhere a feature map is and treated as
-(B, C, 1, L). `as_feature_map` validates at the public entry points; the
-moment kernels below take arrays that are already canonical. All
-statistics are accumulated in float64 and stored as float32. Variances
+(B, C, 1, L). `as_feature_map` checks a map once, where it enters a public
+entry point (one call per `Network` forward); the kernels behind it take
+canonical maps unchecked, and the network checks its result finite at exit.
+Statistics are accumulated in float64 and stored as float32. Variances
 are biased (divide by b*L), never negative.
 """
 

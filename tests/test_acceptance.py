@@ -96,7 +96,7 @@ def test_criterion_2_mode_degeneracies(default_setup):
             logits, traces = net.forward(batch.x, ncfg, gating=gating, collect_traces=True)
             if calib is not None and not calib.finalized:
                 scores = [
-                    sensitivity_score(gaussian_kl_per_channel(tr.batch_stats, net.source_stats[k].stats)).raw_score
+                    sensitivity_score(gaussian_kl_per_channel(tr.batch_stats, net.source_stats[k].stats))
                     for k, tr in enumerate(traces)
                 ]
                 calib.accumulate(scores)
@@ -157,10 +157,9 @@ def test_criterion_4_scalar_unit_values():
         assert abs(float(kl[0]) - expected) <= 1e-9
 
     for k in (0.25, 1.0, 3.0):
-        sens = sensitivity_score(np.full(4, k))
-        assert abs(sens.raw_score - 1.5 * k) <= 1e-9
-    sens = sensitivity_score(np.array([0.0, 2.0]))  # mean 1, population std 1
-    assert abs(sens.raw_score - (1.0 + 1.0 / (1.0 + math.exp(-1.0)))) <= 1e-9
+        assert abs(sensitivity_score(np.full(4, k)) - 1.5 * k) <= 1e-9
+    score = sensitivity_score(np.array([0.0, 2.0]))  # mean 1, population std 1
+    assert abs(score - (1.0 + 1.0 / (1.0 + math.exp(-1.0)))) <= 1e-9
     _report("criterion 4 scalar-unit-values")
 
 

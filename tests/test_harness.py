@@ -123,6 +123,36 @@ class TestNumericConfigFields:
         cfg = load_experiment_config(None, {"scenario.batch_size": 8.0, "scenario.dirichlet_delta": None})
         assert cfg.scenario.batch_size == 8 and type(cfg.scenario.batch_size) is int
 
+    @pytest.mark.parametrize("domains", [None, [{"id": 0, "contrast": 1.2, "brightness": 0.5, "noise_sigma": 0.1, "severity": 2}]])
+    def test_integral_floats_give_the_same_files_as_ints(self, tmp_path, domains):
+        ints = {
+            "data": {"num_classes": 4, "template_seed": 7, "input_shape": [1, 16, 16], "template_min_dist": 8},
+            "model": {"seed": 11, "channels": [4, 8], "train_batches": 4, "train_batch_size": 16,
+                      "train_seed": 101, "clean_eval_batches": 2},
+            "scenario": {"num_domains": 3, "severity": 5, "domains": domains, "batch_size": 16,
+                         "num_batches": 6, "rounds": 1, "seed": 0},
+            "normalizer": {"mode": "find_star", "cold_start_batches": 2},
+            "seeds": [0],
+        }
+
+        def as_floats(value):
+            if isinstance(value, dict):
+                return {k: as_floats(v) for k, v in value.items()}
+            if isinstance(value, list):
+                return [as_floats(v) for v in value]
+            return float(value) if type(value) is int else value
+
+        files = []
+        for name, doc in (("ints", ints), ("floats", as_floats(ints))):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc | {"model_path": str(tmp_path / f"{name}.nnm")}))
+            cfg = load_experiment_config(path)
+            net, bank, meta = harness.train_model(cfg)
+            harness.save_model(net, cfg.model_path, meta=meta)
+            paths = write_metrics(run_experiment(net, bank, cfg.scenario, cfg.normalizer), tmp_path / name)
+            files.append([open(p, "rb").read() for p in (cfg.model_path, *paths[:2])])
+        assert files[0] == files[1]
+
 
 class TestRunExperiment:
     def test_sbn_on_clean_static_matches_recorded_baseline(self, small_setup):

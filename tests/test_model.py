@@ -12,6 +12,7 @@ from neighbornorm.model import (
     train_linear_head,
 )
 from neighbornorm.normalization import NormalizerConfig, SourceStats
+from neighbornorm.stream import sample_batch
 from neighbornorm.tensors import ChannelStats
 
 from oracles import loop_avg_pool2x2, loop_channel_moments, loop_conv3x3, ridge_normal_equations, window_conv3x3
@@ -211,6 +212,56 @@ class TestNetworkForward:
         net, _ = build_trained_net(seed=11)
         with pytest.raises(ValueError):
             net.forward(np.zeros((2, 1, 6, 6), np.float32), NormalizerConfig(mode="sbn"))
+
+    def test_source_stats_channel_mismatch_rejected(self):
+        net, batches = build_trained_net(seed=11)
+        net.source_stats[0] = SourceStats.with_identity_affine(ChannelStats(np.zeros(1), np.ones(1)))  # would broadcast
+        with pytest.raises(ValueError, match="channels"):
+            net.forward(batches[0], NormalizerConfig(mode="sbn"))
+
+    def test_input_checked_once_per_forward(self, monkeypatch):
+        import neighbornorm.model as model_module
+        import neighbornorm.normalization as normalization_module
+        import neighbornorm.tensors as tensors_module
+
+        net, batches = build_trained_net(seed=12)
+        calls = []
+        for module in (model_module, normalization_module, tensors_module):
+            checked = module.as_feature_map
+            monkeypatch.setattr(module, "as_feature_map", lambda x, checked=checked: calls.append(1) or checked(x))
+        for mode in MODES:
+            calls.clear()
+            net.forward(batches[0], NormalizerConfig(mode=mode))
+            assert len(calls) == 1, mode
+
+    def test_overflow_inside_the_stages_raises(self, default_setup):
+        # a finite input whose stages overflow; np.errstate keeps numpy's overflow
+        # warnings, errors under the suite's filterwarnings, from masking the ValueError
+        _, net, _, _ = default_setup
+        x = np.full((4, 1, 16, 16), 3e38)
+        x[1] *= -1
+        with np.errstate(over="ignore", invalid="ignore"):
+            for mode in MODES:
+                with pytest.raises(ValueError):
+                    net.forward(x, NormalizerConfig(mode=mode))
+            with pytest.raises(ValueError):
+                Network.build(seed=11).capture_source_stats([x])
+            with pytest.raises(ValueError):  # at 3e37 only sbn's last stage overflows: the exit check sees it
+                net.forward(x / 10, NormalizerConfig(mode="sbn"))
+
+    def test_permutation_equivariance_stock_batches(self, default_setup):
+        # a sample's output depends on the batch as a set, not on its position in it
+        cfg, net, bank, _ = default_setup
+        rng = np.random.default_rng(21)
+        for index in range(4):
+            x = sample_batch(cfg.scenario, bank, index).x
+            p = rng.permutation(x.shape[0])
+            for mode in MODES:
+                ncfg = NormalizerConfig(mode=mode)
+                logits, traces = net.forward(x, ncfg, collect_traces=True)
+                logits_p, traces_p = net.forward(x[p], ncfg, collect_traces=True)
+                assert np.array_equal(logits_p, logits[p]), (index, mode)
+                assert [t.cluster_count for t in traces_p] == [t.cluster_count for t in traces], (index, mode)
 
 
 class TestCapture:

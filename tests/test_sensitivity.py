@@ -57,32 +57,35 @@ class TestGaussianKL:
 
 class TestSensitivityScore:
     def test_uniform_channels_give_three_halves(self):
+        # std 0: sigmoid(0) = 1/2
         for k in (0.3, 1.0, 2.5):
-            sens = sensitivity_score(np.full(5, k))
-            assert sens.kl_std == 0.0
-            assert sens.raw_score == pytest.approx(1.5 * k, abs=1e-12)
+            assert sensitivity_score(np.full(5, k)) == pytest.approx(1.5 * k, abs=1e-12)
 
     def test_zero_vector(self):
-        assert sensitivity_score(np.zeros(4)).raw_score == 0.0
+        assert sensitivity_score(np.zeros(4)) == 0.0
 
     def test_unit_mean_unit_std(self):
-        sens = sensitivity_score(kl_vector(1.0, 1.0))
-        assert sens.kl_mean == pytest.approx(1.0)
-        assert sens.kl_std == pytest.approx(1.0)
-        assert sens.raw_score == pytest.approx(1.0 + 1.0 / (1.0 + math.exp(-1.0)), abs=1e-9)
+        kl = kl_vector(1.0, 1.0)
+        assert kl.mean() == pytest.approx(1.0) and kl.std() == pytest.approx(1.0)
+        score = sensitivity_score(kl)
+        assert type(score) is float
+        assert score == pytest.approx(1.0 + 1.0 / (1.0 + math.exp(-1.0)), abs=1e-9)
 
     def test_score_ratio_band(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
             kl = rng.uniform(0.01, 4.0, size=int(rng.integers(1, 10)))
-            sens = sensitivity_score(kl)
-            assert 1.5 - 1e-12 <= sens.raw_score / sens.kl_mean < 2.0
+            assert 1.5 - 1e-12 <= sensitivity_score(kl) / kl.mean() < 2.0
 
     def test_monotone_in_mean_and_std(self):
-        scores = [sensitivity_score(kl_vector(m, 0.5)).raw_score for m in (1.0, 2.0, 3.0)]
+        scores = [sensitivity_score(kl_vector(m, 0.5)) for m in (1.0, 2.0, 3.0)]
         assert scores[0] < scores[1] < scores[2]
-        scores = [sensitivity_score(kl_vector(2.0, s)).raw_score for s in (0.0, 0.5, 1.0, 1.5)]
+        scores = [sensitivity_score(kl_vector(2.0, s)) for s in (0.0, 0.5, 1.0, 1.5)]
         assert all(a < b for a, b in zip(scores, scores[1:]))
+
+    def test_empty_vector_rejected(self):
+        with pytest.raises(ValueError):
+            sensitivity_score(np.zeros(0))
 
 
 class TestCalibration:

@@ -5,7 +5,6 @@ from neighbornorm.stream import (
     StreamScenario,
     TemplateBank,
     build_templates,
-    dirichlet_label_schedule,
     generate_class_templates,
     identity_domain,
     iter_batches,
@@ -83,6 +82,13 @@ class TestDomains:
             DomainSpec(id=0, contrast=0.0, brightness=0.0, noise_sigma=0.0, severity=5)
         with pytest.raises(ValueError):
             DomainSpec(id=0, contrast=1.0, brightness=0.0, noise_sigma=0.0, severity=6)
+
+    def test_fields_stored_as_checked(self):
+        from neighbornorm.stream import DomainSpec
+
+        d = DomainSpec(id=2.0, contrast=np.float32(1.5), brightness=1, noise_sigma=0, severity=np.int64(5))
+        assert [type(v) for v in (d.id, d.contrast, d.brightness, d.noise_sigma, d.severity)] == [int, float, float, float, int]
+        assert d == DomainSpec(id=2, contrast=1.5, brightness=1.0, noise_sigma=0.0, severity=5)
 
 
 class TestScenarioValidation:
@@ -204,23 +210,34 @@ class TestSampling:
         assert not np.array_equal(a.x, b.x)
 
 
+def wild_labels(bank, delta, num_samples, seed, batch_size=64):
+    """The first `num_samples` labels of a wild stream, batch after batch."""
+    sc = scenario_for("wild", m=3, seed=seed, batch_size=batch_size, num_batches=-(-num_samples // batch_size), delta=delta)
+    return np.concatenate([b.labels for b in iter_batches(sc, bank)])[:num_samples]
+
+
 class TestDirichletSchedule:
+    """Wild-stream labels: per-batch Dirichlet class proportions, laid out in contiguous runs."""
+
     def test_huge_delta_approaches_uniform(self):
-        labels = dirichlet_label_schedule(1e6, 10, 1000, seed=0)
+        labels = wild_labels(bank_for(num_classes=10), 1e6, 1000, seed=0)
         freq = np.bincount(labels, minlength=10) / 1000
         assert np.abs(freq - 0.1).max() <= 0.05
 
     def test_small_delta_operating_points_accepted(self):
+        bank = bank_for(num_classes=10)
         for delta in (0.1, 0.01, 0.005):
-            labels = dirichlet_label_schedule(delta, 10, 256, seed=1)
+            labels = wild_labels(bank, delta, 256, seed=1)
             assert labels.shape == (256,)
             assert labels.min() >= 0 and labels.max() < 10
 
     def test_lower_delta_lower_entropy(self):
+        bank = bank_for(num_classes=10)
+
         def mean_block_entropy(delta):
             vals = []
             for seed in range(50):
-                labels = dirichlet_label_schedule(delta, 10, 64 * 10, seed=seed, block_size=64)
+                labels = wild_labels(bank, delta, 64 * 10, seed=seed, batch_size=64)
                 for blk in labels.reshape(10, 64):
                     p = np.bincount(blk, minlength=10) / 64
                     p = p[p > 0]
@@ -230,17 +247,19 @@ class TestDirichletSchedule:
         assert mean_block_entropy(0.005) < mean_block_entropy(0.1)
 
     def test_matches_wild_stream_labels(self):
+        # each batch's labels are the first draws on its RNG: proportions, then counts per class
         bank = bank_for(num_classes=8)
         sc = scenario_for("wild", m=3, batch_size=32, num_batches=6, delta=0.05, seed=9)
-        stream_labels = np.concatenate([b.labels for b in iter_batches(sc, bank)])
-        schedule = dirichlet_label_schedule(0.05, 8, 32 * 6, seed=9, block_size=32)
-        assert np.array_equal(stream_labels, schedule)
+        for i, batch in enumerate(iter_batches(sc, bank)):
+            rng = np.random.default_rng([9, i])
+            counts = rng.multinomial(32, rng.dirichlet(np.full(8, 0.05)))
+            assert np.array_equal(batch.labels, np.repeat(np.arange(8), counts))
 
     def test_wild_labels_are_temporally_grouped(self):
-        labels = dirichlet_label_schedule(0.01, 10, 64, seed=3, block_size=64)
+        labels = wild_labels(bank_for(num_classes=10), 0.01, 64, seed=3)
         changes = int((np.diff(labels) != 0).sum())
-        assert changes < 10  # contiguous class runs inside a block
+        assert changes < 10  # contiguous class runs inside a batch
 
     def test_invalid_delta(self):
         with pytest.raises(ValueError):
-            dirichlet_label_schedule(0.0, 10, 10, seed=0)
+            scenario_for("wild", delta=0.0)

@@ -61,23 +61,28 @@ class TestChannelStats:
             ChannelStats(np.array([0.0, -np.inf]), np.ones(2))
 
 
+def check_random_labelings(seed, shape):
+    """`merge_moments(*sample_moments(x))` on 30 random labelings vs the scalar-loop oracle."""
+    rng = np.random.default_rng(seed)
+    for _ in range(30):
+        b = int(rng.integers(1, 16))
+        x = rng.normal(loc=rng.normal(scale=3.0, size=(b, 1, 1, 1)), size=(b, *shape)).astype(np.float32)
+        count = int(rng.integers(1, b + 1))
+        labels = np.concatenate([np.arange(count), rng.integers(0, count, b - count)])
+        rng.shuffle(labels)  # unsorted; some labels are singletons
+        mean, var = merge_moments(*sample_moments(x), int(np.prod(shape[1:])), labels, count)
+        assert mean.shape == var.shape == (count, shape[0]) and mean.dtype == np.float64
+        for g in range(count):
+            mean_ref, var_ref = loop_channel_moments(x, np.flatnonzero(labels == g).tolist())
+            np.testing.assert_allclose(mean[g], mean_ref, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(var[g], var_ref, rtol=1e-10, atol=1e-12)
+
+
 class TestSegmentMoments:
     """Per-group moments of a map: `merge_moments` of its `sample_moments`."""
 
     def test_random_labelings_match_scalar_loop_oracle(self):
-        rng = np.random.default_rng(11)
-        for _ in range(30):
-            b = int(rng.integers(1, 16))
-            x = rng.normal(loc=rng.normal(scale=3.0, size=(b, 1, 1, 1)), size=(b, 4, 3, 2)).astype(np.float32)
-            count = int(rng.integers(1, b + 1))
-            labels = np.concatenate([np.arange(count), rng.integers(0, count, b - count)])
-            rng.shuffle(labels)  # unsorted; some labels are singletons
-            mean, var = merge_moments(*sample_moments(x), 6, labels, count)
-            assert mean.shape == var.shape == (count, 4) and mean.dtype == np.float64
-            for g in range(count):
-                mean_ref, var_ref = loop_channel_moments(x, np.flatnonzero(labels == g).tolist())
-                np.testing.assert_allclose(mean[g], mean_ref, rtol=1e-12, atol=1e-12)
-                np.testing.assert_allclose(var[g], var_ref, rtol=1e-10, atol=1e-12)
+        check_random_labelings(11, (4, 3, 2))
 
     def test_singleton_segments_are_per_sample_moments(self):
         rng = np.random.default_rng(13)
@@ -119,19 +124,7 @@ class TestSampleMoments:
             np.testing.assert_allclose(m2[i] / 20, var_ref, rtol=1e-10, atol=1e-12)
 
     def test_merge_of_random_labelings_matches_scalar_loop_oracle(self):
-        rng = np.random.default_rng(17)
-        for _ in range(30):
-            b = int(rng.integers(1, 16))
-            x = rng.normal(loc=rng.normal(scale=3.0, size=(b, 1, 1, 1)), size=(b, 4, 2, 3)).astype(np.float32)
-            count = int(rng.integers(1, b + 1))
-            labels = np.concatenate([np.arange(count), rng.integers(0, count, b - count)])
-            rng.shuffle(labels)  # unsorted; some labels are singletons
-            mean, var = merge_moments(*sample_moments(x), 6, labels, count)
-            assert mean.shape == var.shape == (count, 4)
-            for g in range(count):
-                mean_ref, var_ref = loop_channel_moments(x, np.flatnonzero(labels == g).tolist())
-                np.testing.assert_allclose(mean[g], mean_ref, rtol=1e-12, atol=1e-12)
-                np.testing.assert_allclose(var[g], var_ref, rtol=1e-10, atol=1e-12)
+        check_random_labelings(17, (4, 2, 3))
 
     def test_merge_of_singletons_is_per_sample_moments(self):
         rng = np.random.default_rng(18)
