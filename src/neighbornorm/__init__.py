@@ -3,8 +3,8 @@
 Batches from shifting, possibly mixed domains are normalized per layer:
 samples with similar instance-level statistics are grouped by a
 first-neighbor graph, each group's statistics are blended with frozen
-source statistics, and a per-layer sensitivity calibration can switch
-the grouping off where the shift does not reach.
+source statistics, and a per-layer gate computed from the cold-start
+batches can switch the grouping off where the shift does not reach.
 """
 
 from .grouping import (
@@ -25,8 +25,8 @@ from .normalization import (
     canonical_mode,
 )
 from .sensitivity import (
-    CalibrationState,
     gaussian_kl_per_channel,
+    layer_gate,
     sensitivity_score,
 )
 from .tensors import ChannelStats, as_feature_map, channel_moments
@@ -50,8 +50,8 @@ __all__ = [
     "SlotTrace",
     "canonical_mode",
     "apply_normalizer",
-    "CalibrationState",
     "gaussian_kl_per_channel",
     "sensitivity_score",
+    "layer_gate",
     "__version__",
 ]

@@ -1,8 +1,8 @@
 """Experiment runner: stream -> model -> normalizer, metrics and dumps.
 
 One run streams batches strictly in order. The only state that crosses
-batches is the frozen source statistics and, for find_star, the gating
-calibration built from the first cold_start_batches batches (whose
+batches is the frozen source statistics and, for find_star, the
+layer gate built from the first cold_start_batches batches (whose
 predictions still count toward accuracy, with partitioning applied at
 all layers). Everything written to the metrics files is a deterministic
 function of the config; wall-clock timings go to a separate sidecar.
@@ -20,7 +20,7 @@ import numpy as np
 
 from .model import Network, save_model, train_linear_head
 from .normalization import NormalizerConfig, _checked
-from .sensitivity import CalibrationState, gaussian_kl_per_channel, sensitivity_score
+from .sensitivity import gaussian_kl_per_channel, layer_gate, sensitivity_score
 from .stream import (
     DomainSpec,
     StreamScenario,
@@ -302,22 +302,14 @@ def train_and_save(cfg: ExperimentConfig) -> dict:
     return meta
 
 
-def _forward_with_gating(net: Network, x, ncfg: NormalizerConfig, calib: CalibrationState | None):
-    if calib is None or not calib.finalized:
-        gating = None
-    else:
-        gating = [calib.partition_enabled(k) for k in range(net.num_slots)]
-    return net.forward(x, ncfg, gating=gating, collect_traces=True)
-
-
-def _calibrate_batch(net: Network, traces, calib: CalibrationState, ncfg: NormalizerConfig) -> None:
-    scores = []
-    for k, tr in enumerate(traces):
-        kl = gaussian_kl_per_channel(tr.batch_stats, net.source_stats[k].stats)
-        scores.append(sensitivity_score(kl))
-    calib.accumulate(scores)
-    if calib.batches_seen == calib.cold_start_batches:
-        calib.finalize(ncfg.gamma_threshold)
+def _layer_scores(net: Network, traces) -> list[float]:
+    """One batch's raw shift score per slot. The two score functions are
+    looked up in this module's globals at call time, where a tracer can
+    wrap them."""
+    return [
+        sensitivity_score(gaussian_kl_per_channel(tr.batch_stats, src.stats))
+        for tr, src in zip(traces, net.source_stats)
+    ]
 
 
 def run_experiment(net: Network, bank: TemplateBank, scenario: StreamScenario, ncfg: NormalizerConfig) -> MetricsRecord:
@@ -326,7 +318,7 @@ def run_experiment(net: Network, bank: TemplateBank, scenario: StreamScenario, n
     Ground-truth domain ids stay inside this function's diagnostics; the
     network only ever sees the raw feature maps.
     """
-    calib = CalibrationState(net.num_slots, ncfg.cold_start_batches) if ncfg.mode == "find_star" else None
+    scores, gating, sensitivity = [], None, None  # find_star: cold-start scores, then the frozen gate
     slot_names = [f"slot{k}" for k in range(net.num_slots)]
     cluster_counts = {name: [] for name in slot_names}
     per_batch_acc, per_batch_seconds, predictions = [], [], []
@@ -336,9 +328,12 @@ def run_experiment(net: Network, bank: TemplateBank, scenario: StreamScenario, n
     for idx in range(scenario.total_batches):
         batch = sample_batch(scenario, bank, idx)
         t0 = time.perf_counter()
-        logits, traces = _forward_with_gating(net, batch.x, ncfg, calib)
-        if calib is not None and not calib.finalized:
-            _calibrate_batch(net, traces, calib, ncfg)
+        logits, traces = net.forward(batch.x, ncfg, gating=gating, collect_traces=True)
+        if ncfg.mode == "find_star" and sensitivity is None:
+            scores.append(_layer_scores(net, traces))
+            if len(scores) == ncfg.cold_start_batches:
+                sensitivity = layer_gate(scores, ncfg.gamma_threshold)
+                gating = [rec["partition_enabled"] for rec in sensitivity]
         per_batch_seconds.append(time.perf_counter() - t0)
 
         preds = np.argmax(logits, axis=1)
@@ -359,7 +354,7 @@ def run_experiment(net: Network, bank: TemplateBank, scenario: StreamScenario, n
         num_samples=total,
         per_batch_accuracy=per_batch_acc,
         cluster_counts=cluster_counts,
-        sensitivity=calib.as_records() if calib is not None and calib.finalized else None,
+        sensitivity=sensitivity,
         metadata={"cold_start_predictions_counted": True},
         per_batch_seconds=per_batch_seconds,
         predictions=predictions,
@@ -371,18 +366,17 @@ def predictions_at(net: Network, bank: TemplateBank, scenario: StreamScenario, n
     """Predictions for batch `index` with no history in memory.
 
     Only the frozen model state is carried across batches; for find_star
-    that includes the gating calibration, replayed here from the
-    cold-start batches alone.
+    that includes the layer gate, replayed here from the cold-start
+    batches alone.
     """
-    calib = None
+    gating = None
     if ncfg.mode == "find_star" and index >= ncfg.cold_start_batches:
-        calib = CalibrationState(net.num_slots, ncfg.cold_start_batches)
+        scores = []
         for i in range(ncfg.cold_start_batches):
-            _, traces = _forward_with_gating(net, sample_batch(scenario, bank, i).x, ncfg, calib)
-            _calibrate_batch(net, traces, calib, ncfg)
-    batch = sample_batch(scenario, bank, index)
-    logits, _ = _forward_with_gating(net, batch.x, ncfg, calib)
-    return np.argmax(logits, axis=1)
+            _, traces = net.forward(sample_batch(scenario, bank, i).x, ncfg, collect_traces=True)
+            scores.append(_layer_scores(net, traces))
+        gating = [rec["partition_enabled"] for rec in layer_gate(scores, ncfg.gamma_threshold)]
+    return np.argmax(net.forward(sample_batch(scenario, bank, index).x, ncfg, gating=gating), axis=1)
 
 
 def compare_modes(

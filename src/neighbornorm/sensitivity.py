@@ -1,25 +1,24 @@
-"""Per-layer shift sensitivity and the cold-start gating calibration.
+"""Per-layer shift sensitivity and the cold-start layer gate.
 
 A layer's sensitivity to the current batch is the channel-wise KL
 divergence between Gaussians fit to the incoming batch and to the
 source statistics, averaged over channels and up-weighted when the
-divergence is uneven across channels. Scores are averaged over an
-initial run of batches, min-max normalized to [0, 1] across layers, and
-compared against a threshold: layers at or above it keep per-group
-partitioning, the rest are normalized whole.
+divergence is uneven across channels. The gate is a pure function of
+the scores of the cold-start batches: they are averaged per layer,
+min-max normalized to [0, 1] across layers, and compared against a
+threshold. Layers at or above it keep per-group partitioning, the rest
+are normalized whole; every layer partitions during the cold start.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .tensors import ChannelStats
 
 __all__ = [
-    "CalibrationState",
     "gaussian_kl_per_channel",
+    "layer_gate",
     "sensitivity_score",
 ]
 
@@ -27,18 +26,16 @@ __all__ = [
 KL_STD_FLOOR = 1e-6
 
 
-def gaussian_kl_per_channel(target: ChannelStats, source: ChannelStats, eps: float = KL_STD_FLOOR) -> np.ndarray:
+def gaussian_kl_per_channel(target: ChannelStats, source: ChannelStats) -> np.ndarray:
     """KL(target || source) per channel for Gaussian fits, float64, >= 0.
 
-    Standard deviations are floored at `eps` before use, so zero-variance
-    channels neither divide by zero nor log zero.
+    Standard deviations are floored at `KL_STD_FLOOR` before use, so
+    zero-variance channels neither divide by zero nor log zero.
     """
     if target.num_channels != source.num_channels:
         raise ValueError("channel count mismatch between target and source statistics")
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    sig_t = np.maximum(np.sqrt(target.var.astype(np.float64)), eps)
-    sig_s = np.maximum(np.sqrt(source.var.astype(np.float64)), eps)
+    sig_t = np.maximum(np.sqrt(target.var.astype(np.float64)), KL_STD_FLOOR)
+    sig_s = np.maximum(np.sqrt(source.var.astype(np.float64)), KL_STD_FLOOR)
     mu_t = target.mean.astype(np.float64)
     mu_s = source.mean.astype(np.float64)
     kl = (sig_t**2 + (mu_t - mu_s) ** 2) / (2.0 * sig_s**2) + np.log(sig_s / sig_t) - 0.5
@@ -53,78 +50,24 @@ def sensitivity_score(kl: np.ndarray) -> float:
     return float((1.0 + 1.0 / (1.0 + np.exp(-kl.std()))) * kl.mean())
 
 
-@dataclass
-class CalibrationState:
-    """Accumulates per-layer raw scores over the cold-start batches, then
-    freezes normalized scores and per-layer partition flags.
+def layer_gate(scores, gamma_threshold: float) -> list[dict]:
+    """Per-layer gate records from the cold-start scores.
 
-    During the cold start every layer partitions; gating only exists
-    after `finalize`.
+    `scores` holds one row of raw layer scores per cold-start batch. Each
+    layer's average over the batches is min-max normalized across layers
+    and compared with `gamma_threshold` (checked >= 0 by
+    `NormalizerConfig`): a layer at or above it keeps partitioning. When
+    every average is equal nothing separates the layers, so all of them
+    keep partitioning.
     """
-
-    num_layers: int
-    cold_start_batches: int
-    batches_seen: int = 0
-    score_sums: np.ndarray = field(init=False)
-    finalized: bool = field(default=False, init=False)
-    raw_averages: np.ndarray | None = field(default=None, init=False)
-    normalized_scores: np.ndarray | None = field(default=None, init=False)
-    enabled: np.ndarray | None = field(default=None, init=False)
-
-    def __post_init__(self):
-        if self.num_layers < 1:
-            raise ValueError("need at least one layer")
-        if self.cold_start_batches < 1:
-            raise ValueError("cold_start_batches must be >= 1")
-        self.score_sums = np.zeros(self.num_layers, dtype=np.float64)
-
-    def accumulate(self, per_layer_scores) -> None:
-        if self.finalized:
-            raise RuntimeError("calibration already finalized")
-        scores = np.asarray(per_layer_scores, dtype=np.float64).reshape(-1)
-        if scores.shape[0] != self.num_layers:
-            raise ValueError(f"got {scores.shape[0]} scores for {self.num_layers} layers")
-        if self.batches_seen >= self.cold_start_batches:
-            raise RuntimeError("cold start already complete; finalize before further batches")
-        self.score_sums += scores
-        self.batches_seen += 1
-
-    def finalize(self, gamma_threshold: float) -> None:
-        if self.finalized:
-            raise RuntimeError("calibration already finalized")
-        if self.batches_seen != self.cold_start_batches:
-            raise RuntimeError(
-                f"finalize requires {self.cold_start_batches} batches, saw {self.batches_seen}"
-            )
-        if gamma_threshold < 0:
-            raise ValueError("gamma_threshold must be >= 0")
-        avg = self.score_sums / self.batches_seen
-        lo, hi = float(avg.min()), float(avg.max())
-        if hi > lo:
-            normalized = (avg - lo) / (hi - lo)
-        else:
-            # No signal separating the layers: keep partitioning everywhere.
-            normalized = np.ones_like(avg)
-        self.raw_averages = avg
-        self.normalized_scores = normalized
-        self.enabled = normalized >= gamma_threshold
-        self.finalized = True
-
-    def partition_enabled(self, layer: int) -> bool:
-        if not self.finalized:
-            return True
-        return bool(self.enabled[layer])
-
-    def as_records(self) -> list[dict]:
-        """One record per layer: index, raw average, normalized score, flag."""
-        if not self.finalized:
-            raise RuntimeError("calibration not finalized")
-        return [
-            {
-                "layer": i,
-                "raw_average": float(self.raw_averages[i]),
-                "normalized_score": float(self.normalized_scores[i]),
-                "partition_enabled": bool(self.enabled[i]),
-            }
-            for i in range(self.num_layers)
-        ]
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 2 or 0 in scores.shape:
+        raise ValueError(f"need a (batches, layers) score array with both sizes >= 1, got shape {scores.shape}")
+    # Row by row in batch order: a pairwise reduction could change the last bit.
+    avg = sum(scores) / scores.shape[0]
+    lo, hi = float(avg.min()), float(avg.max())
+    normalized = (avg - lo) / (hi - lo) if hi > lo else np.ones_like(avg)
+    return [
+        {"layer": i, "raw_average": float(a), "normalized_score": float(n), "partition_enabled": bool(n >= gamma_threshold)}
+        for i, (a, n) in enumerate(zip(avg, normalized))
+    ]

@@ -25,7 +25,7 @@ from neighbornorm.harness import (
 )
 from neighbornorm.model import conv2d_3x3
 from neighbornorm.normalization import NormalizerConfig, SourceStats, apply_normalizer
-from neighbornorm.sensitivity import CalibrationState, gaussian_kl_per_channel, sensitivity_score
+from neighbornorm.sensitivity import gaussian_kl_per_channel, layer_gate, sensitivity_score
 from neighbornorm.stream import StreamScenario, sample_batch
 from neighbornorm.tensors import ChannelStats, channel_moments
 
@@ -86,22 +86,14 @@ def test_criterion_2_mode_degeneracies(default_setup):
     sc = replace(cfg.scenario, num_batches=14)
 
     def stream_logits(ncfg):
-        calib = CalibrationState(net.num_slots, ncfg.cold_start_batches) if ncfg.mode == "find_star" else None
-        out = []
+        scores, gating, out = [], None, []
         for i in range(sc.total_batches):
-            batch = sample_batch(sc, bank, i)
-            gating = None
-            if calib is not None and calib.finalized:
-                gating = [calib.partition_enabled(k) for k in range(net.num_slots)]
-            logits, traces = net.forward(batch.x, ncfg, gating=gating, collect_traces=True)
-            if calib is not None and not calib.finalized:
-                scores = [
-                    sensitivity_score(gaussian_kl_per_channel(tr.batch_stats, net.source_stats[k].stats))
-                    for k, tr in enumerate(traces)
-                ]
-                calib.accumulate(scores)
-                if calib.batches_seen == calib.cold_start_batches:
-                    calib.finalize(ncfg.gamma_threshold)
+            logits, traces = net.forward(sample_batch(sc, bank, i).x, ncfg, gating=gating, collect_traces=True)
+            if ncfg.mode == "find_star" and gating is None:
+                kls = [gaussian_kl_per_channel(tr.batch_stats, src.stats) for tr, src in zip(traces, net.source_stats)]
+                scores.append([sensitivity_score(kl) for kl in kls])
+                if len(scores) == ncfg.cold_start_batches:
+                    gating = [r["partition_enabled"] for r in layer_gate(scores, ncfg.gamma_threshold)]
             out.append(logits)
         return out
 

@@ -188,6 +188,37 @@ class TestRunExperiment:
             expected_none = k in disabled
             assert all((c is None) == expected_none for c in counts[4:])
 
+    def test_pre_finalization_gating_is_all_on(self, small_setup):
+        # gamma 1.5 gates every layer off after the cold start; before it
+        # every slot partitions, exactly as find does.
+        cfg, net, bank, _, _ = small_setup
+        find = run_experiment(net, bank, cfg.scenario, NormalizerConfig(mode="find"))
+        ncfg = NormalizerConfig(mode="find_star", cold_start_batches=5, gamma_threshold=1.5)
+        star = run_experiment(net, bank, cfg.scenario, ncfg)
+        assert not any(r["partition_enabled"] for r in star.sensitivity)
+        for name, counts in star.cluster_counts.items():
+            assert counts[:5] == find.cluster_counts[name][:5]
+            assert all(c is None for c in counts[5:])
+        for a, b in zip(star.predictions[:5], find.predictions[:5]):
+            assert np.array_equal(a, b)
+
+    def test_cold_start_longer_than_stream(self, small_setup, tmp_path):
+        cfg, net, bank, _, _ = small_setup
+        sc = cfg.scenario
+        assert sc.total_batches < 30
+        ncfg = NormalizerConfig(mode="find_star", cold_start_batches=30)
+        rec = run_experiment(net, bank, sc, ncfg)
+        assert rec.sensitivity is None
+        write_metrics(rec, tmp_path / "m")
+        assert json.loads((tmp_path / "m.json").read_text())["sensitivity"] is None
+        assert all(c is not None for counts in rec.cluster_counts.values() for c in counts)
+        find = run_experiment(net, bank, sc, NormalizerConfig(mode="find"))
+        assert rec.cluster_counts == find.cluster_counts
+        for a, b in zip(rec.predictions, find.predictions, strict=True):
+            assert np.array_equal(a, b)
+        for t in (0, sc.total_batches - 1):
+            assert np.array_equal(predictions_at(net, bank, sc, ncfg, t), rec.predictions[t])
+
     def test_accuracy_bounds_and_counts(self, small_setup):
         cfg, net, bank, _, _ = small_setup
         rec = run_experiment(net, bank, cfg.scenario, cfg.normalizer)
