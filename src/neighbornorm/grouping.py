@@ -43,9 +43,10 @@ def cosine_similarity_matrix(means: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected (B, C) matrix, got shape {means.shape}")
     norms = np.linalg.norm(means, axis=1)
     unit = means / np.maximum(norms, NORM_FLOOR)[:, None]
-    sim = unit @ unit.T
-    sim = (sim + sim.T) / 2.0
-    return np.clip(sim, -1.0, 1.0)
+    sim = unit @ np.ascontiguousarray(unit.T)  # a GEMM: numpy's SYRK path for unit @ unit.T is far slower here
+    np.add(sim, sim.T, out=sim)  # numpy buffers the overlapping transpose
+    sim *= 0.5
+    return np.clip(sim, -1.0, 1.0, out=sim)
 
 
 def first_neighbors(sim: np.ndarray) -> np.ndarray:
@@ -81,7 +82,9 @@ def first_neighbor_components(first: np.ndarray) -> tuple[np.ndarray, int]:
 
 def first_neighbor_labels(means: np.ndarray) -> tuple[np.ndarray, int]:
     """Group id per sample and group count from (B, C) instance means, B >= 2."""
-    return first_neighbor_components(first_neighbors(cosine_similarity_matrix(means)))
+    sim = cosine_similarity_matrix(means)
+    np.fill_diagonal(sim, -np.inf)  # `first_neighbors` on a fresh matrix, so masked in place, not copied
+    return first_neighbor_components(np.argmax(sim, axis=1))
 
 
 @dataclass(frozen=True)

@@ -275,17 +275,14 @@ def train_model(cfg: ExperimentConfig) -> tuple[Network, TemplateBank, dict]:
         )
 
     train_batches = list(iter_batches(clean_scenario(mc["train_seed"], mc["train_batches"]), bank))
-    net.capture_source_stats([b.x for b in train_batches])
-
-    sbn = NormalizerConfig(mode="sbn")
-    feats = np.concatenate([net.backbone(b.x, sbn)[0] for b in train_batches])
+    feats = net.capture_source_stats([b.x for b in train_batches])
     labels = np.concatenate([b.labels for b in train_batches])
     net.head = train_linear_head(feats, labels, mc["head_lambda"], num_classes=cfg.data["num_classes"])
 
     eval_scenario = clean_scenario(mc["train_seed"] + 1, mc["clean_eval_batches"])
     correct = total = 0
     for b in iter_batches(eval_scenario, bank):
-        preds = np.argmax(net.forward(b.x, sbn), axis=1)
+        preds = np.argmax(net.forward(b.x, NormalizerConfig(mode="sbn")), axis=1)
         correct += int((preds == b.labels).sum())
         total += b.labels.shape[0]
     meta = {

@@ -4,8 +4,8 @@ The backbone is a stack of conv(3x3, pad 1) -> normalize -> relu ->
 avgpool(2x2) stages followed by a linear head. Conv weights are seeded
 Gaussians scaled by 1/sqrt(fan-in) and are never trained; the head is a
 closed-form ridge regression on one-hot targets. Source statistics for
-each normalization slot are captured from clean data, slot by slot, so
-the result does not depend on batch ordering.
+each normalization slot, and the head's features, come from one
+front-to-back pass over clean data; neither depends on batch order.
 
 The public kernels check their inputs. A `Network` checks its input once, at
 entry, runs the stages through the check-free bodies (`_conv`, `_normalize`,
@@ -103,7 +103,7 @@ def train_linear_head(features: np.ndarray, labels: np.ndarray, ridge_lambda: fl
     A constant column is appended for the bias, which is regularized like
     every other coefficient.
     """
-    feats = np.asarray(features, dtype=np.float64)
+    feats = np.asarray(features)
     labels = np.asarray(labels).reshape(-1)
     if feats.ndim != 2 or feats.shape[0] != labels.shape[0]:
         raise ValueError("features must be (N, D) with one label per row")
@@ -114,7 +114,8 @@ def train_linear_head(features: np.ndarray, labels: np.ndarray, ridge_lambda: fl
         raise ValueError("every class needs at least one training sample")
 
     n, d = feats.shape
-    a = np.concatenate([feats, np.ones((n, 1))], axis=1)
+    a = np.ones((n, d + 1))  # float64 design matrix; the last column carries the bias
+    a[:, :d] = feats
     y = np.zeros((n, k), dtype=np.float64)
     y[np.arange(n), labels] = 1.0
     gram = a.T @ a + ridge_lambda * np.eye(d + 1)
@@ -208,30 +209,29 @@ class Network:
         logits = feats @ self.head.weight.T + self.head.bias
         return (logits, traces) if collect_traces else logits
 
-    def _activations_before_slot(self, x: np.ndarray, slot: int, cfg: NormalizerConfig) -> np.ndarray:
-        """Pre-normalization activations entering `slot` of a checked input,
-        with every earlier slot applying its already-captured source statistics."""
-        for k in range(slot):
-            x, _ = self._stage(x, k, cfg)
-        return _finite(_conv(x, self.conv_weights[slot]))
+    def capture_source_stats(self, clean_batches) -> np.ndarray:
+        """Fit each slot's source statistics from clean batches; return the (N, D) sbn features.
 
-    def capture_source_stats(self, clean_batches) -> None:
-        """Fit each slot's source statistics from clean training batches.
-
-        Slots are finalized front to back: slot k pools moments over the
-        full stream while slots before it normalize with their final
-        statistics, so the captured values are independent of batch order.
+        One front-to-back sweep: slot k pools `sample_moments` of every batch's conv map, finalizes its
+        statistics, then moves every batch through stage k into one array per slot (not per batch: that
+        keeps the heap unfragmented), so nothing depends on batch order and the features are bitwise
+        `backbone(x, sbn)`. Each conv runs twice, as keeping every slot-0 conv map would cost ~21 MB.
         """
-        batches = [self._check_input(b) for b in clean_batches]
-        if not batches:
+        hs = [self._check_input(b) for b in clean_batches]
+        if not hs:
             raise ValueError("clean training stream is empty")
         cfg = NormalizerConfig(mode="sbn")
-        _, height, width = self.input_shape
+        cuts = np.cumsum([h.shape[0] for h in hs])[:-1]
         for k in range(self.num_slots):
-            parts = [sample_moments(self._activations_before_slot(xb, k, cfg)) for xb in batches]
+            parts = [sample_moments(_finite(_conv(h, self.conv_weights[k]))) for h in hs]
             sums, m2 = (np.concatenate(p) for p in zip(*parts))
-            length = (height >> k) * (width >> k)  # every earlier stage pools 2x2
-            self.source_stats[k] = SourceStats.with_identity_affine(pooled_stats(sums, m2, length), self.eps)
+            _, _, height, width = hs[0].shape
+            self.source_stats[k] = SourceStats.with_identity_affine(pooled_stats(sums, m2, height * width), self.eps)
+            out = np.empty((sums.shape[0], self.channels[k], height // 2, width // 2), np.float32)
+            for h, rows in zip(hs, np.split(out, cuts)):
+                rows[...] = self._stage(h, k, cfg)[0]
+            hs = np.split(out, cuts)
+        return _finite(out.reshape(out.shape[0], -1))
 
 
 class ModelFormatError(ValueError):

@@ -129,6 +129,8 @@ class StreamScenario:
         if self.kind == "wild":
             if self.dirichlet_delta is None or not self.dirichlet_delta > 0:
                 raise ValueError("wild scenarios require dirichlet_delta > 0")
+        rows = [(d.contrast, d.brightness, d.noise_sigma) for d in self.domains]  # built once, for `sample_batch`
+        object.__setattr__(self, "_domain_table", np.array(rows, np.float32))  # not a field, so not in asdict
 
     @property
     def num_domains(self) -> int:
@@ -260,9 +262,7 @@ def sample_batch(scenario: StreamScenario, bank: TemplateBank, batch_index: int)
     x = bank.templates[labels].astype(np.float32, copy=False)  # indexing already copied
     x += rng.normal(0.0, bank.base_noise, size=x.shape).astype(np.float32)
 
-    contrast = np.array([d.contrast for d in scenario.domains], dtype=np.float32)[domain_ids]
-    brightness = np.array([d.brightness for d in scenario.domains], dtype=np.float32)[domain_ids]
-    noise_sigma = np.array([d.noise_sigma for d in scenario.domains], dtype=np.float32)[domain_ids]
+    contrast, brightness, noise_sigma = scenario._domain_table[domain_ids].T
     shift_noise = rng.standard_normal(size=x.shape).astype(np.float32)
     x *= contrast[:, None, None, None]
     x += brightness[:, None, None, None]

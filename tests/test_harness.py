@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import neighbornorm.harness as harness
+import neighbornorm.model as model
 from neighbornorm.harness import (
     ConfigError,
     batch_size_sweep,
@@ -152,6 +153,18 @@ class TestNumericConfigFields:
             paths = write_metrics(run_experiment(net, bank, cfg.scenario, cfg.normalizer), tmp_path / name)
             files.append([open(p, "rb").read() for p in (cfg.model_path, *paths[:2])])
         assert files[0] == files[1]
+
+
+def test_train_model_runs_each_stage_once_per_batch(small_setup, monkeypatch):
+    # one 2x2 pool per stage: set-up runs the K stages once per training batch (the capture
+    # sweep) and once per clean-eval batch, and never again
+    cfg = small_setup[0]
+    calls = []
+    pool = model.avg_pool_2x2
+    monkeypatch.setattr(model, "avg_pool_2x2", lambda x: calls.append(x.shape) or pool(x))
+    harness.train_model(cfg)
+    mc = cfg.model
+    assert len(calls) == len(mc["channels"]) * (mc["train_batches"] + mc["clean_eval_batches"]) == 24
 
 
 class TestRunExperiment:

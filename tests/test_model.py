@@ -12,8 +12,8 @@ from neighbornorm.model import (
     train_linear_head,
 )
 from neighbornorm.normalization import NormalizerConfig, SourceStats
-from neighbornorm.stream import sample_batch
-from neighbornorm.tensors import ChannelStats
+from neighbornorm.stream import StreamScenario, build_templates, identity_domain, iter_batches, sample_batch
+from neighbornorm.tensors import ChannelStats, pooled_stats, sample_moments
 
 from oracles import loop_avg_pool2x2, loop_channel_moments, loop_conv3x3, ridge_normal_equations, window_conv3x3
 
@@ -25,9 +25,7 @@ def build_trained_net(seed=0, channels=(4, 8), input_shape=(1, 8, 8), num_classe
     net = Network.build(channels=channels, input_shape=input_shape, seed=seed)
     batches = [rng.normal(size=(batch,) + input_shape).astype(np.float32) for _ in range(n_batches)]
     labels = [rng.integers(0, num_classes, batch) for _ in range(n_batches)]
-    net.capture_source_stats(batches)
-    sbn = NormalizerConfig(mode="sbn")
-    feats = np.concatenate([net.backbone(b, sbn)[0] for b in batches])
+    feats = net.capture_source_stats(batches)
     net.head = train_linear_head(feats, np.concatenate(labels), 1e-2, num_classes=num_classes)
     return net, batches
 
@@ -325,6 +323,26 @@ class TestCapture:
         mean_ref, var_ref = loop_channel_moments(np.concatenate(batches))
         np.testing.assert_allclose(net.source_stats[0].stats.mean, mean_ref, rtol=1e-7)
         np.testing.assert_allclose(net.source_stats[0].stats.var, var_ref, rtol=1e-6)
+
+    def test_sweep_matches_slot_by_slot_definition(self):
+        # slot k's statistics pool the conv maps of inputs re-run through stages 0..k-1
+        # at their final statistics; the sweep keeps each batch's activation instead
+        net = Network.build(channels=(4, 8, 8), seed=23)
+        clean = StreamScenario(kind="static", domains=[identity_domain()], batch_size=7, num_batches=3, seed=23)
+        batches = [b.x for b in iter_batches(clean, build_templates(4, seed=5))]
+        feats = net.capture_source_stats(batches)
+        sbn = NormalizerConfig(mode="sbn")
+        for k in range(net.num_slots):
+            parts = []
+            for h in batches:
+                for j in range(k):
+                    h, _ = net._stage(h, j, sbn)
+                parts.append(sample_moments(conv2d_3x3(h, net.conv_weights[k])))
+            sums, m2 = (np.concatenate(p) for p in zip(*parts))
+            expected = pooled_stats(sums, m2, (16 >> k) * (16 >> k))
+            assert np.array_equal(net.source_stats[k].stats.mean, expected.mean), k
+            assert np.array_equal(net.source_stats[k].stats.var, expected.var), k
+        assert np.array_equal(feats, np.concatenate([net.backbone(x, sbn)[0] for x in batches]))
 
     def test_empty_stream_rejected(self):
         net = Network.build(channels=(4,), input_shape=(1, 4, 4), seed=0)

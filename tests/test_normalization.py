@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from neighbornorm.grouping import first_neighbor_partition
+from neighbornorm.grouping import cosine_similarity_matrix, first_neighbor_partition, first_neighbors, instance_channel_means
 from neighbornorm.normalization import NormalizerConfig, SourceStats, apply_normalizer, canonical_mode
 from neighbornorm.tensors import ChannelStats, channel_moments
 
@@ -306,6 +306,28 @@ class TestNormalizeLayer:
         assert trace.cluster_count is None
         full = channel_moments(x)
         assert np.array_equal(trace.batch_stats.mean, full.mean)
+
+    def test_group_locality_appended_unlinked_samples(self):
+        # find normalizes a group by its own members only: samples appended along -u that
+        # link to no sample along +u leave those samples' output bitwise unchanged
+        rng = np.random.default_rng(41)
+        src, cfg = src_stats(8, mean=0.2, var=1.5), NormalizerConfig(mode="find")
+
+        def cluster(u, n):
+            means = rng.uniform(1.0, 2.0, size=(n, 1)) * u + rng.normal(scale=0.1, size=(n, 8))
+            return (means[:, :, None, None] + rng.normal(scale=0.3, size=(n, 8, 4, 4))).astype(np.float32)
+
+        for _ in range(40):
+            u = rng.normal(size=8)
+            u /= np.linalg.norm(u)
+            n_old, n_new = (int(n) for n in rng.integers(2, 40, size=2))
+            old = cluster(u, n_old)
+            both = np.concatenate([old, cluster(-u, n_new)])
+            first = first_neighbors(cosine_similarity_matrix(instance_channel_means(both)))
+            assert np.array_equal(first >= n_old, np.arange(n_old + n_new) >= n_old)  # no link crosses
+            out_old, _ = apply_normalizer(old, src, cfg)
+            out_both, _ = apply_normalizer(both, src, cfg)
+            assert np.array_equal(out_both[:n_old], out_old)
 
 
 class TestSlotTrace:

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,14 @@ class TestSampling:
                 rep = sample_batch(sc, bank, i + 5 * r)
                 assert np.array_equal(base.x, rep.x)
                 assert np.array_equal(base.labels, rep.labels)
+
+    def test_scenario_block_gains_no_key_from_sampling(self):
+        # asdict(scenario) is the metrics JSON's scenario block; the per-domain table is not a field
+        sc = scenario_for("cross_mix", batch_size=8)
+        before = asdict(sc)
+        sample_batch(sc, bank_for(), 0)
+        assert asdict(sc) == before
+        assert list(before) == ["kind", "domains", "batch_size", "num_batches", "rounds", "seed", "dirichlet_delta"]
 
     def test_index_bounds(self):
         bank = bank_for()
