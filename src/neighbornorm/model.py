@@ -10,6 +10,9 @@ front-to-back pass over clean data; neither depends on batch order.
 The public kernels check their inputs. A `Network` checks its input once, at
 entry, runs the stages through the check-free bodies (`_conv`, `_normalize`,
 relu in place), and checks at exit that the result is finite (else ValueError).
+Past 64 samples a stage runs in two passes over 64-sample blocks (conv and moments;
+then normalize, relu, pool) around one whole-batch grouping: every per-block
+temporary (at most 1.4 MiB) fits a 2 MiB L2, and no bit depends on block edges.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .normalization import NormalizerConfig, SlotTrace, SourceStats, _checked, _normalize
+from .normalization import NormalizerConfig, SlotTrace, SourceStats, _affine, _checked, _normalize, _rows
 from .tensors import ChannelStats, as_feature_map, pooled_stats, sample_moments
 
 __all__ = [
@@ -36,6 +39,7 @@ __all__ = [
 ]
 
 MODEL_FORMAT = "neighbornorm-model-v1"
+_BLOCK = 64  # samples per stage block: every per-block temporary (at most 1.4 MiB) fits a 2 MiB L2
 
 
 def conv2d_3x3(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -47,8 +51,8 @@ def conv2d_3x3(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return _conv(x, w)
 
 
-def _conv(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """`conv2d_3x3` of a canonical map and a float32 kernel that fits it, unchecked.
+def _conv(x: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """`conv2d_3x3` of a canonical map and a float32 kernel that fits it, unchecked, into `out` or a new array.
 
     One im2col matmul over a flat zero-padded (B, Cin, H+3, W+2) buffer: window
     (dy, dx) of a channel is the contiguous run of H*(W+2) floats from row dy,
@@ -59,20 +63,23 @@ def _conv(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     xp = np.zeros((b, c_in, h + 3, wd + 2), dtype=np.float32)
     xp[:, :, 1 : h + 1, 1:-1] = x
     windows = np.ndarray((b, c_in, 3, 3, h * (wd + 2)), np.float32, buffer=xp, strides=(*xp.strides[:3], 4, 4))
-    out = w.reshape(w.shape[0], c_in * 9) @ windows.reshape(b, c_in * 9, h * (wd + 2))
-    return np.ascontiguousarray(out.reshape(b, w.shape[0], h, wd + 2)[:, :, :, :wd])
+    cols = (w.reshape(w.shape[0], c_in * 9) @ windows.reshape(b, c_in * 9, h * (wd + 2))).reshape(b, w.shape[0], h, wd + 2)
+    if out is None:
+        return np.ascontiguousarray(cols[:, :, :, :wd])
+    out[...] = cols[:, :, :, :wd]
+    return out
 
 
 def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, np.float32(0.0))
 
 
-def avg_pool_2x2(x: np.ndarray) -> np.ndarray:
-    """Mean of each 2x2 block, summed ((a + b) + c) + d into one new array, then times 0.25."""
+def avg_pool_2x2(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Mean of each 2x2 block, summed ((a + b) + c) + d into `out` or one new array, then times 0.25."""
     b, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ValueError(f"avg_pool_2x2 needs even spatial dims, got {h}x{w}")
-    out = x[:, :, ::2, ::2] + x[:, :, ::2, 1::2]
+    out = x[:, :, ::2, ::2] + x[:, :, ::2, 1::2] if out is None else np.add(x[:, :, ::2, ::2], x[:, :, ::2, 1::2], out=out)
     out += x[:, :, 1::2, ::2]
     out += x[:, :, 1::2, 1::2]
     out *= np.float32(0.25)
@@ -180,9 +187,27 @@ class Network:
             raise RuntimeError("source statistics not captured; run capture_source_stats first")
 
     def _stage(self, h: np.ndarray, k: int, cfg: NormalizerConfig, enabled: bool = True) -> tuple[np.ndarray, SlotTrace]:
-        """Stage k on a canonical map, unchecked: conv, normalize, relu in place, pool."""
-        h, trace = _normalize(_conv(h, self.conv_weights[k]), self.source_stats[k], cfg, enabled)
-        return avg_pool_2x2(np.maximum(h, np.float32(0.0), out=h)), trace
+        """Stage k on a canonical map, unchecked: conv, normalize, relu in place, pool. A batch of `_BLOCK`
+        or fewer is one block. A larger one runs conv and moments per block, `_rows` once on the whole
+        batch, then `_affine`, relu and pool per block, so each block's temporaries stay in L2."""
+        if h.shape[0] <= _BLOCK:
+            h, trace = _normalize(_conv(h, self.conv_weights[k]), self.source_stats[k], cfg, enabled)
+            return avg_pool_2x2(np.maximum(h, np.float32(0.0), out=h)), trace
+        w, src = self.conv_weights[k], self.source_stats[k]
+        b, _, height, width = h.shape
+        blocks = [slice(i, i + _BLOCK) for i in range(0, b, _BLOCK)]
+        x, (sums, m2) = np.empty((b, w.shape[0], height, width), np.float32), np.empty((2, b, w.shape[0]))
+        for s in blocks:
+            _conv(h[s], w, out=x[s])
+            if cfg.mode != "sbn":  # sbn never measures the batch
+                sums[s], m2[s] = sample_moments(x[s])
+        mean, scale, trace = _rows(x.shape, sums, m2, src, cfg, enabled)
+        mean, scale = (np.broadcast_to(r, (b, r.shape[1])) for r in (mean, scale))  # a shared row, sliceable per block
+        out = np.empty((b, w.shape[0], height // 2, width // 2), np.float32)
+        for s in blocks:  # the conv map is the stage's own, so it takes the affine in place
+            y = _affine(x[s], mean[s], scale[s], src, out=x[s])
+            avg_pool_2x2(np.maximum(y, np.float32(0.0), out=y), out=out[s])
+        return out, trace
 
     def backbone(self, x: np.ndarray, cfg: NormalizerConfig, gating=None) -> tuple[np.ndarray, list[SlotTrace]]:
         """Features after all stages, plus one trace per normalization slot.

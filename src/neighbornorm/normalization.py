@@ -140,9 +140,9 @@ def _blend(mean: np.ndarray, var: np.ndarray, src: SourceStats, alpha: float) ->
     return a * src.stats.mean + one_m * mean, np.maximum(blended_var, np.float32(0.0))
 
 
-def _affine(x: np.ndarray, mean: np.ndarray, scale: np.ndarray, src: SourceStats) -> np.ndarray:
-    """(x - mean) * scale + shift into one new array; mean and scale are (B, C) rows, or one (1, C) row for all."""
-    out = x - mean[:, :, None, None]
+def _affine(x: np.ndarray, mean: np.ndarray, scale: np.ndarray, src: SourceStats, out: np.ndarray | None = None) -> np.ndarray:
+    """(x - mean) * scale + shift into `out` (may be x) or one new array; mean and scale are (B, C) rows, or one (1, C)."""
+    out = x - mean[:, :, None, None] if out is None else np.subtract(x, mean[:, :, None, None], out=out)
     out *= scale[:, :, None, None]
     out += src.affine_shift[None, :, None, None]
     return out
@@ -164,13 +164,19 @@ def apply_normalizer(
 
 
 def _normalize(x: np.ndarray, src: SourceStats, cfg: NormalizerConfig, partition_enabled: bool) -> tuple[np.ndarray, SlotTrace]:
-    """`apply_normalizer` of a canonical map, which it does not check; it checks only the channel count."""
-    b, c, h, w = x.shape
+    """`apply_normalizer` of a canonical map, which it does not check: `sample_moments`, `_rows`, `_affine`."""
+    sums, m2 = (None, None) if cfg.mode == "sbn" else sample_moments(x)  # sbn never measures the batch
+    mean, scale, trace = _rows(x.shape, sums, m2, src, cfg, partition_enabled)
+    return _affine(x, mean, scale, src), trace
+
+
+def _rows(shape: tuple, sums, m2, src: SourceStats, cfg: NormalizerConfig, partition_enabled: bool):
+    """(mean, scale, trace) of the whole batch from its `sample_moments` (None in sbn); checks only the channel count."""
+    b, c, h, w = shape
     if c != src.num_channels:
         raise ValueError(f"feature map has {c} channels, source stats {src.num_channels}")
     if cfg.mode == "sbn":  # one group; the batch is not measured
-        return _affine(x, src.stats.mean[None], src.source_scale, src), SlotTrace(None, None, None, h * w)
-    sums, m2 = sample_moments(x)
+        return src.stats.mean[None], src.source_scale, SlotTrace(None, None, None, h * w)
     labels, count = np.zeros(b, np.intp), None
     if cfg.mode in ("find", "find_star") and partition_enabled:
         labels, count = first_neighbor_labels(sums / (h * w)) if b > 1 else (labels, 1)
@@ -180,4 +186,4 @@ def _normalize(x: np.ndarray, src: SourceStats, cfg: NormalizerConfig, partition
     scale = src._scale(var)
     if (count or 1) > 1:  # one row per sample; a single group's row broadcasts
         mean, scale = mean[labels], scale[labels]
-    return _affine(x, mean, scale, src), SlotTrace(count, sums, m2, h * w)
+    return mean, scale, SlotTrace(count, sums, m2, h * w)

@@ -47,8 +47,9 @@ def unit_source(c, mean=0.0, var=1.0, eps=1e-5):
 
 
 def test_criterion_1_clustering_oracle_equivalence():
+    # the time bound covers the partitions only, not the scalar-loop oracle they are checked against
     rng = np.random.default_rng(2024)
-    t0 = time.time()
+    elapsed = 0.0
     for _ in range(200):
         b = int(rng.integers(2, 65))
         c = int(rng.integers(1, 33))
@@ -56,9 +57,10 @@ def test_criterion_1_clustering_oracle_equivalence():
         w = int(rng.integers(1, 4))
         loc = rng.normal(size=(b, 1, 1, 1))
         x = (loc + rng.normal(size=(b, c, h, w))).astype(np.float32)
-        ours = [g.tolist() for g in first_neighbor_partition(x).groups]
-        assert ours == union_find_partition(x)
-    elapsed = time.time() - t0
+        t0 = time.perf_counter()
+        partition = first_neighbor_partition(x)
+        elapsed += time.perf_counter() - t0
+        assert [g.tolist() for g in partition.groups] == union_find_partition(x)
     assert elapsed < 10.0
     _report("criterion 1 clustering-oracle-equivalence", f"200 batches, {elapsed:.1f}s")
 

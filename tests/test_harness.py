@@ -161,7 +161,7 @@ def test_train_model_runs_each_stage_once_per_batch(small_setup, monkeypatch):
     cfg = small_setup[0]
     calls = []
     pool = model.avg_pool_2x2
-    monkeypatch.setattr(model, "avg_pool_2x2", lambda x: calls.append(x.shape) or pool(x))
+    monkeypatch.setattr(model, "avg_pool_2x2", lambda x, *args, **kwargs: calls.append(x.shape) or pool(x, *args, **kwargs))
     harness.train_model(cfg)
     mc = cfg.model
     assert len(calls) == len(mc["channels"]) * (mc["train_batches"] + mc["clean_eval_batches"]) == 24

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,13 +13,23 @@ from neighbornorm.model import (
     save_model,
     train_linear_head,
 )
-from neighbornorm.normalization import NormalizerConfig, SourceStats
+from neighbornorm.normalization import NormalizerConfig, SourceStats, apply_normalizer
 from neighbornorm.stream import StreamScenario, build_templates, identity_domain, iter_batches, sample_batch
 from neighbornorm.tensors import ChannelStats, pooled_stats, sample_moments
 
 from oracles import loop_avg_pool2x2, loop_channel_moments, loop_conv3x3, ridge_normal_equations, window_conv3x3
 
 MODES = ("sbn", "tbn", "alpha_bn", "find", "find_star")
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def stock_batch(setup, b, index=0):
+    """Batch `index` of the stock stream at batch size b."""
+    cfg, _, bank, _ = setup
+    return sample_batch(replace(cfg.scenario, batch_size=b), bank, index).x
 
 
 def build_trained_net(seed=0, channels=(4, 8), input_shape=(1, 8, 8), num_classes=3, n_batches=6, batch=16):
@@ -260,6 +272,36 @@ class TestNetworkForward:
                 logits_p, traces_p = net.forward(x[p], ncfg, collect_traces=True)
                 assert np.array_equal(logits_p, logits[p]), (index, mode)
                 assert [t.cluster_count for t in traces_p] == [t.cluster_count for t in traces], (index, mode)
+
+    @pytest.mark.parametrize("b", [1, 63, 64, 65, 129, 256])
+    def test_blocked_stages_match_the_public_kernel_chain(self, default_setup, b):
+        # past 64 samples the backbone runs each stage per block; the chain of public kernels runs it
+        # on the whole batch, so a block edge that leaked into grouping or statistics would show here
+        net, x = default_setup[1], stock_batch(default_setup, b)
+        runs = [(mode, None) for mode in MODES] + [("find_star", (True, False)), ("find_star", (False, True))]
+        for mode, gating in runs:
+            cfg = NormalizerConfig(mode=mode)
+            feats, traces = net.backbone(x, cfg, gating)
+            h = x
+            for k, trace in enumerate(traces):
+                enabled = True if gating is None else gating[k]
+                y, chained = apply_normalizer(conv2d_3x3(h, net.conv_weights[k]), net.source_stats[k], cfg, enabled)
+                h = avg_pool_2x2(relu(y))
+                assert trace.cluster_count == chained.cluster_count, (mode, gating, k)
+                for ours, theirs in ((trace.sums, chained.sums), (trace.m2, chained.m2)):
+                    assert ours is theirs is None or same_bits(ours, theirs), (mode, gating, k)
+            assert same_bits(feats, h.reshape(b, -1)), (mode, gating)
+
+    def test_sbn_features_do_not_depend_on_the_batch(self, default_setup):
+        # sbn uses only frozen source statistics, so a sample's features alone are bitwise its row in a
+        # stock batch, across block edges at B=256 too. Logits are not: the head matmul rounds
+        # differently for one row (M=1) than for a batch (M=B).
+        net, sbn = default_setup[1], NormalizerConfig(mode="sbn")
+        for b in (64, 256):
+            x = stock_batch(default_setup, b, index=1)
+            feats, _ = net.backbone(x, sbn)
+            for i in range(b):
+                assert same_bits(net.backbone(x[i : i + 1], sbn)[0][0], feats[i]), (b, i)
 
 
 class TestCapture:
