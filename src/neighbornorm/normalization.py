@@ -61,7 +61,9 @@ def _checked(name: str, value, lo: float, hi: float = math.inf, integral: bool =
 
 @dataclass(frozen=True)
 class SourceStats:
-    """Frozen per-channel source statistics plus the layer's affine parameters."""
+    """Frozen per-channel source statistics plus the layer's affine parameters. The normalizer's
+    constant terms are computed once and reused: the float32 `eps`, the (1, C, 1, 1) shift, and
+    the source's share of each alpha's blend, computed on its first `_blend`."""
 
     stats: ChannelStats
     affine_scale: np.ndarray
@@ -79,6 +81,9 @@ class SourceStats:
         _checked("eps", self.eps, 0.0, open_lo=True)
         object.__setattr__(self, "affine_scale", scale)
         object.__setattr__(self, "affine_shift", shift)
+        object.__setattr__(self, "_eps", np.float32(self.eps))  # the constant terms are not fields, so not in asdict
+        object.__setattr__(self, "_shift", shift[None, :, None, None])  # as `_affine` adds it
+        object.__setattr__(self, "_blends", {})  # alpha -> float32 (alpha * mean, alpha * var, 1 - alpha)
 
     @classmethod
     def with_identity_affine(cls, stats: ChannelStats, eps: float = 1e-5) -> "SourceStats":
@@ -91,7 +96,7 @@ class SourceStats:
 
     def _scale(self, var: np.ndarray) -> np.ndarray:
         """Affine scale over the standard deviation, per row of the (r, C) variance."""
-        return self.affine_scale * (1.0 / np.sqrt(var + np.float32(self.eps)))
+        return self.affine_scale * (1.0 / np.sqrt(var + self._eps))
 
     @cached_property
     def source_scale(self) -> np.ndarray:
@@ -134,17 +139,19 @@ class SlotTrace:
 
 def _blend(mean: np.ndarray, var: np.ndarray, src: SourceStats, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """alpha parts source, (1 - alpha) parts test; rows of (r, C) blend independently."""
-    a = np.float32(alpha)
-    one_m = np.float32(1.0) - a
-    blended_var = a * src.stats.var + one_m * var
-    return a * src.stats.mean + one_m * mean, np.maximum(blended_var, np.float32(0.0))
+    terms = src._blends.get(alpha)
+    if terms is None:  # the source's share is constant per alpha
+        a = np.float32(alpha)
+        terms = src._blends[alpha] = (a * src.stats.mean, a * src.stats.var, np.float32(1.0) - a)
+    a_mean, a_var, one_m = terms
+    return a_mean + one_m * mean, np.maximum(a_var + one_m * var, np.float32(0.0))
 
 
 def _affine(x: np.ndarray, mean: np.ndarray, scale: np.ndarray, src: SourceStats, out: np.ndarray | None = None) -> np.ndarray:
     """(x - mean) * scale + shift into `out` (may be x) or one new array; mean and scale are (B, C) rows, or one (1, C)."""
     out = x - mean[:, :, None, None] if out is None else np.subtract(x, mean[:, :, None, None], out=out)
     out *= scale[:, :, None, None]
-    out += src.affine_shift[None, :, None, None]
+    out += src._shift
     return out
 
 
@@ -171,16 +178,20 @@ def _normalize(x: np.ndarray, src: SourceStats, cfg: NormalizerConfig, partition
 
 
 def _rows(shape: tuple, sums, m2, src: SourceStats, cfg: NormalizerConfig, partition_enabled: bool):
-    """(mean, scale, trace) of the whole batch from its `sample_moments` (None in sbn); checks only the channel count."""
+    """(mean, scale, trace) of the whole batch from its `sample_moments` (None in sbn); checks only the channel count.
+    A one-sample batch is its own group, `sums / L` and `m2 / L`: `merge_moments`' bits, without labels or a merge."""
     b, c, h, w = shape
     if c != src.num_channels:
         raise ValueError(f"feature map has {c} channels, source stats {src.num_channels}")
     if cfg.mode == "sbn":  # one group; the batch is not measured
         return src.stats.mean[None], src.source_scale, SlotTrace(None, None, None, h * w)
-    labels, count = np.zeros(b, np.intp), None
-    if cfg.mode in ("find", "find_star") and partition_enabled:
-        labels, count = first_neighbor_labels(sums / (h * w)) if b > 1 else (labels, 1)
-    mean, var = (m.astype(np.float32) for m in merge_moments(sums, m2, h * w, labels, count or 1))
+    count = 1 if cfg.mode in ("find", "find_star") and partition_enabled else None
+    if b == 1:  # the sample is its own group
+        moments = sums / (h * w), m2 / (h * w)
+    else:
+        labels, count = first_neighbor_labels(sums / (h * w)) if count else (np.zeros(b, np.intp), None)
+        moments = merge_moments(sums, m2, h * w, labels, count or 1)
+    mean, var = (m.astype(np.float32) for m in moments)
     if cfg.mode != "tbn":
         mean, var = _blend(mean, var, src, cfg.alpha)
     scale = src._scale(var)

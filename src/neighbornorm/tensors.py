@@ -80,12 +80,9 @@ def merge_moments(sums: np.ndarray, m2: np.ndarray, length: int, labels: np.ndar
     Sample i, with `length` positions per channel, belongs to group
     `labels[i]` in 0..count-1; no group may be empty. A group's centered sum
     of squares sums, over its samples i, m2[i] + length * (m_i - mean_g)^2
-    (Chan, Golub & LeVeque, 1979).
+    (Chan, Golub & LeVeque, 1979). One group of one sample is (sums / length,
+    m2 / length), which the network's one-sample batches take without a merge.
     """
-    if count == labels.shape[0]:  # all singletons, as at B=1: the one-hot sums below give the same bits
-        mean, var = np.empty_like(sums), np.empty_like(m2)
-        mean[labels], var[labels] = sums / length, m2 / length
-        return mean, var
     onehot = (labels == np.arange(count)[:, None]).astype(np.float64)  # (count, B)
     n = onehot.sum(axis=1)[:, None] * length
     mean = onehot @ sums / n

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -156,3 +160,34 @@ class TestSweep:
         assert code == 0
         doc = json.loads((root / "out" / "sweep.batch_sweep.json").read_text())
         assert [r["batch_size"] for r in doc["rows"]] == [4, 16]
+
+
+class TestBlasThreads:
+    STREAMS = {"static256": {"kind": "static", "batch_size": 256}, "b1": {"batch_size": 1, "num_batches": 24}}
+
+    def test_run_files_do_not_depend_on_blas_threads(self, tmp_path):
+        # Train, then find_star runs on a B=256 stream (blocked stages, threaded similarity GEMM)
+        # and a B=1 stream: their metrics files must be the same bytes under 1 and 2 BLAS threads.
+        nproc = len(os.sched_getaffinity(0))
+        if nproc < 2:
+            pytest.skip("needs two cores to run two BLAS threads")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = {}
+        for threads in (1, min(2, nproc)):
+            root = tmp_path / f"threads{threads}"
+            root.mkdir()
+            env = {**os.environ, "PYTHONPATH": src}
+            env.update({var: str(threads) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+            commands = []
+            for name, stream in self.STREAMS.items():
+                cfg = json.loads(json.dumps(SMALL_CONFIG))
+                cfg["scenario"].update(stream)
+                cfg["model_path"] = str(root / "model.nnm")
+                (root / f"{name}.config.json").write_text(json.dumps(cfg))
+                commands.append(["run", "--config", str(root / f"{name}.config.json"), "--mode", "find_star", "--out", str(root / name)])
+            for argv in [["train", "--config", str(root / "b1.config.json")], *commands]:
+                subprocess.run([sys.executable, "-m", "neighbornorm.cli", *argv], env=env, check=True, capture_output=True)
+            files = [f"{name}{ext}" for name in self.STREAMS for ext in (".json", ".csv")]
+            outputs[threads] = {name: (root / name).read_bytes() for name in files}
+        one, two = outputs.values()
+        assert [name for name in one if one[name] != two[name]] == []

@@ -5,6 +5,7 @@ import pytest
 
 from neighbornorm.grouping import cosine_similarity_matrix, first_neighbor_partition, first_neighbors, instance_channel_means
 from neighbornorm.normalization import NormalizerConfig, SourceStats, apply_normalizer, canonical_mode
+from neighbornorm.stream import StreamScenario, make_domains, sample_batch
 from neighbornorm.tensors import ChannelStats, channel_moments
 
 from oracles import loop_channel_moments
@@ -328,6 +329,59 @@ class TestNormalizeLayer:
             out_old, _ = apply_normalizer(old, src, cfg)
             out_both, _ = apply_normalizer(both, src, cfg)
             assert np.array_equal(out_both[:n_old], out_old)
+
+
+def random_src(rng, c):
+    """Source statistics with random moments and a non-identity affine."""
+    stats = ChannelStats(rng.normal(size=c), rng.uniform(0.5, 2.0, size=c))
+    return SourceStats(stats=stats, affine_scale=rng.uniform(0.5, 2.0, size=c), affine_shift=rng.normal(size=c))
+
+
+ONE_SAMPLE_CONFIGS = [("tbn", 0.8, True)] + [("alpha_bn", a, True) for a in (0.0, 0.3, 0.8, 1.0)]
+ONE_SAMPLE_CONFIGS += [(mode, 0.8, on) for mode in ("find", "find_star") for on in (True, False)]
+
+
+class TestOneSampleBatch:
+    """A one-sample batch is its own group: it normalizes bitwise as a batch of two copies of itself,
+    whose merge sums 2 * sums and 2 * m2 exactly and divides by 2L, which rounds like dividing by L."""
+
+    @pytest.mark.parametrize("mode, alpha, partition_enabled", ONE_SAMPLE_CONFIGS)
+    def test_one_sample_normalizes_as_two_copies(self, mode, alpha, partition_enabled):
+        rng = np.random.default_rng(60)
+        cfg = NormalizerConfig(mode=mode, alpha=alpha)
+        for _ in range(20):
+            src = random_src(rng, 6)
+            x = (rng.normal(size=(1, 6, 5, 7)) * rng.uniform(0.1, 4.0) + rng.normal(scale=3.0)).astype(np.float32)
+            one, one_trace = apply_normalizer(x, src, cfg, partition_enabled)
+            two, two_trace = apply_normalizer(np.concatenate([x, x]), src, cfg, partition_enabled)
+            assert np.array_equal(two[0], one[0]) and np.array_equal(two[1], one[0])
+            assert one_trace.cluster_count == two_trace.cluster_count
+            assert np.array_equal(one_trace.batch_stats.mean, two_trace.batch_stats.mean)
+            assert np.array_equal(one_trace.batch_stats.var, two_trace.batch_stats.var)
+
+    @pytest.mark.parametrize("mode, alpha, partition_enabled", ONE_SAMPLE_CONFIGS)
+    def test_backbone_features_of_one_sample_as_two_copies(self, small_setup, mode, alpha, partition_enabled):
+        # features, not logits: the head matmul rounds differently for one row than for two
+        _, net, bank, _, _ = small_setup
+        cfg, gating = NormalizerConfig(mode=mode, alpha=alpha), None if partition_enabled else [False] * net.num_slots
+        scenario = StreamScenario(kind="cross_mix", domains=make_domains(5, 5, 0), batch_size=8, num_batches=1)
+        for x in sample_batch(scenario, bank, 0).x[:, None]:
+            one, one_traces = net.backbone(x, cfg, gating)
+            two, two_traces = net.backbone(np.concatenate([x, x]), cfg, gating)
+            assert np.array_equal(two[0], one[0]) and np.array_equal(two[1], one[0])
+            assert [t.cluster_count for t in one_traces] == [t.cluster_count for t in two_traces]
+
+    def test_blend_terms_are_keyed_by_alpha(self):
+        # one SourceStats reused across alphas, revisited out of order, normalizes as a fresh one each time
+        rng = np.random.default_rng(61)
+        shared = random_src(rng, 4)
+        batches = [rng.normal(size=(b, 4, 3, 3)).astype(np.float32) for b in (1, 6)]
+        for alpha in (0.8, 0.3, 0.8, 1.0, 0.0, 0.3):
+            for mode in ("alpha_bn", "find"):
+                cfg = NormalizerConfig(mode=mode, alpha=alpha)
+                fresh = SourceStats(shared.stats, shared.affine_scale, shared.affine_shift, shared.eps)
+                for x in batches:
+                    assert np.array_equal(apply_normalizer(x, shared, cfg)[0], apply_normalizer(x, fresh, cfg)[0])
 
 
 class TestSlotTrace:
