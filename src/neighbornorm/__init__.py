@@ -13,8 +13,6 @@ from .grouping import (
     first_neighbor_components,
     first_neighbor_labels,
     first_neighbor_partition,
-    first_neighbors,
-    instance_channel_means,
 )
 from .normalization import (
     MODES,
@@ -29,18 +27,15 @@ from .sensitivity import (
     layer_gate,
     sensitivity_score,
 )
-from .tensors import ChannelStats, as_feature_map, channel_moments
+from .tensors import ChannelStats, as_feature_map
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ChannelStats",
     "as_feature_map",
-    "channel_moments",
     "Partition",
-    "instance_channel_means",
     "cosine_similarity_matrix",
-    "first_neighbors",
     "first_neighbor_components",
     "first_neighbor_labels",
     "first_neighbor_partition",

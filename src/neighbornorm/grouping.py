@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .tensors import sample_moments
+
 __all__ = [
     "Partition",
-    "instance_channel_means",
     "cosine_similarity_matrix",
-    "first_neighbors",
     "first_neighbor_components",
     "first_neighbor_labels",
     "first_neighbor_partition",
@@ -28,12 +28,6 @@ __all__ = [
 # Norms below this are treated as degenerate (all-zero rows) so cosine
 # similarity stays finite.
 NORM_FLOOR = 1e-12
-
-
-def instance_channel_means(x: np.ndarray) -> np.ndarray:
-    """Per-sample, per-channel spatial means of a canonical map: (B, C) float64, bitwise `sample_moments` sums / L."""
-    x3 = x.reshape(x.shape[0], x.shape[1], -1).astype(np.float64)
-    return x3.sum(axis=2) / x3.shape[2]
 
 
 def cosine_similarity_matrix(means: np.ndarray) -> np.ndarray:
@@ -49,26 +43,10 @@ def cosine_similarity_matrix(means: np.ndarray) -> np.ndarray:
     return np.clip(sim, -1.0, 1.0, out=sim)
 
 
-def first_neighbors(sim: np.ndarray) -> np.ndarray:
-    """first[i]: the most similar other sample under a similarity matrix (B >= 2).
-
-    Argmax ties break toward the lowest index; the diagonal never wins.
-    """
-    sim = np.asarray(sim, dtype=np.float64)
-    b = sim.shape[0]
-    if sim.ndim != 2 or sim.shape[1] != b:
-        raise ValueError(f"similarity matrix must be square, got {sim.shape}")
-    if b < 2:
-        raise ValueError("first neighbors need at least two samples")
-    masked = sim.copy()
-    np.fill_diagonal(masked, -np.inf)
-    return np.argmax(masked, axis=1)  # np.argmax takes the lowest index on ties
-
-
 def first_neighbor_components(first: np.ndarray) -> tuple[np.ndarray, int]:
     """Components of i -> first[i]: a group id per sample and the group count.
 
-    Every cycle of `first` must be a mutual pair, as `first_neighbors`
+    Every cycle of `first` must be a mutual pair, as `first_neighbor_labels`
     guarantees. Ids are ordered by each group's smallest member.
     """
     first = np.asarray(first, dtype=np.intp)
@@ -83,7 +61,7 @@ def first_neighbor_components(first: np.ndarray) -> tuple[np.ndarray, int]:
 def first_neighbor_labels(means: np.ndarray) -> tuple[np.ndarray, int]:
     """Group id per sample and group count from (B, C) instance means, B >= 2."""
     sim = cosine_similarity_matrix(means)
-    np.fill_diagonal(sim, -np.inf)  # `first_neighbors` on a fresh matrix, so masked in place, not copied
+    np.fill_diagonal(sim, -np.inf)  # never its own first neighbor; a fresh matrix, so masked in place
     return first_neighbor_components(np.argmax(sim, axis=1))
 
 
@@ -107,6 +85,6 @@ def first_neighbor_partition(x: np.ndarray) -> Partition:
     b = x.shape[0]
     if b == 1:
         return Partition(groups=[np.asarray([0], dtype=np.intp)])
-    labels, count = first_neighbor_labels(instance_channel_means(x))
+    labels, count = first_neighbor_labels(sample_moments(x)[0] / (x.shape[2] * x.shape[3]))
     order = np.argsort(labels, kind="stable")
     return Partition(groups=np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1]))

@@ -8,8 +8,8 @@ mean/variance come from:
   alpha_bn  convex blend of source and current-batch statistics
   find      partition the batch into like-distributed groups, blend each
             group's statistics with the source, normalize per group
-  find_star find, but a harness-level calibration may disable the
-            partitioning per layer (a disabled layer behaves as alpha_bn)
+  find_star find, but the per-layer gate `sensitivity.layer_gate` may
+            disable the partitioning (a disabled layer behaves as alpha_bn)
 
 Statistics are frozen at capture time; nothing here keeps state across
 batches.
@@ -165,7 +165,8 @@ def apply_normalizer(
 
     `partition_enabled` only matters for the partitioning modes; a
     disabled layer falls back to the alpha_bn transform, and so does a
-    one-sample batch or a one-group partition, through the same code.
+    one-group partition. A one-sample batch is its own group: `_rows`
+    takes its moments without a merge, and the result equals alpha_bn's.
     """
     return _normalize(as_feature_map(x), src, cfg, partition_enabled)
 

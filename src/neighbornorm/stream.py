@@ -35,7 +35,6 @@ __all__ = [
     "SCENARIO_KINDS",
     "identity_domain",
     "make_domains",
-    "generate_class_templates",
     "build_templates",
     "sample_batch",
     "iter_batches",
@@ -52,6 +51,9 @@ _KIND_ALIASES = {alias: k for k in SCENARIO_KINDS for alias in (k, k.replace("_"
 CONTRAST_STEP = 0.15
 BRIGHTNESS_STEP = 0.3
 NOISE_STEP = 0.05
+
+# Draws of a whole template set before `build_templates` gives up on min_dist.
+TEMPLATE_DRAWS = 100
 
 
 def canonical_kind(kind: str) -> str:
@@ -126,9 +128,11 @@ class StreamScenario:
             raise ValueError("scenario needs at least one domain")
         for name, least in (("batch_size", 1), ("num_batches", 1), ("rounds", 1), ("seed", 0)):
             object.__setattr__(self, name, int(_checked(name, getattr(self, name), least, integral=True)))
-        if self.kind == "wild":
-            if self.dirichlet_delta is None or not self.dirichlet_delta > 0:
-                raise ValueError("wild scenarios require dirichlet_delta > 0")
+        if self.dirichlet_delta is not None:
+            delta = _checked("dirichlet_delta", self.dirichlet_delta, 0.0, open_lo=True)
+            object.__setattr__(self, "dirichlet_delta", float(delta))
+        elif self.kind == "wild":
+            raise ValueError("wild scenarios require dirichlet_delta > 0")
         rows = [(d.contrast, d.brightness, d.noise_sigma) for d in self.domains]  # built once, for `sample_batch`
         object.__setattr__(self, "_domain_table", np.array(rows, np.float32))  # not a field, so not in asdict
 
@@ -164,34 +168,6 @@ class LabeledBatch:
     domain_ids: np.ndarray
 
 
-def generate_class_templates(
-    num_classes: int,
-    seed: int,
-    shape: tuple = (1, 16, 16),
-    min_dist: float = 8.0,
-    max_attempts: int = 100,
-) -> np.ndarray:
-    """Seeded Gaussian template maps with pairwise distance >= min_dist.
-
-    The whole set is redrawn on a violation; exhausting max_attempts is a
-    configuration error (the floor is unreachable for the given shape).
-    """
-    if num_classes < 2:
-        raise ValueError("need at least two classes")
-    rng = np.random.default_rng(seed)
-    for _ in range(max_attempts):
-        t = rng.normal(0.0, 1.0, size=(num_classes,) + tuple(shape)).astype(np.float32)
-        flat = t.reshape(num_classes, -1)
-        d = np.linalg.norm(flat[:, None, :] - flat[None, :, :], axis=2)
-        np.fill_diagonal(d, np.inf)
-        if d.min() >= min_dist:
-            return t
-    raise ValueError(
-        f"could not draw {num_classes} templates with pairwise distance >= {min_dist} "
-        f"in {max_attempts} attempts; lower min_dist or enlarge the template shape"
-    )
-
-
 def build_templates(
     num_classes: int,
     seed: int,
@@ -199,10 +175,24 @@ def build_templates(
     base_noise: float = 0.25,
     min_dist: float = 8.0,
 ) -> TemplateBank:
-    return TemplateBank(
-        templates=generate_class_templates(num_classes, seed, shape, min_dist),
-        base_noise=float(base_noise),
-        seed=int(seed),
+    """Seeded Gaussian class templates with pairwise distance >= min_dist.
+
+    The whole set is redrawn on a violation; `TEMPLATE_DRAWS` failed draws
+    are a configuration error (the floor is unreachable for the given shape).
+    """
+    if num_classes < 2:
+        raise ValueError("need at least two classes")
+    rng = np.random.default_rng(seed)
+    for _ in range(TEMPLATE_DRAWS):
+        t = rng.normal(0.0, 1.0, size=(num_classes,) + tuple(shape)).astype(np.float32)
+        flat = t.reshape(num_classes, -1)
+        d = np.linalg.norm(flat[:, None, :] - flat[None, :, :], axis=2)
+        np.fill_diagonal(d, np.inf)
+        if d.min() >= min_dist:
+            return TemplateBank(templates=t, base_noise=float(base_noise), seed=int(seed))
+    raise ValueError(
+        f"could not draw {num_classes} templates with pairwise distance >= {min_dist} "
+        f"in {TEMPLATE_DRAWS} attempts; lower min_dist or enlarge the template shape"
     )
 
 

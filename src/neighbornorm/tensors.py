@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ChannelStats", "as_feature_map", "channel_moments", "merge_moments", "pooled_stats", "sample_moments"]
+__all__ = ["ChannelStats", "as_feature_map", "merge_moments", "pooled_stats", "sample_moments"]
 
 
 def as_feature_map(x: np.ndarray) -> np.ndarray:
@@ -95,11 +95,3 @@ def pooled_stats(sums: np.ndarray, m2: np.ndarray, length: int) -> ChannelStats:
     """Channel mean and biased variance of every sample together: the one-group `merge_moments`."""
     mean, var = merge_moments(sums, m2, length, np.zeros(sums.shape[0], np.intp), 1)
     return ChannelStats(mean[0], var[0])
-
-
-def channel_moments(x: np.ndarray) -> ChannelStats:
-    """Per-channel mean and biased variance of a canonical map over all samples and positions.
-
-    Variance divides by b*L (no Bessel correction).
-    """
-    return pooled_stats(*sample_moments(x), x.shape[2] * x.shape[3])

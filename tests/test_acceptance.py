@@ -11,11 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from neighbornorm.grouping import (
-    cosine_similarity_matrix,
-    first_neighbor_partition,
-    instance_channel_means,
-)
+from neighbornorm.grouping import cosine_similarity_matrix, first_neighbor_partition
 from neighbornorm.harness import (
     batch_size_sweep,
     compare_modes,
@@ -27,10 +23,11 @@ from neighbornorm.model import conv2d_3x3
 from neighbornorm.normalization import NormalizerConfig, SourceStats, apply_normalizer
 from neighbornorm.sensitivity import gaussian_kl_per_channel, layer_gate, sensitivity_score
 from neighbornorm.stream import StreamScenario, sample_batch
-from neighbornorm.tensors import ChannelStats, channel_moments
+from neighbornorm.tensors import ChannelStats
 
 from conftest import separated_bank, separated_domains
 from oracles import union_find_partition
+from support import batch_stats, instance_means
 
 _SUITE_T0 = time.time()
 
@@ -129,7 +126,7 @@ def test_criterion_3_normalization_moments():
         for g in groups:
             if len(g) * h * w < 16:
                 continue
-            stats = channel_moments(out[g])
+            stats = batch_stats(out[g])
             assert np.abs(stats.mean).max() <= 1e-4
             assert np.abs(stats.var - 1.0).max() <= 1e-3
             checked += 1
@@ -172,7 +169,7 @@ def test_criterion_5_purity_under_separation(default_setup):
 
                 # construction precondition: every sample's best same-domain
                 # similarity beats its best cross-domain similarity
-                sim = cosine_similarity_matrix(instance_channel_means(h))
+                sim = cosine_similarity_matrix(instance_means(h))
                 np.fill_diagonal(sim, -np.inf)
                 same = batch.domain_ids[:, None] == batch.domain_ids[None, :]
                 best_same = np.where(same, sim, -np.inf).max(axis=1)

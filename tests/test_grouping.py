@@ -4,13 +4,13 @@ import pytest
 from neighbornorm.grouping import (
     cosine_similarity_matrix,
     first_neighbor_components,
+    first_neighbor_labels,
     first_neighbor_partition,
-    first_neighbors,
-    instance_channel_means,
 )
 from neighbornorm.tensors import sample_moments
 
 from oracles import loop_cosine, loop_instance_means, union_find_partition
+from support import instance_means
 
 
 def maps_with_instance_means(means, h=2, w=2):
@@ -27,18 +27,20 @@ def assert_valid_partition(part, b):
 
 
 class TestInstanceMeans:
+    """The grouping's instance means: `sample_moments` sums over the positions."""
+
     def test_constant_channels(self):
         x = maps_with_instance_means([[1.0, 2.0]])
-        np.testing.assert_array_equal(instance_channel_means(x)[0], [1.0, 2.0])
+        np.testing.assert_array_equal(instance_means(x)[0], [1.0, 2.0])
 
     def test_single_spatial_position_is_verbatim(self):
         x = np.arange(6, dtype=np.float32).reshape(2, 3, 1, 1)
-        np.testing.assert_array_equal(instance_channel_means(x), x[:, :, 0, 0])
+        np.testing.assert_array_equal(instance_means(x), x[:, :, 0, 0])
 
     def test_matches_scalar_loop_oracle(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(2, 2, 1, 3)).astype(np.float32)
-        np.testing.assert_allclose(instance_channel_means(x), loop_instance_means(x), rtol=1e-6, atol=1e-9)
+        np.testing.assert_allclose(instance_means(x), loop_instance_means(x), rtol=1e-6, atol=1e-9)
 
 
 class TestCosineSimilarity:
@@ -81,20 +83,17 @@ class TestFirstNeighborAdjacency:
     """The links of the first-neighbor graph: the `first` array, i -> first[i]."""
 
     def test_two_samples_are_mutual(self):
-        sim = np.array([[1.0, 0.4], [0.4, 1.0]])
-        first = first_neighbors(sim)
-        np.testing.assert_array_equal(first, [1, 0])
-        labels, count = first_neighbor_components(first)
+        labels, count = first_neighbor_labels(np.array([[1.0, 0.2], [0.3, 1.0]]))
         np.testing.assert_array_equal(labels, [0, 0])
         assert count == 1
 
     def test_three_linking_clauses(self):
-        # first = [1, 0, 1]: (0,1) mutual, (2,1) via first[2]=1, and (0,2),
-        # which share neighbor 1, joined through it without a clause of their own
+        # means whose cosines are these: first = [1, 0, 1], so (0,1) is mutual, (2,1) links via
+        # first[2]=1, and (0,2), which share neighbor 1, join through it without a clause of their own
         sim = np.array([[1.0, 0.9, 0.2], [0.9, 1.0, 0.3], [0.2, 0.3, 1.0]])
-        first = first_neighbors(sim)
-        np.testing.assert_array_equal(first, [1, 0, 1])
-        labels, count = first_neighbor_components(first)
+        means = np.linalg.cholesky(sim)
+        np.testing.assert_allclose(cosine_similarity_matrix(means), sim, atol=1e-12)
+        labels, count = first_neighbor_labels(means)
         np.testing.assert_array_equal(labels, [0, 0, 0])
         assert count == 1
 
@@ -119,19 +118,22 @@ class TestFirstNeighborAdjacency:
         assert count == 1 and not labels.any()
 
     def test_tie_break_lowest_index(self):
-        sim = np.ones((5, 5))
-        np.testing.assert_array_equal(first_neighbors(sim), [1, 0, 0, 0, 0])
+        # sample 2 is exactly as similar to pair (0, 1) as to pair (3, 4): the lower index wins
+        labels, count = first_neighbor_labels(np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 1.0]]))
+        np.testing.assert_array_equal(labels, [0, 0, 0, 1, 1])
+        assert count == 2
+        labels, count = first_neighbor_labels(np.ones((5, 3)))  # all tied: first = [1, 0, 0, 0, 0]
+        np.testing.assert_array_equal(labels, np.zeros(5))
+        assert count == 1
         part = first_neighbor_partition(maps_with_instance_means(np.ones((5, 3))))
         assert len(part.groups) == 1
 
     def test_diagonal_never_wins(self):
+        # a sample that were its own first neighbor would be a group of one
         rng = np.random.default_rng(17)
-        sim = cosine_similarity_matrix(rng.normal(size=(10, 6)))
-        assert np.all(first_neighbors(sim) != np.arange(10))
-
-    def test_rejects_single_sample(self):
-        with pytest.raises(ValueError):
-            first_neighbors(np.ones((1, 1)))
+        for b in (2, 3, 10, 64):
+            labels, count = first_neighbor_labels(rng.normal(size=(b, 6)))
+            assert np.bincount(labels, minlength=count).min() >= 2
 
 
 class TestPartition:
@@ -169,8 +171,9 @@ class TestPartition:
             x = rng.normal(size=(b, 5, 2, 2)).astype(np.float32)
             part = first_neighbor_partition(x)
             assert_valid_partition(part, b)
-            sim = cosine_similarity_matrix(instance_channel_means(x))
-            first = first_neighbors(sim)
+            sim = cosine_similarity_matrix(instance_means(x))
+            np.fill_diagonal(sim, -np.inf)
+            first = sim.argmax(axis=1)
             labels = np.empty(b, np.intp)
             for g, members in enumerate(part.groups):
                 labels[members] = g
@@ -222,5 +225,7 @@ class TestInstanceMeansFromSampleMoments:
             x = rng.normal(loc=rng.normal(size=(shape[0], 1, 1, 1)), size=shape).astype(np.float32)
             sums, _ = sample_moments(x)
             expected = x.reshape(shape[0], shape[1], -1).astype(np.float64).mean(axis=2)
-            assert np.array_equal(instance_channel_means(x), expected)
             assert np.array_equal(sums / (shape[2] * shape[3]), expected)
+            labels, count = first_neighbor_labels(expected)
+            groups = [g.tolist() for g in first_neighbor_partition(x).groups]
+            assert groups == [np.flatnonzero(labels == g).tolist() for g in range(count)]

@@ -1,4 +1,5 @@
 import json
+import pathlib
 import re
 from dataclasses import replace
 
@@ -21,6 +22,7 @@ from neighbornorm.normalization import NormalizerConfig
 from neighbornorm.stream import LabeledBatch, StreamScenario, identity_domain, sample_batch
 
 from conftest import separated_bank, separated_domains
+from support import instance_means
 
 
 class TestConfigLoading:
@@ -151,7 +153,7 @@ class TestNumericConfigFields:
             net, bank, meta = harness.train_model(cfg)
             harness.save_model(net, cfg.model_path, meta=meta)
             paths = write_metrics(run_experiment(net, bank, cfg.scenario, cfg.normalizer), tmp_path / name)
-            files.append([open(p, "rb").read() for p in (cfg.model_path, *paths[:2])])
+            files.append([pathlib.Path(p).read_bytes() for p in (cfg.model_path, *paths[:2])])
         assert files[0] == files[1]
 
 
@@ -320,7 +322,7 @@ class TestLifeLongAndGating:
         # asserts on purpose-built separated streams instead; the default
         # photometric table does not guarantee cosine separation for M=5.
         cfg, net, bank, _ = default_setup
-        from neighbornorm.grouping import cosine_similarity_matrix, instance_channel_means
+        from neighbornorm.grouping import cosine_similarity_matrix
         from neighbornorm.model import conv2d_3x3
         from neighbornorm.stream import make_domains, sample_batch
 
@@ -332,7 +334,7 @@ class TestLifeLongAndGating:
                 )
                 for i in range(sc.num_batches):
                     b = sample_batch(sc, bank, i)
-                    sim = cosine_similarity_matrix(instance_channel_means(conv2d_3x3(b.x, net.conv_weights[0])))
+                    sim = cosine_similarity_matrix(instance_means(conv2d_3x3(b.x, net.conv_weights[0])))
                     np.fill_diagonal(sim, -np.inf)
                     same = b.domain_ids[:, None] == b.domain_ids[None, :]
                     best_same = np.where(same, sim, -np.inf).max(axis=1)

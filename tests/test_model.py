@@ -9,7 +9,6 @@ from neighbornorm.model import (
     avg_pool_2x2,
     conv2d_3x3,
     load_model,
-    relu,
     save_model,
     train_linear_head,
 )
@@ -98,7 +97,13 @@ class TestConv:
 
 class TestPoolRelu:
     def test_relu(self):
-        np.testing.assert_array_equal(relu(np.array([[-1.0, 2.0]], np.float32)), [[0.0, 2.0]])
+        # one stage of identity conv and unit sbn: relu zeroes the negative entries before the pool
+        w = np.zeros((1, 1, 3, 3), np.float32)
+        w[0, 0, 1, 1] = 1.0
+        net = Network([w], input_shape=(1, 2, 2), seed=0, eps=1e-30)
+        net.source_stats[0] = SourceStats.with_identity_affine(ChannelStats(np.zeros(1), np.ones(1)), eps=1e-30)
+        feats, _ = net.backbone(np.array([[[[-1.0, 2.0], [-3.0, 6.0]]]], np.float32), NormalizerConfig(mode="sbn"))
+        np.testing.assert_array_equal(feats, [[2.0]])  # (0 + 2 + 0 + 6) / 4
 
     def test_avg_pool(self):
         x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
@@ -173,8 +178,11 @@ class TestNetworkForward:
         bias = np.array([0.5, -1.0, 2.0], np.float32)
         from neighbornorm.model import LinearHead
 
-        net.head = LinearHead(weight=np.ones((3, net.feature_dim), np.float32), bias=bias, ridge_lambda=1.0)
-        logits = net.forward(np.zeros((4, 1, 8, 8), np.float32), NormalizerConfig(mode="sbn"))
+        x = np.zeros((4, 1, 8, 8), np.float32)
+        width = net.backbone(x, NormalizerConfig(mode="sbn"))[0].shape[1]
+        assert width == 8 * 2 * 2  # last stage's channels times the twice-pooled 8x8 input
+        net.head = LinearHead(weight=np.ones((3, width), np.float32), bias=bias, ridge_lambda=1.0)
+        logits = net.forward(x, NormalizerConfig(mode="sbn"))
         np.testing.assert_allclose(logits, np.tile(bias, (4, 1)), atol=1e-7)
 
     def test_deterministic_same_seed(self):
@@ -286,7 +294,7 @@ class TestNetworkForward:
             for k, trace in enumerate(traces):
                 enabled = True if gating is None else gating[k]
                 y, chained = apply_normalizer(conv2d_3x3(h, net.conv_weights[k]), net.source_stats[k], cfg, enabled)
-                h = avg_pool_2x2(relu(y))
+                h = avg_pool_2x2(np.maximum(y, 0))
                 assert trace.cluster_count == chained.cluster_count, (mode, gating, k)
                 for ours, theirs in ((trace.sums, chained.sums), (trace.m2, chained.m2)):
                     assert ours is theirs is None or same_bits(ours, theirs), (mode, gating, k)

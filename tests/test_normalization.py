@@ -3,12 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from neighbornorm.grouping import cosine_similarity_matrix, first_neighbor_partition, first_neighbors, instance_channel_means
+from neighbornorm.grouping import first_neighbor_labels, first_neighbor_partition
 from neighbornorm.normalization import NormalizerConfig, SourceStats, apply_normalizer, canonical_mode
 from neighbornorm.stream import StreamScenario, make_domains, sample_batch
-from neighbornorm.tensors import ChannelStats, channel_moments
+from neighbornorm.tensors import ChannelStats
 
 from oracles import loop_channel_moments
+from support import batch_stats, instance_means
 
 
 def src_stats(c, mean=0.0, var=1.0, scale=1.0, shift=0.0, eps=1e-5):
@@ -211,7 +212,7 @@ class TestNormalizeGroups:
             x = rng.normal(loc=rng.normal(), scale=rng.uniform(0.5, 2), size=(b, 3, 4, 4)).astype(np.float32)
             out, groups = find_alpha0(x, src_stats(3))
             for g in groups:
-                stats = channel_moments(out[g])
+                stats = batch_stats(out[g])
                 assert np.all(np.abs(stats.mean) <= 1e-4)
                 assert np.all(np.abs(stats.var - 1.0) <= 1e-3)
 
@@ -305,7 +306,7 @@ class TestNormalizeLayer:
         assert trace.cluster_count == len(first_neighbor_partition(x).groups)
         _, trace = apply_normalizer(x, src, NormalizerConfig(mode="tbn"))
         assert trace.cluster_count is None
-        full = channel_moments(x)
+        full = batch_stats(x)
         assert np.array_equal(trace.batch_stats.mean, full.mean)
 
     def test_group_locality_appended_unlinked_samples(self):
@@ -324,8 +325,8 @@ class TestNormalizeLayer:
             n_old, n_new = (int(n) for n in rng.integers(2, 40, size=2))
             old = cluster(u, n_old)
             both = np.concatenate([old, cluster(-u, n_new)])
-            first = first_neighbors(cosine_similarity_matrix(instance_channel_means(both)))
-            assert np.array_equal(first >= n_old, np.arange(n_old + n_new) >= n_old)  # no link crosses
+            labels, _ = first_neighbor_labels(instance_means(both))
+            assert not set(labels[:n_old]) & set(labels[n_old:])  # no group, so no link, crosses
             out_old, _ = apply_normalizer(old, src, cfg)
             out_both, _ = apply_normalizer(both, src, cfg)
             assert np.array_equal(out_both[:n_old], out_old)
@@ -392,7 +393,7 @@ class TestSlotTrace:
     def test_batch_stats_bitwise_equal_channel_moments(self, b, partition_enabled):
         rng = np.random.default_rng(30 + b)
         x = (rng.normal(size=(b, 4, 5, 3)) * 3.0 + 1.5).astype(np.float32)
-        full = channel_moments(x)
+        full = batch_stats(x)
         for mode in self.MEASURING:
             _, trace = apply_normalizer(x, src_stats(4), NormalizerConfig(mode=mode), partition_enabled=partition_enabled)
             assert np.array_equal(trace.batch_stats.mean, full.mean)

@@ -7,7 +7,6 @@ from neighbornorm.stream import (
     StreamScenario,
     TemplateBank,
     build_templates,
-    generate_class_templates,
     identity_domain,
     iter_batches,
     make_domains,
@@ -33,29 +32,29 @@ def scenario_for(kind, m=5, seed=0, batch_size=64, num_batches=20, rounds=1, del
 
 class TestTemplates:
     def test_same_seed_identical(self):
-        a = generate_class_templates(4, seed=3)
-        b = generate_class_templates(4, seed=3)
+        a = build_templates(4, seed=3).templates
+        b = build_templates(4, seed=3).templates
         assert np.array_equal(a, b)
 
     def test_two_classes_respect_floor(self):
-        t = generate_class_templates(2, seed=5, min_dist=8.0)
+        t = build_templates(2, seed=5, min_dist=8.0).templates
         assert np.linalg.norm((t[0] - t[1]).ravel()) >= 8.0
 
     def test_pairwise_floor_exhaustive(self):
         for seed in range(5):
-            t = generate_class_templates(10, seed=seed, min_dist=8.0)
+            t = build_templates(10, seed=seed, min_dist=8.0).templates
             flat = t.reshape(10, -1)
             for i in range(10):
                 for j in range(i + 1, 10):
                     assert np.linalg.norm(flat[i] - flat[j]) >= 8.0
 
     def test_unreachable_floor_is_config_error(self):
-        with pytest.raises(ValueError):
-            generate_class_templates(4, seed=0, min_dist=1e6, max_attempts=5)
+        with pytest.raises(ValueError, match="in 100 attempts"):
+            build_templates(4, seed=0, min_dist=1e6)
 
     def test_too_few_classes(self):
         with pytest.raises(ValueError):
-            generate_class_templates(1, seed=0)
+            build_templates(1, seed=0)
 
 
 class TestDomains:
@@ -129,6 +128,19 @@ class TestScenarioValidation:
 
     def test_make_domains_integral_float_severity_stored_as_int(self):
         assert all(type(d.severity) is int for d in make_domains(2, 5.0, 0))
+
+    @pytest.mark.parametrize("kind", ["wild", "static"])
+    @pytest.mark.parametrize("delta", [float("inf"), float("nan"), True, 0, -1, "abc"])
+    def test_bad_dirichlet_delta_rejected(self, kind, delta):
+        with pytest.raises(ValueError, match="dirichlet_delta"):
+            StreamScenario(kind=kind, domains=[identity_domain()], dirichlet_delta=delta)
+
+    def test_dirichlet_delta_stored_as_float(self):
+        assert StreamScenario(kind="static", domains=[identity_domain()], dirichlet_delta=None).dirichlet_delta is None
+        for kind in ("wild", "static"):
+            for delta in (0.5, 2, np.float32(0.5)):
+                sc = StreamScenario(kind=kind, domains=[identity_domain()], dirichlet_delta=delta)
+                assert type(sc.dirichlet_delta) is float and sc.dirichlet_delta == delta
 
 
 class TestSampling:

@@ -4,12 +4,12 @@ import pytest
 from neighbornorm.tensors import (
     ChannelStats,
     as_feature_map,
-    channel_moments,
     merge_moments,
     sample_moments,
 )
 
 from oracles import loop_channel_moments, pooled_moments
+from support import batch_stats
 
 
 def constant_map(b, vals, h=2, w=2):
@@ -98,7 +98,7 @@ class TestSegmentMoments:
         rng = np.random.default_rng(14)
         x = rng.normal(size=(7, 3, 5, 5)).astype(np.float32)
         mean, var = merge_moments(*sample_moments(x), 25, np.zeros(7, np.intp), 1)
-        full = channel_moments(x)
+        full = batch_stats(x)
         assert np.array_equal(mean[0].astype(np.float32), full.mean)
         assert np.array_equal(var[0].astype(np.float32), full.var)
 
@@ -146,24 +146,26 @@ class TestSampleMoments:
 
 
 class TestChannelMoments:
+    """A map's channel moments over all samples and positions: `pooled_stats` of its `sample_moments`."""
+
     def test_constant_channels_any_subset(self):
         x = constant_map(4, [1.0, 2.0])
         for subset in (slice(None), [0], [1, 3], [0, 1, 2, 3]):
-            stats = channel_moments(x[subset])
+            stats = batch_stats(x[subset])
             assert np.array_equal(stats.mean, np.array([1.0, 2.0], np.float32))
             assert np.array_equal(stats.var, np.array([0.0, 0.0], np.float32))
 
     def test_two_point_hand_value(self):
         # ((0-1)^2 + (2-1)^2) / 2 = 1
         x = np.array([[[[0.0, 2.0]]]], dtype=np.float32)
-        stats = channel_moments(x)
+        stats = batch_stats(x)
         assert stats.mean == pytest.approx([1.0])
         assert stats.var == pytest.approx([1.0])
 
     def test_matches_scalar_loop_oracle(self):
         rng = np.random.default_rng(42)
         x = rng.normal(size=(4, 3, 2, 2)).astype(np.float32)
-        stats = channel_moments(x[[0, 2]])
+        stats = batch_stats(x[[0, 2]])
         mean_ref, var_ref = loop_channel_moments(x, [0, 2])
         np.testing.assert_allclose(stats.mean, mean_ref, rtol=1e-6)
         np.testing.assert_allclose(stats.var, var_ref, rtol=1e-6, atol=1e-9)
@@ -176,8 +178,8 @@ class TestChannelMoments:
             perm = rng.permutation(b)
             cut = int(rng.integers(1, b))
             ia, ib = perm[:cut], perm[cut:]
-            sa, sb = channel_moments(x[ia]), channel_moments(x[ib])
-            union = channel_moments(x[perm])
+            sa, sb = batch_stats(x[ia]), batch_stats(x[ib])
+            union = batch_stats(x[perm])
             la = len(ia) * 9
             lb = len(ib) * 9
             mean_ref, var_ref = pooled_moments([(la, sa.mean, sa.var), (lb, sb.mean, sb.var)])
@@ -187,5 +189,5 @@ class TestChannelMoments:
     def test_near_constant_variance_clamped_nonnegative(self):
         x = np.full((8, 2, 4, 4), 0.1234567, dtype=np.float32)
         x += np.float32(1e-7) * np.arange(8, dtype=np.float32)[:, None, None, None]
-        stats = channel_moments(x)
+        stats = batch_stats(x)
         assert np.all(stats.var >= 0.0)
