@@ -10,13 +10,14 @@ the matching config fields. Exit codes: 0 success, 1 config error
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .harness import (
+    SWEEP_BATCH_SIZES,
     ConfigError,
     ExperimentConfig,
     bank_from_config,
+    _dump_json,
     batch_size_sweep,
     compare_modes,
     dump_diagnostics,
@@ -27,7 +28,7 @@ from .harness import (
     write_metrics,
 )
 from .model import ModelFormatError, load_model
-from .normalization import canonical_mode
+from .normalization import MODES, canonical_mode
 
 
 def _load_cfg(args) -> ExperimentConfig:
@@ -91,7 +92,7 @@ def cmd_compare(args) -> int:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     else:
-        modes = ["sbn", "tbn", "alpha_bn", "find", "find_star"]
+        modes = MODES
     rows = compare_modes(net, bank, cfg.scenario, cfg.normalizer, modes=modes, seeds=cfg.seeds)
     paths = write_comparison(rows, cfg.out)
     print(f"{'mode':<10} {'mean_acc':>9} {'std':>7}   seeds={cfg.seeds}")
@@ -131,12 +132,10 @@ def cmd_sweep_batch(args) -> int:
         if any(s < 1 for s in sizes):
             raise ConfigError("--sizes entries must be >= 1")
     else:
-        sizes = [1, 4, 16, 64]
+        sizes = SWEEP_BATCH_SIZES
     rows = batch_size_sweep(net, bank, cfg.scenario, cfg.normalizer, batch_sizes=sizes)
     path = cfg.out + ".batch_sweep.json"
-    with open(path, "w") as fh:
-        json.dump({"rows": rows, "mode": cfg.normalizer.mode}, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _dump_json({"rows": rows, "mode": cfg.normalizer.mode}, path)
     for row in rows:
         print(f"batch_size={row['batch_size']:<4} accuracy={row['mean_accuracy']:.4f} ({row['num_samples']} samples)")
     print(f"wrote {path}")
@@ -149,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", default=None, help="JSON experiment config (defaults used when omitted)")
-        p.add_argument("--mode", default=None, help="normalizer mode: sbn|tbn|alpha_bn|find|find_star")
+        p.add_argument("--mode", default=None, help=f"normalizer mode: {'|'.join(MODES)}")
         p.add_argument("--alpha", type=float, default=None, help="source/test blend weight in [0,1]")
         p.add_argument("--gamma", type=float, default=None, help="gating threshold on normalized scores")
         p.add_argument("--seed", type=int, default=None, help="stream seed override")
@@ -161,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("compare", cmd_compare, "sweep normalizer modes over the configured seeds", ("--modes", "comma-separated mode list")),
         ("diagnose", cmd_diagnose, "run and dump cluster-count and sensitivity diagnostics", None),
         ("sweep-batch", cmd_sweep_batch, "accuracy across batch sizes at fixed sample budget",
-         ("--sizes", "comma-separated batch sizes (default 1,4,16,64)")),
+         ("--sizes", f"comma-separated batch sizes (default {','.join(map(str, SWEEP_BATCH_SIZES))})")),
     ):
         p = sub.add_parser(name, help=help_text)
         add_common(p)

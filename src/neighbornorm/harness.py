@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .model import Network, save_model, train_linear_head
-from .normalization import NormalizerConfig, _checked
+from .normalization import MODES, NormalizerConfig, _checked
 from .sensitivity import gaussian_kl_per_channel, layer_gate, sensitivity_score
 from .stream import (
     DomainSpec,
@@ -45,6 +45,7 @@ __all__ = [
     "run_experiment",
     "predictions_at",
     "compare_modes",
+    "SWEEP_BATCH_SIZES",
     "batch_size_sweep",
     "write_metrics",
     "write_comparison",
@@ -280,15 +281,10 @@ def train_model(cfg: ExperimentConfig) -> tuple[Network, TemplateBank, dict]:
     net.head = train_linear_head(feats, labels, mc["head_lambda"], num_classes=cfg.data["num_classes"])
 
     eval_scenario = clean_scenario(mc["train_seed"] + 1, mc["clean_eval_batches"])
-    correct = total = 0
-    for b in iter_batches(eval_scenario, bank):
-        preds = np.argmax(net.forward(b.x, NormalizerConfig(mode="sbn")), axis=1)
-        correct += int((preds == b.labels).sum())
-        total += b.labels.shape[0]
     meta = {
         "data": dict(cfg.data),
         "train": {k: mc[k] for k in ("train_batches", "train_batch_size", "train_seed", "head_lambda")},
-        "clean_accuracy": correct / total,
+        "clean_accuracy": run_experiment(net, bank, eval_scenario, NormalizerConfig(mode="sbn")).mean_accuracy,
     }
     return net, bank, meta
 
@@ -381,7 +377,7 @@ def compare_modes(
     bank: TemplateBank,
     scenario: StreamScenario,
     ncfg: NormalizerConfig,
-    modes=("sbn", "tbn", "alpha_bn", "find", "find_star"),
+    modes=MODES,
     seeds=(0, 1, 2, 3, 4),
 ) -> list[dict]:
     """One row per mode: mean and std of run accuracy over stream seeds.
@@ -409,12 +405,15 @@ def compare_modes(
     return rows
 
 
+SWEEP_BATCH_SIZES = (1, 4, 16, 64)  # `batch_size_sweep`'s default, and the CLI's
+
+
 def batch_size_sweep(
     net: Network,
     bank: TemplateBank,
     scenario: StreamScenario,
     ncfg: NormalizerConfig,
-    batch_sizes=(1, 4, 16, 64),
+    batch_sizes=SWEEP_BATCH_SIZES,
 ) -> list[dict]:
     """Accuracy across batch sizes at a fixed total sample budget."""
     total = scenario.batch_size * scenario.num_batches

@@ -10,9 +10,9 @@ front-to-back pass over clean data; neither depends on batch order.
 The public kernels check their inputs. A `Network` checks its input once, at
 entry, runs the stages through the check-free bodies (`_conv`, `_normalize`,
 relu in place), and checks at exit that the result is finite (else ValueError).
-Past 64 samples a stage runs in two passes over 64-sample blocks (conv and moments;
-then normalize, relu, pool) around one whole-batch grouping: every per-block
-temporary (at most 1.4 MiB) fits a 2 MiB L2, and no bit depends on block edges.
+A stage sees the whole batch, as the grouping must; the two kernels whose temporaries
+grow with it, `_conv` and `sample_moments`, run over blocks of `tensors._BLOCK`
+samples, so those stay in L2, and no bit depends on block edges.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .normalization import NormalizerConfig, SlotTrace, SourceStats, _affine, _checked, _normalize, _rows
-from .tensors import ChannelStats, as_feature_map, pooled_stats, sample_moments
+from .normalization import NormalizerConfig, SlotTrace, SourceStats, _checked, _normalize
+from .tensors import _BLOCK, ChannelStats, as_feature_map, pooled_stats, sample_moments
 
 __all__ = [
     "LinearHead",
@@ -38,7 +38,6 @@ __all__ = [
 ]
 
 MODEL_FORMAT = "neighbornorm-model-v1"
-_BLOCK = 64  # samples per stage block: every per-block temporary (at most 1.4 MiB) fits a 2 MiB L2
 
 
 def conv2d_3x3(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -50,31 +49,34 @@ def conv2d_3x3(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return _conv(x, w)
 
 
-def _conv(x: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """`conv2d_3x3` of a canonical map and a float32 kernel that fits it, unchecked, into `out` or a new array.
+def _conv(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """`conv2d_3x3` of a canonical map and a float32 kernel that fits it, unchecked.
 
-    One im2col matmul over a flat zero-padded (B, Cin, H+3, W+2) buffer: window
-    (dy, dx) of a channel is the contiguous run of H*(W+2) floats from row dy,
-    column dx, so the column copy moves long runs, and each output row carries
-    two spare columns, dropped at the end (the spare row bounds the last run).
+    Per block of `_BLOCK` samples, one im2col matmul over a flat zero-padded (block, Cin,
+    H+3, W+2) buffer: window (dy, dx) of a channel is the contiguous run of H*(W+2) floats
+    from row dy, column dx, so the column copy moves long runs, and each output row
+    carries two spare columns, dropped at the end (the spare row bounds the last run).
+    Every block writes only the buffer's interior, so its border is zeroed once.
     """
     b, c_in, h, wd = x.shape
-    xp = np.zeros((b, c_in, h + 3, wd + 2), dtype=np.float32)
-    xp[:, :, 1 : h + 1, 1:-1] = x
-    windows = np.ndarray((b, c_in, 3, 3, h * (wd + 2)), np.float32, buffer=xp, strides=(*xp.strides[:3], 4, 4))
-    cols = (w.reshape(w.shape[0], c_in * 9) @ windows.reshape(b, c_in * 9, h * (wd + 2))).reshape(b, w.shape[0], h, wd + 2)
-    if out is None:
-        return np.ascontiguousarray(cols[:, :, :, :wd])
-    out[...] = cols[:, :, :, :wd]
+    out = np.empty((b, w.shape[0], h, wd), np.float32)
+    pad = np.zeros((min(b, _BLOCK), c_in, h + 3, wd + 2), np.float32)
+    w2 = w.reshape(w.shape[0], c_in * 9)
+    for i in range(0, b, _BLOCK):
+        n = min(b - i, _BLOCK)
+        xp = pad[:n]
+        xp[:, :, 1 : h + 1, 1:-1] = x[i : i + n]
+        windows = np.ndarray((n, c_in, 3, 3, h * (wd + 2)), np.float32, buffer=xp, strides=(*xp.strides[:3], 4, 4))
+        out[i : i + n] = (w2 @ windows.reshape(n, c_in * 9, h * (wd + 2))).reshape(n, w.shape[0], h, wd + 2)[:, :, :, :wd]
     return out
 
 
-def avg_pool_2x2(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Mean of each 2x2 block, summed ((a + b) + c) + d into `out` or one new array, then times 0.25."""
+def avg_pool_2x2(x: np.ndarray) -> np.ndarray:
+    """Mean of each 2x2 block, summed ((a + b) + c) + d into one new array, then times 0.25."""
     b, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ValueError(f"avg_pool_2x2 needs even spatial dims, got {h}x{w}")
-    out = x[:, :, ::2, ::2] + x[:, :, ::2, 1::2] if out is None else np.add(x[:, :, ::2, ::2], x[:, :, ::2, 1::2], out=out)
+    out = x[:, :, ::2, ::2] + x[:, :, ::2, 1::2]
     out += x[:, :, 1::2, ::2]
     out += x[:, :, 1::2, 1::2]
     out *= np.float32(0.25)
@@ -176,28 +178,10 @@ class Network:
             raise RuntimeError("source statistics not captured; run capture_source_stats first")
 
     def _stage(self, h: np.ndarray, k: int, cfg: NormalizerConfig, enabled: bool = True) -> tuple[np.ndarray, SlotTrace]:
-        """Stage k on a canonical map, unchecked: conv, normalize, relu in place, pool. A larger batch than
-        `_BLOCK` runs conv and moments per block, `_rows` once on the whole batch, then `_affine`, relu and
-        pool per block, so each block's temporaries stay in L2. One of `_BLOCK` or fewer takes the unblocked
-        path: the blocked body gives it the same bits, but its fixed per-call cost lowers B=1 rates 8-23%."""
-        if h.shape[0] <= _BLOCK:
-            h, trace = _normalize(_conv(h, self.conv_weights[k]), self.source_stats[k], cfg, enabled)
-            return avg_pool_2x2(np.maximum(h, np.float32(0.0), out=h)), trace
-        w, src = self.conv_weights[k], self.source_stats[k]
-        b, _, height, width = h.shape
-        blocks = [slice(i, i + _BLOCK) for i in range(0, b, _BLOCK)]
-        x, (sums, m2) = np.empty((b, w.shape[0], height, width), np.float32), np.empty((2, b, w.shape[0]))
-        for s in blocks:
-            _conv(h[s], w, out=x[s])
-            if cfg.mode != "sbn":  # sbn never measures the batch
-                sums[s], m2[s] = sample_moments(x[s])
-        mean, scale, trace = _rows(x.shape, sums, m2, src, cfg, enabled)
-        mean, scale = (np.broadcast_to(r, (b, r.shape[1])) for r in (mean, scale))  # a shared row, sliceable per block
-        out = np.empty((b, w.shape[0], height // 2, width // 2), np.float32)
-        for s in blocks:  # the conv map is the stage's own, so it takes the affine in place
-            y = _affine(x[s], mean[s], scale[s], src, out=x[s])
-            avg_pool_2x2(np.maximum(y, np.float32(0.0), out=y), out=out[s])
-        return out, trace
+        """Stage k on a canonical map of any batch size, unchecked: conv, normalize in place on the
+        stage's own conv map, relu in place, pool."""
+        h, trace = _normalize(_conv(h, self.conv_weights[k]), self.source_stats[k], cfg, enabled)
+        return avg_pool_2x2(np.maximum(h, np.float32(0.0), out=h)), trace
 
     def backbone(self, x: np.ndarray, cfg: NormalizerConfig, gating=None) -> tuple[np.ndarray, list[SlotTrace]]:
         """Features after all stages, plus one trace per normalization slot.

@@ -147,12 +147,12 @@ def _blend(mean: np.ndarray, var: np.ndarray, src: SourceStats, alpha: float) ->
     return a_mean + one_m * mean, np.maximum(a_var + one_m * var, np.float32(0.0))
 
 
-def _affine(x: np.ndarray, mean: np.ndarray, scale: np.ndarray, src: SourceStats, out: np.ndarray | None = None) -> np.ndarray:
-    """(x - mean) * scale + shift into `out` (may be x) or one new array; mean and scale are (B, C) rows, or one (1, C)."""
-    out = x - mean[:, :, None, None] if out is None else np.subtract(x, mean[:, :, None, None], out=out)
-    out *= scale[:, :, None, None]
-    out += src._shift
-    return out
+def _affine(x: np.ndarray, mean: np.ndarray, scale: np.ndarray, src: SourceStats) -> np.ndarray:
+    """(x - mean) * scale + shift, in place in x; mean and scale are (B, C) rows, or one (1, C)."""
+    x -= mean[:, :, None, None]
+    x *= scale[:, :, None, None]
+    x += src._shift
+    return x
 
 
 def apply_normalizer(
@@ -166,13 +166,14 @@ def apply_normalizer(
     `partition_enabled` only matters for the partitioning modes; a
     disabled layer falls back to the alpha_bn transform, and so does a
     one-group partition. A one-sample batch is its own group: `_rows`
-    takes its moments without a merge, and the result equals alpha_bn's.
+    takes its moments without a merge, and the result equals alpha_bn's. `x` is not written.
     """
-    return _normalize(as_feature_map(x), src, cfg, partition_enabled)
+    return _normalize(as_feature_map(x).copy(), src, cfg, partition_enabled)
 
 
 def _normalize(x: np.ndarray, src: SourceStats, cfg: NormalizerConfig, partition_enabled: bool) -> tuple[np.ndarray, SlotTrace]:
-    """`apply_normalizer` of a canonical map, which it does not check: `sample_moments`, `_rows`, `_affine`."""
+    """`apply_normalizer` of a canonical map, which it does not check and normalizes in place:
+    `sample_moments`, `_rows`, `_affine`."""
     sums, m2 = (None, None) if cfg.mode == "sbn" else sample_moments(x)  # sbn never measures the batch
     mean, scale, trace = _rows(x.shape, sums, m2, src, cfg, partition_enabled)
     return _affine(x, mean, scale, src), trace

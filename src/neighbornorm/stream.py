@@ -179,9 +179,10 @@ def build_templates(
 
     The whole set is redrawn on a violation; `TEMPLATE_DRAWS` failed draws
     are a configuration error (the floor is unreachable for the given shape).
+    `num_classes` is an integer >= 2; `base_noise` and `min_dist` are finite and >= 0.
     """
-    if num_classes < 2:
-        raise ValueError("need at least two classes")
+    num_classes = int(_checked("num_classes", num_classes, 2, integral=True))
+    base_noise, min_dist = _checked("base_noise", base_noise, 0.0), _checked("min_dist", min_dist, 0.0)
     rng = np.random.default_rng(seed)
     for _ in range(TEMPLATE_DRAWS):
         t = rng.normal(0.0, 1.0, size=(num_classes,) + tuple(shape)).astype(np.float32)

@@ -56,6 +56,25 @@ class TestTemplates:
         with pytest.raises(ValueError):
             build_templates(1, seed=0)
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"num_classes": 2.5}, "num_classes"),
+            ({"num_classes": True}, "num_classes"),
+            ({"base_noise": float("nan")}, "base_noise"),
+            ({"base_noise": -1.0}, "base_noise"),
+            ({"min_dist": float("nan")}, "min_dist"),
+            ({"min_dist": -1.0}, "min_dist"),
+        ],
+    )
+    def test_bad_argument_names_its_field(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            build_templates(**({"num_classes": 3, "seed": 0} | kwargs))
+
+    def test_integral_float_class_count_is_the_integer(self):
+        a, b = build_templates(3.0, seed=0).templates, build_templates(3, seed=0).templates
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
 
 class TestDomains:
     def test_severity_table(self):

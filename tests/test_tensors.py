@@ -123,6 +123,18 @@ class TestSampleMoments:
             np.testing.assert_allclose(sums[i] / 20, mean_ref, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(m2[i] / 20, var_ref, rtol=1e-10, atol=1e-12)
 
+    @pytest.mark.parametrize("b", [65, 129, 300])
+    def test_rows_are_bitwise_the_one_sample_moments(self, b):
+        # the moments run over 64-sample blocks, so these batches end a block inside them or
+        # end on a partial one; no row may depend on where its block starts or ends
+        rng = np.random.default_rng(20 + b)
+        for shape in [(8, 16, 16), (16, 8, 8)]:  # the stock slot-0 and slot-1 conv maps
+            x = rng.normal(loc=2.0, size=(b, *shape)).astype(np.float32)
+            sums, m2 = sample_moments(x)
+            for i in range(b):
+                one = sample_moments(x[i : i + 1])
+                assert one[0].tobytes() == sums[i].tobytes() and one[1].tobytes() == m2[i].tobytes(), (shape, i)
+
     def test_merge_of_random_labelings_matches_scalar_loop_oracle(self):
         check_random_labelings(17, (4, 2, 3))
 
