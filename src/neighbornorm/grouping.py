@@ -11,7 +11,7 @@ and ceil(log2 B) rounds of pointer jumping bring every sample onto its pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,7 +73,7 @@ class Partition:
     inputs give bitwise-equal partitions.
     """
 
-    groups: list = field(default_factory=list)
+    groups: list
 
 
 def first_neighbor_partition(x: np.ndarray) -> Partition:

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .model import Network, save_model, train_linear_head
-from .normalization import MODES, NormalizerConfig, _checked
+from .normalization import _EPS_FLOOR, MODES, NormalizerConfig, _checked
 from .sensitivity import gaussian_kl_per_channel, layer_gate, sensitivity_score
 from .stream import (
     DomainSpec,
@@ -126,7 +126,8 @@ _NUMERIC_FIELDS = {
     (2, math.inf, True, False): ("data.num_classes",),
     (1, 5, True, False): ("scenario.severity",),
     (0.0, math.inf, False, False): ("data.base_noise", "data.template_min_dist"),
-    (0.0, math.inf, False, True): ("model.eps", "model.head_lambda", "scenario.dirichlet_delta"),
+    (0.0, math.inf, False, True): ("model.head_lambda", "scenario.dirichlet_delta"),
+    (_EPS_FLOOR, math.inf, False, True): ("model.eps",),
 }
 # Integer-list fields -> (length or None, least entry).
 _INTEGER_LISTS = {"data.input_shape": (3, 1), "model.channels": (None, 1), "seeds": (None, 0)}

@@ -8,7 +8,8 @@ each normalization slot, and the head's features, come from one
 front-to-back pass over clean data; neither depends on batch order.
 
 The public kernels check their inputs. A `Network` checks its input once, at
-entry, runs the stages through the check-free bodies (`_conv`, `_normalize`,
+entry, runs the stages through the bodies behind them (`_conv`; `_normalize`,
+the one FABN body, which checks only the channel count and normalizes in place;
 relu in place), and checks at exit that the result is finite (else ValueError).
 A stage sees the whole batch, as the grouping must; the two kernels whose temporaries
 grow with it, `_conv` and `sample_moments`, run over blocks of `tensors._BLOCK`
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .normalization import NormalizerConfig, SlotTrace, SourceStats, _checked, _normalize
+from .normalization import _EPS_FLOOR, NormalizerConfig, SlotTrace, SourceStats, _checked, _normalize
 from .tensors import _BLOCK, ChannelStats, as_feature_map, pooled_stats, sample_moments
 
 __all__ = [
@@ -101,7 +102,7 @@ class LinearHead:
         return self.weight.shape[0]
 
 
-def train_linear_head(features: np.ndarray, labels: np.ndarray, ridge_lambda: float, num_classes: int | None = None) -> LinearHead:
+def train_linear_head(features: np.ndarray, labels: np.ndarray, ridge_lambda: float, num_classes: int) -> LinearHead:
     """Ridge regression onto one-hot targets via the normal equations.
 
     A constant column is appended for the bias, which is regularized like
@@ -112,7 +113,7 @@ def train_linear_head(features: np.ndarray, labels: np.ndarray, ridge_lambda: fl
     if feats.ndim != 2 or feats.shape[0] != labels.shape[0]:
         raise ValueError("features must be (N, D) with one label per row")
     _checked("ridge_lambda", ridge_lambda, 0.0, open_lo=True)
-    k = int(num_classes) if num_classes is not None else int(labels.max()) + 1
+    k = int(num_classes)
     counts = np.bincount(labels, minlength=k)
     if counts.size > k or np.any(counts[:k] == 0):
         raise ValueError("every class needs at least one training sample")
@@ -270,7 +271,7 @@ def _check_header(header) -> None:
     if not isinstance(header.get("meta", {}), dict):
         raise ModelFormatError("meta must be an object")
     _checked("seed", header.get("seed"), 0, integral=True)
-    _checked("eps", header.get("eps"), 0.0, open_lo=True)
+    _checked("eps", header.get("eps"), _EPS_FLOOR, open_lo=True)
     _checked("ridge_lambda", header.get("ridge_lambda"), 0.0, open_lo=True)
     expected = _expected_manifest(channels, input_shape, num_classes)
     if header.get("tensors") != expected:

@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 MODES = ("sbn", "tbn", "alpha_bn", "find", "find_star")
+# An eps must exceed this, half the least float32, or the float32 the normalizer adds rounds to 0.
+_EPS_FLOOR = 2.0**-150
 
 # Each mode by its name, without the underscore, or with a hyphen; find_star also as find*.
 _MODE_ALIASES = {alias: m for m in MODES for alias in (m, m.replace("_", ""), m.replace("_", "-"))} | {"find*": "find_star"}
@@ -61,9 +63,9 @@ def _checked(name: str, value, lo: float, hi: float = math.inf, integral: bool =
 
 @dataclass(frozen=True)
 class SourceStats:
-    """Frozen per-channel source statistics plus the layer's affine parameters. The normalizer's
-    constant terms are computed once and reused: the float32 `eps`, the (1, C, 1, 1) shift, and
-    the source's share of each alpha's blend, computed on its first `_blend`."""
+    """Frozen per-channel source statistics plus the layer's affine parameters. The normalizer's constant
+    terms are set here once: the float32 `eps`, the (1, C, 1, 1) shift and sbn's (1, C) scale row, and
+    `_blends`, the memo of the source's share of each alpha's blend, which `_normalize` fills."""
 
     stats: ChannelStats
     affine_scale: np.ndarray
@@ -78,11 +80,12 @@ class SourceStats:
             raise ValueError("affine parameter length must equal channel count")
         if not (np.isfinite(scale).all() and np.isfinite(shift).all()):
             raise ValueError("affine parameters must be finite")
-        _checked("eps", self.eps, 0.0, open_lo=True)
+        _checked("eps", self.eps, _EPS_FLOOR, open_lo=True)
         object.__setattr__(self, "affine_scale", scale)
         object.__setattr__(self, "affine_shift", shift)
         object.__setattr__(self, "_eps", np.float32(self.eps))  # the constant terms are not fields, so not in asdict
-        object.__setattr__(self, "_shift", shift[None, :, None, None])  # as `_affine` adds it
+        object.__setattr__(self, "_shift", shift[None, :, None, None])  # as `_normalize` adds it
+        object.__setattr__(self, "_sbn_scale", self._scale(self.stats.var[None]))
         object.__setattr__(self, "_blends", {})  # alpha -> float32 (alpha * mean, alpha * var, 1 - alpha)
 
     @classmethod
@@ -98,11 +101,6 @@ class SourceStats:
         """Affine scale over the standard deviation, per row of the (r, C) variance."""
         return self.affine_scale * (1.0 / np.sqrt(var + self._eps))
 
-    @cached_property
-    def source_scale(self) -> np.ndarray:
-        """`_scale` of the source variance as one (1, C) row, sbn's; computed on first read."""
-        return self._scale(self.stats.var[None])
-
 
 @dataclass(frozen=True)
 class NormalizerConfig:
@@ -113,8 +111,8 @@ class NormalizerConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "mode", canonical_mode(self.mode))
-        _checked("alpha", self.alpha, 0.0, 1.0)
-        _checked("gamma_threshold", self.gamma_threshold, 0.0)
+        object.__setattr__(self, "alpha", float(_checked("alpha", self.alpha, 0.0, 1.0)))
+        object.__setattr__(self, "gamma_threshold", float(_checked("gamma_threshold", self.gamma_threshold, 0.0)))
         cold_start = _checked("cold_start_batches", self.cold_start_batches, 1, integral=True)
         object.__setattr__(self, "cold_start_batches", int(cold_start))
 
@@ -137,24 +135,6 @@ class SlotTrace:
         return None if self.sums is None else pooled_stats(self.sums, self.m2, self.length)
 
 
-def _blend(mean: np.ndarray, var: np.ndarray, src: SourceStats, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """alpha parts source, (1 - alpha) parts test; rows of (r, C) blend independently."""
-    terms = src._blends.get(alpha)
-    if terms is None:  # the source's share is constant per alpha
-        a = np.float32(alpha)
-        terms = src._blends[alpha] = (a * src.stats.mean, a * src.stats.var, np.float32(1.0) - a)
-    a_mean, a_var, one_m = terms
-    return a_mean + one_m * mean, np.maximum(a_var + one_m * var, np.float32(0.0))
-
-
-def _affine(x: np.ndarray, mean: np.ndarray, scale: np.ndarray, src: SourceStats) -> np.ndarray:
-    """(x - mean) * scale + shift, in place in x; mean and scale are (B, C) rows, or one (1, C)."""
-    x -= mean[:, :, None, None]
-    x *= scale[:, :, None, None]
-    x += src._shift
-    return x
-
-
 def apply_normalizer(
     x: np.ndarray,
     src: SourceStats,
@@ -165,38 +145,42 @@ def apply_normalizer(
 
     `partition_enabled` only matters for the partitioning modes; a
     disabled layer falls back to the alpha_bn transform, and so does a
-    one-group partition. A one-sample batch is its own group: `_rows`
+    one-group partition. A one-sample batch is its own group: `_normalize`
     takes its moments without a merge, and the result equals alpha_bn's. `x` is not written.
     """
     return _normalize(as_feature_map(x).copy(), src, cfg, partition_enabled)
 
 
 def _normalize(x: np.ndarray, src: SourceStats, cfg: NormalizerConfig, partition_enabled: bool) -> tuple[np.ndarray, SlotTrace]:
-    """`apply_normalizer` of a canonical map, which it does not check and normalizes in place:
-    `sample_moments`, `_rows`, `_affine`."""
-    sums, m2 = (None, None) if cfg.mode == "sbn" else sample_moments(x)  # sbn never measures the batch
-    mean, scale, trace = _rows(x.shape, sums, m2, src, cfg, partition_enabled)
-    return _affine(x, mean, scale, src), trace
-
-
-def _rows(shape: tuple, sums, m2, src: SourceStats, cfg: NormalizerConfig, partition_enabled: bool):
-    """(mean, scale, trace) of the whole batch from its `sample_moments` (None in sbn); checks only the channel count.
-    A one-sample batch is its own group, `sums / L` and `m2 / L`: `merge_moments`' bits, without labels or a merge."""
-    b, c, h, w = shape
+    """`apply_normalizer` of a canonical map, which it normalizes in place and checks only for its channel count.
+    A one-sample batch is its own group, `sums / L` and `m2 / L`: `merge_moments`' bits, without labels or a merge.
+    Each group's row blends alpha parts source with (1 - alpha) parts test, except in tbn."""
+    b, c, h, w = x.shape
     if c != src.num_channels:
         raise ValueError(f"feature map has {c} channels, source stats {src.num_channels}")
     if cfg.mode == "sbn":  # one group; the batch is not measured
-        return src.stats.mean[None], src.source_scale, SlotTrace(None, None, None, h * w)
-    count = 1 if cfg.mode in ("find", "find_star") and partition_enabled else None
-    if b == 1:  # the sample is its own group
-        moments = sums / (h * w), m2 / (h * w)
+        mean, scale, trace = src.stats.mean[None], src._sbn_scale, SlotTrace(None, None, None, h * w)
     else:
-        labels, count = first_neighbor_labels(sums / (h * w)) if count else (np.zeros(b, np.intp), None)
-        moments = merge_moments(sums, m2, h * w, labels, count or 1)
-    mean, var = (m.astype(np.float32) for m in moments)
-    if cfg.mode != "tbn":
-        mean, var = _blend(mean, var, src, cfg.alpha)
-    scale = src._scale(var)
-    if (count or 1) > 1:  # one row per sample; a single group's row broadcasts
-        mean, scale = mean[labels], scale[labels]
-    return mean, scale, SlotTrace(count, sums, m2, h * w)
+        sums, m2 = sample_moments(x)
+        grouped = cfg.mode in ("find", "find_star") and partition_enabled
+        if b == 1:  # the sample is its own group
+            labels, count, moments = None, 1, (sums / (h * w), m2 / (h * w))
+        else:
+            labels, count = first_neighbor_labels(sums / (h * w)) if grouped else (np.zeros(b, np.intp), 1)
+            moments = merge_moments(sums, m2, h * w, labels, count)
+        mean, var = (m.astype(np.float32) for m in moments)
+        if cfg.mode != "tbn":
+            terms = src._blends.get(cfg.alpha)
+            if terms is None:  # the source's share is constant per alpha
+                a = np.float32(cfg.alpha)
+                terms = src._blends[cfg.alpha] = (a * src.stats.mean, a * src.stats.var, np.float32(1.0) - a)
+            a_mean, a_var, one_m = terms
+            mean, var = a_mean + one_m * mean, np.maximum(a_var + one_m * var, np.float32(0.0))
+        scale = src._scale(var)
+        if count > 1:  # one row per sample; a single group's row broadcasts
+            mean, scale = mean[labels], scale[labels]
+        trace = SlotTrace(count if grouped else None, sums, m2, h * w)
+    x -= mean[:, :, None, None]
+    x *= scale[:, :, None, None]
+    x += src._shift
+    return x, trace

@@ -1,8 +1,7 @@
 """Dense feature-map substrate and axis-wise channel statistics.
 
-Feature maps are plain float32 numpy arrays of shape (B, C, H, W); a
-(B, C, L) array is accepted anywhere a feature map is and treated as
-(B, C, 1, L). `as_feature_map` checks a map once, where it enters a public
+Feature maps are plain float32 numpy arrays of shape (B, C, H, W).
+`as_feature_map` checks a map once, where it enters a public
 entry point (one call per `Network` forward); the kernels behind it take
 canonical maps unchecked, and the network checks its result finite at exit.
 Statistics are accumulated in float64 and stored as float32. Variances
@@ -26,14 +25,11 @@ _BLOCK = 64
 def as_feature_map(x: np.ndarray) -> np.ndarray:
     """Validate and canonicalize a feature map to float32 (B, C, H, W).
 
-    Rejects empty axes, wrong rank, and non-finite entries. A 3-d input
-    (B, C, L) is reshaped to (B, C, 1, L).
+    Rejects empty axes, wrong rank, and non-finite entries.
     """
     x = np.asarray(x)
-    if x.ndim == 3:
-        x = x[:, :, None, :]
     if x.ndim != 4:
-        raise ValueError(f"feature map must be 4-d (B,C,H,W) or 3-d (B,C,L), got shape {x.shape}")
+        raise ValueError(f"feature map must be 4-d (B,C,H,W), got shape {x.shape}")
     if min(x.shape) < 1:
         raise ValueError(f"feature map axes must be nonempty, got shape {x.shape}")
     x = np.ascontiguousarray(x, dtype=np.float32)

@@ -110,6 +110,7 @@ class TestNumericConfigFields:
             ("scenario.dirichlet_delta", float("nan")),
             ("seeds", []),
             ("data.input_shape", [1, 10, 16]),  # 10 does not halve through both stages
+            ("model.eps", 1e-50),  # 0 in float32
         ],
     )
     def test_rejected_override(self, field, value):
@@ -134,7 +135,7 @@ class TestNumericConfigFields:
                       "train_seed": 101, "clean_eval_batches": 2},
             "scenario": {"num_domains": 3, "severity": 5, "domains": domains, "batch_size": 16,
                          "num_batches": 6, "rounds": 1, "seed": 0},
-            "normalizer": {"mode": "find_star", "cold_start_batches": 2},
+            "normalizer": {"mode": "find_star", "alpha": 1, "gamma_threshold": 0, "cold_start_batches": 2},
             "seeds": [0],
         }
 

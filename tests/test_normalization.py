@@ -92,7 +92,7 @@ class TestSourceStatsValidation:
 
     def test_non_finite_eps_rejected(self):
         stats = ChannelStats(np.zeros(2, np.float32), np.ones(2, np.float32))
-        for eps in (float("nan"), float("inf"), 0.0):
+        for eps in (float("nan"), float("inf"), 0.0, 1e-50):  # 1e-50 is 0 in float32
             with pytest.raises(ValueError, match="eps"):
                 SourceStats.with_identity_affine(stats, eps=eps)
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -20,10 +22,9 @@ def constant_map(b, vals, h=2, w=2):
 
 
 class TestAsFeatureMap:
-    def test_accepts_3d_as_flat_spatial(self):
-        x = np.ones((2, 3, 5), dtype=np.float32)
-        out = as_feature_map(x)
-        assert out.shape == (2, 3, 1, 5)
+    def test_rejects_3d_with_the_4d_message(self):
+        with pytest.raises(ValueError, match=re.escape("must be 4-d (B,C,H,W), got shape (2, 3, 5)")):
+            as_feature_map(np.ones((2, 3, 5), dtype=np.float32))
 
     def test_rejects_wrong_rank(self):
         with pytest.raises(ValueError):
