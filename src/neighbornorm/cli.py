@@ -16,7 +16,6 @@ from .harness import (
     SWEEP_BATCH_SIZES,
     ConfigError,
     ExperimentConfig,
-    bank_from_config,
     _dump_json,
     batch_size_sweep,
     compare_modes,
@@ -29,6 +28,7 @@ from .harness import (
 )
 from .model import ModelFormatError, load_model
 from .normalization import MODES, canonical_mode
+from .rules import COUNT
 
 
 def _load_cfg(args) -> ExperimentConfig:
@@ -56,8 +56,7 @@ def _load_model_checked(cfg: ExperimentConfig):
                 f"config field data.{key}={value!r} conflicts with the model file "
                 f"(built with {model_data[key]!r})"
             )
-    bank = bank_from_config(model_data or cfg.data)
-    return net, bank, meta
+    return net, cfg.bank, meta  # built from cfg.data, which agrees with the model's
 
 
 def cmd_train(args) -> int:
@@ -126,11 +125,9 @@ def cmd_sweep_batch(args) -> int:
     net, bank, _ = _load_model_checked(cfg)
     if args.sizes:
         try:
-            sizes = [int(s) for s in args.sizes.split(",")]
+            sizes = [COUNT("--sizes entry", int(s)) for s in args.sizes.split(",")]
         except ValueError:
-            raise ConfigError(f"--sizes must be comma-separated integers, got {args.sizes!r}") from None
-        if any(s < 1 for s in sizes):
-            raise ConfigError("--sizes entries must be >= 1")
+            raise ConfigError(f"--sizes must be comma-separated integers >= 1, got {args.sizes!r}") from None
     else:
         sizes = SWEEP_BATCH_SIZES
     rows = batch_size_sweep(net, bank, cfg.scenario, cfg.normalizer, batch_sizes=sizes)

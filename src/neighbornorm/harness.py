@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .model import Network, save_model, train_linear_head
-from .normalization import _EPS_FLOOR, MODES, NormalizerConfig, _checked
+from .normalization import MODES, NormalizerConfig
+from .rules import COUNT, EPS, POSITIVE, SEED, integers, pooled_shape
 from .sensitivity import gaussian_kl_per_channel, layer_gate, sensitivity_score
 from .stream import (
     DomainSpec,
@@ -38,7 +39,6 @@ __all__ = [
     "MetricsRecord",
     "DEFAULT_CONFIG",
     "load_experiment_config",
-    "scenario_from_config",
     "bank_from_config",
     "train_model",
     "train_and_save",
@@ -98,57 +98,33 @@ DEFAULT_CONFIG = {
 }
 
 
-def _merged(defaults: dict, user: dict) -> dict:
-    out = {}
-    for key, val in defaults.items():
-        if isinstance(val, dict):
-            sub = user.get(key, {})
-            if not isinstance(sub, dict):
-                raise ConfigError(f"config section {key!r} must be an object")
-            unknown = set(sub) - set(val)
-            if unknown:
-                raise ConfigError(f"unknown config field {key}.{sorted(unknown)[0]}")
-            out[key] = {**val, **sub}
-        else:
-            out[key] = user.get(key, val)
-    unknown = set(user) - set(defaults)
+def _merged(defaults: dict, user, prefix: str = "") -> dict:
+    """A new `defaults` with `user`'s values in place, section by section; ConfigError on a field that `defaults`
+    lacks or on a config or section that is not a JSON object. `prefix` names the section, dotted."""
+    if not isinstance(user, dict):
+        raise ConfigError(f"config {'section ' + prefix[:-1] if prefix else 'file'} must be a JSON object, got {user!r}")
+    unknown = sorted(set(user) - set(defaults))
     if unknown:
-        raise ConfigError(f"unknown config field {sorted(unknown)[0]}")
-    return out
+        raise ConfigError(f"unknown config field {prefix}{unknown[0]}")
+    return {k: _merged(v, user.get(k, {}), f"{k}.") if isinstance(v, dict) else user.get(k, v) for k, v in defaults.items()}
 
 
-# Numeric config fields by rule, (least, greatest, integral, least excluded) -> names, checked at load and
-# stored as int or float once, so no bool, non-finite or fractional value is cast later. A null delta is allowed.
-_NUMERIC_FIELDS = {
-    (1, math.inf, True, False): ("model.train_batches", "model.train_batch_size", "model.clean_eval_batches",
-                                 "scenario.num_domains", "scenario.batch_size", "scenario.num_batches", "scenario.rounds"),
-    (0, math.inf, True, False): ("data.template_seed", "model.seed", "model.train_seed", "scenario.seed"),
-    (2, math.inf, True, False): ("data.num_classes",),
-    (1, 5, True, False): ("scenario.severity",),
-    (0.0, math.inf, False, False): ("data.base_noise", "data.template_min_dist"),
-    (0.0, math.inf, False, True): ("model.head_lambda", "scenario.dirichlet_delta"),
-    (_EPS_FLOOR, math.inf, False, True): ("model.eps",),
-}
-# Integer-list fields -> (length or None, least entry).
-_INTEGER_LISTS = {"data.input_shape": (3, 1), "model.channels": (None, 1), "seeds": (None, 0)}
+# The model section's numbers by rule, checked here: the network and head they size are built only in training.
+_MODEL_RULES = {"seed": SEED, "eps": EPS, "head_lambda": POSITIVE, "train_batches": COUNT,
+                "train_batch_size": COUNT, "train_seed": SEED, "clean_eval_batches": COUNT}
 
 
-def _check_numbers(raw: dict) -> None:
-    """Store each numeric field and integer-list entry in `raw` as the int or float its rule checked; ValueError if it breaks it."""
-    for rule, names in _NUMERIC_FIELDS.items():
-        for name in names:
-            section, key = name.split(".")
-            if raw[section][key] is not None or name != "scenario.dirichlet_delta":
-                raw[section][key] = (int if rule[2] else float)(_checked(name, raw[section][key], *rule))
-    for name, (length, least) in _INTEGER_LISTS.items():
-        section, _, key = name.rpartition(".")
-        target = raw[section] if section else raw
-        values = target[key]
-        if not isinstance(values, (list, tuple)) or not values or len(values) != (length or len(values)):
-            raise ValueError(f"{name} must be a list of {length or 'one or more'} integers, got {values!r}")
-        target[key] = [int(_checked(f"{name}[{i}]", v, least, integral=True)) for i, v in enumerate(values)]
-    if any(side % 2 ** len(raw["model"]["channels"]) for side in raw["data"]["input_shape"][1:]):
-        raise ValueError(f"data.input_shape {raw['data']['input_shape']} does not pool evenly through every model.channels stage")
+@contextmanager
+def _fields(section: str):
+    """Raise what the block rejects as one ConfigError: a ValueError, which leads with the name of the field it
+    rejects, as `section`.name (a top-level field's own name for section ""), and a TypeError or KeyError, a
+    malformed section, beside the section's name."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"invalid config: {section + '.' if section else ''}{exc}") from exc
+    except (TypeError, KeyError) as exc:
+        raise ConfigError(f"invalid {section} config: {exc}") from exc
 
 
 @dataclass
@@ -160,29 +136,11 @@ class ExperimentConfig:
     model_path: str
     out: str
     seeds: list
-
-
-def scenario_from_config(sc: dict) -> StreamScenario:
-    try:
-        if sc.get("domains"):
-            domains = [DomainSpec(**d) for d in sc["domains"]]
-        else:
-            domains = make_domains(sc["num_domains"], sc["severity"], sc["seed"])
-        return StreamScenario(
-            kind=sc["kind"],
-            domains=domains,
-            batch_size=sc["batch_size"],
-            num_batches=sc["num_batches"],
-            rounds=sc["rounds"],
-            seed=sc["seed"],
-            dirichlet_delta=sc.get("dirichlet_delta"),
-        )
-    except (ValueError, TypeError, KeyError) as exc:
-        raise ConfigError(f"invalid scenario config: {exc}") from exc
+    bank: TemplateBank  # built from `data` at load
 
 
 def bank_from_config(data: dict) -> TemplateBank:
-    try:
+    with _fields("data"):
         return build_templates(
             num_classes=data["num_classes"],
             seed=data["template_seed"],
@@ -190,8 +148,6 @@ def bank_from_config(data: dict) -> TemplateBank:
             base_noise=data["base_noise"],
             min_dist=data["template_min_dist"],
         )
-    except (ValueError, TypeError, KeyError) as exc:
-        raise ConfigError(f"invalid data config: {exc}") from exc
 
 
 def load_experiment_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
@@ -207,30 +163,44 @@ def load_experiment_config(path=None, overrides: dict | None = None) -> Experime
             raise ConfigError(f"config file not found: {path}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    raw = _merged(DEFAULT_CONFIG, user)
+    nested = {}  # the overrides as one more config, so one merge rejects an unknown field in either
     for dotted, value in (overrides or {}).items():
-        if value is None:
-            continue
         section, _, name = dotted.partition(".")
-        target, key = (raw.get(section), name) if name else (raw, section)
-        if not isinstance(target, dict) or key not in target:
-            raise ConfigError(f"unknown config field {dotted}")
-        target[key] = value
-
-    try:
+        if value is not None and name:
+            nested.setdefault(section, {})[name] = value
+        elif value is not None:
+            nested[section] = value
+    raw = _merged(_merged(DEFAULT_CONFIG, user), nested)
+    with _fields("normalizer"):
         normalizer = NormalizerConfig(**raw["normalizer"])
-        _check_numbers(raw)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid config: {exc}") from exc
-    scenario = scenario_from_config(raw["scenario"])
+    with _fields(""):
+        raw["seeds"] = integers("seeds", raw["seeds"], SEED)
+    mc, data, sc = raw["model"], raw["data"], raw["scenario"]
+    with _fields("model"):
+        mc.update({key: rule(key, mc[key]) for key, rule in _MODEL_RULES.items()})
+        mc["channels"] = integers("channels", mc["channels"], COUNT)
+    with _fields("data"):
+        data["input_shape"] = pooled_shape("input_shape", data["input_shape"], len(mc["channels"]))
+    bank = bank_from_config(data)
+    # each number is stored as the int or float its rule checked, so 8 and 8.0 give the same model file
+    data.update(num_classes=bank.num_classes, template_seed=bank.seed, base_noise=bank.base_noise, template_min_dist=bank.min_dist)
+    # make_domains also runs beside an explicit domain list, which replaces its result, to check num_domains and severity
+    with _fields("scenario"):
+        domains = make_domains(sc["num_domains"], sc["severity"], sc["seed"])
+    with _fields("scenario.domains"):
+        domains = [DomainSpec(**d) for d in sc["domains"]] if sc["domains"] else domains
+    with _fields("scenario"):
+        scenario = StreamScenario(kind=sc["kind"], domains=domains, batch_size=sc["batch_size"], num_batches=sc["num_batches"],
+                                  rounds=sc["rounds"], seed=sc["seed"], dirichlet_delta=sc["dirichlet_delta"])
     return ExperimentConfig(
-        data=raw["data"],
-        model=raw["model"],
+        data=data,
+        model=mc,
         scenario=scenario,
         normalizer=normalizer,
         model_path=str(raw["model_path"]),
         out=str(raw["out"]),
         seeds=raw["seeds"],
+        bank=bank,
     )
 
 
@@ -261,10 +231,9 @@ class MetricsRecord:
 
 
 def train_model(cfg: ExperimentConfig) -> tuple[Network, TemplateBank, dict]:
-    """Build templates, capture source statistics on a clean stream, fit
-    the ridge head, and measure the clean-test baseline accuracy."""
-    bank = bank_from_config(cfg.data)
-    mc = cfg.model
+    """Capture source statistics on a clean stream from the config's templates,
+    fit the ridge head, and measure the clean-test baseline accuracy."""
+    bank, mc = cfg.bank, cfg.model
     net = Network.build(tuple(mc["channels"]), tuple(cfg.data["input_shape"]), mc["seed"], mc["eps"])
 
     def clean_scenario(seed: int, num_batches: int) -> StreamScenario:

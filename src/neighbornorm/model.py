@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .normalization import _EPS_FLOOR, NormalizerConfig, SlotTrace, SourceStats, _checked, _normalize
+from .normalization import NormalizerConfig, SlotTrace, SourceStats, _normalize
+from .rules import COUNT, EPS, NUM_CLASSES, POSITIVE, SEED, integers, pooled_shape
 from .tensors import _BLOCK, ChannelStats, as_feature_map, pooled_stats, sample_moments
 
 __all__ = [
@@ -112,8 +113,7 @@ def train_linear_head(features: np.ndarray, labels: np.ndarray, ridge_lambda: fl
     labels = np.asarray(labels).reshape(-1)
     if feats.ndim != 2 or feats.shape[0] != labels.shape[0]:
         raise ValueError("features must be (N, D) with one label per row")
-    _checked("ridge_lambda", ridge_lambda, 0.0, open_lo=True)
-    k = int(num_classes)
+    ridge_lambda, k = POSITIVE("ridge_lambda", ridge_lambda), NUM_CLASSES("num_classes", num_classes)
     counts = np.bincount(labels, minlength=k)
     if counts.size > k or np.any(counts[:k] == 0):
         raise ValueError("every class needs at least one training sample")
@@ -133,7 +133,7 @@ def train_linear_head(features: np.ndarray, labels: np.ndarray, ridge_lambda: fl
     return LinearHead(
         weight=np.ascontiguousarray(w_aug[:d].T, dtype=np.float32),
         bias=w_aug[d].astype(np.float32),
-        ridge_lambda=float(ridge_lambda),
+        ridge_lambda=ridge_lambda,
     )
 
 
@@ -259,23 +259,24 @@ def _tensor_manifest(net: Network) -> list[tuple[str, np.ndarray]]:
 
 
 def _check_header(header) -> None:
-    """Raise ModelFormatError unless `save_model` could have written this header."""
+    """Raise ValueError unless `save_model` could have written this header, which holds every size as a JSON
+    integer; `load_model` raises it as a ModelFormatError."""
     if not isinstance(header, dict) or header.get("format") != MODEL_FORMAT or header.get("dtype") != "<f4":
         raise ModelFormatError(f"not a {MODEL_FORMAT} header with a '<f4' payload")
-    channels, input_shape, num_classes = (header.get(key) for key in ("channels", "input_shape", "num_classes"))
-    lists = isinstance(channels, list) and isinstance(input_shape, list) and len(channels) > 0 and len(input_shape) == 3
-    if not (lists and all(type(v) is int and v > 0 for v in [*channels, *input_shape, num_classes])):
-        raise ModelFormatError(f"channels {channels!r}, input_shape {input_shape!r}, num_classes {num_classes!r}")
-    if input_shape[1] % 2 ** len(channels) or input_shape[2] % 2 ** len(channels):
-        raise ModelFormatError(f"input_shape {input_shape} does not pool evenly through {len(channels)} stages")
+    channels = integers("channels", header.get("channels"), COUNT)
+    input_shape = pooled_shape("input_shape", header.get("input_shape"), len(channels))
+    num_classes = NUM_CLASSES("num_classes", header.get("num_classes"))
     if not isinstance(header.get("meta", {}), dict):
         raise ModelFormatError("meta must be an object")
-    _checked("seed", header.get("seed"), 0, integral=True)
-    _checked("eps", header.get("eps"), _EPS_FLOOR, open_lo=True)
-    _checked("ridge_lambda", header.get("ridge_lambda"), 0.0, open_lo=True)
+    SEED("seed", header.get("seed"))
+    EPS("eps", header.get("eps"))
+    POSITIVE("ridge_lambda", header.get("ridge_lambda"))
     expected = _expected_manifest(channels, input_shape, num_classes)
     if header.get("tensors") != expected:
         raise ModelFormatError(f"tensor manifest {header.get('tensors')!r} does not match the sizes, expected {expected}")
+    shapes = [d for _, shape in header["tensors"] for d in shape]
+    if any(type(v) is not int for v in [*header["channels"], *header["input_shape"], header["num_classes"], *shapes]):
+        raise ModelFormatError("channels, input_shape, num_classes and tensor shapes must be JSON integers")
 
 
 def save_model(net: Network, path, meta: dict | None = None) -> None:

@@ -17,14 +17,13 @@ batches.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .grouping import first_neighbor_labels
+from .rules import COUNT, EPS, NONNEGATIVE, SHARE, one_of
 from .tensors import ChannelStats, as_feature_map, merge_moments, pooled_stats, sample_moments
 
 __all__ = [
@@ -37,28 +36,11 @@ __all__ = [
 ]
 
 MODES = ("sbn", "tbn", "alpha_bn", "find", "find_star")
-# An eps must exceed this, half the least float32, or the float32 the normalizer adds rounds to 0.
-_EPS_FLOOR = 2.0**-150
-
-# Each mode by its name, without the underscore, or with a hyphen; find_star also as find*.
-_MODE_ALIASES = {alias: m for m in MODES for alias in (m, m.replace("_", ""), m.replace("_", "-"))} | {"find*": "find_star"}
 
 
 def canonical_mode(mode: str) -> str:
-    try:
-        return _MODE_ALIASES[str(mode).strip().lower()]
-    except KeyError:
-        raise ValueError(f"unknown normalizer mode {mode!r}; expected one of {MODES}") from None
-
-
-def _checked(name: str, value, lo: float, hi: float = math.inf, integral: bool = False, open_lo: bool = False):
-    """`value` if it is a finite real number in [lo, hi], or (lo, hi] with `open_lo` (an integer when asked); never a bool."""
-    kind = "an integer" if integral else "a finite number"
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-        raise ValueError(f"{name} must be {kind}, got {value!r}")
-    if not lo <= value <= hi or (open_lo and value == lo) or (integral and value != int(value)):
-        raise ValueError(f"{name} must be {kind} in {'(' if open_lo else '['}{lo}, {hi}], got {value!r}")
-    return value
+    """The entry of MODES that `mode` spells; find_star also as find*."""
+    return one_of("mode", mode, MODES, {"find*": "find_star"})
 
 
 @dataclass(frozen=True)
@@ -80,7 +62,7 @@ class SourceStats:
             raise ValueError("affine parameter length must equal channel count")
         if not (np.isfinite(scale).all() and np.isfinite(shift).all()):
             raise ValueError("affine parameters must be finite")
-        _checked("eps", self.eps, _EPS_FLOOR, open_lo=True)
+        EPS("eps", self.eps)
         object.__setattr__(self, "affine_scale", scale)
         object.__setattr__(self, "affine_shift", shift)
         object.__setattr__(self, "_eps", np.float32(self.eps))  # the constant terms are not fields, so not in asdict
@@ -111,10 +93,9 @@ class NormalizerConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "mode", canonical_mode(self.mode))
-        object.__setattr__(self, "alpha", float(_checked("alpha", self.alpha, 0.0, 1.0)))
-        object.__setattr__(self, "gamma_threshold", float(_checked("gamma_threshold", self.gamma_threshold, 0.0)))
-        cold_start = _checked("cold_start_batches", self.cold_start_batches, 1, integral=True)
-        object.__setattr__(self, "cold_start_batches", int(cold_start))
+        object.__setattr__(self, "alpha", SHARE("alpha", self.alpha))
+        object.__setattr__(self, "gamma_threshold", NONNEGATIVE("gamma_threshold", self.gamma_threshold))
+        object.__setattr__(self, "cold_start_batches", COUNT("cold_start_batches", self.cold_start_batches))
 
 
 @dataclass(frozen=True)

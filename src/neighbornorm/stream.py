@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .normalization import _checked
+from .rules import COUNT, FINITE, INTEGER, NONNEGATIVE, NUM_CLASSES, POSITIVE, SEED, SEVERITY, one_of
 
 __all__ = [
     "DomainSpec",
@@ -42,9 +42,6 @@ __all__ = [
 
 SCENARIO_KINDS = ("static", "cross_mix", "shuffle", "random", "wild")
 
-# Each kind by its name, without the underscore, or with a hyphen.
-_KIND_ALIASES = {alias: k for k in SCENARIO_KINDS for alias in (k, k.replace("_", ""), k.replace("_", "-"))}
-
 # Severity-to-parameter table: per unit of severity, contrast moves by
 # +-CONTRAST_STEP, brightness by +-BRIGHTNESS_STEP, and additive noise
 # grows by NOISE_STEP. Signs are fixed per domain by the scenario seed.
@@ -56,13 +53,6 @@ NOISE_STEP = 0.05
 TEMPLATE_DRAWS = 100
 
 
-def canonical_kind(kind: str) -> str:
-    try:
-        return _KIND_ALIASES[str(kind).strip().lower()]
-    except KeyError:
-        raise ValueError(f"unknown scenario kind {kind!r}; expected one of {SCENARIO_KINDS}") from None
-
-
 @dataclass(frozen=True)
 class DomainSpec:
     id: int
@@ -72,11 +62,9 @@ class DomainSpec:
     severity: int
 
     def __post_init__(self):
-        object.__setattr__(self, "id", int(_checked("domain id", self.id, -np.inf, integral=True)))
-        object.__setattr__(self, "contrast", float(_checked("contrast", self.contrast, 0.0, open_lo=True)))
-        object.__setattr__(self, "brightness", float(_checked("brightness", self.brightness, -np.inf)))
-        object.__setattr__(self, "noise_sigma", float(_checked("noise_sigma", self.noise_sigma, 0.0)))
-        object.__setattr__(self, "severity", int(_checked("severity", self.severity, 1, 5, integral=True)))
+        for name, rule in (("id", INTEGER), ("contrast", POSITIVE), ("brightness", FINITE), ("noise_sigma", NONNEGATIVE),
+                           ("severity", SEVERITY)):
+            object.__setattr__(self, name, rule(name, getattr(self, name)))
 
 
 def identity_domain() -> DomainSpec:
@@ -91,9 +79,8 @@ def make_domains(num_domains: int, severity: int, seed: int) -> list[DomainSpec]
     seeded order; past four domains the magnitudes are halved per tier so
     every domain keeps a distinct photometric signature.
     """
-    num_domains = int(_checked("num_domains", num_domains, 1, integral=True))
-    severity = int(_checked("severity", severity, 1, 5, integral=True))
-    rng = np.random.default_rng([int(_checked("seed", seed, 0, integral=True)), 911])
+    num_domains, severity = COUNT("num_domains", num_domains), SEVERITY("severity", severity)
+    rng = np.random.default_rng([SEED("seed", seed), 911])
     combos = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
     order = rng.permutation(4)
     domains = []
@@ -123,16 +110,15 @@ class StreamScenario:
     dirichlet_delta: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", canonical_kind(self.kind))
+        object.__setattr__(self, "kind", one_of("kind", self.kind, SCENARIO_KINDS))
         if len(self.domains) < 1:
-            raise ValueError("scenario needs at least one domain")
-        for name, least in (("batch_size", 1), ("num_batches", 1), ("rounds", 1), ("seed", 0)):
-            object.__setattr__(self, name, int(_checked(name, getattr(self, name), least, integral=True)))
+            raise ValueError("domains must list at least one domain")
+        for name, rule in (("batch_size", COUNT), ("num_batches", COUNT), ("rounds", COUNT), ("seed", SEED)):
+            object.__setattr__(self, name, rule(name, getattr(self, name)))
         if self.dirichlet_delta is not None:
-            delta = _checked("dirichlet_delta", self.dirichlet_delta, 0.0, open_lo=True)
-            object.__setattr__(self, "dirichlet_delta", float(delta))
+            object.__setattr__(self, "dirichlet_delta", POSITIVE("dirichlet_delta", self.dirichlet_delta))
         elif self.kind == "wild":
-            raise ValueError("wild scenarios require dirichlet_delta > 0")
+            raise ValueError("dirichlet_delta must be set for a wild scenario")
         rows = [(d.contrast, d.brightness, d.noise_sigma) for d in self.domains]  # built once, for `sample_batch`
         object.__setattr__(self, "_domain_table", np.array(rows, np.float32))  # not a field, so not in asdict
 
@@ -147,11 +133,12 @@ class StreamScenario:
 
 @dataclass(frozen=True)
 class TemplateBank:
-    """Class templates plus the pixel-noise level used around them."""
+    """Class templates, the pixel-noise level used around them, and the seed and distance floor they were drawn with."""
 
     templates: np.ndarray  # (K, C, H, W) float32
     base_noise: float
     seed: int
+    min_dist: float
 
     @property
     def num_classes(self) -> int:
@@ -179,10 +166,10 @@ def build_templates(
 
     The whole set is redrawn on a violation; `TEMPLATE_DRAWS` failed draws
     are a configuration error (the floor is unreachable for the given shape).
-    `num_classes` is an integer >= 2; `base_noise` and `min_dist` are finite and >= 0.
+    A bad argument's ValueError leads with the name of its `data` config field.
     """
-    num_classes = int(_checked("num_classes", num_classes, 2, integral=True))
-    base_noise, min_dist = _checked("base_noise", base_noise, 0.0), _checked("min_dist", min_dist, 0.0)
+    num_classes, seed = NUM_CLASSES("num_classes", num_classes), SEED("template_seed", seed)
+    base_noise, min_dist = NONNEGATIVE("base_noise", base_noise), NONNEGATIVE("template_min_dist", min_dist)
     rng = np.random.default_rng(seed)
     for _ in range(TEMPLATE_DRAWS):
         t = rng.normal(0.0, 1.0, size=(num_classes,) + tuple(shape)).astype(np.float32)
@@ -190,10 +177,10 @@ def build_templates(
         d = np.linalg.norm(flat[:, None, :] - flat[None, :, :], axis=2)
         np.fill_diagonal(d, np.inf)
         if d.min() >= min_dist:
-            return TemplateBank(templates=t, base_noise=float(base_noise), seed=int(seed))
+            return TemplateBank(templates=t, base_noise=base_noise, seed=seed, min_dist=min_dist)
     raise ValueError(
-        f"could not draw {num_classes} templates with pairwise distance >= {min_dist} "
-        f"in {TEMPLATE_DRAWS} attempts; lower min_dist or enlarge the template shape"
+        f"template_min_dist {min_dist} is out of reach: no draw of {num_classes} templates kept every pairwise "
+        f"distance above it in {TEMPLATE_DRAWS} attempts; lower it or enlarge the template shape"
     )
 
 

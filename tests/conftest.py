@@ -43,7 +43,7 @@ def separated_bank(seed: int, num_classes: int = 4) -> TemplateBank:
     rng = np.random.default_rng([seed, 555])
     common = rng.normal(0.0, 1.0, size=(1, 16, 16)).astype(np.float32)
     deltas = rng.normal(0.0, 0.05, size=(num_classes, 1, 16, 16)).astype(np.float32)
-    return TemplateBank(templates=common[None] + deltas, base_noise=0.02, seed=seed)
+    return TemplateBank(templates=common[None] + deltas, base_noise=0.02, seed=seed, min_dist=0.0)
 
 
 def separated_domains(num_domains: int) -> list:

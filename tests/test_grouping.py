@@ -112,10 +112,11 @@ class TestFirstNeighborAdjacency:
         assert count == 2
 
     def test_long_chain_reaches_its_pair(self):
-        # a path 9 -> 8 -> ... -> 1 <-> 0 needs every pointer-jumping round
-        first = np.concatenate([[1], np.arange(0, 9)])
-        labels, count = first_neighbor_components(first)
-        assert count == 1 and not labels.any()
+        # a path b-1 -> b-2 -> ... -> 1 <-> 0 needs every pointer-jumping round; one round short
+        # leaves 2, 2, 31 and 2 groups at b = 7, 11, 64 and 67
+        for b in (7, 10, 11, 64, 67):
+            labels, count = first_neighbor_components(np.concatenate([[1], np.arange(0, b - 1)]))
+            assert count == 1 and not labels.any(), b
 
     def test_tie_break_lowest_index(self):
         # sample 2 is exactly as similar to pair (0, 1) as to pair (3, 4): the lower index wins

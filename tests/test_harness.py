@@ -55,6 +55,18 @@ class TestConfigLoading:
         assert cfg.normalizer.mode == "tbn"
         assert cfg.scenario.seed == 9
 
+    @pytest.mark.parametrize("doc", ["[1, 2]", '{"scenario": 5}'])
+    def test_non_object_named(self, tmp_path, doc):
+        p = tmp_path / "c.json"
+        p.write_text(doc)
+        with pytest.raises(ConfigError, match="must be a JSON object"):
+            load_experiment_config(p)
+
+    def test_unreachable_template_floor_rejected_at_load(self):
+        # the template bank is built, and so checked, when the config is loaded, not first in training
+        with pytest.raises(ConfigError, match=re.escape("data.template_min_dist")):
+            load_experiment_config(None, {"data.template_min_dist": 1e6})
+
     def test_explicit_domain_list(self, tmp_path):
         p = tmp_path / "c.json"
         p.write_text(
@@ -111,11 +123,24 @@ class TestNumericConfigFields:
             ("seeds", []),
             ("data.input_shape", [1, 10, 16]),  # 10 does not halve through both stages
             ("model.eps", 1e-50),  # 0 in float32
+            ("data.template_seed", -1),
+            ("data.template_min_dist", -1.0),
+            ("scenario.num_domains", 0),
+            ("scenario.num_batches", 0),
+            ("model.seed", 1.5),
+            ("model.clean_eval_batches", 0),
         ],
     )
     def test_rejected_override(self, field, value):
         with pytest.raises(ConfigError, match=re.escape(field)):
             load_experiment_config(None, {field: value})
+
+    @pytest.mark.parametrize("field, value", [("scenario.num_domains", 0), ("scenario.severity", 7)])
+    def test_rejected_beside_explicit_domains(self, field, value):
+        # an explicit domain list overrides num_domains and severity, but a bad value is still an error
+        domain = {"id": 0, "contrast": 1.2, "brightness": 0.5, "noise_sigma": 0.1, "severity": 2}
+        with pytest.raises(ConfigError, match=re.escape(field)):
+            load_experiment_config(None, {"scenario.domains": [domain], field: value})
 
     @pytest.mark.parametrize("key, value", [("brightness", float("nan")), ("severity", True), ("id", 0.5), ("noise_sigma", -1.0)])
     def test_domain_entry_rejected(self, key, value):

@@ -167,6 +167,11 @@ class TestLinearHead:
         with pytest.raises(ValueError):
             train_linear_head(np.eye(3), [0, 1, 2], 0.0, num_classes=3)
 
+    def test_one_class_rejected(self):
+        # the class-count rule the config and the model-file header also use
+        with pytest.raises(ValueError, match="num_classes"):
+            train_linear_head(np.eye(3), [0, 0, 0], 1e-2, num_classes=1)
+
 
 class TestNetworkForward:
     def test_zero_input_propagates_to_bias(self):
@@ -552,6 +557,27 @@ class TestModelFileCorruption:
         _, path = saved
         _rewrite_header(path, lambda header: header.__setitem__(field, value))
         with pytest.raises(ModelFormatError):
+            load_model(path)
+
+    def test_wrong_header_input_shape_that_does_not_pool(self, saved):
+        # the manifest matches the new shape, so only the pooling rule can reject it
+        net, path = saved
+
+        def edit(header):
+            header["input_shape"] = [1, 10, 16]  # 10 does not halve through both stages
+            for name, shape in header["tensors"]:
+                if name == "head.weight":
+                    shape[1] = net.channels[-1] * (10 // 4) * (16 // 4)
+
+        _rewrite_header(path, edit)
+        with pytest.raises(ModelFormatError, match="pool evenly"):
+            load_model(path)
+
+    def test_float_tensor_dim(self, saved):
+        # equal to the int save_model writes, but a float size would slice the payload with a float
+        _, path = saved
+        _rewrite_header(path, lambda header: header["tensors"][0][1].__setitem__(0, 4.0))
+        with pytest.raises(ModelFormatError, match="JSON integers"):
             load_model(path)
 
     def test_is_a_value_error(self):

@@ -174,6 +174,11 @@ class TestSampling:
         assert seen == sorted(seen)  # domains hold extended stretches, in order
         assert len(set(seen)) == 4
 
+    def test_static_stretches_round_up(self):
+        # each domain holds ceil(7 / 3) = 3 batches and the last one takes the rest; a floor would give 2, 2, 3
+        sc = scenario_for("static", m=3, batch_size=2, num_batches=7)
+        assert [int(b.domain_ids[0]) for b in iter_batches(sc, bank_for())] == [0, 0, 0, 1, 1, 1, 2]
+
     def test_cross_mix_has_all_domains(self):
         bank = bank_for()
         sc = scenario_for("cross_mix", m=5, batch_size=64, num_batches=10)
