@@ -3,13 +3,16 @@
 Subcommands: train (build model file), run (one experiment), compare
 (mode sweep over seeds), diagnose (cluster-count and sensitivity dumps),
 sweep-batch (batch-size sweep at fixed sample budget). Flags override
-the matching config fields. Exit codes: 0 success, 1 config error
-(including a missing or malformed model file), 2 runtime/numeric error.
+the matching config fields; the directory of `out` (train: the model path)
+is made before any batch runs. Exit codes: 0 success, 1 config error (a
+missing or malformed model file, or an output directory that cannot be
+made, included), 2 runtime/numeric error.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .harness import (
@@ -39,7 +42,15 @@ def _load_cfg(args) -> ExperimentConfig:
         "scenario.seed": getattr(args, "seed", None),
         "out": getattr(args, "out", None),
     }
-    return load_experiment_config(args.config, overrides)
+    cfg = load_experiment_config(args.config, overrides)
+    if args.command == "train":
+        cfg.model_path = args.out or cfg.model_path
+    written = cfg.model_path if args.command == "train" else cfg.out
+    try:  # before any batch runs
+        os.makedirs(os.path.dirname(written) or ".", exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create the directory of {written}: {exc}") from None
+    return cfg
 
 
 def _load_model_checked(cfg: ExperimentConfig):
@@ -61,8 +72,6 @@ def _load_model_checked(cfg: ExperimentConfig):
 
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
-    if args.out:
-        cfg.model_path = args.out
     meta = train_and_save(cfg)
     print(f"model written to {cfg.model_path}")
     print(f"clean test accuracy: {meta['clean_accuracy']:.4f}")

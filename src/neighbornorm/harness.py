@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .model import Network, save_model, train_linear_head
+from .model import Network, save_model
 from .normalization import MODES, NormalizerConfig
 from .rules import COUNT, EPS, POSITIVE, SEED, integers, pooled_shape
 from .sensitivity import gaussian_kl_per_channel, layer_gate, sensitivity_score
@@ -187,8 +187,12 @@ def load_experiment_config(path=None, overrides: dict | None = None) -> Experime
     # make_domains also runs beside an explicit domain list, which replaces its result, to check num_domains and severity
     with _fields("scenario"):
         domains = make_domains(sc["num_domains"], sc["severity"], sc["seed"])
-    with _fields("scenario.domains"):
-        domains = [DomainSpec(**d) for d in sc["domains"]] if sc["domains"] else domains
+    if sc["domains"]:
+        with _fields("scenario.domains"):
+            entries, domains = list(sc["domains"]), []
+        for i, d in enumerate(entries):
+            with _fields(f"scenario.domains[{i}]"):
+                domains.append(DomainSpec(**d))
     with _fields("scenario"):
         scenario = StreamScenario(kind=sc["kind"], domains=domains, batch_size=sc["batch_size"], num_batches=sc["num_batches"],
                                   rounds=sc["rounds"], seed=sc["seed"], dirichlet_delta=sc["dirichlet_delta"])
@@ -231,24 +235,18 @@ class MetricsRecord:
 
 
 def train_model(cfg: ExperimentConfig) -> tuple[Network, TemplateBank, dict]:
-    """Capture source statistics on a clean stream from the config's templates,
-    fit the ridge head, and measure the clean-test baseline accuracy."""
+    """Build the network on a clean stream from the config's templates (source statistics, then the ridge head)
+    and measure the clean-test baseline accuracy."""
     bank, mc = cfg.bank, cfg.model
-    net = Network.build(tuple(mc["channels"]), tuple(cfg.data["input_shape"]), mc["seed"], mc["eps"])
 
     def clean_scenario(seed: int, num_batches: int) -> StreamScenario:
-        return StreamScenario(
-            kind="static",
-            domains=[identity_domain()],
-            batch_size=mc["train_batch_size"],
-            num_batches=num_batches,
-            seed=seed,
-        )
+        return StreamScenario(kind="static", domains=[identity_domain()], batch_size=mc["train_batch_size"],
+                              num_batches=num_batches, seed=seed)
 
     train_batches = list(iter_batches(clean_scenario(mc["train_seed"], mc["train_batches"]), bank))
-    feats = net.capture_source_stats([b.x for b in train_batches])
-    labels = np.concatenate([b.labels for b in train_batches])
-    net.head = train_linear_head(feats, labels, mc["head_lambda"], num_classes=cfg.data["num_classes"])
+    net = Network.build(tuple(mc["channels"]), tuple(cfg.data["input_shape"]), mc["seed"], mc["eps"],
+                        [b.x for b in train_batches], np.concatenate([b.labels for b in train_batches]),
+                        mc["head_lambda"], cfg.data["num_classes"])
 
     eval_scenario = clean_scenario(mc["train_seed"] + 1, mc["clean_eval_batches"])
     meta = {
@@ -342,56 +340,33 @@ def predictions_at(net: Network, bank: TemplateBank, scenario: StreamScenario, n
     return np.argmax(net.forward(sample_batch(scenario, bank, index).x, ncfg, gating=gating), axis=1)
 
 
-def compare_modes(
-    net: Network,
-    bank: TemplateBank,
-    scenario: StreamScenario,
-    ncfg: NormalizerConfig,
-    modes=MODES,
-    seeds=(0, 1, 2, 3, 4),
-) -> list[dict]:
-    """One row per mode: mean and std of run accuracy over stream seeds.
+def compare_modes(net: Network, bank: TemplateBank, scenario: StreamScenario, ncfg: NormalizerConfig, modes=MODES,
+                  seeds=(0, 1, 2, 3, 4)) -> list[dict]:
+    """One row per mode: mean and std of run accuracy over stream seeds, one or more as `SEED` checks them.
 
     All runs share the scenario apart from its seed, so rows are
     comparable by construction.
     """
-    rows = []
+    seeds, rows = integers("seeds", seeds, SEED), []
     for mode in modes:
         mode_cfg = replace(ncfg, mode=mode)
-        accs = []
-        for seed in seeds:
-            sc = replace(scenario, seed=int(seed))
-            accs.append(run_experiment(net, bank, sc, mode_cfg).mean_accuracy)
+        accs = [run_experiment(net, bank, replace(scenario, seed=seed), mode_cfg).mean_accuracy for seed in seeds]
         arr = np.asarray(accs, dtype=np.float64)
-        rows.append(
-            {
-                "mode": mode_cfg.mode,
-                "mean_accuracy": float(arr.mean()),
-                "std_accuracy": float(arr.std()),
-                "per_seed_accuracy": accs,
-                "seeds": [int(s) for s in seeds],
-            }
-        )
+        rows.append({"mode": mode_cfg.mode, "mean_accuracy": float(arr.mean()), "std_accuracy": float(arr.std()),
+                     "per_seed_accuracy": accs, "seeds": list(seeds)})
     return rows
 
 
 SWEEP_BATCH_SIZES = (1, 4, 16, 64)  # `batch_size_sweep`'s default, and the CLI's
 
 
-def batch_size_sweep(
-    net: Network,
-    bank: TemplateBank,
-    scenario: StreamScenario,
-    ncfg: NormalizerConfig,
-    batch_sizes=SWEEP_BATCH_SIZES,
-) -> list[dict]:
-    """Accuracy across batch sizes at a fixed total sample budget."""
-    total = scenario.batch_size * scenario.num_batches
-    rows = []
-    for bs in batch_sizes:
-        sc = replace(scenario, batch_size=int(bs), num_batches=max(1, total // int(bs)))
-        rec = run_experiment(net, bank, sc, ncfg)
-        rows.append({"batch_size": int(bs), "mean_accuracy": rec.mean_accuracy, "num_samples": rec.num_samples})
+def batch_size_sweep(net: Network, bank: TemplateBank, scenario: StreamScenario, ncfg: NormalizerConfig,
+                     batch_sizes=SWEEP_BATCH_SIZES) -> list[dict]:
+    """Accuracy across batch sizes, one or more as `COUNT` checks them, at a fixed total sample budget."""
+    total, rows = scenario.batch_size * scenario.num_batches, []
+    for bs in integers("batch_sizes", batch_sizes, COUNT):
+        rec = run_experiment(net, bank, replace(scenario, batch_size=bs, num_batches=max(1, total // bs)), ncfg)
+        rows.append({"batch_size": bs, "mean_accuracy": rec.mean_accuracy, "num_samples": rec.num_samples})
     return rows
 
 

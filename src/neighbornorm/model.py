@@ -3,14 +3,16 @@
 The backbone is a stack of conv(3x3, pad 1) -> normalize -> relu ->
 avgpool(2x2) stages followed by a linear head. Conv weights are seeded
 Gaussians scaled by 1/sqrt(fan-in) and are never trained; the head is a
-closed-form ridge regression on one-hot targets. Source statistics for
-each normalization slot, and the head's features, come from one
-front-to-back pass over clean data; neither depends on batch order.
+closed-form ridge regression on one-hot targets. `Network.build` draws the
+weights, captures each slot's source statistics and the head's features in
+one front-to-back pass over clean data (neither depends on batch order),
+fits the head, and only then constructs the network: a `Network` is whole
+from construction, and its constructor checks every part once.
 
 The public kernels check their inputs. A `Network` checks its input once, at
-entry, runs the stages through the bodies behind them (`_conv`; `_normalize`,
-the one FABN body, which checks only the channel count and normalizes in place;
-relu in place), and checks at exit that the result is finite (else ValueError).
+entry, runs each stage through one unchecked body, `_stage` (`_conv`; `_normalize`,
+the one FABN body, which normalizes in place; relu in place; pool), and checks at
+exit that the result is finite (else ValueError). Capture runs the same body.
 A stage sees the whole batch, as the grouping must; the two kernels whose temporaries
 grow with it, `_conv` and `sample_moments`, run over blocks of `tensors._BLOCK`
 samples, so those stay in L2, and no bit depends on block edges.
@@ -94,9 +96,21 @@ def _finite(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LinearHead:
-    weight: np.ndarray  # (classes, feature_dim) float32
-    bias: np.ndarray  # (classes,) float32
+    """Class scores `features @ weight.T + bias`: a finite float32 (K, D) weight and (K,) bias for K >= 2 classes,
+    and the positive ridge lambda that fitted them."""
+
+    weight: np.ndarray
+    bias: np.ndarray
     ridge_lambda: float
+
+    def __post_init__(self):
+        weight, bias = np.ascontiguousarray(self.weight, np.float32), np.asarray(self.bias, np.float32)
+        if weight.ndim != 2 or bias.shape != weight.shape[:1] or not (np.isfinite(weight).all() and np.isfinite(bias).all()):
+            raise ValueError(f"head must be a finite (K, D) weight and (K,) bias, got shapes {weight.shape} and {bias.shape}")
+        NUM_CLASSES("num_classes", weight.shape[0])
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "bias", bias)
+        object.__setattr__(self, "ridge_lambda", POSITIVE("ridge_lambda", self.ridge_lambda))
 
     @property
     def num_classes(self) -> int:
@@ -130,35 +144,93 @@ def train_linear_head(features: np.ndarray, labels: np.ndarray, ridge_lambda: fl
         raise ArithmeticError(f"ridge system is singular beyond regularization: {exc}") from exc
     if not np.isfinite(w_aug).all():
         raise ArithmeticError("ridge solve produced non-finite coefficients")
-    return LinearHead(
-        weight=np.ascontiguousarray(w_aug[:d].T, dtype=np.float32),
-        bias=w_aug[d].astype(np.float32),
-        ridge_lambda=ridge_lambda,
-    )
+    return LinearHead(weight=w_aug[:d].T, bias=w_aug[d], ridge_lambda=ridge_lambda)
+
+
+def _checked(x: np.ndarray, input_shape: tuple) -> np.ndarray:
+    """`x` as a canonical map of samples shaped `input_shape`, or ValueError."""
+    x = as_feature_map(x)
+    if x.shape[1:] != input_shape:
+        raise ValueError(f"input shape {x.shape[1:]} does not match network input {input_shape}")
+    return x
+
+
+def _stage(h: np.ndarray, w: np.ndarray, src: SourceStats, cfg: NormalizerConfig,
+           enabled: bool = True) -> tuple[np.ndarray, SlotTrace]:
+    """One stage on a canonical map of any batch size, unchecked: conv by `w`, normalize in place on the stage's
+    own conv map against `src`, relu in place, pool."""
+    h, trace = _normalize(_conv(h, w), src, cfg, enabled)
+    return avg_pool_2x2(np.maximum(h, np.float32(0.0), out=h)), trace
 
 
 class Network:
-    """Fixed-weight conv backbone with one normalization slot per stage."""
+    """Fixed-weight conv backbone with one normalization slot per stage, whole from construction.
 
-    def __init__(self, conv_weights: list, input_shape: tuple, seed: int, eps: float = 1e-5):
-        self.conv_weights = [np.asarray(w, dtype=np.float32) for w in conv_weights]
-        self.input_shape = tuple(int(v) for v in input_shape)
-        self.seed = int(seed)
-        self.eps = float(eps)
-        self.source_stats: list = [None] * len(self.conv_weights)
-        self.head: LinearHead | None = None
+    The constructor checks every part once: `input_shape` pools evenly through the stages, `seed` and `eps` follow
+    their rules, each conv kernel is a finite (C_out, C_in, 3, 3) array that chains from the input's channels, each
+    slot's `SourceStats` has its conv's C_out channels and the network's eps, and the head takes the pooled feature
+    count. Anything it accepts runs, and comes back bitwise from `save_model` and `load_model`.
+    """
+
+    def __init__(self, conv_weights, source_stats, head: LinearHead, input_shape, seed: int, eps: float = 1e-5):
+        self.conv_weights = tuple(np.asarray(w, dtype=np.float32) for w in conv_weights)
+        self.source_stats, self.head = tuple(source_stats), head
+        self.input_shape = tuple(pooled_shape("input_shape", input_shape, len(self.conv_weights)))
+        self.seed, self.eps = SEED("seed", seed), EPS("eps", eps)
+        if not self.conv_weights or len(self.source_stats) != len(self.conv_weights):
+            raise ValueError(f"source_stats must hold one entry per conv, of one or more: got {len(self.source_stats)} "
+                             f"for {len(self.conv_weights)}")
+        c_in = self.input_shape[0]
+        for k, (w, src) in enumerate(zip(self.conv_weights, self.source_stats)):
+            if w.shape[1:] != (c_in, 3, 3) or not w.size or not np.isfinite(w).all():
+                raise ValueError(f"conv_weights[{k}] must be a finite (C, {c_in}, 3, 3) kernel, got shape {w.shape}")
+            if src.num_channels != w.shape[0] or src.eps != self.eps:
+                raise ValueError(f"source_stats[{k}] must have {w.shape[0]} channels and eps {self.eps}, "
+                                 f"got {src.num_channels} and {src.eps}")
+            c_in = w.shape[0]
+        width = c_in * (self.input_shape[1] >> self.num_slots) * (self.input_shape[2] >> self.num_slots)
+        if head.weight.shape[1] != width:
+            raise ValueError(f"head must take the {width} pooled features, got width {head.weight.shape[1]}")
 
     @classmethod
-    def build(cls, channels=(8, 16), input_shape=(1, 16, 16), seed: int = 0, eps: float = 1e-5) -> "Network":
-        rng = np.random.default_rng(seed)
-        weights = []
-        c_in = input_shape[0]
+    def build(cls, channels, input_shape, seed: int, eps: float, clean_batches, labels, ridge_lambda: float,
+              num_classes: int) -> "Network":
+        """Draw seeded Gaussian kernels scaled by 1/sqrt(fan-in), capture their source statistics on `clean_batches`,
+        and fit the ridge head on the captured features against `labels`, one per sample in batch order."""
+        rng = np.random.default_rng(SEED("seed", seed))  # the constructor checks it too, after the capture
+        weights, c_in = [], input_shape[0]
         for c_out in channels:
-            fan_in = c_in * 9
-            w = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(c_out, c_in, 3, 3))
-            weights.append(w.astype(np.float32))
+            weights.append(rng.normal(0.0, 1.0 / np.sqrt(c_in * 9), size=(c_out, c_in, 3, 3)).astype(np.float32))
             c_in = c_out
-        return cls(weights, input_shape, seed, eps)
+        source_stats, features = cls.capture_source_stats(weights, input_shape, clean_batches, eps)
+        head = train_linear_head(features, labels, ridge_lambda, num_classes)
+        return cls(weights, source_stats, head, input_shape, seed, eps)
+
+    @classmethod
+    def capture_source_stats(cls, conv_weights, input_shape, clean_batches, eps: float) -> tuple[list, np.ndarray]:
+        """Each slot's `SourceStats` (identity affine, `eps`) for the float32 kernels `conv_weights`, fitted on clean
+        batches of `input_shape` samples, and the (N, D) sbn features of those batches.
+
+        One front-to-back sweep: slot k pools `sample_moments` of every batch's conv map, finalizes its
+        statistics, then moves every batch through stage k into one array per slot (not per batch: that
+        keeps the heap unfragmented), so nothing depends on batch order and the features are bitwise
+        `backbone(x, sbn)`. Each conv runs twice, as keeping every slot-0 conv map would cost ~21 MB.
+        """
+        hs = [_checked(b, tuple(input_shape)) for b in clean_batches]
+        if not hs or not conv_weights:
+            raise ValueError("capture needs a nonempty clean stream and one or more conv kernels")
+        cfg, source_stats = NormalizerConfig(mode="sbn"), []
+        cuts = np.cumsum([h.shape[0] for h in hs])[:-1]
+        for w in conv_weights:
+            parts = [sample_moments(_finite(_conv(h, w))) for h in hs]
+            sums, m2 = (np.concatenate(p) for p in zip(*parts))
+            _, _, height, width = hs[0].shape
+            source_stats.append(SourceStats.with_identity_affine(pooled_stats(sums, m2, height * width), eps))
+            out = np.empty((sums.shape[0], w.shape[0], height // 2, width // 2), np.float32)
+            for h, rows in zip(hs, np.split(out, cuts)):
+                rows[...] = _stage(h, w, source_stats[-1], cfg)[0]
+            hs = np.split(out, cuts)
+        return source_stats, _finite(out.reshape(out.shape[0], -1))
 
     @property
     def num_slots(self) -> int:
@@ -168,22 +240,6 @@ class Network:
     def channels(self) -> tuple:
         return tuple(w.shape[0] for w in self.conv_weights)
 
-    def _check_input(self, x: np.ndarray) -> np.ndarray:
-        x = as_feature_map(x)
-        if x.shape[1:] != self.input_shape:
-            raise ValueError(f"input shape {x.shape[1:]} does not match network input {self.input_shape}")
-        return x
-
-    def _require_stats(self) -> None:
-        if any(s is None for s in self.source_stats):
-            raise RuntimeError("source statistics not captured; run capture_source_stats first")
-
-    def _stage(self, h: np.ndarray, k: int, cfg: NormalizerConfig, enabled: bool = True) -> tuple[np.ndarray, SlotTrace]:
-        """Stage k on a canonical map of any batch size, unchecked: conv, normalize in place on the
-        stage's own conv map, relu in place, pool."""
-        h, trace = _normalize(_conv(h, self.conv_weights[k]), self.source_stats[k], cfg, enabled)
-        return avg_pool_2x2(np.maximum(h, np.float32(0.0), out=h)), trace
-
     def backbone(self, x: np.ndarray, cfg: NormalizerConfig, gating=None) -> tuple[np.ndarray, list[SlotTrace]]:
         """Features after all stages, plus one trace per normalization slot.
 
@@ -191,47 +247,20 @@ class Network:
         leaves partitioning on everywhere (only the partitioning modes
         look at it). Checks the input once; non-finite features raise ValueError.
         """
-        h = self._check_input(x)
-        self._require_stats()
+        h = _checked(x, self.input_shape)
         if gating is not None and len(gating) != self.num_slots:
             raise ValueError(f"gating must list {self.num_slots} flags")
         traces = []
-        for k in range(self.num_slots):
-            h, trace = self._stage(h, k, cfg, True if gating is None else bool(gating[k]))
+        for k, (w, src) in enumerate(zip(self.conv_weights, self.source_stats)):
+            h, trace = _stage(h, w, src, cfg, True if gating is None else bool(gating[k]))
             traces.append(trace)
         return _finite(h.reshape(h.shape[0], -1)), traces
 
     def forward(self, x: np.ndarray, cfg: NormalizerConfig, gating=None, collect_traces: bool = False):
         """Class scores (B, K); with `collect_traces`, also per-slot traces."""
-        if self.head is None:
-            raise RuntimeError("no linear head attached; train or load one first")
         feats, traces = self.backbone(x, cfg, gating)
         logits = feats @ self.head.weight.T + self.head.bias
         return (logits, traces) if collect_traces else logits
-
-    def capture_source_stats(self, clean_batches) -> np.ndarray:
-        """Fit each slot's source statistics from clean batches; return the (N, D) sbn features.
-
-        One front-to-back sweep: slot k pools `sample_moments` of every batch's conv map, finalizes its
-        statistics, then moves every batch through stage k into one array per slot (not per batch: that
-        keeps the heap unfragmented), so nothing depends on batch order and the features are bitwise
-        `backbone(x, sbn)`. Each conv runs twice, as keeping every slot-0 conv map would cost ~21 MB.
-        """
-        hs = [self._check_input(b) for b in clean_batches]
-        if not hs:
-            raise ValueError("clean training stream is empty")
-        cfg = NormalizerConfig(mode="sbn")
-        cuts = np.cumsum([h.shape[0] for h in hs])[:-1]
-        for k in range(self.num_slots):
-            parts = [sample_moments(_finite(_conv(h, self.conv_weights[k]))) for h in hs]
-            sums, m2 = (np.concatenate(p) for p in zip(*parts))
-            _, _, height, width = hs[0].shape
-            self.source_stats[k] = SourceStats.with_identity_affine(pooled_stats(sums, m2, height * width), self.eps)
-            out = np.empty((sums.shape[0], self.channels[k], height // 2, width // 2), np.float32)
-            for h, rows in zip(hs, np.split(out, cuts)):
-                rows[...] = self._stage(h, k, cfg)[0]
-            hs = np.split(out, cuts)
-        return _finite(out.reshape(out.shape[0], -1))
 
 
 class ModelFormatError(ValueError):
@@ -268,9 +297,6 @@ def _check_header(header) -> None:
     num_classes = NUM_CLASSES("num_classes", header.get("num_classes"))
     if not isinstance(header.get("meta", {}), dict):
         raise ModelFormatError("meta must be an object")
-    SEED("seed", header.get("seed"))
-    EPS("eps", header.get("eps"))
-    POSITIVE("ridge_lambda", header.get("ridge_lambda"))
     expected = _expected_manifest(channels, input_shape, num_classes)
     if header.get("tensors") != expected:
         raise ModelFormatError(f"tensor manifest {header.get('tensors')!r} does not match the sizes, expected {expected}")
@@ -282,9 +308,6 @@ def _check_header(header) -> None:
 def save_model(net: Network, path, meta: dict | None = None) -> None:
     """Write a model file: one JSON header line, then the little-endian
     float32 payload of every tensor in manifest order."""
-    net._require_stats()
-    if net.head is None:
-        raise RuntimeError("cannot save a model without a head")
     named = _tensor_manifest(net)
     header = {
         "format": MODEL_FORMAT,
@@ -328,25 +351,15 @@ def load_model(path) -> tuple[Network, dict]:
             name: flat[end - size : end].reshape(shape).astype(np.float32)
             for (name, shape), size, end in zip(header["tensors"], sizes, ends)
         }
-        channels = header["channels"]
-        net = Network(
-            conv_weights=[tensors[f"conv{k}"] for k in range(len(channels))],
-            input_shape=tuple(header["input_shape"]),
-            seed=header["seed"],
-            eps=header["eps"],
-        )
-        for k in range(len(channels)):
-            net.source_stats[k] = SourceStats(
-                stats=ChannelStats(tensors[f"slot{k}.mean"], tensors[f"slot{k}.var"]),
-                affine_scale=tensors[f"slot{k}.affine_scale"],
-                affine_shift=tensors[f"slot{k}.affine_shift"],
-                eps=header["eps"],
-            )
-    except ValueError as exc:  # the checks above, an undecodable header, a negative variance
+        slots = range(len(header["channels"]))
+        source_stats = [
+            SourceStats(ChannelStats(tensors[f"slot{k}.mean"], tensors[f"slot{k}.var"]), tensors[f"slot{k}.affine_scale"],
+                        tensors[f"slot{k}.affine_shift"], header["eps"])
+            for k in slots
+        ]
+        head = LinearHead(tensors["head.weight"], tensors["head.bias"], header["ridge_lambda"])
+        weights = [tensors[f"conv{k}"] for k in slots]
+        net = Network(weights, source_stats, head, header["input_shape"], header["seed"], header["eps"])
+    except ValueError as exc:  # the checks above and the constructors', an undecodable header, a negative variance
         raise ModelFormatError(f"{path}: {exc}") from exc
-    net.head = LinearHead(
-        weight=tensors["head.weight"],
-        bias=tensors["head.bias"],
-        ridge_lambda=header["ridge_lambda"],
-    )
     return net, header.get("meta", {})

@@ -129,16 +129,17 @@ def apply_normalizer(
     one-group partition. A one-sample batch is its own group: `_normalize`
     takes its moments without a merge, and the result equals alpha_bn's. `x` is not written.
     """
-    return _normalize(as_feature_map(x).copy(), src, cfg, partition_enabled)
+    x = as_feature_map(x)
+    if x.shape[1] != src.num_channels:
+        raise ValueError(f"feature map has {x.shape[1]} channels, source stats {src.num_channels}")
+    return _normalize(x.copy(), src, cfg, partition_enabled)
 
 
 def _normalize(x: np.ndarray, src: SourceStats, cfg: NormalizerConfig, partition_enabled: bool) -> tuple[np.ndarray, SlotTrace]:
-    """`apply_normalizer` of a canonical map, which it normalizes in place and checks only for its channel count.
+    """`apply_normalizer` of a canonical map with `src`'s channel count, which it normalizes in place, unchecked.
     A one-sample batch is its own group, `sums / L` and `m2 / L`: `merge_moments`' bits, without labels or a merge.
     Each group's row blends alpha parts source with (1 - alpha) parts test, except in tbn."""
-    b, c, h, w = x.shape
-    if c != src.num_channels:
-        raise ValueError(f"feature map has {c} channels, source stats {src.num_channels}")
+    b, _, h, w = x.shape
     if cfg.mode == "sbn":  # one group; the batch is not measured
         mean, scale, trace = src.stats.mean[None], src._sbn_scale, SlotTrace(None, None, None, h * w)
     else:

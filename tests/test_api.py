@@ -1,11 +1,14 @@
 import ast
 import importlib
+import importlib.util
 import pathlib
 import pkgutil
 
 import pytest
 
 import neighbornorm
+import neighbornorm.harness as harness
+import neighbornorm.model as model
 
 MODULES = sorted(name for _, name, _ in pkgutil.iter_modules(neighbornorm.__path__))
 BENCHMARKS = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
@@ -80,3 +83,45 @@ def test_every_export_has_a_reader(module_name):
     read = {name for where, owner, name in src_reads() if (where, owner) != (module_name, name)}
     unread = [name for name in getattr(module, "__all__", []) if name not in read and f"{module_name}.{name}" not in outside]
     assert not unread, f"neighbornorm.{module_name}.__all__ names only tests read: {unread}"
+
+
+# Tracer targets that no longer resolve: the tracer skips them, and their layers read zero.
+DEAD_TRACER_TARGETS = {"model.apply_normalizer", "model.relu", "normalization.first_neighbor_partition",
+                       "normalization.channel_moments", "grouping.as_feature_map"}
+
+
+def load_tracer():
+    """benchmarks/tracer.py as a module of its own, read without editing or installing it."""
+    spec = importlib.util.spec_from_file_location("neighbornorm_benchmark_tracer", BENCHMARKS / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_tracer_targets_resolve():
+    tracer = load_tracer()
+    dead = set()
+    for module_name, attribute, *_ in (*tracer.SPANNED, *tracer.COUNTED):
+        owner = importlib.import_module(module_name)
+        for part in attribute.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            dead.add(f"{module_name.removeprefix('neighbornorm.')}.{attribute}")
+    assert dead <= DEAD_TRACER_TARGETS, f"tracer targets that stopped resolving: {sorted(dead - DEAD_TRACER_TARGETS)}"
+
+
+def test_tracer_spans_one_capture_per_train_model(small_setup, monkeypatch):
+    tracer_module = load_tracer()
+    # uninstall puts back what the class lookup returned, a bound method; put the classmethod itself back after
+    monkeypatch.setattr(model.Network, "capture_source_stats", model.Network.__dict__["capture_source_stats"])
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        tracer.mode = tracer_module.SETUP
+        harness.train_model(small_setup[0])
+    finally:
+        tracer.mode = None
+        tracer.uninstall()
+    spans = tracer.span_counts()
+    assert spans[("harness.train_model", tracer_module.SETUP)] == 1
+    assert spans[("model.capture_source_stats", tracer_module.SETUP)] == 1

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from neighbornorm import cli
 from neighbornorm.cli import main
 
 from conftest import SMALL_CONFIG
@@ -29,6 +30,12 @@ class TestTrain:
     def test_writes_model_file(self, workspace):
         root, _ = workspace
         assert (root / "model.nnm").exists()
+
+    def test_model_directory_is_created(self, workspace, tmp_path):
+        root, cfg_path = workspace
+        path = tmp_path / "nodir" / "model.nnm"
+        assert main(["train", "--config", str(cfg_path), "--out", str(path)]) == 0
+        assert path.read_bytes() == (root / "model.nnm").read_bytes()
 
     def test_train_to_alternate_path(self, workspace, capsys):
         root, cfg_path = workspace
@@ -101,11 +108,32 @@ class TestRun:
         bad.write_text("{not json")
         assert main(["run", "--config", str(bad)]) == 1
 
-    def test_unwritable_output_is_runtime_error(self, workspace, tmp_path, capsys):
+    def test_missing_output_directory_is_created(self, workspace, tmp_path):
         _, cfg_path = workspace
         out = tmp_path / "no" / "such" / "dir" / "run"
-        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
-        assert "error" in capsys.readouterr().err
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert (out.parent / "run.json").exists() and (out.parent / "run.csv").exists()
+
+    def test_default_output_directory_is_created(self, workspace, tmp_path, monkeypatch):
+        # the stock `out`, results/run, from a working directory that has no results/
+        _, cfg_path = workspace
+        cfg = json.loads(cfg_path.read_text())
+        del cfg["out"]
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", "cfg.json"]) == 0
+        assert (tmp_path / "results" / "run.json").exists()
+
+    def test_uncreatable_output_is_config_error(self, workspace, tmp_path, capsys, monkeypatch):
+        # an output directory under a regular file cannot be made: exit 1 before the model loads or a batch runs
+        _, cfg_path = workspace
+        (tmp_path / "file").write_text("")
+        monkeypatch.setattr(cli, "load_model", lambda path: pytest.fail("loaded the model"))
+        monkeypatch.setattr(cli, "train_and_save", lambda cfg: pytest.fail("trained the model"))
+        for command in ("run", "compare", "diagnose", "sweep-batch", "train"):
+            assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "file" / "run")]) == 1, command
+            assert "cannot create the directory" in capsys.readouterr().err, command
+        assert not (tmp_path / "file" / "run").exists()
 
     def test_conflicting_data_section_rejected(self, workspace, tmp_path, capsys):
         _, cfg_path = workspace

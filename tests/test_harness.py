@@ -148,6 +148,13 @@ class TestNumericConfigFields:
         with pytest.raises(ConfigError, match=key):
             load_experiment_config(None, {"scenario.domains": [domain]})
 
+    def test_domain_entry_named_by_index(self):
+        good = {"id": 0, "contrast": 1.2, "brightness": 0.5, "noise_sigma": 0.1, "severity": 2}
+        with pytest.raises(ConfigError, match=re.escape("scenario.domains[1].brightness")):
+            load_experiment_config(None, {"scenario.domains": [good, good | {"brightness": "dark"}]})
+        with pytest.raises(ConfigError, match=re.escape("invalid scenario.domains[0] config")):
+            load_experiment_config(None, {"scenario.domains": [{"id": 0}]})
+
     def test_integral_floats_and_null_delta_accepted(self):
         cfg = load_experiment_config(None, {"scenario.batch_size": 8.0, "scenario.dirichlet_delta": None})
         assert cfg.scenario.batch_size == 8 and type(cfg.scenario.batch_size) is int
@@ -316,6 +323,19 @@ class TestCompareAndSweep:
         rows = batch_size_sweep(net, bank, sc, cfg.normalizer, batch_sizes=(1, 4, 16, 32))
         assert [r["batch_size"] for r in rows] == [1, 4, 16, 32]
         assert len({r["num_samples"] for r in rows}) == 1
+
+    @pytest.mark.parametrize("seeds", [(1.7, True), (), [0, -1], "01"])
+    def test_compare_modes_rejects_bad_seeds(self, small_setup, seeds):
+        # a fraction or a bool would run as a cast seed, and no seeds at all as a NaN row
+        cfg, net, bank, _, _ = small_setup
+        with pytest.raises(ValueError, match="seeds"):
+            compare_modes(net, bank, cfg.scenario, cfg.normalizer, seeds=seeds)
+
+    @pytest.mark.parametrize("sizes", [(2.9, True), (), [4, 0]])
+    def test_batch_size_sweep_rejects_bad_sizes(self, small_setup, sizes):
+        cfg, net, bank, _, _ = small_setup
+        with pytest.raises(ValueError, match="batch_sizes"):
+            batch_size_sweep(net, bank, cfg.scenario, cfg.normalizer, batch_sizes=sizes)
 
 
 class TestLifeLongAndGating:

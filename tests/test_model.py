@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from neighbornorm.model import (
+    LinearHead,
     ModelFormatError,
     Network,
+    _stage,
     avg_pool_2x2,
     conv2d_3x3,
     load_model,
@@ -33,12 +35,24 @@ def stock_batch(setup, b, index=0):
 
 def build_trained_net(seed=0, channels=(4, 8), input_shape=(1, 8, 8), num_classes=3, n_batches=6, batch=16):
     rng = np.random.default_rng(seed)
-    net = Network.build(channels=channels, input_shape=input_shape, seed=seed)
     batches = [rng.normal(size=(batch,) + input_shape).astype(np.float32) for _ in range(n_batches)]
     labels = [rng.integers(0, num_classes, batch) for _ in range(n_batches)]
-    feats = net.capture_source_stats(batches)
-    net.head = train_linear_head(feats, np.concatenate(labels), 1e-2, num_classes=num_classes)
+    net = Network.build(channels, input_shape, seed, 1e-5, batches, np.concatenate(labels), 1e-2, num_classes)
     return net, batches
+
+
+def kernels(seed, channels=(4, 8), c_in=1):
+    """Seeded float32 conv kernels, one (c_out, c_in, 3, 3) array per stage."""
+    rng, out = np.random.default_rng(seed), []
+    for c_out in channels:
+        out.append((rng.normal(size=(c_out, c_in, 3, 3)) / np.sqrt(c_in * 9)).astype(np.float32))
+        c_in = c_out
+    return out
+
+
+def identity_stats(channels, eps=1e-5):
+    """Zero-mean, unit-variance source statistics with identity affine terms, one per stage."""
+    return [SourceStats.with_identity_affine(ChannelStats(np.zeros(c), np.ones(c)), eps) for c in channels]
 
 
 class TestConv:
@@ -100,8 +114,8 @@ class TestPoolRelu:
         # one stage of identity conv and unit sbn: relu zeroes the negative entries before the pool
         w = np.zeros((1, 1, 3, 3), np.float32)
         w[0, 0, 1, 1] = 1.0
-        net = Network([w], input_shape=(1, 2, 2), seed=0, eps=1e-30)
-        net.source_stats[0] = SourceStats.with_identity_affine(ChannelStats(np.zeros(1), np.ones(1)), eps=1e-30)
+        head = LinearHead(np.ones((2, 1)), np.zeros(2), 1.0)
+        net = Network([w], identity_stats([1], eps=1e-30), head, input_shape=(1, 2, 2), seed=0, eps=1e-30)
         feats, _ = net.backbone(np.array([[[[-1.0, 2.0], [-3.0, 6.0]]]], np.float32), NormalizerConfig(mode="sbn"))
         np.testing.assert_array_equal(feats, [[2.0]])  # (0 + 2 + 0 + 6) / 4
 
@@ -175,18 +189,12 @@ class TestLinearHead:
 
 class TestNetworkForward:
     def test_zero_input_propagates_to_bias(self):
-        net = Network.build(channels=(4, 8), input_shape=(1, 8, 8), seed=5)
-        for k, c in enumerate(net.channels):
-            net.source_stats[k] = SourceStats.with_identity_affine(
-                ChannelStats(np.zeros(c, np.float32), np.ones(c, np.float32))
-            )
         bias = np.array([0.5, -1.0, 2.0], np.float32)
-        from neighbornorm.model import LinearHead
-
+        width = 8 * 2 * 2  # last stage's channels times the twice-pooled 8x8 input
+        head = LinearHead(weight=np.ones((3, width), np.float32), bias=bias, ridge_lambda=1.0)
+        net = Network(kernels(5), identity_stats((4, 8)), head, input_shape=(1, 8, 8), seed=5)
         x = np.zeros((4, 1, 8, 8), np.float32)
-        width = net.backbone(x, NormalizerConfig(mode="sbn"))[0].shape[1]
-        assert width == 8 * 2 * 2  # last stage's channels times the twice-pooled 8x8 input
-        net.head = LinearHead(weight=np.ones((3, width), np.float32), bias=bias, ridge_lambda=1.0)
+        assert net.backbone(x, NormalizerConfig(mode="sbn"))[0].shape[1] == width
         logits = net.forward(x, NormalizerConfig(mode="sbn"))
         np.testing.assert_allclose(logits, np.tile(bias, (4, 1)), atol=1e-7)
 
@@ -237,10 +245,11 @@ class TestNetworkForward:
             net.forward(np.zeros((2, 1, 6, 6), np.float32), NormalizerConfig(mode="sbn"))
 
     def test_source_stats_channel_mismatch_rejected(self):
-        net, batches = build_trained_net(seed=11)
-        net.source_stats[0] = SourceStats.with_identity_affine(ChannelStats(np.zeros(1), np.ones(1)))  # would broadcast
-        with pytest.raises(ValueError, match="channels"):
-            net.forward(batches[0], NormalizerConfig(mode="sbn"))
+        # one channel would broadcast over the slot's four in the normalizer: the constructor refuses it
+        net, _ = build_trained_net(seed=11)
+        stats = [*identity_stats([1]), *net.source_stats[1:]]
+        with pytest.raises(ValueError, match=r"source_stats\[0\] must have 4 channels"):
+            Network(net.conv_weights, stats, net.head, net.input_shape, net.seed, net.eps)
 
     def test_input_checked_once_per_forward(self, monkeypatch):
         import neighbornorm.model as model_module
@@ -268,7 +277,7 @@ class TestNetworkForward:
                 with pytest.raises(ValueError):
                     net.forward(x, NormalizerConfig(mode=mode))
             with pytest.raises(ValueError):
-                Network.build(seed=11).capture_source_stats([x])
+                Network.capture_source_stats(net.conv_weights, net.input_shape, [x], net.eps)
             with pytest.raises(ValueError):  # at 3e37 only sbn's last stage overflows: the exit check sees it
                 net.forward(x / 10, NormalizerConfig(mode="sbn"))
 
@@ -318,49 +327,134 @@ class TestNetworkForward:
                 assert same_bits(net.backbone(x[i : i + 1], sbn)[0][0], feats[i]), (b, i)
 
 
+def parts_of(net) -> dict:
+    """The constructor arguments of `net`."""
+    return dict(conv_weights=net.conv_weights, source_stats=net.source_stats, head=net.head, input_shape=net.input_shape,
+                seed=net.seed, eps=net.eps)
+
+
+class TestConstruction:
+    """A network is whole when it exists: the constructor checks every part once, naming the one it rejects."""
+
+    def test_build_names_a_bad_seed_before_it_draws(self):
+        with pytest.raises(ValueError, match="seed"):
+            Network.build((4,), (1, 4, 4), -3, 1e-5, [np.ones((2, 1, 4, 4), np.float32)], [0, 1], 1.0, 2)
+
+    @pytest.mark.parametrize(
+        "field, edit",
+        [
+            ("seed", lambda p: p.update(seed=-3)),
+            ("seed", lambda p: p.update(seed=1.5)),
+            ("input_shape", lambda p: p.update(input_shape=(1, 16.9, 16))),
+            ("input_shape", lambda p: p.update(input_shape=(1, 15, 16))),  # does not pool through two stages
+            (r"conv_weights\[0\] must be a finite \(C, 2, 3, 3\)", lambda p: p.update(input_shape=(2, 16, 16))),
+            ("eps", lambda p: p.update(eps=1e-50)),  # 0 in float32
+            ("source_stats", lambda p: p.update(source_stats=p["source_stats"][:1])),
+            (r"source_stats\[1\] must have 16 channels", lambda p: p.update(source_stats=[p["source_stats"][0], *identity_stats([8])])),
+            (r"source_stats\[0\].*eps", lambda p: p.update(source_stats=[*identity_stats([8], eps=1e-4), p["source_stats"][1]])),
+            (r"conv_weights\[1\]", lambda p: p.update(conv_weights=[p["conv_weights"][0], np.ones((16, 4, 3, 3))])),
+            (r"conv_weights\[0\]", lambda p: p.update(conv_weights=[np.full((8, 1, 3, 3), np.inf), p["conv_weights"][1]])),
+            ("head must take the 256 pooled features", lambda p: p.update(head=LinearHead(np.zeros((10, 100)), np.zeros(10), 1.0))),
+        ],
+    )
+    def test_bad_part_named(self, default_setup, field, edit):
+        parts = parts_of(default_setup[1])
+        edit(parts)
+        with pytest.raises(ValueError, match=field):
+            Network(**parts)
+
+    @pytest.mark.parametrize(
+        "field, weight, bias, ridge_lambda",
+        [
+            ("num_classes", np.ones((1, 4)), np.ones(1), 1.0),
+            ("head", np.ones((2, 4)), np.ones(3), 1.0),
+            ("head", np.ones(4), np.ones(4), 1.0),
+            ("head", np.full((2, 4), np.nan), np.ones(2), 1.0),
+            ("ridge_lambda", np.ones((2, 4)), np.ones(2), 0.0),
+        ],
+    )
+    def test_bad_head_named(self, field, weight, bias, ridge_lambda):
+        with pytest.raises(ValueError, match=field):
+            LinearHead(weight, bias, ridge_lambda)
+
+    def test_every_accepted_network_round_trips_bitwise(self, tmp_path):
+        # what the constructor accepts, `load_model` reads back: float64 parts, integral-float seeds, a tiny or
+        # large eps, non-identity affine terms, three stages on a non-square input
+        rng = np.random.default_rng(31)
+
+        def affine_stats(channels, eps):
+            return [SourceStats(ChannelStats(rng.normal(size=c), rng.uniform(0, 3, c)), rng.normal(size=c), rng.normal(size=c), eps)
+                    for c in channels]
+
+        cases = [
+            (kernels(1), identity_stats((4, 8)), (1, 8, 8), 0, 1e-5, 3),
+            ([w.astype(np.float64) for w in kernels(2)], affine_stats((4, 8), 2.0**-149), (1, 8, 8), 7.0, 2.0**-149, 2),
+            (kernels(3, (3, 5, 2), c_in=2), affine_stats((3, 5, 2), 0.5), (2, 8, 16), 2**40, 0.5, 4),
+            (kernels(4, (6,)), affine_stats((6,), 1e-3), [1, 2, 6], 5, 1e-3, 7),
+        ]
+        for i, (weights, stats, shape, seed, eps, k) in enumerate(cases):
+            width = weights[-1].shape[0] * (shape[1] >> len(weights)) * (shape[2] >> len(weights))
+            head = LinearHead(rng.normal(size=(k, width)), rng.normal(size=k), rng.uniform(0.1, 2.0))
+            net = Network(weights, stats, head, shape, seed, eps)
+            save_model(net, tmp_path / f"{i}.nnm")
+            loaded, _ = load_model(tmp_path / f"{i}.nnm")
+            assert (loaded.input_shape, loaded.seed, loaded.eps) == (net.input_shape, net.seed, net.eps), i
+            assert loaded.head.ridge_lambda == net.head.ridge_lambda, i
+            for ours, theirs in zip(_tensor_arrays(net), _tensor_arrays(loaded)):
+                assert same_bits(ours, theirs), i
+            x = rng.normal(size=(5, *shape)).astype(np.float32)
+            for mode in MODES:
+                assert same_bits(net.forward(x, NormalizerConfig(mode=mode)), loaded.forward(x, NormalizerConfig(mode=mode))), (i, mode)
+
+
+def _tensor_arrays(net) -> list:
+    """Every array a network holds, in a fixed order."""
+    arrays = list(net.conv_weights) + [net.head.weight, net.head.bias]
+    for src in net.source_stats:
+        arrays += [src.stats.mean, src.stats.var, src.affine_scale, src.affine_shift]
+    return arrays
+
+
 class TestCapture:
     def test_identity_kernel_constant_batch(self):
         # center-tap kernel passes the input through, so a constant batch
         # yields constant activations: mean = constant, variance = 0
         w = np.zeros((2, 1, 3, 3), np.float32)
         w[:, 0, 1, 1] = 1.0
-        net = Network([w], input_shape=(1, 4, 4), seed=0)
-        net.capture_source_stats([np.full((3, 1, 4, 4), 2.5, np.float32)])
-        stats = net.source_stats[0].stats
+        (src,), _ = Network.capture_source_stats([w], (1, 4, 4), [np.full((3, 1, 4, 4), 2.5, np.float32)], 1e-5)
+        stats = src.stats
         np.testing.assert_array_equal(stats.mean, [2.5, 2.5])
         np.testing.assert_array_equal(stats.var, [0.0, 0.0])
 
     def test_two_batches_pool_like_concatenation(self):
         rng = np.random.default_rng(12)
-        net = Network.build(channels=(4, 8), input_shape=(1, 8, 8), seed=12)
         b1 = rng.normal(size=(8, 1, 8, 8)).astype(np.float32)
         b2 = rng.normal(size=(12, 1, 8, 8)).astype(np.float32)
-        net.capture_source_stats([b1, b2])
-        split = [(s.stats.mean.copy(), s.stats.var.copy()) for s in net.source_stats]
-        net.capture_source_stats([np.concatenate([b1, b2])])
-        for k, s in enumerate(net.source_stats):
+        split, _ = Network.capture_source_stats(kernels(12), (1, 8, 8), [b1, b2], 1e-5)
+        whole, _ = Network.capture_source_stats(kernels(12), (1, 8, 8), [np.concatenate([b1, b2])], 1e-5)
+        split = [(s.stats.mean, s.stats.var) for s in split]
+        for k, s in enumerate(whole):
             np.testing.assert_allclose(split[k][0], s.stats.mean, rtol=1e-6, atol=1e-7)
             np.testing.assert_allclose(split[k][1], s.stats.var, rtol=1e-6, atol=1e-7)
 
     def test_order_independence(self):
         rng = np.random.default_rng(13)
-        net = Network.build(channels=(4, 8), input_shape=(1, 8, 8), seed=13)
         batches = [rng.normal(size=(6, 1, 8, 8)).astype(np.float32) for _ in range(3)]
-        net.capture_source_stats(batches)
-        fwd = [(s.stats.mean.copy(), s.stats.var.copy()) for s in net.source_stats]
-        net.capture_source_stats(batches[::-1])
-        for k, s in enumerate(net.source_stats):
+        fwd, _ = Network.capture_source_stats(kernels(13), (1, 8, 8), batches, 1e-5)
+        bwd, _ = Network.capture_source_stats(kernels(13), (1, 8, 8), batches[::-1], 1e-5)
+        fwd = [(s.stats.mean, s.stats.var) for s in fwd]
+        for k, s in enumerate(bwd):
             np.testing.assert_allclose(fwd[k][0], s.stats.mean, rtol=1e-6, atol=1e-7)
             np.testing.assert_allclose(fwd[k][1], s.stats.var, rtol=1e-6, atol=1e-7)
 
     def test_capture_twice_identical(self):
         rng = np.random.default_rng(14)
-        net = Network.build(channels=(4, 8), input_shape=(1, 8, 8), seed=14)
         batches = [rng.normal(size=(6, 1, 8, 8)).astype(np.float32) for _ in range(2)]
-        net.capture_source_stats(batches)
-        first = [(s.stats.mean.copy(), s.stats.var.copy()) for s in net.source_stats]
-        net.capture_source_stats(batches)
-        for k, s in enumerate(net.source_stats):
+        first, feats = Network.capture_source_stats(kernels(14), (1, 8, 8), batches, 1e-5)
+        again, feats_again = Network.capture_source_stats(kernels(14), (1, 8, 8), batches, 1e-5)
+        first = [(s.stats.mean, s.stats.var) for s in first]
+        assert same_bits(feats, feats_again)
+        for k, s in enumerate(again):
             assert np.array_equal(first[k][0], s.stats.mean)
             assert np.array_equal(first[k][1], s.stats.var)
 
@@ -370,40 +464,44 @@ class TestCapture:
         rng = np.random.default_rng(19)
         w = np.zeros((1, 1, 3, 3), np.float32)
         w[0, 0, 1, 1] = 1.0
-        net = Network([w], input_shape=(1, 8, 8), seed=0)
         batches = [
             (np.float32(30000.0) + rng.normal(scale=0.01, size=(n, 1, 8, 8)) + 0.05 * i).astype(np.float32)
             for i, n in enumerate((5, 9, 3))
         ]
-        net.capture_source_stats(batches)
+        (src,), _ = Network.capture_source_stats([w], (1, 8, 8), batches, 1e-5)
         mean_ref, var_ref = loop_channel_moments(np.concatenate(batches))
-        np.testing.assert_allclose(net.source_stats[0].stats.mean, mean_ref, rtol=1e-7)
-        np.testing.assert_allclose(net.source_stats[0].stats.var, var_ref, rtol=1e-6)
+        np.testing.assert_allclose(src.stats.mean, mean_ref, rtol=1e-7)
+        np.testing.assert_allclose(src.stats.var, var_ref, rtol=1e-6)
 
     def test_sweep_matches_slot_by_slot_definition(self):
         # slot k's statistics pool the conv maps of inputs re-run through stages 0..k-1
-        # at their final statistics; the sweep keeps each batch's activation instead
-        net = Network.build(channels=(4, 8, 8), seed=23)
+        # at their final statistics; the sweep keeps each batch's activation instead. `build` fits the
+        # head on the same sweep's features, so its network holds the same statistics
         clean = StreamScenario(kind="static", domains=[identity_domain()], batch_size=7, num_batches=3, seed=23)
-        batches = [b.x for b in iter_batches(clean, build_templates(4, seed=5))]
-        feats = net.capture_source_stats(batches)
+        stream = list(iter_batches(clean, build_templates(4, seed=5)))
+        batches, labels = [b.x for b in stream], np.concatenate([b.labels for b in stream])
+        net = Network.build((4, 8, 8), (1, 16, 16), 23, 1e-5, batches, labels, 1e-2, 4)
+        stats, feats = Network.capture_source_stats(net.conv_weights, net.input_shape, batches, net.eps)
         sbn = NormalizerConfig(mode="sbn")
         for k in range(net.num_slots):
             parts = []
             for h in batches:
                 for j in range(k):
-                    h, _ = net._stage(h, j, sbn)
+                    h, _ = _stage(h, net.conv_weights[j], net.source_stats[j], sbn)
                 parts.append(sample_moments(conv2d_3x3(h, net.conv_weights[k])))
             sums, m2 = (np.concatenate(p) for p in zip(*parts))
             expected = pooled_stats(sums, m2, (16 >> k) * (16 >> k))
-            assert np.array_equal(net.source_stats[k].stats.mean, expected.mean), k
-            assert np.array_equal(net.source_stats[k].stats.var, expected.var), k
+            for src in (stats[k], net.source_stats[k]):
+                assert np.array_equal(src.stats.mean, expected.mean), k
+                assert np.array_equal(src.stats.var, expected.var), k
         assert np.array_equal(feats, np.concatenate([net.backbone(x, sbn)[0] for x in batches]))
+        assert same_bits(net.head.weight, train_linear_head(feats, labels, 1e-2, 4).weight)
 
     def test_empty_stream_rejected(self):
-        net = Network.build(channels=(4,), input_shape=(1, 4, 4), seed=0)
-        with pytest.raises(ValueError):
-            net.capture_source_stats([])
+        with pytest.raises(ValueError, match="nonempty clean stream"):
+            Network.capture_source_stats(kernels(0, (4,)), (1, 4, 4), [], 1e-5)
+        with pytest.raises(ValueError, match="one or more conv kernels"):
+            Network.capture_source_stats([], (1, 4, 4), [np.ones((2, 1, 4, 4), np.float32)], 1e-5)
 
 
 class TestSerialization:
