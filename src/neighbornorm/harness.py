@@ -297,15 +297,15 @@ def run_experiment(net: Network, bank: TemplateBank, scenario: StreamScenario, n
                 gating = [rec["partition_enabled"] for rec in sensitivity]
         per_batch_seconds.append(time.perf_counter() - t0)
 
-        preds = np.argmax(logits, axis=1)
+        preds = logits.argmax(axis=1)
         predictions.append(preds)
-        hits = int((preds == batch.labels).sum())
+        hits = int(np.count_nonzero(preds == batch.labels))
         correct += hits
         total += batch.labels.shape[0]
         per_batch_acc.append(hits / batch.labels.shape[0])
         for name, tr in zip(slot_names, traces):
             cluster_counts[name].append(tr.cluster_count)
-        true_domain_counts.append(len(np.unique(batch.domain_ids)))
+        true_domain_counts.append(int(np.count_nonzero(np.bincount(batch.domain_ids))))
 
     return MetricsRecord(
         scenario=asdict(scenario),

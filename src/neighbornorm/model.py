@@ -83,7 +83,7 @@ def avg_pool_2x2(x: np.ndarray) -> np.ndarray:
     out = x[:, :, ::2, ::2] + x[:, :, ::2, 1::2]
     out += x[:, :, 1::2, ::2]
     out += x[:, :, 1::2, 1::2]
-    out *= np.float32(0.25)
+    out *= 0.25
     return out
 
 
@@ -160,7 +160,7 @@ def _stage(h: np.ndarray, w: np.ndarray, src: SourceStats, cfg: NormalizerConfig
     """One stage on a canonical map of any batch size, unchecked: conv by `w`, normalize in place on the stage's
     own conv map against `src`, relu in place, pool."""
     h, trace = _normalize(_conv(h, w), src, cfg, enabled)
-    return avg_pool_2x2(np.maximum(h, np.float32(0.0), out=h)), trace
+    return avg_pool_2x2(np.maximum(h, 0.0, out=h)), trace
 
 
 class Network:
@@ -222,8 +222,7 @@ class Network:
         cfg, source_stats = NormalizerConfig(mode="sbn"), []
         cuts = np.cumsum([h.shape[0] for h in hs])[:-1]
         for w in conv_weights:
-            parts = [sample_moments(_finite(_conv(h, w))) for h in hs]
-            sums, m2 = (np.concatenate(p) for p in zip(*parts))
+            sums, m2 = np.concatenate([sample_moments(_finite(_conv(h, w))) for h in hs], axis=1)
             _, _, height, width = hs[0].shape
             source_stats.append(SourceStats.with_identity_affine(pooled_stats(sums, m2, height * width), eps))
             out = np.empty((sums.shape[0], w.shape[0], height // 2, width // 2), np.float32)

@@ -68,7 +68,7 @@ class SourceStats:
         object.__setattr__(self, "_eps", np.float32(self.eps))  # the constant terms are not fields, so not in asdict
         object.__setattr__(self, "_shift", shift[None, :, None, None])  # as `_normalize` adds it
         object.__setattr__(self, "_sbn_scale", self._scale(self.stats.var[None]))
-        object.__setattr__(self, "_blends", {})  # alpha -> float32 (alpha * mean, alpha * var, 1 - alpha)
+        object.__setattr__(self, "_blends", {})  # alpha -> float32 ((2, 1, C) alpha * [mean; var], 1 - alpha)
 
     @classmethod
     def with_identity_affine(cls, stats: ChannelStats, eps: float = 1e-5) -> "SourceStats":
@@ -101,10 +101,10 @@ class NormalizerConfig:
 @dataclass(frozen=True)
 class SlotTrace:
     """What one normalization call observed: group count (None when the batch
-    was normalized whole) and the incoming map's `sample_moments`, (B, C) float64
-    sums and m2 over `length` positions, never the map itself. `batch_stats`, the
-    full-batch statistics, is merged from them on first read. `sbn` never
-    measures the batch: its sums, m2 and batch_stats are None."""
+    was normalized whole) and the two rows of the incoming map's `sample_moments`,
+    (B, C) float64 sums and m2 over `length` positions, never the map itself.
+    `batch_stats`, the full-batch statistics, is merged from them on first read.
+    `sbn` never measures the batch: its sums, m2 and batch_stats are None."""
 
     cluster_count: int | None
     sums: np.ndarray | None = field(compare=False)
@@ -137,31 +137,31 @@ def apply_normalizer(
 
 def _normalize(x: np.ndarray, src: SourceStats, cfg: NormalizerConfig, partition_enabled: bool) -> tuple[np.ndarray, SlotTrace]:
     """`apply_normalizer` of a canonical map with `src`'s channel count, which it normalizes in place, unchecked.
-    A one-sample batch is its own group, `sums / L` and `m2 / L`: `merge_moments`' bits, without labels or a merge.
-    Each group's row blends alpha parts source with (1 - alpha) parts test, except in tbn."""
+    Mean and variance travel as one (2, count, C) array. A one-sample batch is its own group, `moments / L`:
+    `merge_moments`' bits, without labels or a merge. Each group's row blends alpha parts source with
+    (1 - alpha) parts test, except in tbn."""
     b, _, h, w = x.shape
     if cfg.mode == "sbn":  # one group; the batch is not measured
         mean, scale, trace = src.stats.mean[None], src._sbn_scale, SlotTrace(None, None, None, h * w)
     else:
-        sums, m2 = sample_moments(x)
+        moments = sample_moments(x)
         grouped = cfg.mode in ("find", "find_star") and partition_enabled
         if b == 1:  # the sample is its own group
-            labels, count, moments = None, 1, (sums / (h * w), m2 / (h * w))
+            labels, count, mv = None, 1, (moments / (h * w)).astype(np.float32)
         else:
-            labels, count = first_neighbor_labels(sums / (h * w)) if grouped else (np.zeros(b, np.intp), 1)
-            moments = merge_moments(sums, m2, h * w, labels, count)
-        mean, var = (m.astype(np.float32) for m in moments)
+            labels, count = first_neighbor_labels(moments[0] / (h * w)) if grouped else (np.zeros(b, np.intp), 1)
+            mv = merge_moments(*moments, h * w, labels, count).astype(np.float32)
         if cfg.mode != "tbn":
             terms = src._blends.get(cfg.alpha)
             if terms is None:  # the source's share is constant per alpha
                 a = np.float32(cfg.alpha)
-                terms = src._blends[cfg.alpha] = (a * src.stats.mean, a * src.stats.var, np.float32(1.0) - a)
-            a_mean, a_var, one_m = terms
-            mean, var = a_mean + one_m * mean, np.maximum(a_var + one_m * var, np.float32(0.0))
-        scale = src._scale(var)
+                terms = src._blends[cfg.alpha] = (a * np.stack((src.stats.mean, src.stats.var))[:, None], np.float32(1.0) - a)
+            mv *= terms[1]
+            mv += terms[0]  # no clamp: the batch's variance is >= +0.0 and the source's >= -0.0, so the blend is >= +0.0
+        mean, scale = mv[0], src._scale(mv[1])
         if count > 1:  # one row per sample; a single group's row broadcasts
             mean, scale = mean[labels], scale[labels]
-        trace = SlotTrace(count if grouped else None, sums, m2, h * w)
+        trace = SlotTrace(count if grouped else None, *moments, h * w)
     x -= mean[:, :, None, None]
     x *= scale[:, :, None, None]
     x += src._shift

@@ -58,7 +58,8 @@ def layer_gate(scores, gamma_threshold: float) -> list[dict]:
     and compared with `gamma_threshold` (checked >= 0 by
     `NormalizerConfig`): a layer at or above it keeps partitioning. When
     every average is equal nothing separates the layers, so all of them
-    keep partitioning.
+    keep partitioning. Two unequal layers score exactly 0 and 1, so any gamma
+    in (0, 1] turns exactly one off; only a third can score in between.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2 or 0 in scores.shape:

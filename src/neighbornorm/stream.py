@@ -238,16 +238,18 @@ def sample_batch(scenario: StreamScenario, bank: TemplateBank, batch_index: int)
     domain_ids = _domain_ids(rng, scenario, eff)
 
     x = bank.templates[labels].astype(np.float32, copy=False)  # indexing already copied
-    x += rng.normal(0.0, bank.base_noise, size=x.shape).astype(np.float32)
+    # both noise fields in one draw; `0.0 + s * z` is `normal(0, s)` bit for bit, -0.0 products turned +0.0
+    z = rng.standard_normal((2, *x.shape))
+    x += (0.0 + bank.base_noise * z[0]).astype(np.float32)
 
-    contrast, brightness, noise_sigma = scenario._domain_table[domain_ids].T
-    shift_noise = rng.standard_normal(size=x.shape).astype(np.float32)
-    x *= contrast[:, None, None, None]
-    x += brightness[:, None, None, None]
-    shift_noise *= noise_sigma[:, None, None, None]
+    contrast, brightness, noise_sigma = scenario._domain_table[domain_ids].T[:, :, None, None, None]
+    shift_noise = z[1].astype(np.float32)
+    x *= contrast
+    x += brightness
+    shift_noise *= noise_sigma
     x += shift_noise
 
-    return LabeledBatch(x=x, labels=labels.astype(np.intp), domain_ids=domain_ids.astype(np.intp))
+    return LabeledBatch(x=x, labels=labels.astype(np.intp, copy=False), domain_ids=domain_ids.astype(np.intp, copy=False))
 
 
 def iter_batches(scenario: StreamScenario, bank: TemplateBank):

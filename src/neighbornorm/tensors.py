@@ -5,7 +5,9 @@ Feature maps are plain float32 numpy arrays of shape (B, C, H, W).
 entry point (one call per `Network` forward); the kernels behind it take
 canonical maps unchecked, and the network checks its result finite at exit.
 Statistics are accumulated in float64 and stored as float32. Variances
-are biased (divide by b*L), never negative.
+are biased (divide by b*L), never negative. Each pair of moments travels as
+one stacked float64 array: a batch's per-sample (sums, centered sums of
+squares) as (2, B, C), a grouping's (mean, variance) as (2, count, C).
 """
 
 from __future__ import annotations
@@ -62,38 +64,38 @@ class ChannelStats:
         return self.mean.shape[0]
 
 
-def sample_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample channel sums and centered sums of squares: two (B, C) float64 arrays.
+def sample_moments(x: np.ndarray) -> np.ndarray:
+    """Per-sample channel sums and centered sums of squares, stacked: one C-contiguous (2, B, C) float64
+    array, so `sums, m2 = sample_moments(x)` unpacks it.
 
     Per `_BLOCK` samples, one sum pass over a float64 copy of the canonical map, then
-    one pass centered on each sample's channel mean (never E[x^2] - E[x]^2);
-    `merge_moments` groups them. A sample's row does not depend on its batch.
+    one pass centered on each sample's channel mean (never E[x^2] - E[x]^2), both written
+    straight into the result; `merge_moments` groups them. A sample's row does not depend on its batch.
     """
     b, c = x.shape[:2]
-    flat, sums, m2 = x.reshape(b, c, -1), np.empty((b, c)), np.empty((b, c))
+    flat, moments = x.reshape(b, c, -1), np.empty((2, b, c))
     for i in range(0, b, _BLOCK):
         dev = flat[i : i + _BLOCK].astype(np.float64)
-        s = sums[i : i + _BLOCK] = dev.sum(axis=2)
-        dev -= (s / dev.shape[2])[:, :, None]
-        m2[i : i + _BLOCK] = np.einsum("bcl,bcl->bc", dev, dev)
-    return sums, m2
+        dev -= (dev.sum(axis=2, out=moments[0, i : i + _BLOCK]) / dev.shape[2])[:, :, None]
+        np.einsum("bcl,bcl->bc", dev, dev, out=moments[1, i : i + _BLOCK])
+    return moments
 
 
-def merge_moments(sums: np.ndarray, m2: np.ndarray, length: int, labels: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-group channel mean and biased variance from `sample_moments`: two (count, C) float64 arrays.
+def merge_moments(sums: np.ndarray, m2: np.ndarray, length: int, labels: np.ndarray, count: int) -> np.ndarray:
+    """Per-group channel mean and biased variance from `sample_moments`, stacked: one (2, count, C) float64
+    array, so `mean, var = merge_moments(*sample_moments(x), ...)` unpacks it.
 
     Sample i, with `length` positions per channel, belongs to group
     `labels[i]` in 0..count-1; no group may be empty. A group's centered sum
     of squares sums, over its samples i, m2[i] + length * (m_i - mean_g)^2
-    (Chan, Golub & LeVeque, 1979). One group of one sample is (sums / length,
-    m2 / length), which the network's one-sample batches take without a merge.
+    (Chan, Golub & LeVeque, 1979). One group of one sample is `sample_moments / length`,
+    which the network's one-sample batches take without a merge.
     """
     onehot = (labels == np.arange(count)[:, None]).astype(np.float64)  # (count, B)
-    n = onehot.sum(axis=1)[:, None] * length
-    mean = onehot @ sums / n
-    offset = sums / length - mean[labels]
-    var = onehot @ (m2 + length * (offset * offset)) / n
-    return mean, var
+    n, mv = onehot.sum(axis=1)[:, None] * length, np.empty((2, count, sums.shape[1]))
+    offset = sums / length - np.divide(onehot @ sums, n, out=mv[0])[labels]
+    np.divide(onehot @ (m2 + length * (offset * offset)), n, out=mv[1])
+    return mv
 
 
 def pooled_stats(sums: np.ndarray, m2: np.ndarray, length: int) -> ChannelStats:

@@ -21,7 +21,7 @@ from neighbornorm.harness import (
 from neighbornorm.normalization import NormalizerConfig
 from neighbornorm.stream import LabeledBatch, StreamScenario, identity_domain, sample_batch
 
-from conftest import separated_bank, separated_domains
+from conftest import SMALL_CONFIG, separated_bank, separated_domains
 from support import instance_means
 
 
@@ -361,6 +361,40 @@ class TestLifeLongAndGating:
         high = [accs[g] for g in gammas if g > 0.1]
         assert max(low) - min(low) <= 0.03  # roughly flat below the default threshold
         assert min(low) >= max(high) - 0.005  # no gain from gating more layers off
+
+    @pytest.mark.parametrize("gamma", [5e-324, 0.5, 1.0])
+    def test_two_slots_always_gate_exactly_one_off(self, small_setup, gamma):
+        # min-max normalization of two layer averages gives exactly 0 and 1, so every gamma in (0, 1]
+        # keeps the higher layer partitioning and turns the lower one off
+        cfg, net, bank, _, _ = small_setup
+        rec = run_experiment(net, bank, cfg.scenario, replace(cfg.normalizer, mode="find_star", gamma_threshold=gamma))
+        assert sorted(r["normalized_score"] for r in rec.sensitivity) == [0.0, 1.0]
+        assert sum(r["partition_enabled"] for r in rec.sensitivity) == 1
+
+    def test_three_slots_gate_the_middle_layer_at_its_score(self, tmp_path):
+        # a third slot's normalized score lies strictly inside (0, 1); a gamma just above it turns that layer
+        # off and changes no other, a gamma just below keeps it on
+        raw = json.loads(json.dumps(SMALL_CONFIG))
+        raw["model"]["channels"] = [8, 16, 32]  # 16x16 input pools to 2x2
+        path = tmp_path / "three.json"
+        path.write_text(json.dumps(raw))
+        cfg = load_experiment_config(path)
+        net, bank, _ = harness.train_model(cfg)
+        ncfg = replace(cfg.normalizer, mode="find_star")
+        scores = [r["normalized_score"] for r in run_experiment(net, bank, cfg.scenario, ncfg).sensitivity]
+        inside = [k for k, score in enumerate(scores) if 0.0 < score < 1.0]
+        assert net.num_slots == 3 and len(inside) == 1
+        k, cold = inside[0], ncfg.cold_start_batches
+
+        def gated(gamma):
+            rec = run_experiment(net, bank, cfg.scenario, replace(ncfg, gamma_threshold=float(gamma)))
+            return [r["partition_enabled"] for r in rec.sensitivity], rec.cluster_counts[f"slot{k}"][cold:]
+
+        below, below_counts = gated(np.nextafter(scores[k], 0.0))
+        above, above_counts = gated(np.nextafter(scores[k], 1.0))
+        assert below[k] and not above[k]
+        assert below[:k] + below[k + 1 :] == above[:k] + above[k + 1 :]
+        assert None not in below_counts and set(above_counts) == {None}
 
     def test_default_severity_separation_reported(self, default_setup):
         # Reporting only: how often the default severity-5 table yields

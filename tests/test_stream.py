@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from neighbornorm.stream import (
+    DomainSpec,
     StreamScenario,
     TemplateBank,
     build_templates,
@@ -11,6 +12,8 @@ from neighbornorm.stream import (
     iter_batches,
     make_domains,
     sample_batch,
+    _block_labels,
+    _domain_ids,
 )
 
 
@@ -255,6 +258,55 @@ class TestSampling:
         b = sample_batch(scenario_for("cross_mix", seed=1), bank, 0)
         assert not np.array_equal(a.x, b.x)
 
+
+def reference_batch(scenario, bank, batch_index):
+    """`sample_batch` with the two noise fields drawn by two calls: `normal(0, base_noise)` for the pixel
+    noise, then `standard_normal` for the domain's shift noise."""
+    eff = batch_index % scenario.num_batches
+    rng = np.random.default_rng([scenario.seed, eff])
+    labels = _block_labels(rng, scenario.kind, scenario.dirichlet_delta, bank.num_classes, scenario.batch_size)
+    domain_ids = _domain_ids(rng, scenario, eff)
+    x = bank.templates[labels].astype(np.float32)
+    x += rng.normal(0.0, bank.base_noise, size=x.shape).astype(np.float32)
+    contrast, brightness, noise_sigma = scenario._domain_table[domain_ids].T
+    shift_noise = rng.standard_normal(size=x.shape).astype(np.float32)
+    x *= contrast[:, None, None, None]
+    x += brightness[:, None, None, None]
+    shift_noise *= noise_sigma[:, None, None, None]
+    x += shift_noise
+    return x, labels.astype(np.intp), domain_ids.astype(np.intp)
+
+
+def assert_batch_is_reference(scenario, bank, batch_index):
+    batch = sample_batch(scenario, bank, batch_index)
+    x, labels, domain_ids = reference_batch(scenario, bank, batch_index)
+    for ours, theirs in ((batch.x, x), (batch.labels, labels), (batch.domain_ids, domain_ids)):
+        assert ours.dtype == theirs.dtype and ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes()
+
+
+class TestNoiseDraw:
+    """`sample_batch` draws both noise fields in one call and scales the first half itself; its batches are
+    byte-identical to the two-call draws."""
+
+    @pytest.mark.parametrize("kind", ["static", "cross_mix", "shuffle", "random", "wild"])
+    @pytest.mark.parametrize("b", [1, 64, 65, 300])
+    def test_batches_are_the_two_call_draws(self, kind, b):
+        sc = scenario_for(kind, batch_size=b, num_batches=4, seed=b, delta=0.5 if kind == "wild" else None)
+        for i in range(sc.num_batches):
+            assert_batch_is_reference(sc, bank_for(), i)
+
+    @pytest.mark.parametrize("b", [1, 64])
+    def test_zero_base_noise_keeps_signed_zeros(self, b):
+        # `normal(0, 0)` is +0.0 everywhere, so a -0.0 template entry comes out +0.0; a bare `0 * z` is -0.0
+        # wherever z < 0 and would keep it -0.0. A -0.0 brightness and no shift noise keep that sign to the output.
+        templates = np.full((2, 1, 4, 4), -0.0, np.float32)
+        templates[1, 0, 0] = 1.5
+        bank = TemplateBank(templates=templates, base_noise=0.0, seed=0, min_dist=0.0)
+        domains = [DomainSpec(id=0, contrast=1.0, brightness=-0.0, noise_sigma=0.0, severity=1)]
+        sc = StreamScenario(kind="cross_mix", domains=domains, batch_size=b, num_batches=3, seed=2)
+        for i in range(sc.num_batches):
+            assert_batch_is_reference(sc, bank, i)
+            assert not np.signbit(sample_batch(sc, bank, i).x).any()
 
 def wild_labels(bank, delta, num_samples, seed, batch_size=64):
     """The first `num_samples` labels of a wild stream, batch after batch."""

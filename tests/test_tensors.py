@@ -63,7 +63,8 @@ class TestChannelStats:
 
 
 def check_random_labelings(seed, shape):
-    """`merge_moments(*sample_moments(x))` on 30 random labelings vs the scalar-loop oracle."""
+    """`merge_moments(*sample_moments(x))` on 30 random labelings vs the scalar-loop oracle: one (2, count, C)
+    float64 array of mean and variance."""
     rng = np.random.default_rng(seed)
     for _ in range(30):
         b = int(rng.integers(1, 16))
@@ -71,8 +72,9 @@ def check_random_labelings(seed, shape):
         count = int(rng.integers(1, b + 1))
         labels = np.concatenate([np.arange(count), rng.integers(0, count, b - count)])
         rng.shuffle(labels)  # unsorted; some labels are singletons
-        mean, var = merge_moments(*sample_moments(x), int(np.prod(shape[1:])), labels, count)
-        assert mean.shape == var.shape == (count, shape[0]) and mean.dtype == np.float64
+        mv = merge_moments(*sample_moments(x), int(np.prod(shape[1:])), labels, count)
+        assert type(mv) is np.ndarray and mv.shape == (2, count, shape[0]) and mv.dtype == np.float64
+        mean, var = mv
         for g in range(count):
             mean_ref, var_ref = loop_channel_moments(x, np.flatnonzero(labels == g).tolist())
             np.testing.assert_allclose(mean[g], mean_ref, rtol=1e-12, atol=1e-12)
@@ -124,14 +126,17 @@ class TestSampleMoments:
             np.testing.assert_allclose(sums[i] / 20, mean_ref, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(m2[i] / 20, var_ref, rtol=1e-10, atol=1e-12)
 
-    @pytest.mark.parametrize("b", [65, 129, 300])
+    @pytest.mark.parametrize("b", [1, 63, 64, 65, 129, 256, 300])
     def test_rows_are_bitwise_the_one_sample_moments(self, b):
-        # the moments run over 64-sample blocks, so these batches end a block inside them or
-        # end on a partial one; no row may depend on where its block starts or ends
+        # the moments run over 64-sample blocks, so these batches fill one block, end a block inside
+        # them or end on a partial one; no row may depend on where its block starts or ends
         rng = np.random.default_rng(20 + b)
         for shape in [(8, 16, 16), (16, 8, 8)]:  # the stock slot-0 and slot-1 conv maps
             x = rng.normal(loc=2.0, size=(b, *shape)).astype(np.float32)
-            sums, m2 = sample_moments(x)
+            moments = sample_moments(x)
+            assert type(moments) is np.ndarray and moments.shape == (2, b, shape[0]) and moments.dtype == np.float64
+            assert moments.flags.c_contiguous
+            sums, m2 = moments
             for i in range(b):
                 one = sample_moments(x[i : i + 1])
                 assert one[0].tobytes() == sums[i].tobytes() and one[1].tobytes() == m2[i].tobytes(), (shape, i)
