@@ -1,12 +1,17 @@
-"""Command-line experiment runner.
+"""Command-line experiment runner. Each command loads the config (and, past `train`, the model file), makes one
+harness call, writes its files and prints a report. With `out` the output prefix, the files are:
 
-Subcommands: train (build model file), run (one experiment), compare
-(mode sweep over seeds), diagnose (cluster-count and sensitivity dumps),
-sweep-batch (batch-size sweep at fixed sample budget). Flags override
-the matching config fields; the directory of `out` (train: the model path)
-is made before any batch runs. Exit codes: 0 success, 1 config error (a
-missing or malformed model file, or an output directory that cannot be
-made, included), 2 runtime/numeric error.
+- train: the model file at `model_path`;
+- run: <out>.json, <out>.csv and <out>.timing.json, from one experiment;
+- compare: <out>.json and <out>.csv, one row per mode over the configured seeds;
+- diagnose: <out>.diagnostics.json (cluster counts, sensitivity, true domain counts), from one experiment;
+- sweep-batch: <out>.batch_sweep.json, accuracy across batch sizes at a fixed sample budget.
+
+`run` and `diagnose` print one report, with the layer gate's lines in find_star. Flags override the matching
+config fields, `--out` the model path for `train` and `out` otherwise; that path's directory is made before any
+batch runs. A model file must agree with the config on every field it records: data.*, and model.seed, eps,
+channels, head_lambda, train_batches, train_batch_size and train_seed. Exit codes: 0 success, 1 config error
+(a missing, malformed or disagreeing model file, or an uncreatable output directory), 2 runtime/numeric error.
 """
 
 from __future__ import annotations
@@ -14,94 +19,97 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 
 from .harness import (
     SWEEP_BATCH_SIZES,
     ConfigError,
     ExperimentConfig,
-    _dump_json,
     batch_size_sweep,
     compare_modes,
     dump_diagnostics,
     load_experiment_config,
     run_experiment,
-    train_and_save,
+    train_model,
+    write_batch_sweep,
     write_comparison,
     write_metrics,
 )
-from .model import ModelFormatError, load_model
+from .model import ModelFormatError, Network, load_model, save_model
 from .normalization import MODES, canonical_mode
 from .rules import COUNT
 
 
 def _load_cfg(args) -> ExperimentConfig:
-    overrides = {
-        "normalizer.mode": getattr(args, "mode", None),
-        "normalizer.alpha": getattr(args, "alpha", None),
-        "normalizer.gamma_threshold": getattr(args, "gamma", None),
-        "scenario.seed": getattr(args, "seed", None),
-        "out": getattr(args, "out", None),
-    }
+    written = "model_path" if args.command == "train" else "out"
+    overrides = {"normalizer.mode": args.mode, "normalizer.alpha": args.alpha, "normalizer.gamma_threshold": args.gamma,
+                 "scenario.seed": args.seed, written: args.out}
     cfg = load_experiment_config(args.config, overrides)
-    if args.command == "train":
-        cfg.model_path = args.out or cfg.model_path
-    written = cfg.model_path if args.command == "train" else cfg.out
+    path = getattr(cfg, written)
     try:  # before any batch runs
-        os.makedirs(os.path.dirname(written) or ".", exist_ok=True)
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"cannot create the directory of {written}: {exc}") from None
+        raise ConfigError(f"cannot create the directory of {path}: {exc}") from None
     return cfg
 
 
-def _load_model_checked(cfg: ExperimentConfig):
+def _load_model_checked(cfg: ExperimentConfig) -> Network:
+    """The model file's network, once every config field that the file records agrees with it."""
     try:
         net, meta = load_model(cfg.model_path)
     except FileNotFoundError:
         raise ConfigError(f"model file not found: {cfg.model_path}; run `train` first") from None
     except ModelFormatError as exc:
         raise ConfigError(f"malformed model file: {exc}; run `train` again") from None
-    model_data = meta.get("data", {})
-    for key, value in cfg.data.items():
-        if key in model_data and model_data[key] != value:
-            raise ConfigError(
-                f"config field data.{key}={value!r} conflicts with the model file "
-                f"(built with {model_data[key]!r})"
-            )
-    return net, cfg.bank, meta  # built from cfg.data, which agrees with the model's
+    recorded = {**{f"data.{k}": v for k, v in meta.get("data", {}).items()},
+                **{f"model.{k}": v for k, v in meta.get("train", {}).items()},
+                "model.seed": net.seed, "model.eps": net.eps, "model.channels": list(net.channels)}
+    for name, value in [(f"{s}.{k}", v) for s in ("data", "model") for k, v in getattr(cfg, s).items()]:
+        if recorded.get(name, value) != value:
+            raise ConfigError(f"config field {name}={value!r} conflicts with the model file (built with {recorded[name]!r})")
+    return net
+
+
+def _entries(flag: str, text: str, parse) -> list:
+    """The comma-separated entries of a flag's value, each through `parse`, whose ValueError is a ConfigError."""
+    try:
+        return [parse(entry) for entry in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"{flag} {text!r}: {exc}") from None
 
 
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
-    meta = train_and_save(cfg)
+    net, _, meta = train_model(cfg)
+    save_model(net, cfg.model_path, meta=meta)
     print(f"model written to {cfg.model_path}")
     print(f"clean test accuracy: {meta['clean_accuracy']:.4f}")
     return 0
 
 
-def cmd_run(args) -> int:
+def _run_and_report(args, write) -> int:
+    """Stream one experiment, write it with `write(record, out)` and report it."""
     cfg = _load_cfg(args)
-    net, bank, _ = _load_model_checked(cfg)
-    record = run_experiment(net, bank, cfg.scenario, cfg.normalizer)
-    paths = write_metrics(record, cfg.out)
+    record = run_experiment(_load_model_checked(cfg), cfg.bank, cfg.scenario, cfg.normalizer)
+    paths = write(record, cfg.out)
     print(f"mode={cfg.normalizer.mode} scenario={cfg.scenario.kind} seed={cfg.scenario.seed}")
     print(f"mean accuracy: {record.mean_accuracy:.4f} over {record.num_samples} samples")
     for slot, summary in record.cluster_count_summary().items():
         print(f"cluster count {slot}: {summary['mean']:.2f} +- {summary['std']:.2f}")
+    for rec in record.sensitivity or ():
+        print(f"layer {rec['layer']}: raw={rec['raw_average']:.4f} "
+              f"normalized={rec['normalized_score']:.4f} partition={'on' if rec['partition_enabled'] else 'off'}")
     print("wrote " + ", ".join(paths))
     return 0
 
 
+cmd_run, cmd_diagnose = partial(_run_and_report, write=write_metrics), partial(_run_and_report, write=dump_diagnostics)
+
+
 def cmd_compare(args) -> int:
     cfg = _load_cfg(args)
-    net, bank, _ = _load_model_checked(cfg)
-    if args.modes:
-        try:
-            modes = [canonical_mode(m) for m in args.modes.split(",")]
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    else:
-        modes = MODES
-    rows = compare_modes(net, bank, cfg.scenario, cfg.normalizer, modes=modes, seeds=cfg.seeds)
+    modes = _entries("--modes", args.modes, canonical_mode) if args.modes else MODES
+    rows = compare_modes(_load_model_checked(cfg), cfg.bank, cfg.scenario, cfg.normalizer, modes=modes, seeds=cfg.seeds)
     paths = write_comparison(rows, cfg.out)
     print(f"{'mode':<10} {'mean_acc':>9} {'std':>7}   seeds={cfg.seeds}")
     for row in rows:
@@ -110,41 +118,14 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def cmd_diagnose(args) -> int:
-    cfg = _load_cfg(args)
-    net, bank, _ = _load_model_checked(cfg)
-    record = run_experiment(net, bank, cfg.scenario, cfg.normalizer)
-    path = cfg.out + ".diagnostics.json"
-    dump_diagnostics(record, path)
-    print(f"mean accuracy: {record.mean_accuracy:.4f}")
-    for slot, summary in record.cluster_count_summary().items():
-        print(f"cluster count {slot}: {summary['mean']:.2f} +- {summary['std']:.2f}")
-    if record.sensitivity:
-        for rec in record.sensitivity:
-            print(
-                f"layer {rec['layer']}: raw={rec['raw_average']:.4f} "
-                f"normalized={rec['normalized_score']:.4f} partition={'on' if rec['partition_enabled'] else 'off'}"
-            )
-    print(f"wrote {path}")
-    return 0
-
-
 def cmd_sweep_batch(args) -> int:
     cfg = _load_cfg(args)
-    net, bank, _ = _load_model_checked(cfg)
-    if args.sizes:
-        try:
-            sizes = [COUNT("--sizes entry", int(s)) for s in args.sizes.split(",")]
-        except ValueError:
-            raise ConfigError(f"--sizes must be comma-separated integers >= 1, got {args.sizes!r}") from None
-    else:
-        sizes = SWEEP_BATCH_SIZES
-    rows = batch_size_sweep(net, bank, cfg.scenario, cfg.normalizer, batch_sizes=sizes)
-    path = cfg.out + ".batch_sweep.json"
-    _dump_json({"rows": rows, "mode": cfg.normalizer.mode}, path)
+    sizes = _entries("--sizes", args.sizes, lambda s: COUNT("--sizes entry", int(s))) if args.sizes else SWEEP_BATCH_SIZES
+    rows = batch_size_sweep(_load_model_checked(cfg), cfg.bank, cfg.scenario, cfg.normalizer, batch_sizes=sizes)
+    paths = write_batch_sweep(rows, cfg.normalizer.mode, cfg.out)
     for row in rows:
         print(f"batch_size={row['batch_size']:<4} accuracy={row['mean_accuracy']:.4f} ({row['num_samples']} samples)")
-    print(f"wrote {path}")
+    print("wrote " + ", ".join(paths))
     return 0
 
 

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .model import Network, save_model
+from .model import Network
 from .normalization import MODES, NormalizerConfig
 from .rules import COUNT, EPS, POSITIVE, SEED, integers, pooled_shape
 from .sensitivity import gaussian_kl_per_channel, layer_gate, sensitivity_score
@@ -41,7 +41,6 @@ __all__ = [
     "load_experiment_config",
     "bank_from_config",
     "train_model",
-    "train_and_save",
     "run_experiment",
     "predictions_at",
     "compare_modes",
@@ -49,6 +48,7 @@ __all__ = [
     "batch_size_sweep",
     "write_metrics",
     "write_comparison",
+    "write_batch_sweep",
     "dump_diagnostics",
 ]
 
@@ -257,12 +257,6 @@ def train_model(cfg: ExperimentConfig) -> tuple[Network, TemplateBank, dict]:
     return net, bank, meta
 
 
-def train_and_save(cfg: ExperimentConfig) -> dict:
-    net, _, meta = train_model(cfg)
-    save_model(net, cfg.model_path, meta=meta)
-    return meta
-
-
 def _layer_scores(net: Network, traces) -> list[float]:
     """One batch's raw shift score per slot. The two score functions are
     looked up in this module's globals at call time, where a tracer can
@@ -348,8 +342,7 @@ def compare_modes(net: Network, bank: TemplateBank, scenario: StreamScenario, nc
     comparable by construction.
     """
     seeds, rows = integers("seeds", seeds, SEED), []
-    for mode in modes:
-        mode_cfg = replace(ncfg, mode=mode)
+    for mode_cfg in [replace(ncfg, mode=mode) for mode in modes]:  # every mode checked before the first batch
         accs = [run_experiment(net, bank, replace(scenario, seed=seed), mode_cfg).mean_accuracy for seed in seeds]
         arr = np.asarray(accs, dtype=np.float64)
         rows.append({"mode": mode_cfg.mode, "mean_accuracy": float(arr.mean()), "std_accuracy": float(arr.std()),
@@ -424,10 +417,8 @@ def write_metrics(record: MetricsRecord, out_prefix) -> list[str]:
 
 
 def write_comparison(rows: list[dict], out_prefix) -> list[str]:
-    out_prefix = str(out_prefix)
-    json_path = out_prefix + ".json"
+    json_path, csv_path = f"{out_prefix}.json", f"{out_prefix}.csv"
     _dump_json({"rows": rows}, json_path)
-    csv_path = out_prefix + ".csv"
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["mode", "mean_accuracy", "std_accuracy"])
@@ -436,12 +427,19 @@ def write_comparison(rows: list[dict], out_prefix) -> list[str]:
     return [json_path, csv_path]
 
 
-def dump_diagnostics(record: MetricsRecord, path) -> None:
-    """Per-slot cluster-count mean/std plus the per-layer sensitivity dump.
+def write_batch_sweep(rows: list[dict], mode: str, out_prefix) -> list[str]:
+    path = f"{out_prefix}.batch_sweep.json"
+    _dump_json({"rows": rows, "mode": mode}, path)
+    return [path]
+
+
+def dump_diagnostics(record: MetricsRecord, out_prefix) -> list[str]:
+    """Write <out>.diagnostics.json: per-slot cluster-count mean/std plus the per-layer sensitivity dump.
 
     This is the only output channel that sees ground-truth domain
     composition (as per-batch domain counts).
     """
+    path = f"{out_prefix}.diagnostics.json"
     _dump_json(
         {
             "cluster_counts": record.cluster_count_summary(),
@@ -451,3 +449,4 @@ def dump_diagnostics(record: MetricsRecord, path) -> None:
         },
         path,
     )
+    return [path]

@@ -8,6 +8,8 @@ import pytest
 
 from neighbornorm import cli
 from neighbornorm.cli import main
+from neighbornorm.harness import SWEEP_BATCH_SIZES
+from neighbornorm.normalization import MODES
 
 from conftest import SMALL_CONFIG
 
@@ -129,7 +131,7 @@ class TestRun:
         _, cfg_path = workspace
         (tmp_path / "file").write_text("")
         monkeypatch.setattr(cli, "load_model", lambda path: pytest.fail("loaded the model"))
-        monkeypatch.setattr(cli, "train_and_save", lambda cfg: pytest.fail("trained the model"))
+        monkeypatch.setattr(cli, "train_model", lambda cfg: pytest.fail("trained the model"))
         for command in ("run", "compare", "diagnose", "sweep-batch", "train"):
             assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "file" / "run")]) == 1, command
             assert "cannot create the directory" in capsys.readouterr().err, command
@@ -143,6 +145,41 @@ class TestRun:
         bad.write_text(json.dumps(cfg))
         assert main(["run", "--config", str(bad)]) == 1
         assert "num_classes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [("seed", 99), ("eps", 0.5), ("channels", [16, 32]), ("head_lambda", 7),
+                                              ("train_batches", 9), ("train_batch_size", 16), ("train_seed", 5)])
+    def test_conflicting_model_field_rejected(self, workspace, tmp_path, capsys, field, value):
+        # every model-section field the model file records must match it; a run on other settings exits 1
+        _, cfg_path = workspace
+        cfg = json.loads(cfg_path.read_text())
+        cfg["model"][field] = value
+        bad = tmp_path / "conflict.json"
+        bad.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(bad)]) == 1
+        assert f"model.{field}=" in capsys.readouterr().err
+
+    def test_unrecorded_clean_eval_batches_runs(self, workspace, tmp_path):
+        _, cfg_path = workspace
+        cfg = json.loads(cfg_path.read_text())
+        cfg["model"]["clean_eval_batches"] = 3  # the model file does not record it
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "run")]) == 0
+
+    def test_runtime_error_exits_2(self, workspace, capsys, monkeypatch):
+        _, cfg_path = workspace
+
+        def overflow(*args):
+            raise ArithmeticError("overflow")
+
+        monkeypatch.setattr(cli, "run_experiment", overflow)
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert "error: ArithmeticError: overflow" in capsys.readouterr().err
+
+    def test_find_star_prints_gate_lines(self, workspace, capsys):
+        root, cfg_path = workspace
+        assert main(["run", "--config", str(cfg_path), "--mode", "find_star", "--out", str(root / "out" / "star")]) == 0
+        out = capsys.readouterr().out
+        assert "layer 0:" in out and "layer 1:" in out
 
 
 class TestCompare:
@@ -161,6 +198,12 @@ class TestCompare:
         lines = (root / "out" / "cmp.csv").read_text().strip().splitlines()
         assert lines[0] == "mode,mean_accuracy,std_accuracy"
         assert len(lines) == 4
+
+    def test_compare_defaults_to_every_mode(self, workspace):
+        root, cfg_path = workspace
+        assert main(["compare", "--config", str(cfg_path), "--out", str(root / "out" / "all")]) == 0
+        doc = json.loads((root / "out" / "all.json").read_text())
+        assert [r["mode"] for r in doc["rows"]] == list(MODES)
 
 
 class TestDiagnose:
@@ -188,6 +231,12 @@ class TestSweep:
         assert code == 0
         doc = json.loads((root / "out" / "sweep.batch_sweep.json").read_text())
         assert [r["batch_size"] for r in doc["rows"]] == [4, 16]
+
+    def test_sweep_defaults_to_stock_sizes(self, workspace):
+        root, cfg_path = workspace
+        assert main(["sweep-batch", "--config", str(cfg_path), "--out", str(root / "out" / "stock")]) == 0
+        doc = json.loads((root / "out" / "stock.batch_sweep.json").read_text())
+        assert [r["batch_size"] for r in doc["rows"]] == list(SWEEP_BATCH_SIZES)
 
 
 class TestBlasThreads:

@@ -65,6 +65,11 @@ class TestCosineSimilarity:
         assert np.array_equal(sim, sim.T)
         assert sim.min() >= -1.0 and sim.max() <= 1.0
 
+    @pytest.mark.parametrize("shape", [(4,), (2, 3, 4)])
+    def test_rejects_non_matrix(self, shape):
+        with pytest.raises(ValueError, match=r"expected \(B, C\) matrix"):
+            cosine_similarity_matrix(np.ones(shape))
+
     def test_zero_row_is_floored_not_nan(self):
         m = np.array([[0.0, 0.0], [1.0, 1.0]])
         sim = cosine_similarity_matrix(m)

@@ -184,7 +184,7 @@ class TestNumericConfigFields:
             path.write_text(json.dumps(doc | {"model_path": str(tmp_path / f"{name}.nnm")}))
             cfg = load_experiment_config(path)
             net, bank, meta = harness.train_model(cfg)
-            harness.save_model(net, cfg.model_path, meta=meta)
+            model.save_model(net, cfg.model_path, meta=meta)
             paths = write_metrics(run_experiment(net, bank, cfg.scenario, cfg.normalizer), tmp_path / name)
             files.append([pathlib.Path(p).read_bytes() for p in (cfg.model_path, *paths[:2])])
         assert files[0] == files[1]
@@ -331,6 +331,12 @@ class TestCompareAndSweep:
         with pytest.raises(ValueError, match="seeds"):
             compare_modes(net, bank, cfg.scenario, cfg.normalizer, seeds=seeds)
 
+    def test_compare_modes_rejects_bad_mode_before_any_batch(self, small_setup, monkeypatch):
+        cfg, net, bank, _, _ = small_setup
+        monkeypatch.setattr(harness, "run_experiment", lambda *args: pytest.fail("streamed a batch"))
+        with pytest.raises(ValueError, match="bogus"):
+            compare_modes(net, bank, cfg.scenario, cfg.normalizer, modes=("sbn", "bogus"), seeds=(0, 1))
+
     @pytest.mark.parametrize("sizes", [(2.9, True), (), [4, 0]])
     def test_batch_size_sweep_rejects_bad_sizes(self, small_setup, sizes):
         cfg, net, bank, _, _ = small_setup
@@ -458,20 +464,20 @@ class TestOutputs:
     def test_diagnostics_series_per_mode(self, small_setup, tmp_path):
         cfg, net, bank, _, _ = small_setup
         rec = run_experiment(net, bank, cfg.scenario, NormalizerConfig(mode="find"))
-        dump_diagnostics(rec, tmp_path / "find.json")
-        doc = json.loads((tmp_path / "find.json").read_text())
+        assert dump_diagnostics(rec, tmp_path / "find") == [f"{tmp_path / 'find'}.diagnostics.json"]
+        doc = json.loads((tmp_path / "find.diagnostics.json").read_text())
         assert sorted(doc["cluster_counts"]) == [f"slot{k}" for k in range(net.num_slots)]
 
         rec = run_experiment(net, bank, cfg.scenario, NormalizerConfig(mode="sbn"))
-        dump_diagnostics(rec, tmp_path / "sbn.json")
-        doc = json.loads((tmp_path / "sbn.json").read_text())
+        dump_diagnostics(rec, tmp_path / "sbn")
+        doc = json.loads((tmp_path / "sbn.diagnostics.json").read_text())
         assert doc["cluster_counts"] == {}
 
     def test_separated_cross_mix_refines_domains(self, small_setup, tmp_path):
         _, net, bank, _, _ = small_setup
         sc = StreamScenario(kind="cross_mix", domains=separated_domains(5), batch_size=64, num_batches=10, seed=0)
         rec = run_experiment(net, separated_bank(0), sc, NormalizerConfig(mode="find"))
-        dump_diagnostics(rec, tmp_path / "sep.json")
-        doc = json.loads((tmp_path / "sep.json").read_text())
+        dump_diagnostics(rec, tmp_path / "sep")
+        doc = json.loads((tmp_path / "sep.diagnostics.json").read_text())
         assert doc["cluster_counts"]["slot0"]["mean"] >= 5.0
         assert doc["true_domain_counts"] == [5] * 10  # ground truth lives in diagnostics only

@@ -181,6 +181,10 @@ class TestLinearHead:
         with pytest.raises(ValueError):
             train_linear_head(np.eye(3), [0, 1, 2], 0.0, num_classes=3)
 
+    def test_label_count_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="one label per row"):
+            train_linear_head(np.eye(3), [0, 1], 1e-2, num_classes=2)
+
     def test_one_class_rejected(self):
         # the class-count rule the config and the model-file header also use
         with pytest.raises(ValueError, match="num_classes"):
@@ -655,6 +659,12 @@ class TestModelFileCorruption:
         _, path = saved
         _rewrite_header(path, lambda header: header.__setitem__(field, value))
         with pytest.raises(ModelFormatError):
+            load_model(path)
+
+    def test_meta_not_an_object(self, saved):
+        _, path = saved
+        _rewrite_header(path, lambda header: header.__setitem__("meta", ["note", "ok"]))
+        with pytest.raises(ModelFormatError, match="meta must be an object"):
             load_model(path)
 
     def test_wrong_header_input_shape_that_does_not_pool(self, saved):

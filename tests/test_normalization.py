@@ -90,6 +90,12 @@ class TestSourceStatsValidation:
             with pytest.raises(ValueError, match="finite"):
                 SourceStats(stats=stats, affine_scale=np.array(scale), affine_shift=np.array(shift))
 
+    def test_affine_length_rejected(self):
+        stats = ChannelStats(np.zeros(2, np.float32), np.ones(2, np.float32))
+        for scale, shift in [([1.0], [0.0, 0.0]), ([1.0, 1.0], [0.0, 0.0, 0.0])]:
+            with pytest.raises(ValueError, match="affine parameter length must equal channel count"):
+                SourceStats(stats=stats, affine_scale=np.array(scale), affine_shift=np.array(shift))
+
     def test_non_finite_eps_rejected(self):
         stats = ChannelStats(np.zeros(2, np.float32), np.ones(2, np.float32))
         for eps in (float("nan"), float("inf"), 0.0, 1e-50):  # 1e-50 is 0 in float32

@@ -123,6 +123,10 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             scenario_for("wild")
 
+    def test_no_domains_rejected(self):
+        with pytest.raises(ValueError, match="at least one domain"):
+            StreamScenario(kind="static", domains=[])
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             scenario_for("drift")
