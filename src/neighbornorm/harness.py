@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -175,6 +175,10 @@ def load_experiment_config(path=None, overrides: dict | None = None) -> Experime
         normalizer = NormalizerConfig(**raw["normalizer"])
     with _fields(""):
         raw["seeds"] = integers("seeds", raw["seeds"], SEED)
+        for name in ("model_path", "out"):  # an empty path names no file: rejected before any training or batch
+            raw[name] = str(raw[name])
+            if not raw[name]:
+                raise ValueError(f"{name} must be a nonempty path, got ''")
     mc, data, sc = raw["model"], raw["data"], raw["scenario"]
     with _fields("model"):
         mc.update({key: rule(key, mc[key]) for key, rule in _MODEL_RULES.items()})
@@ -201,8 +205,8 @@ def load_experiment_config(path=None, overrides: dict | None = None) -> Experime
         model=mc,
         scenario=scenario,
         normalizer=normalizer,
-        model_path=str(raw["model_path"]),
-        out=str(raw["out"]),
+        model_path=raw["model_path"],
+        out=raw["out"],
         seeds=raw["seeds"],
         bank=bank,
     )
@@ -280,26 +284,26 @@ def run_experiment(net: Network, bank: TemplateBank, scenario: StreamScenario, n
     true_domain_counts = []
     correct = total = 0
 
-    for idx in range(scenario.total_batches):
-        batch = sample_batch(scenario, bank, idx)
-        t0 = time.perf_counter()
-        logits, traces = net.forward(batch.x, ncfg, gating=gating, collect_traces=True)
-        if ncfg.mode == "find_star" and sensitivity is None:
-            scores.append(_layer_scores(net, traces))
-            if len(scores) == ncfg.cold_start_batches:
-                sensitivity = layer_gate(scores, ncfg.gamma_threshold)
-                gating = [rec["partition_enabled"] for rec in sensitivity]
-        per_batch_seconds.append(time.perf_counter() - t0)
+    with closing(iter_batches(scenario, bank)) as batches:  # closing joins the stream's worker if a batch raises
+        for batch in batches:
+            t0 = time.perf_counter()
+            logits, traces = net.forward(batch.x, ncfg, gating=gating, collect_traces=True)
+            if ncfg.mode == "find_star" and sensitivity is None:
+                scores.append(_layer_scores(net, traces))
+                if len(scores) == ncfg.cold_start_batches:
+                    sensitivity = layer_gate(scores, ncfg.gamma_threshold)
+                    gating = [rec["partition_enabled"] for rec in sensitivity]
+            per_batch_seconds.append(time.perf_counter() - t0)
 
-        preds = logits.argmax(axis=1)
-        predictions.append(preds)
-        hits = int(np.count_nonzero(preds == batch.labels))
-        correct += hits
-        total += batch.labels.shape[0]
-        per_batch_acc.append(hits / batch.labels.shape[0])
-        for name, tr in zip(slot_names, traces):
-            cluster_counts[name].append(tr.cluster_count)
-        true_domain_counts.append(int(np.count_nonzero(np.bincount(batch.domain_ids))))
+            preds = logits.argmax(axis=1)
+            predictions.append(preds)
+            hits = int(np.count_nonzero(preds == batch.labels))
+            correct += hits
+            total += batch.labels.shape[0]
+            per_batch_acc.append(hits / batch.labels.shape[0])
+            for name, tr in zip(slot_names, traces):
+                cluster_counts[name].append(tr.cluster_count)
+            true_domain_counts.append(int(np.count_nonzero(np.bincount(batch.domain_ids))))
 
     return MetricsRecord(
         scenario=asdict(scenario),

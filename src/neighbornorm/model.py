@@ -294,8 +294,12 @@ def _check_header(header) -> None:
     channels = integers("channels", header.get("channels"), COUNT)
     input_shape = pooled_shape("input_shape", header.get("input_shape"), len(channels))
     num_classes = NUM_CLASSES("num_classes", header.get("num_classes"))
-    if not isinstance(header.get("meta", {}), dict):
+    meta = header.get("meta", {})
+    if not isinstance(meta, dict):
         raise ModelFormatError("meta must be an object")
+    for section in ("data", "train"):
+        if not isinstance(meta.get(section, {}), dict):
+            raise ModelFormatError(f"meta.{section} must be an object")
     expected = _expected_manifest(channels, input_shape, num_classes)
     if header.get("tensors") != expected:
         raise ModelFormatError(f"tensor manifest {header.get('tensors')!r} does not match the sizes, expected {expected}")

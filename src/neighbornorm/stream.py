@@ -17,15 +17,23 @@ kinds control how domains are mixed across batches:
 Every batch is a pure function of (seed, batch_index mod num_batches),
 so batches can be regenerated out of order and `rounds` replays the
 identical sequence.
+
+`iter_batches` is the one in-order stream loop. From one block
+(`tensors._BLOCK` samples) per batch up, a worker thread draws the next
+batch's noise, which numpy does outside the GIL, while the caller works on
+the current batch. Smaller batches run serially: a hand-off costs more
+than their draw.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .rules import COUNT, FINITE, INTEGER, NONNEGATIVE, NUM_CLASSES, POSITIVE, SEED, SEVERITY, one_of
+from .tensors import _BLOCK
 
 __all__ = [
     "DomainSpec",
@@ -222,24 +230,23 @@ def _domain_ids(rng: np.random.Generator, scenario: StreamScenario, eff_index: i
     return chosen[rng.integers(0, count, size=b)]
 
 
-def sample_batch(scenario: StreamScenario, bank: TemplateBank, batch_index: int) -> LabeledBatch:
-    """Generate one batch; fully determined by (scenario.seed, batch_index).
-
-    Indices beyond num_batches wrap around, replaying the per-round
-    sequence.
-    """
+def _prologue(scenario: StreamScenario, bank: TemplateBank, batch_index: int):
+    """A batch's seeded draws before its noise: (rng, labels, domain ids, an unfilled float64 buffer for both noise
+    fields). The buffer is allocated here, on the calling thread, whichever thread fills it: a worker thread that
+    allocated batch-sized arrays would make glibc open a second heap arena for it and raise peak memory."""
     if not 0 <= batch_index < scenario.total_batches:
         raise ValueError(f"batch_index {batch_index} outside 0..{scenario.total_batches - 1}")
     eff = batch_index % scenario.num_batches
     rng = np.random.default_rng([scenario.seed, int(eff)])
-
-    k = bank.num_classes
-    labels = _block_labels(rng, scenario.kind, scenario.dirichlet_delta, k, scenario.batch_size)
+    labels = _block_labels(rng, scenario.kind, scenario.dirichlet_delta, bank.num_classes, scenario.batch_size)
     domain_ids = _domain_ids(rng, scenario, eff)
+    return rng, labels, domain_ids, np.empty((2, scenario.batch_size, *bank.templates.shape[1:]))
 
+
+def _epilogue(scenario: StreamScenario, bank: TemplateBank, labels, domain_ids, z: np.ndarray) -> LabeledBatch:
+    """The float32 batch from its labels, domain ids and drawn noise `z` (both fields, one standard_normal fill)."""
     x = bank.templates[labels].astype(np.float32, copy=False)  # indexing already copied
-    # both noise fields in one draw; `0.0 + s * z` is `normal(0, s)` bit for bit, -0.0 products turned +0.0
-    z = rng.standard_normal((2, *x.shape))
+    # `0.0 + s * z` is `normal(0, s)` bit for bit, -0.0 products turned +0.0
     x += (0.0 + bank.base_noise * z[0]).astype(np.float32)
 
     contrast, brightness, noise_sigma = scenario._domain_table[domain_ids].T[:, :, None, None, None]
@@ -252,6 +259,38 @@ def sample_batch(scenario: StreamScenario, bank: TemplateBank, batch_index: int)
     return LabeledBatch(x=x, labels=labels.astype(np.intp, copy=False), domain_ids=domain_ids.astype(np.intp, copy=False))
 
 
+def sample_batch(scenario: StreamScenario, bank: TemplateBank, batch_index: int) -> LabeledBatch:
+    """Generate one batch; fully determined by (scenario.seed, batch_index).
+
+    Indices beyond num_batches wrap around, replaying the per-round
+    sequence.
+    """
+    rng, labels, domain_ids, z = _prologue(scenario, bank, batch_index)
+    rng.standard_normal(out=z)
+    return _epilogue(scenario, bank, labels, domain_ids, z)
+
+
 def iter_batches(scenario: StreamScenario, bank: TemplateBank):
-    for i in range(scenario.total_batches):
-        yield sample_batch(scenario, bank, i)
+    """Every batch of the scenario in order, byte for byte `sample_batch`'s.
+
+    From `_BLOCK` samples per batch up, only the noise draw runs on the worker; the prologue, its buffer and the
+    epilogue stay on the calling thread. Close or exhaust the generator to join the worker.
+    """
+    total = scenario.total_batches
+    if scenario.batch_size < _BLOCK:
+        for i in range(total):
+            yield sample_batch(scenario, bank, i)
+        return
+    with ThreadPoolExecutor(1) as worker:
+
+        def draw(i):
+            rng, labels, domain_ids, z = _prologue(scenario, bank, i)
+            return labels, domain_ids, worker.submit(rng.standard_normal, out=z)  # the future's result is z
+
+        following = draw(0)
+        for i in range(total):
+            labels, domain_ids, drawn = following
+            following = draw(i + 1) if i + 1 < total else None
+            batch = _epilogue(scenario, bank, labels, domain_ids, drawn.result())
+            del drawn  # spent: only the next batch's noise stays alive while the caller runs
+            yield batch

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,17 @@ SMALL_CONFIG = {
     "scenario": {"num_batches": 12, "batch_size": 32, "seed": 0},
     "seeds": [0, 1],
 }
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    """Fail the test that leaves a thread running which was not running when it started, such as a stream worker
+    that was never joined, rather than a later test."""
+    before = set(threading.enumerate())
+    yield
+    leaked = [t.name for t in threading.enumerate() if t not in before]
+    if leaked:
+        pytest.fail(f"test left threads running: {leaked}")
 
 
 @pytest.fixture(scope="session")

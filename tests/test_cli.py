@@ -84,6 +84,40 @@ class TestRun:
         assert main(["run", "--config", str(bad)]) == 1
         assert "malformed model file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section", ["data", "train"])
+    def test_model_meta_section_not_an_object_is_config_error(self, workspace, tmp_path, capsys, section):
+        root, cfg_path = workspace
+        raw = (root / "model.nnm").read_bytes()
+        cut = raw.index(b"\n")
+        header = json.loads(raw[:cut])
+        header["meta"][section] = [1, 2]
+        edited = tmp_path / "edited.nnm"
+        edited.write_bytes(json.dumps(header, sort_keys=True).encode() + raw[cut:])
+        cfg = json.loads(cfg_path.read_text())
+        cfg["model_path"] = str(edited)
+        bad = tmp_path / "cfg.json"
+        bad.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert "malformed model file" in err and f"meta.{section} must be an object" in err
+
+    @pytest.mark.parametrize("command", ["run", "train"])
+    def test_empty_out_is_config_error(self, workspace, tmp_path, capsys, monkeypatch, command):
+        # an empty path is rejected at load, before training or any batch, and no hidden `.json` is written
+        _, cfg_path = workspace
+        monkeypatch.setattr(cli, "train_model", lambda cfg: pytest.fail("trained the model"))
+        monkeypatch.setattr(cli, "run_experiment", lambda *args: pytest.fail("ran a batch"))
+        monkeypatch.chdir(tmp_path)
+        written = "model_path" if command == "train" else "out"
+        assert main([command, "--config", str(cfg_path), "--out", ""]) == 1
+        assert f"{written} must be a nonempty path" in capsys.readouterr().err
+        cfg = json.loads(cfg_path.read_text())
+        cfg[written] = ""
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert main([command, "--config", "cfg.json"]) == 1
+        assert f"{written} must be a nonempty path" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
     def test_bad_mode_is_config_error(self, workspace, capsys):
         _, cfg_path = workspace
         assert main(["run", "--config", str(cfg_path), "--mode", "nope"]) == 1

@@ -1,6 +1,7 @@
 import json
 import pathlib
 import re
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -61,6 +62,14 @@ class TestConfigLoading:
         p.write_text(doc)
         with pytest.raises(ConfigError, match="must be a JSON object"):
             load_experiment_config(p)
+
+    @pytest.mark.parametrize("name", ["out", "model_path"])
+    def test_empty_path_rejected(self, tmp_path, name):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({name: ""}))
+        for path, overrides in ((p, None), (None, {name: ""})):
+            with pytest.raises(ConfigError, match=f"invalid config: {name} must be a nonempty path"):
+                load_experiment_config(path, overrides)
 
     def test_unreachable_template_floor_rejected_at_load(self):
         # the template bank is built, and so checked, when the config is loaded, not first in training
@@ -250,6 +259,40 @@ class TestRunExperiment:
         for a, b in zip(star.predictions[:5], find.predictions[:5]):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("b", [64, 65])
+    def test_pipelined_stream_gives_the_serial_record(self, small_setup, b):
+        # from one block up `run_experiment` streams through a worker thread; its record is a plain loop's
+        cfg, net, bank, _, _ = small_setup
+        sc = replace(cfg.scenario, batch_size=b, num_batches=3, rounds=2)
+        rec = run_experiment(net, bank, sc, cfg.normalizer)
+        batches = [sample_batch(sc, bank, i) for i in range(sc.total_batches)]
+        outs = [net.forward(batch.x, cfg.normalizer, collect_traces=True) for batch in batches]
+        preds = [logits.argmax(axis=1) for logits, _ in outs]
+        assert rec.mean_accuracy == sum(int(np.count_nonzero(p == batch.labels)) for p, batch in zip(preds, batches)) / (
+            b * sc.total_batches)
+        assert rec.cluster_counts == {f"slot{k}": [traces[k].cluster_count for _, traces in outs] for k in range(net.num_slots)}
+        assert rec.true_domain_counts == [len(set(batch.domain_ids.tolist())) for batch in batches]
+        for ours, theirs in zip(rec.predictions, preds, strict=True):
+            assert np.array_equal(ours, theirs)
+
+    def test_raising_forward_leaves_no_thread(self, small_setup, monkeypatch):
+        # the exception's traceback keeps `run_experiment`'s frame alive; the stream's worker must be joined anyway
+        cfg, net, bank, _, _ = small_setup
+        real, calls = model.Network.forward, []
+
+        def forward(self, x, *args, **kwargs):
+            calls.append(x.shape[0])
+            if len(calls) == 2:
+                raise ArithmeticError("overflow")
+            return real(self, x, *args, **kwargs)
+
+        monkeypatch.setattr(model.Network, "forward", forward)
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError) as info:
+            run_experiment(net, bank, replace(cfg.scenario, batch_size=64), cfg.normalizer)
+        assert threading.active_count() == before
+        assert calls == [64, 64] and info.traceback
+
     def test_cold_start_longer_than_stream(self, small_setup, tmp_path):
         cfg, net, bank, _, _ = small_setup
         sc = cfg.scenario
@@ -281,14 +324,16 @@ class TestRunExperiment:
         cfg, net, bank, _, _ = small_setup
         baseline = run_experiment(net, bank, cfg.scenario, cfg.normalizer)
 
-        real = harness.sample_batch
+        real, streamed = harness.iter_batches, []
 
-        def scrambled(scenario, the_bank, index):
-            b = real(scenario, the_bank, index)
-            return LabeledBatch(x=b.x, labels=b.labels, domain_ids=b.domain_ids[::-1].copy())
+        def scrambled(scenario, the_bank):
+            for b in real(scenario, the_bank):
+                streamed.append(b)
+                yield LabeledBatch(x=b.x, labels=b.labels, domain_ids=b.domain_ids[::-1].copy())
 
-        monkeypatch.setattr(harness, "sample_batch", scrambled)
+        monkeypatch.setattr(harness, "iter_batches", scrambled)
         scrambled_rec = run_experiment(net, bank, cfg.scenario, cfg.normalizer)
+        assert len(streamed) == cfg.scenario.total_batches
         for a, b in zip(baseline.predictions, scrambled_rec.predictions):
             assert np.array_equal(a, b)
 

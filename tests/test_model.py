@@ -667,6 +667,13 @@ class TestModelFileCorruption:
         with pytest.raises(ModelFormatError, match="meta must be an object"):
             load_model(path)
 
+    @pytest.mark.parametrize("section", ["data", "train"])
+    def test_meta_section_not_an_object(self, saved, section):
+        _, path = saved
+        _rewrite_header(path, lambda header: header["meta"].__setitem__(section, ["note"]))
+        with pytest.raises(ModelFormatError, match=f"meta.{section} must be an object"):
+            load_model(path)
+
     def test_wrong_header_input_shape_that_does_not_pool(self, saved):
         # the manifest matches the new shape, so only the pooling rule can reject it
         net, path = saved

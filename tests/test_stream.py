@@ -1,3 +1,6 @@
+import sys
+import threading
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -311,6 +314,63 @@ class TestNoiseDraw:
         for i in range(sc.num_batches):
             assert_batch_is_reference(sc, bank, i)
             assert not np.signbit(sample_batch(sc, bank, i).x).any()
+
+def assert_same_batch(ours, theirs):
+    for field_name in ("x", "labels", "domain_ids"):
+        a, b = getattr(ours, field_name), getattr(theirs, field_name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), field_name
+
+
+class TestPipelinedStream:
+    """`iter_batches` draws the next batch's noise on a worker thread from one block (64 samples) up and is serial
+    below; either way its batches are `sample_batch`'s, and its worker lives no longer than the generator."""
+
+    @pytest.mark.parametrize("kind", ["static", "cross_mix", "shuffle", "random", "wild"])
+    @pytest.mark.parametrize("b", [1, 63, 64, 65, 256, 300])
+    def test_batches_are_sample_batch(self, kind, b):
+        sc = scenario_for(kind, batch_size=b, num_batches=3, rounds=2, seed=b, delta=0.5 if kind == "wild" else None)
+        bank = bank_for()
+        streamed = list(iter_batches(sc, bank))
+        assert len(streamed) == sc.total_batches
+        for i, batch in enumerate(streamed):
+            assert_same_batch(batch, sample_batch(sc, bank, i))
+
+    def test_batches_hold_under_fast_thread_switching(self):
+        # the worker fills a buffer the caller reads only after the draw's result; switching threads every
+        # microsecond must not let the caller see a half-drawn batch
+        sc, bank = scenario_for("random", batch_size=64, num_batches=12), bank_for()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            streamed = list(iter_batches(sc, bank))
+        finally:
+            sys.setswitchinterval(interval)
+        for i, batch in enumerate(streamed):
+            assert_same_batch(batch, sample_batch(sc, bank, i))
+
+    def test_only_the_next_batchs_noise_stays_alive(self):
+        # while the caller holds batch i, the stream keeps batch i+1's float64 noise (2 x B x C x H x W) and no more
+        sc, bank = scenario_for("cross_mix", batch_size=256, num_batches=3), bank_for()
+        noise = 2 * 256 * 16 * 16 * 8
+        tracemalloc.start()
+        try:
+            batches = iter_batches(sc, bank)
+            batch = next(batches)
+            held = tracemalloc.get_traced_memory()[0]
+            batches.close()
+        finally:
+            tracemalloc.stop()
+        assert noise < held < noise + batch.x.nbytes + noise // 2
+
+    @pytest.mark.parametrize("b, workers", [(1, 0), (63, 0), (64, 1), (300, 1)])
+    def test_a_worker_only_from_one_block(self, b, workers):
+        before = threading.active_count()
+        batches = iter_batches(scenario_for("cross_mix", batch_size=b, num_batches=4), bank_for())
+        next(batches)
+        assert threading.active_count() == before + workers
+        batches.close()
+        assert threading.active_count() == before
+
 
 def wild_labels(bank, delta, num_samples, seed, batch_size=64):
     """The first `num_samples` labels of a wild stream, batch after batch."""
