@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import sample_moments
+from .tensors import _BLOCK, sample_moments
 
 __all__ = [
     "Partition",
@@ -37,7 +37,9 @@ def cosine_similarity_matrix(means: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected (B, C) matrix, got shape {means.shape}")
     norms = np.linalg.norm(means, axis=1)
     unit = means / np.maximum(norms, NORM_FLOOR)[:, None]
-    sim = unit @ np.ascontiguousarray(unit.T)  # a GEMM: numpy's SYRK path for unit @ unit.T is far slower here
+    unit_t, sim = np.ascontiguousarray(unit.T), np.empty((len(unit), len(unit)))
+    for i in range(0, len(unit), _BLOCK):  # GEMMs too small to wake a BLAS thread (numpy's SYRK is far slower)
+        np.matmul(unit[i : i + _BLOCK], unit_t, out=sim[i : i + _BLOCK])
     np.add(sim, sim.T, out=sim)  # numpy buffers the overlapping transpose
     sim *= 0.5
     return np.clip(sim, -1.0, 1.0, out=sim)

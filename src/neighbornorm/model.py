@@ -15,7 +15,10 @@ the one FABN body, which normalizes in place; relu in place; pool), and checks a
 exit that the result is finite (else ValueError). Capture runs the same body.
 A stage sees the whole batch, as the grouping must; the two kernels whose temporaries
 grow with it, `_conv` and `sample_moments`, run over blocks of `tensors._BLOCK`
-samples, so those stay in L2, and no bit depends on block edges.
+samples, so those stay in L2, and none of their bits depends on block edges. The
+head and the grouping's similarity GEMM also run in 64-row blocks, so that no product
+wakes a BLAS thread; their rows round as their block's do, so above 64 samples a
+sample's logits are those of its 64-row block forwarded alone.
 """
 
 from __future__ import annotations
@@ -258,7 +261,10 @@ class Network:
     def forward(self, x: np.ndarray, cfg: NormalizerConfig, gating=None, collect_traces: bool = False):
         """Class scores (B, K); with `collect_traces`, also per-slot traces."""
         feats, traces = self.backbone(x, cfg, gating)
-        logits = feats @ self.head.weight.T + self.head.bias
+        w_t, logits = self.head.weight.T, np.empty((feats.shape[0], self.head.num_classes), np.float32)
+        for i in range(0, feats.shape[0], _BLOCK):  # 64-row products stay on one BLAS thread
+            np.matmul(feats[i : i + _BLOCK], w_t, out=logits[i : i + _BLOCK])
+        logits += self.head.bias
         return (logits, traces) if collect_traces else logits
 
 

@@ -277,7 +277,7 @@ class TestBlasThreads:
     STREAMS = {"static256": {"kind": "static", "batch_size": 256}, "b1": {"batch_size": 1, "num_batches": 24}}
 
     def test_run_files_do_not_depend_on_blas_threads(self, tmp_path):
-        # Train, then find_star runs on a B=256 stream (blocked conv and moments, threaded similarity GEMM)
+        # Train, then find_star runs on a B=256 stream (conv, moments, similarity and head in 64-row blocks)
         # and a B=1 stream: their metrics files must be the same bytes under 1 and 2 BLAS threads.
         nproc = len(os.sched_getaffinity(0))
         if nproc < 2:

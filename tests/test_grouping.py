@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from neighbornorm.grouping import (
+    NORM_FLOOR,
     cosine_similarity_matrix,
     first_neighbor_components,
     first_neighbor_labels,
@@ -74,6 +75,21 @@ class TestCosineSimilarity:
         m = np.array([[0.0, 0.0], [1.0, 1.0]])
         sim = cosine_similarity_matrix(m)
         assert np.isfinite(sim).all()
+
+    @pytest.mark.parametrize("c", [8, 16])
+    @pytest.mark.parametrize("b", [2, 63, 64, 65, 129, 256, 300])
+    def test_product_runs_in_64_row_blocks(self, b, c):
+        # each 64-row block is its own GEMM, too small to wake a BLAS thread; up to 64 rows that is the
+        # whole-batch product. Above, BLAS may round a block's rows unlike the whole product's (a one-row
+        # tail takes its matrix-vector path), so there the whole product is a close oracle, not a bitwise one
+        rng = np.random.default_rng(b * 100 + c)
+        means = rng.normal(size=(b, c)) + rng.normal(size=c)
+        unit = means / np.maximum(np.linalg.norm(means, axis=1), NORM_FLOOR)[:, None]
+        unit_t = np.ascontiguousarray(unit.T)
+        blocks, whole = np.concatenate([unit[i : i + 64] @ unit_t for i in range(0, b, 64)]), unit @ unit_t
+        sim = cosine_similarity_matrix(means)
+        assert sim.tobytes() == np.clip((blocks + blocks.T) * 0.5, -1.0, 1.0).tobytes()
+        np.testing.assert_allclose(sim, np.clip((whole + whole.T) * 0.5, -1.0, 1.0), rtol=0, atol=1e-15)
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(13)

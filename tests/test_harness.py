@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 import pathlib
 import re
 import threading
@@ -362,6 +364,16 @@ class TestCompareAndSweep:
         rows = compare_modes(net, bank, cfg.scenario, ncfg, modes=("find", "find_star"), seeds=(0, 1))
         assert rows[0]["per_seed_accuracy"] == rows[1]["per_seed_accuracy"]
 
+    def test_std_is_the_population_std(self, small_setup):
+        # the JSON reports the spread of the seeds run, not an estimate over more seeds: ddof=0
+        cfg, net, bank, _, _ = small_setup
+        rows = compare_modes(net, bank, cfg.scenario, cfg.normalizer, modes=("sbn", "find"), seeds=(0, 1, 2))
+        for r in rows:
+            accs = r["per_seed_accuracy"]
+            mean = sum(accs) / len(accs)
+            assert r["std_accuracy"] == pytest.approx(math.sqrt(sum((a - mean) ** 2 for a in accs) / len(accs)), rel=1e-12)
+        assert any(r["std_accuracy"] > 0 for r in rows)
+
     def test_batch_size_sweep_fixed_budget(self, small_setup):
         cfg, net, bank, _, _ = small_setup
         sc = replace(cfg.scenario, num_batches=4, batch_size=32)
@@ -494,6 +506,15 @@ class TestOutputs:
         write_metrics(rec_b, tmp_path / "b")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_csv_accuracy_is_the_json_value_at_six_decimals(self, small_setup, tmp_path):
+        cfg, net, bank, _, _ = small_setup
+        write_metrics(run_experiment(net, bank, cfg.scenario, cfg.normalizer), tmp_path / "m")
+        accuracy = json.loads((tmp_path / "m.json").read_text())["per_batch"]["accuracy"]
+        with open(tmp_path / "m.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["batch_index"] for row in rows] == [str(i) for i in range(len(accuracy))]
+        assert [row["accuracy"] for row in rows] == [f"{acc:.6f}" for acc in accuracy]
 
     def test_metrics_json_contents(self, small_setup, tmp_path):
         cfg, net, bank, _, _ = small_setup

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,6 +137,12 @@ class TestPoolRelu:
             out = avg_pool_2x2(x)
             assert out.dtype == np.float32
             np.testing.assert_allclose(out, loop_avg_pool2x2(x), rtol=1e-6, atol=1e-7)
+
+    def test_avg_pool_sums_in_the_stated_order(self):
+        # float32 addition does not associate: pin ((a + b) + c) + d, then * 0.25, bit for bit
+        x = np.random.default_rng(23).normal(size=(4, 8, 16, 16)).astype(np.float32)
+        a, b, c, d = x[:, :, ::2, ::2], x[:, :, ::2, 1::2], x[:, :, 1::2, ::2], x[:, :, 1::2, 1::2]
+        assert same_bits(avg_pool_2x2(x), (((a + b) + c) + d) * np.float32(0.25))
 
 
 class TestLinearHead:
@@ -322,13 +332,28 @@ class TestNetworkForward:
     def test_sbn_features_do_not_depend_on_the_batch(self, default_setup):
         # sbn uses only frozen source statistics, so a sample's features alone are bitwise its row in a
         # stock batch, across block edges at B=256 too. Logits are not: the head matmul rounds
-        # differently for one row (M=1) than for a batch (M=B).
+        # differently for one row (M=1) than for a block of rows (see the head tests below).
         net, sbn = default_setup[1], NormalizerConfig(mode="sbn")
         for b in (64, 256):
             x = stock_batch(default_setup, b, index=1)
             feats, _ = net.backbone(x, sbn)
             for i in range(b):
                 assert same_bits(net.backbone(x[i : i + 1], sbn)[0][0], feats[i]), (b, i)
+
+    @pytest.mark.parametrize("b", [1, 2, 63, 64])
+    def test_head_of_one_block_is_one_product(self, default_setup, b):
+        net, sbn = default_setup[1], NormalizerConfig(mode="sbn")
+        x = stock_batch(default_setup, b, index=2)
+        feats, _ = net.backbone(x, sbn)
+        assert same_bits(net.forward(x, sbn), feats @ net.head.weight.T + net.head.bias)
+
+    @pytest.mark.parametrize("b", [65, 256, 300])
+    def test_head_runs_in_64_row_blocks(self, default_setup, b):
+        # above one block, a sample's logits are those of its 64-row block forwarded alone
+        net, sbn = default_setup[1], NormalizerConfig(mode="sbn")
+        x = stock_batch(default_setup, b, index=2)
+        blocks = np.concatenate([net.forward(x[i : i + 64], sbn) for i in range(0, b, 64)])
+        assert same_bits(net.forward(x, sbn), blocks)
 
 
 def parts_of(net) -> dict:
@@ -697,3 +722,74 @@ class TestModelFileCorruption:
 
     def test_is_a_value_error(self):
         assert issubclass(ModelFormatError, ValueError)
+
+
+# Run in a fresh interpreter under two BLAS threads: only OpenBLAS has started threads right after numpy's import, so
+# those are its workers. Set up a small network, let the worker's spin after the ridge solve decay, then stream 50
+# B=256 batches in sbn and find and print the workers' CPU clock ticks (utime + stime) over the stream.
+WORKER_TICKS = """
+import os, time
+import numpy as np
+
+workers = [tid for tid in os.listdir("/proc/self/task") if int(tid) != os.getpid()]
+
+
+def ticks():
+    total = 0
+    for tid in workers:
+        with open(f"/proc/self/task/{tid}/stat") as fh:
+            fields = fh.read().rsplit(")", 1)[1].split()
+        total += int(fields[11]) + int(fields[12])
+    return total
+
+
+from neighbornorm.model import Network
+from neighbornorm.normalization import NormalizerConfig
+from neighbornorm.stream import StreamScenario, build_templates, identity_domain, iter_batches
+
+rng = np.random.default_rng(0)
+clean = [rng.normal(size=(64, 1, 16, 16)).astype(np.float32) for _ in range(4)]
+net = Network.build((8, 16), (1, 16, 16), 0, 1e-5, clean, rng.integers(0, 10, 256), 1e-2, 10)
+bank, stream = build_templates(10, seed=1), StreamScenario("static", [identity_domain()], batch_size=256, num_batches=50)
+time.sleep(1.0)
+before = ticks()
+for mode in ("sbn", "find"):
+    for batch in iter_batches(stream, bank):
+        net.forward(batch.x, NormalizerConfig(mode=mode))
+print(len(workers), ticks() - before)
+"""
+
+# The similarity matrix of two batches above 250 samples whose size is no multiple of 8, hashed.
+SIMILARITY_HASH = """
+import hashlib
+import numpy as np
+from neighbornorm.grouping import cosine_similarity_matrix
+
+rng = np.random.default_rng(5)
+sims = [cosine_similarity_matrix(rng.normal(size=(b, 16)) + 1.0) for b in (300, 500)]
+print(hashlib.sha256(b"".join(sim.tobytes() for sim in sims)).hexdigest())
+"""
+
+
+class TestBlasThreadsInTheStreamLoop:
+    @staticmethod
+    def run_script(script, threads):
+        nproc = len(os.sched_getaffinity(0))
+        if nproc < 2 or not os.path.isdir("/proc/self/task"):
+            pytest.skip("needs two cores and /proc/self/task")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        env.update({var: str(threads) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+        return subprocess.run([sys.executable, "-c", script], env=env, check=True, capture_output=True, text=True).stdout
+
+    def test_b256_stream_leaves_the_blas_worker_idle(self):
+        # every product in the loop is at most 64 rows, below OpenBLAS's threading size, so its worker never
+        # wakes and the stream's noise worker keeps the second core; whole B=256 products kept it busy for 30+ ticks
+        workers, ticks = map(int, self.run_script(WORKER_TICKS, 2).split())
+        if not workers:
+            pytest.skip("the BLAS library started no worker threads")
+        assert ticks <= 5
+
+    def test_similarity_does_not_depend_on_blas_threads(self):
+        # single-threaded blocks give the same bits under any thread count; a whole-batch GEMM above ~1e6
+        # multiply-adds splits its rows by thread count, and did round differently under 1 and 2 threads
+        assert self.run_script(SIMILARITY_HASH, 1) == self.run_script(SIMILARITY_HASH, 2)
