@@ -223,7 +223,9 @@ class MetricsRecord:
     cluster_counts: dict  # slot name -> list of int or None per batch
     sensitivity: list | None
     metadata: dict
-    per_batch_seconds: list = field(default_factory=list)  # sidecar only
+    # sidecar only: each batch's forward on the calling thread; from `_BLOCK` samples up, its stem ran on the
+    # stream's worker beforehand, so only any wait for it counts
+    per_batch_seconds: list = field(default_factory=list)
     predictions: list = field(default_factory=list)  # in-memory only
     true_domain_counts: list = field(default_factory=list)  # diagnostics channel only
 
@@ -284,10 +286,11 @@ def run_experiment(net: Network, bank: TemplateBank, scenario: StreamScenario, n
     true_domain_counts = []
     correct = total = 0
 
-    with closing(iter_batches(scenario, bank)) as batches:  # closing joins the stream's worker if a batch raises
-        for batch in batches:
+    # from `_BLOCK` samples up the stream runs each batch's stem a batch ahead; closing joins its worker if one raises
+    with closing(iter_batches(scenario, bank, net.stem(ncfg))) as batches:
+        for batch, stem in batches:
             t0 = time.perf_counter()
-            logits, traces = net.forward(batch.x, ncfg, gating=gating, collect_traces=True)
+            logits, traces = net.forward(stem(), ncfg, gating=gating, collect_traces=True)
             if ncfg.mode == "find_star" and sensitivity is None:
                 scores.append(_layer_scores(net, traces))
                 if len(scores) == ncfg.cold_start_batches:
@@ -375,7 +378,8 @@ def _dump_json(obj, path) -> None:
 
 def write_metrics(record: MetricsRecord, out_prefix) -> list[str]:
     """Write <out>.json and <out>.csv (deterministic) plus <out>.timing.json
-    (wall clock, excluded from determinism guarantees)."""
+    (wall clock of each batch's forward on the calling thread, as `MetricsRecord.per_batch_seconds`
+    says; excluded from determinism guarantees)."""
     out_prefix = str(out_prefix)
     doc = {
         "scenario": record.scenario,

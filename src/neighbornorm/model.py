@@ -13,6 +13,10 @@ The public kernels check their inputs. A `Network` checks its input once, at
 entry, runs each stage through one unchecked body, `_stage` (`_conv`; `_normalize`,
 the one FABN body, which normalizes in place; relu in place; pool), and checks at
 exit that the result is finite (else ValueError). Capture runs the same body.
+A forward is its stem and then the rest: `Network.stem` checks the batch and runs
+the first stage's conv and, except in sbn, its `sample_moments`, which depend on
+nothing but the batch; `forward` takes the raw batch, through the stem, or a `Stem`
+made earlier, which the stream computes one batch ahead on its worker thread.
 A stage sees the whole batch, as the grouping must; the two kernels whose temporaries
 grow with it, `_conv` and `sample_moments`, run over blocks of `tensors._BLOCK`
 samples, so those stay in L2, and none of their bits depends on block edges. The
@@ -36,6 +40,7 @@ from .tensors import _BLOCK, ChannelStats, as_feature_map, pooled_stats, sample_
 __all__ = [
     "LinearHead",
     "Network",
+    "Stem",
     "conv2d_3x3",
     "avg_pool_2x2",
     "train_linear_head",
@@ -56,26 +61,39 @@ def conv2d_3x3(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return _conv(x, w)
 
 
-def _conv(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _conv(x: np.ndarray, w: np.ndarray, out: np.ndarray | None = None, scratch: tuple | None = None) -> np.ndarray:
     """`conv2d_3x3` of a canonical map and a float32 kernel that fits it, unchecked.
 
     Per block of `_BLOCK` samples, one im2col matmul over a flat zero-padded (block, Cin,
     H+3, W+2) buffer: window (dy, dx) of a channel is the contiguous run of H*(W+2) floats
     from row dy, column dx, so the column copy moves long runs, and each output row
     carries two spare columns, dropped at the end (the spare row bounds the last run).
-    Every block writes only the buffer's interior, so its border is zeroed once.
+    Every block writes only the buffer's interior, so its border is zeroed once. The result
+    goes to `out` and the block buffers are `scratch`, as `_conv_scratch` makes them, where
+    given; each is allocated here where not.
     """
     b, c_in, h, wd = x.shape
-    out = np.empty((b, w.shape[0], h, wd), np.float32)
-    pad = np.zeros((min(b, _BLOCK), c_in, h + 3, wd + 2), np.float32)
-    w2 = w.reshape(w.shape[0], c_in * 9)
+    c, run = w.shape[0], h * (wd + 2)
+    out = np.empty((b, c, h, wd), np.float32) if out is None else out
+    pad, cols, prod = _conv_scratch(min(b, _BLOCK), c_in, c, h, wd) if scratch is None else scratch
+    w2 = w.reshape(c, c_in * 9)
     for i in range(0, b, _BLOCK):
         n = min(b - i, _BLOCK)
         xp = pad[:n]
         xp[:, :, 1 : h + 1, 1:-1] = x[i : i + n]
-        windows = np.ndarray((n, c_in, 3, 3, h * (wd + 2)), np.float32, buffer=xp, strides=(*xp.strides[:3], 4, 4))
-        out[i : i + n] = (w2 @ windows.reshape(n, c_in * 9, h * (wd + 2))).reshape(n, w.shape[0], h, wd + 2)[:, :, :, :wd]
+        windows = np.ndarray((n, c_in, 3, 3, run), np.float32, buffer=xp, strides=(*xp.strides[:3], 4, 4))
+        cols[:n].reshape(n, c_in, 3, 3, run)[...] = windows
+        np.matmul(w2, cols[:n], out=prod[:n])
+        out[i : i + n] = prod[:n].reshape(n, c, h, wd + 2)[:, :, :, :wd]
     return out
+
+
+def _conv_scratch(n: int, c_in: int, c: int, h: int, wd: int) -> tuple:
+    """`_conv`'s block buffers for blocks of up to `n` samples of Cin x H x W to C channels: the padded input
+    with its zero border, the im2col columns and the product rows."""
+    run = h * (wd + 2)
+    return (np.zeros((n, c_in, h + 3, wd + 2), np.float32), np.empty((n, c_in * 9, run), np.float32),
+            np.empty((n, c, run), np.float32))
 
 
 def avg_pool_2x2(x: np.ndarray) -> np.ndarray:
@@ -158,12 +176,26 @@ def _checked(x: np.ndarray, input_shape: tuple) -> np.ndarray:
     return x
 
 
-def _stage(h: np.ndarray, w: np.ndarray, src: SourceStats, cfg: NormalizerConfig,
-           enabled: bool = True) -> tuple[np.ndarray, SlotTrace]:
-    """One stage on a canonical map of any batch size, unchecked: conv by `w`, normalize in place on the stage's
-    own conv map against `src`, relu in place, pool."""
-    h, trace = _normalize(_conv(h, w), src, cfg, enabled)
+def _stage(conv: np.ndarray, src: SourceStats, cfg: NormalizerConfig, enabled: bool = True,
+           moments: np.ndarray | None = None) -> tuple[np.ndarray, SlotTrace]:
+    """One stage after its conv, on a conv map of any batch size, unchecked: normalize the map in place against
+    `src` (`moments`: its `sample_moments`, if measured already), relu in place, pool."""
+    h, trace = _normalize(conv, src, cfg, enabled, moments)
     return avg_pool_2x2(np.maximum(h, 0.0, out=h)), trace
+
+
+@dataclass(eq=False, slots=True)
+class Stem:
+    """A checked batch after the first stage's conv, which `Network.forward` takes in the batch's place.
+
+    `conv` is the slot-0 conv map, float32 (B, C, H, W); `moments` is its `sample_moments`, or None in a stem
+    made for sbn, the one mode that does not measure the batch. The forward normalizes the map in place and
+    then drops it (`conv` becomes None), so a stem is forwarded once, and only by `net`, the network that made it.
+    """
+
+    net: "Network"
+    conv: np.ndarray | None
+    moments: np.ndarray | None
 
 
 class Network:
@@ -230,7 +262,7 @@ class Network:
             source_stats.append(SourceStats.with_identity_affine(pooled_stats(sums, m2, height * width), eps))
             out = np.empty((sums.shape[0], w.shape[0], height // 2, width // 2), np.float32)
             for h, rows in zip(hs, np.split(out, cuts)):
-                rows[...] = _stage(h, w, source_stats[-1], cfg)[0]
+                rows[...] = _stage(_conv(h, w), source_stats[-1], cfg)[0]
             hs = np.split(out, cuts)
         return source_stats, _finite(out.reshape(out.shape[0], -1))
 
@@ -242,24 +274,65 @@ class Network:
     def channels(self) -> tuple:
         return tuple(w.shape[0] for w in self.conv_weights)
 
-    def backbone(self, x: np.ndarray, cfg: NormalizerConfig, gating=None) -> tuple[np.ndarray, list[SlotTrace]]:
+    def stem(self, cfg: NormalizerConfig):
+        """The per-batch function that `stream.iter_batches` runs ahead of the network, for the mode of `cfg`.
+
+        Called on the calling thread with a raw batch, it checks the batch once and allocates the slot-0 conv
+        map and, unless the mode is sbn, its per-sample moments. The callable it returns fills them, on whichever
+        thread runs it, and returns the `Stem` that `forward` takes in the batch's place. The block scratch of
+        the conv and the moments is allocated on the first call (and again only for a larger block), then reused
+        by every later call, so the callables of one stem function must run one at a time, as the stream runs them.
+        """
+        w, measure = self.conv_weights[0], cfg.mode != "sbn"
+        block, scratch = 0, None  # samples per block the scratch holds, and the scratch
+
+        def prepare(x: np.ndarray):
+            nonlocal block, scratch
+            h = _checked(x, self.input_shape)
+            (b, c_in, height, width), c = h.shape, w.shape[0]
+            if block < min(b, _BLOCK):
+                block = min(b, _BLOCK)
+                moments_scratch = np.empty((block, c, height * width)) if measure else None
+                scratch = _conv_scratch(block, c_in, c, height, width), moments_scratch
+            (conv_scratch, moments_scratch), conv = scratch, np.empty((b, c, height, width), np.float32)
+            moments = np.empty((2, b, c)) if measure else None
+
+            def fill() -> Stem:
+                _conv(h, w, conv, conv_scratch)
+                return Stem(self, conv, sample_moments(conv, moments, moments_scratch) if measure else None)
+
+            return fill
+
+        return prepare
+
+    def backbone(self, x, cfg: NormalizerConfig, gating=None) -> tuple[np.ndarray, list[SlotTrace]]:
         """Features after all stages, plus one trace per normalization slot.
 
-        `gating` is an optional per-slot sequence of partition flags; None
-        leaves partitioning on everywhere (only the partitioning modes
-        look at it). Checks the input once; non-finite features raise ValueError.
+        `x` is a raw batch, which goes through `stem` first, or a `Stem` of this network, which stands for
+        its batch; from there both take one path. `gating` is an optional per-slot sequence of partition
+        flags; None leaves partitioning on everywhere (only the partitioning modes look at it). Checks the
+        input once; non-finite features raise ValueError, and so does a stem that this network did not make,
+        that was forwarded already, or that was made for sbn when `cfg`'s mode measures the batch.
         """
-        h = _checked(x, self.input_shape)
+        stem = x if isinstance(x, Stem) else self.stem(cfg)(x)()
+        if stem.net is not self or stem.conv is None:
+            raise ValueError("a stem is forwarded once, by the network that made it")
+        if stem.moments is None and cfg.mode != "sbn":
+            raise ValueError(f"this stem was made for sbn and holds no moments; mode {cfg.mode} measures the batch")
         if gating is not None and len(gating) != self.num_slots:
             raise ValueError(f"gating must list {self.num_slots} flags")
-        traces = []
+        h, moments, traces = stem.conv, stem.moments, []
+        stem.conv = None  # spent: the first stage normalizes the map in place
         for k, (w, src) in enumerate(zip(self.conv_weights, self.source_stats)):
-            h, trace = _stage(h, w, src, cfg, True if gating is None else bool(gating[k]))
+            if k:
+                h, moments = _conv(h, w), None
+            h, trace = _stage(h, src, cfg, True if gating is None else bool(gating[k]), moments)
             traces.append(trace)
         return _finite(h.reshape(h.shape[0], -1)), traces
 
-    def forward(self, x: np.ndarray, cfg: NormalizerConfig, gating=None, collect_traces: bool = False):
-        """Class scores (B, K); with `collect_traces`, also per-slot traces."""
+    def forward(self, x, cfg: NormalizerConfig, gating=None, collect_traces: bool = False):
+        """Class scores (B, K) of a raw batch or its `Stem`, as `backbone` takes them; with `collect_traces`, also
+        per-slot traces."""
         feats, traces = self.backbone(x, cfg, gating)
         w_t, logits = self.head.weight.T, np.empty((feats.shape[0], self.head.num_classes), np.float32)
         for i in range(0, feats.shape[0], _BLOCK):  # 64-row products stay on one BLAS thread

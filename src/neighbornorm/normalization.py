@@ -135,16 +135,18 @@ def apply_normalizer(
     return _normalize(x.copy(), src, cfg, partition_enabled)
 
 
-def _normalize(x: np.ndarray, src: SourceStats, cfg: NormalizerConfig, partition_enabled: bool) -> tuple[np.ndarray, SlotTrace]:
+def _normalize(x: np.ndarray, src: SourceStats, cfg: NormalizerConfig, partition_enabled: bool,
+               moments: np.ndarray | None = None) -> tuple[np.ndarray, SlotTrace]:
     """`apply_normalizer` of a canonical map with `src`'s channel count, which it normalizes in place, unchecked.
-    Mean and variance travel as one (2, count, C) array. A one-sample batch is its own group, `moments / L`:
-    `merge_moments`' bits, without labels or a merge. Each group's row blends alpha parts source with
-    (1 - alpha) parts test, except in tbn."""
+    `moments` is the map's `sample_moments` if the caller measured it already (the network's stem does); else,
+    except in sbn, it is measured here. Mean and variance travel as one (2, count, C) array. A one-sample batch
+    is its own group, `moments / L`: `merge_moments`' bits, without labels or a merge. Each group's row blends
+    alpha parts source with (1 - alpha) parts test, except in tbn."""
     b, _, h, w = x.shape
     if cfg.mode == "sbn":  # one group; the batch is not measured
         mean, scale, trace = src.stats.mean[None], src._sbn_scale, SlotTrace(None, None, None, h * w)
     else:
-        moments = sample_moments(x)
+        moments = sample_moments(x) if moments is None else moments
         grouped = cfg.mode in ("find", "find_star") and partition_enabled
         if b == 1:  # the sample is its own group
             labels, count, mv = None, 1, (moments / (h * w)).astype(np.float32)

@@ -21,8 +21,10 @@ identical sequence.
 `iter_batches` is the one in-order stream loop. From one block
 (`tensors._BLOCK` samples) per batch up, a worker thread draws the next
 batch's noise, which numpy does outside the GIL, while the caller works on
-the current batch. Smaller batches run serially: a hand-off costs more
-than their draw.
+the current batch. Given a per-batch function, such as `Network.stem`'s, the
+worker also runs its work (the network's first conv and moments) one batch
+ahead, so it draws the noise of the batch after next. Smaller batches run
+serially: a hand-off costs more than their draw.
 """
 
 from __future__ import annotations
@@ -270,27 +272,46 @@ def sample_batch(scenario: StreamScenario, bank: TemplateBank, batch_index: int)
     return _epilogue(scenario, bank, labels, domain_ids, z)
 
 
-def iter_batches(scenario: StreamScenario, bank: TemplateBank):
+def iter_batches(scenario: StreamScenario, bank: TemplateBank, stem=None):
     """Every batch of the scenario in order, byte for byte `sample_batch`'s.
 
-    From `_BLOCK` samples per batch up, only the noise draw runs on the worker; the prologue, its buffer and the
-    epilogue stay on the calling thread. Close or exhaust the generator to join the worker.
+    `stem`, if given, is a per-batch function such as `Network.stem`'s: called on the calling thread with a
+    batch's map, it allocates what its work writes and returns a callable that does the work. The stream then
+    yields (batch, result) pairs, `result` a callable that returns the work's result and raises its error.
+    From `_BLOCK` samples per batch up, the prologue, the buffers and the epilogue stay on the calling thread;
+    while the caller holds a batch, the worker draws the noise of the batch after next, then runs the next
+    batch's work (without `stem`, it draws only the next batch's noise). An error in the calling-thread part
+    of `stem` is raised when the batch is made, one batch early. Smaller batches run serially, the work when
+    `result` is called. Close or exhaust the generator to join the worker.
     """
     total = scenario.total_batches
     if scenario.batch_size < _BLOCK:
         for i in range(total):
-            yield sample_batch(scenario, bank, i)
+            batch = sample_batch(scenario, bank, i)
+            yield batch if stem is None else (batch, stem(batch.x))
         return
     with ThreadPoolExecutor(1) as worker:
 
-        def draw(i):
-            rng, labels, domain_ids, z = _prologue(scenario, bank, i)
-            return labels, domain_ids, worker.submit(rng.standard_normal, out=z)  # the future's result is z
+        def draw(i):  # the prologue here and the noise on the worker; None past the end
+            if i < total:
+                rng, labels, domain_ids, z = _prologue(scenario, bank, i)
+                return labels, domain_ids, worker.submit(rng.standard_normal, out=z)  # the future's result is z
 
-        following = draw(0)
+        def make(drawn):  # the epilogue here once the noise is in, then the batch's work on the worker
+            labels, domain_ids, noise = drawn
+            batch = _epilogue(scenario, bank, labels, domain_ids, noise.result())
+            return batch if stem is None else (batch, worker.submit(stem(batch.x)).result)
+
+        # a spent noise buffer is dropped before the yield, when `drawn` moves on
+        if stem is None:
+            drawn = draw(0)
+            for i in range(total):
+                following = draw(i + 1)
+                batch, drawn = make(drawn), following
+                yield batch
+            return
+        made, drawn = make(draw(0)), draw(1)
         for i in range(total):
-            labels, domain_ids, drawn = following
-            following = draw(i + 1) if i + 1 < total else None
-            batch = _epilogue(scenario, bank, labels, domain_ids, drawn.result())
-            del drawn  # spent: only the next batch's noise stays alive while the caller runs
-            yield batch
+            following = draw(i + 2)
+            current, made, drawn = made, drawn and make(drawn), following
+            yield current

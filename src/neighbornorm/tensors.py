@@ -64,18 +64,23 @@ class ChannelStats:
         return self.mean.shape[0]
 
 
-def sample_moments(x: np.ndarray) -> np.ndarray:
+def sample_moments(x: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
     """Per-sample channel sums and centered sums of squares, stacked: one C-contiguous (2, B, C) float64
     array, so `sums, m2 = sample_moments(x)` unpacks it.
 
     Per `_BLOCK` samples, one sum pass over a float64 copy of the canonical map, then
     one pass centered on each sample's channel mean (never E[x^2] - E[x]^2), both written
     straight into the result; `merge_moments` groups them. A sample's row does not depend on its batch.
+    The result goes to `out` and the block copy to `scratch`, a float64 (n, C, H*W) array of n >= min(B,
+    `_BLOCK`) samples, where given; each is allocated here where not.
     """
     b, c = x.shape[:2]
-    flat, moments = x.reshape(b, c, -1), np.empty((2, b, c))
+    flat = x.reshape(b, c, -1)
+    moments = np.empty((2, b, c)) if out is None else out
+    scratch = np.empty((min(b, _BLOCK), *flat.shape[1:])) if scratch is None else scratch
     for i in range(0, b, _BLOCK):
-        dev = flat[i : i + _BLOCK].astype(np.float64)
+        dev = scratch[: min(b - i, _BLOCK)]
+        dev[...] = flat[i : i + _BLOCK]
         dev -= (dev.sum(axis=2, out=moments[0, i : i + _BLOCK]) / dev.shape[2])[:, :, None]
         np.einsum("bcl,bcl->bc", dev, dev, out=moments[1, i : i + _BLOCK])
     return moments

@@ -19,6 +19,14 @@ SMALL_CONFIG = {
 }
 
 
+def pytest_report_header(config):
+    """Name the package under test: pyproject's `pythonpath = ["src"]` puts this checkout's src/ ahead of
+    PYTHONPATH, so a run meant for another tree's src/ shows here that it tests this one."""
+    import neighbornorm
+
+    return f"neighbornorm: {neighbornorm.__file__}"
+
+
 @pytest.fixture(autouse=True)
 def no_leaked_threads():
     """Fail the test that leaves a thread running which was not running when it started, such as a stream worker

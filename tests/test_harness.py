@@ -21,7 +21,8 @@ from neighbornorm.harness import (
     run_experiment,
     write_metrics,
 )
-from neighbornorm.normalization import NormalizerConfig
+from neighbornorm.normalization import MODES, NormalizerConfig
+from neighbornorm.sensitivity import layer_gate
 from neighbornorm.stream import LabeledBatch, StreamScenario, identity_domain, sample_batch
 
 from conftest import SMALL_CONFIG, separated_bank, separated_domains
@@ -261,14 +262,24 @@ class TestRunExperiment:
         for a, b in zip(star.predictions[:5], find.predictions[:5]):
             assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("b", [64, 65])
-    def test_pipelined_stream_gives_the_serial_record(self, small_setup, b):
-        # from one block up `run_experiment` streams through a worker thread; its record is a plain loop's
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("b", [63, 64, 65, 129])
+    def test_pipelined_stream_gives_the_serial_record(self, small_setup, b, mode):
+        # from one block up `run_experiment` streams through a worker thread, which runs each batch's stem one
+        # batch ahead; its record is a plain loop's, find_star's gate (after a 2-batch cold start) included
         cfg, net, bank, _, _ = small_setup
         sc = replace(cfg.scenario, batch_size=b, num_batches=3, rounds=2)
-        rec = run_experiment(net, bank, sc, cfg.normalizer)
+        ncfg = NormalizerConfig(mode=mode, cold_start_batches=2)
+        rec = run_experiment(net, bank, sc, ncfg)
         batches = [sample_batch(sc, bank, i) for i in range(sc.total_batches)]
-        outs = [net.forward(batch.x, cfg.normalizer, collect_traces=True) for batch in batches]
+        gate = None if rec.sensitivity is None else [r["partition_enabled"] for r in rec.sensitivity]
+        outs = [net.forward(batch.x, ncfg, gating=gate if i >= 2 else None, collect_traces=True)
+                for i, batch in enumerate(batches)]
+        if mode == "find_star":
+            assert rec.sensitivity == layer_gate([harness._layer_scores(net, traces) for _, traces in outs[:2]],
+                                                 ncfg.gamma_threshold)
+        else:
+            assert rec.sensitivity is None
         preds = [logits.argmax(axis=1) for logits, _ in outs]
         assert rec.mean_accuracy == sum(int(np.count_nonzero(p == batch.labels)) for p, batch in zip(preds, batches)) / (
             b * sc.total_batches)
@@ -278,22 +289,48 @@ class TestRunExperiment:
             assert np.array_equal(ours, theirs)
 
     def test_raising_forward_leaves_no_thread(self, small_setup, monkeypatch):
-        # the exception's traceback keeps `run_experiment`'s frame alive; the stream's worker must be joined anyway
+        # the exception's traceback keeps `run_experiment`'s frame alive; the stream's worker must be joined anyway,
+        # whether the forward raises on the calling thread or a batch's stem on the worker
         cfg, net, bank, _, _ = small_setup
-        real, calls = model.Network.forward, []
+        real_forward, real_stem, forwarded, stem_threads = model.Network.forward, model.Network.stem, [], []
+        raising = {}  # "forward" or "stem" -> the 1-based batch at which it raises
 
-        def forward(self, x, *args, **kwargs):
-            calls.append(x.shape[0])
-            if len(calls) == 2:
+        def forward(self, stem, *args, **kwargs):
+            forwarded.append(stem.conv.shape[0])
+            if len(forwarded) == raising.get("forward"):
                 raise ArithmeticError("overflow")
-            return real(self, x, *args, **kwargs)
+            return real_forward(self, stem, *args, **kwargs)
+
+        def stem(self, ncfg):
+            prepare = real_stem(self, ncfg)
+
+            def per_batch(x):
+                fill, batch = prepare(x), len(stem_threads) + 1
+                stem_threads.append(None)
+
+                def work():
+                    stem_threads[batch - 1] = threading.current_thread()
+                    if batch == raising.get("stem"):
+                        raise FloatingPointError("stem overflow")
+                    return fill()
+
+                return work
+
+            return per_batch
 
         monkeypatch.setattr(model.Network, "forward", forward)
+        monkeypatch.setattr(model.Network, "stem", stem)
         before = threading.active_count()
-        with pytest.raises(ArithmeticError) as info:
-            run_experiment(net, bank, replace(cfg.scenario, batch_size=64), cfg.normalizer)
-        assert threading.active_count() == before
-        assert calls == [64, 64] and info.traceback
+        for where, error in (("forward", ArithmeticError), ("stem", FloatingPointError)):
+            raising.clear()
+            raising[where] = 2 if where == "forward" else 3
+            forwarded.clear()
+            stem_threads.clear()
+            with pytest.raises(error) as info:
+                run_experiment(net, bank, replace(cfg.scenario, batch_size=64), cfg.normalizer)
+            assert threading.active_count() == before
+            assert forwarded == [64, 64] and info.traceback  # the stem's error reaches the caller at batch 3, its own
+            assert threading.main_thread() not in stem_threads[:3]  # every stem ran on the worker
 
     def test_cold_start_longer_than_stream(self, small_setup, tmp_path):
         cfg, net, bank, _, _ = small_setup
@@ -328,10 +365,10 @@ class TestRunExperiment:
 
         real, streamed = harness.iter_batches, []
 
-        def scrambled(scenario, the_bank):
-            for b in real(scenario, the_bank):
+        def scrambled(scenario, the_bank, stem):
+            for b, stemmed in real(scenario, the_bank, stem):
                 streamed.append(b)
-                yield LabeledBatch(x=b.x, labels=b.labels, domain_ids=b.domain_ids[::-1].copy())
+                yield LabeledBatch(x=b.x, labels=b.labels, domain_ids=b.domain_ids[::-1].copy()), stemmed
 
         monkeypatch.setattr(harness, "iter_batches", scrambled)
         scrambled_rec = run_experiment(net, bank, cfg.scenario, cfg.normalizer)

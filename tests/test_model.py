@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -356,6 +357,87 @@ class TestNetworkForward:
         assert same_bits(net.forward(x, sbn), blocks)
 
 
+GATED_RUNS = [(mode, None) for mode in MODES]
+GATED_RUNS += [("find_star", gating) for gating in ((True, False), (False, True), (False, False))]
+
+
+class TestStem:
+    """`Network.stem` checks a batch and runs its first conv and moments ahead of the network; `forward` of the
+    resulting `Stem` is the forward of the batch, which itself goes through the stem."""
+
+    @staticmethod
+    def outputs(net, x, cfg, gating):
+        logits, traces = net.forward(x, cfg, gating=gating, collect_traces=True)
+        return logits, [(t.cluster_count, t.sums, t.m2) for t in traces]
+
+    @pytest.mark.parametrize("b", [1, 2, 63, 64, 65, 129, 256, 300])
+    def test_forwarding_a_stem_is_forwarding_its_batch(self, default_setup, b):
+        net, x = default_setup[1], stock_batch(default_setup, b, index=3)
+        for mode, gating in GATED_RUNS:
+            cfg = NormalizerConfig(mode=mode)
+            stemmed = net.forward(net.stem(cfg)(x)(), cfg, gating=gating, collect_traces=True)
+            raw = net.forward(x, cfg, gating=gating, collect_traces=True)
+            assert same_bits(stemmed[0], raw[0]), (mode, gating)
+            for ours, theirs in zip(stemmed[1], raw[1], strict=True):
+                assert ours.cluster_count == theirs.cluster_count, (mode, gating)
+                for a, b_ in ((ours.sums, theirs.sums), (ours.m2, theirs.m2)):
+                    assert a is b_ is None or same_bits(a, b_), (mode, gating)
+
+    def test_one_stem_function_serves_a_stream_with_fresh_moments(self, default_setup):
+        # the scratch is shared by the batches of one function; the traces of a forwarded batch keep their bits
+        net, cfg = default_setup[1], NormalizerConfig(mode="find")
+        stem = net.stem(cfg)
+        xs = [stock_batch(default_setup, 65, index=i) for i in range(3)]
+        kept = [net.forward(stem(x)(), cfg, collect_traces=True)[1] for x in xs]
+        for x, traces in zip(xs, kept):
+            for ours, theirs in zip(traces, net.forward(x, cfg, collect_traces=True)[1]):
+                assert same_bits(ours.sums, theirs.sums) and same_bits(ours.m2, theirs.m2)
+
+    def test_a_stem_with_moments_forwards_in_sbn(self, default_setup):
+        net, x, sbn = default_setup[1], stock_batch(default_setup, 64), NormalizerConfig(mode="sbn")
+        assert same_bits(net.forward(net.stem(NormalizerConfig(mode="find"))(x)(), sbn), net.forward(x, sbn))
+
+    @pytest.mark.parametrize("mode", [m for m in MODES if m != "sbn"])
+    def test_an_sbn_stem_in_a_measuring_mode_raises(self, default_setup, mode):
+        net, x = default_setup[1], stock_batch(default_setup, 64)
+        stem = net.stem(NormalizerConfig(mode="sbn"))(x)()
+        assert stem.moments is None
+        with pytest.raises(ValueError, match=f"made for sbn.*{mode} measures the batch"):
+            net.forward(stem, NormalizerConfig(mode=mode))
+
+    def test_a_stem_is_forwarded_once_by_its_network(self, default_setup):
+        net, x, cfg = default_setup[1], stock_batch(default_setup, 2), NormalizerConfig(mode="tbn")
+        stem = net.stem(cfg)(x)()
+        other = Network(net.conv_weights, net.source_stats, net.head, net.input_shape, net.seed, net.eps)
+        with pytest.raises(ValueError, match="by the network that made it"):
+            other.forward(stem, cfg)
+        net.forward(stem, cfg)
+        with pytest.raises(ValueError, match="forwarded once"):
+            net.forward(stem, cfg)
+
+    def test_the_batch_is_checked_when_the_stem_is_made(self, default_setup):
+        net = default_setup[1]
+        with pytest.raises(ValueError, match="does not match network input"):
+            net.stem(NormalizerConfig())(np.zeros((2, 1, 8, 8), np.float32))
+
+    @pytest.mark.parametrize("mode", ["sbn", "find"])
+    def test_the_work_allocates_no_batch_sized_array(self, default_setup, mode):
+        # the calling thread allocates the stem's outputs and block scratch, so a worker running the work
+        # grows no heap of its own; the work's own temporaries are a few (block, C) rows and numpy's 64 KiB
+        # ufunc buffer, against the 2 MiB conv map it fills
+        net, x = default_setup[1], stock_batch(default_setup, 256)
+        stem = net.stem(NormalizerConfig(mode=mode))
+        stem(x)()  # the first call allocates the scratch
+        work = stem(x)
+        tracemalloc.start()
+        try:
+            work()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 96 * 1024
+
+
 def parts_of(net) -> dict:
     """The constructor arguments of `net`."""
     return dict(conv_weights=net.conv_weights, source_stats=net.source_stats, head=net.head, input_shape=net.input_shape,
@@ -516,7 +598,7 @@ class TestCapture:
             parts = []
             for h in batches:
                 for j in range(k):
-                    h, _ = _stage(h, net.conv_weights[j], net.source_stats[j], sbn)
+                    h, _ = _stage(conv2d_3x3(h, net.conv_weights[j]), net.source_stats[j], sbn)
                 parts.append(sample_moments(conv2d_3x3(h, net.conv_weights[k])))
             sums, m2 = (np.concatenate(p) for p in zip(*parts))
             expected = pooled_stats(sums, m2, (16 >> k) * (16 >> k))

@@ -372,6 +372,90 @@ class TestPipelinedStream:
         assert threading.active_count() == before
 
 
+class Recorder:
+    """A per-batch function for `iter_batches`: records the batches it was handed, on which thread each one's work
+    ran, and returns (batch number, a copy of its map) from the work, raising at batch `raising` if set."""
+
+    def __init__(self, raising=None):
+        self.handed, self.threads, self.raising = [], {}, raising
+
+    def __call__(self, x):
+        index = len(self.handed)
+        self.handed.append(x)
+
+        def work():
+            self.threads[index] = threading.current_thread()
+            if index == self.raising:
+                raise FloatingPointError(f"batch {index}")
+            return index, x.copy()
+
+        return work
+
+
+class TestStreamWithAStem:
+    """With a per-batch function, `iter_batches` yields (batch, result) pairs; from one block up the worker runs the
+    next batch's work while the caller holds this one, below it the work runs inline when its result is asked for."""
+
+    @pytest.mark.parametrize("b", [1, 63, 64, 65, 256])
+    def test_pairs_in_order_one_batch_ahead(self, b):
+        sc = scenario_for("cross_mix", batch_size=b, num_batches=3, rounds=2, seed=b)
+        bank, stem = bank_for(), Recorder()
+        ahead = 1 if b >= 64 else 0
+        for i, (batch, result) in enumerate(iter_batches(sc, bank, stem)):
+            assert len(stem.handed) == min(i + 1 + ahead, sc.total_batches)
+            assert_same_batch(batch, sample_batch(sc, bank, i))
+            index, x = result()
+            assert index == i and np.array_equal(x, batch.x) and stem.handed[i] is batch.x
+            assert (stem.threads[i] is threading.main_thread()) == (b < 64)
+        assert len(stem.handed) == sc.total_batches
+
+    @pytest.mark.parametrize("b", [63, 64])
+    def test_an_error_in_the_work_reaches_the_caller_at_its_batch(self, b):
+        before = threading.active_count()
+        batches = iter_batches(scenario_for("cross_mix", batch_size=b, num_batches=5), bank_for(), Recorder(raising=2))
+        for batch, result in batches:
+            if result()[0] == 1:
+                break
+        batch, result = next(batches)
+        with pytest.raises(FloatingPointError, match="batch 2"):
+            result()
+        batches.close()
+        assert threading.active_count() == before
+
+    def test_what_stays_alive_is_one_batch_and_one_noise_ahead(self):
+        # while the caller holds batch i and its work's output, the stream holds batch i+1 and its output and the
+        # float64 noise of batch i+2, and no more
+        sc, bank = scenario_for("cross_mix", batch_size=256, num_batches=4), bank_for()
+        noise, x_bytes = 2 * 256 * 16 * 16 * 8, 256 * 16 * 16 * 4
+
+        def stem(x):
+            out = np.empty_like(x)
+            return lambda: np.copyto(out, x) or out
+
+        tracemalloc.start()
+        try:
+            batches = iter_batches(sc, bank, stem)
+            batch, result = next(batches)
+            result()
+            held = tracemalloc.get_traced_memory()[0]
+            batches.close()
+        finally:
+            tracemalloc.stop()
+        assert noise + 4 * x_bytes < held < noise + 5 * x_bytes
+
+    def test_batches_hold_under_fast_thread_switching(self):
+        sc, bank, stem = scenario_for("random", batch_size=64, num_batches=12), bank_for(), Recorder()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            streamed = [(batch, result()) for batch, result in iter_batches(sc, bank, stem)]
+        finally:
+            sys.setswitchinterval(interval)
+        for i, (batch, (index, x)) in enumerate(streamed):
+            assert_same_batch(batch, sample_batch(sc, bank, i))
+            assert index == i and np.array_equal(x, batch.x)
+
+
 def wild_labels(bank, delta, num_samples, seed, batch_size=64):
     """The first `num_samples` labels of a wild stream, batch after batch."""
     sc = scenario_for("wild", m=3, seed=seed, batch_size=batch_size, num_batches=-(-num_samples // batch_size), delta=delta)
