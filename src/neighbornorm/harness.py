@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import time
 from contextlib import closing, contextmanager
 from dataclasses import asdict, dataclass, field, replace
@@ -175,10 +176,10 @@ def load_experiment_config(path=None, overrides: dict | None = None) -> Experime
         normalizer = NormalizerConfig(**raw["normalizer"])
     with _fields(""):
         raw["seeds"] = integers("seeds", raw["seeds"], SEED)
-        for name in ("model_path", "out"):  # an empty path names no file: rejected before any training or batch
-            raw[name] = str(raw[name])
-            if not raw[name]:
-                raise ValueError(f"{name} must be a nonempty path, got ''")
+        for name in ("model_path", "out"):  # a path that names no file is rejected before any training or batch
+            raw[name] = os.fspath(raw[name]) if isinstance(raw[name], os.PathLike) else raw[name]
+            if not isinstance(raw[name], str) or not raw[name]:
+                raise ValueError(f"{name} must be a nonempty path string, got {raw[name]!r}")
     mc, data, sc = raw["model"], raw["data"], raw["scenario"]
     with _fields("model"):
         mc.update({key: rule(key, mc[key]) for key, rule in _MODEL_RULES.items()})
@@ -191,10 +192,11 @@ def load_experiment_config(path=None, overrides: dict | None = None) -> Experime
     # make_domains also runs beside an explicit domain list, which replaces its result, to check num_domains and severity
     with _fields("scenario"):
         domains = make_domains(sc["num_domains"], sc["severity"], sc["seed"])
-    if sc["domains"]:
-        with _fields("scenario.domains"):
-            entries, domains = list(sc["domains"]), []
-        for i, d in enumerate(entries):
+    if sc["domains"] is not None:  # only null builds the domains from num_domains and severity
+        if not isinstance(sc["domains"], (list, tuple)) or not sc["domains"]:
+            raise ConfigError(f"invalid config: scenario.domains must be null or a nonempty list, got {sc['domains']!r}")
+        domains = []
+        for i, d in enumerate(sc["domains"]):
             with _fields(f"scenario.domains[{i}]"):
                 domains.append(DomainSpec(**d))
     with _fields("scenario"):
@@ -241,15 +243,16 @@ class MetricsRecord:
 
 
 def train_model(cfg: ExperimentConfig) -> tuple[Network, TemplateBank, dict]:
-    """Build the network on a clean stream from the config's templates (source statistics, then the ridge head)
-    and measure the clean-test baseline accuracy."""
+    """Build the network from clean `sample_batch` batches of the config's templates (source statistics, then the
+    ridge head) and measure the clean-test baseline accuracy on a clean stream."""
     bank, mc = cfg.bank, cfg.model
 
     def clean_scenario(seed: int, num_batches: int) -> StreamScenario:
         return StreamScenario(kind="static", domains=[identity_domain()], batch_size=mc["train_batch_size"],
                               num_batches=num_batches, seed=seed)
 
-    train_batches = list(iter_batches(clean_scenario(mc["train_seed"], mc["train_batches"]), bank))
+    train = clean_scenario(mc["train_seed"], mc["train_batches"])
+    train_batches = [sample_batch(train, bank, i) for i in range(train.total_batches)]
     net = Network.build(tuple(mc["channels"]), tuple(cfg.data["input_shape"]), mc["seed"], mc["eps"],
                         [b.x for b in train_batches], np.concatenate([b.labels for b in train_batches]),
                         mc["head_lambda"], cfg.data["num_classes"])

@@ -370,6 +370,8 @@ def _check_header(header) -> None:
     integer; `load_model` raises it as a ModelFormatError."""
     if not isinstance(header, dict) or header.get("format") != MODEL_FORMAT or header.get("dtype") != "<f4":
         raise ModelFormatError(f"not a {MODEL_FORMAT} header with a '<f4' payload")
+    if missing := [key for key in ("seed", "eps", "ridge_lambda") if key not in header]:
+        raise ModelFormatError(f"header lacks {', '.join(missing)}")
     channels = integers("channels", header.get("channels"), COUNT)
     input_shape = pooled_shape("input_shape", header.get("input_shape"), len(channels))
     num_classes = NUM_CLASSES("num_classes", header.get("num_classes"))

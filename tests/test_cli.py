@@ -84,6 +84,22 @@ class TestRun:
         assert main(["run", "--config", str(bad)]) == 1
         assert "malformed model file" in capsys.readouterr().err
 
+    def test_model_header_without_eps_is_config_error(self, workspace, tmp_path, capsys):
+        root, cfg_path = workspace
+        raw = (root / "model.nnm").read_bytes()
+        cut = raw.index(b"\n")
+        header = json.loads(raw[:cut])
+        del header["eps"]
+        edited = tmp_path / "edited.nnm"
+        edited.write_bytes(json.dumps(header, sort_keys=True).encode() + raw[cut:])
+        cfg = json.loads(cfg_path.read_text())
+        cfg["model_path"] = str(edited)
+        bad = tmp_path / "cfg.json"
+        bad.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert "malformed model file" in err and "header lacks eps" in err
+
     @pytest.mark.parametrize("section", ["data", "train"])
     def test_model_meta_section_not_an_object_is_config_error(self, workspace, tmp_path, capsys, section):
         root, cfg_path = workspace

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neighbornorm.grouping import (
     NORM_FLOOR,
@@ -156,6 +158,38 @@ class TestFirstNeighborAdjacency:
         for b in (2, 3, 10, 64):
             labels, count = first_neighbor_labels(rng.normal(size=(b, 6)))
             assert np.bincount(labels, minlength=count).min() >= 2
+
+
+@st.composite
+def generated_means(draw):
+    """(B, C) instance means, B 2-300, in a drawn order: a chain in channels 0-1 whose angular gaps shrink
+    geometrically, so each sample's first neighbor is the next one down to a mutual pair at its end; zero rows;
+    duplicated rows (exact ties), some scaled by a power of two, which leaves the unit row bitwise the same; and
+    Gaussian rows for the rest."""
+    b, c = draw(st.integers(2, draw(st.sampled_from([16, 64, 300])))), draw(st.integers(2, 4))  # the oracle is O(B^2 C)
+    chain = draw(st.integers(0, b))
+    zeros = draw(st.integers(0, b - chain))
+    duplicates = draw(st.integers(0, max(b - chain - zeros - 1, 0)))  # copies of at least one other row
+    last_to_first_gap, span = draw(st.floats(0.05, 0.9)), draw(st.floats(0.5, 3.0))  # span < pi: no wrap-around
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gaps = last_to_first_gap ** (np.arange(chain - 1) / max(chain - 2, 1))
+    angles = np.concatenate([[0.0], np.cumsum(gaps)])[:chain] * span / max(gaps.sum(), 1.0)
+    rows = np.zeros((chain, c))
+    rows[:, 0], rows[:, 1] = np.cos(angles), np.sin(angles)
+    rows *= rng.uniform(0.5, 2.0, (chain, 1))
+    rows = np.concatenate([rows, rng.normal(size=(b - chain - zeros - duplicates, c)), np.zeros((zeros, c))])
+    copies = rows[rng.integers(0, len(rows), duplicates)] * 2.0 ** rng.integers(-2, 3, (duplicates, 1))
+    means = np.concatenate([rows, copies])
+    return means[rng.permutation(b)] if draw(st.booleans()) else means
+
+
+class TestGeneratedMeans:
+    @settings(max_examples=20, derandomize=True, database=None, deadline=None)
+    @given(generated_means())
+    def test_labels_match_union_find_oracle(self, means):
+        labels, count = first_neighbor_labels(means)
+        groups = [np.flatnonzero(labels == g).tolist() for g in range(count)]
+        assert groups == union_find_partition(means[:, :, None, None])
 
 
 class TestPartition:

@@ -74,6 +74,22 @@ class TestConfigLoading:
             with pytest.raises(ConfigError, match=f"invalid config: {name} must be a nonempty path"):
                 load_experiment_config(path, overrides)
 
+    @pytest.mark.parametrize("name", ["out", "model_path"])
+    @pytest.mark.parametrize("value", [None, 3, 2.5, True, ["a"], {"a": 1}])
+    def test_path_that_is_not_a_string_rejected(self, tmp_path, name, value):
+        # str() would turn these into files named `None`, `3`, `True`, `['a']`, ...
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({name: value}))
+        with pytest.raises(ConfigError, match=f"invalid config: {name} must be a nonempty path string"):
+            load_experiment_config(p)
+        if value is not None:  # a None override leaves the field alone
+            with pytest.raises(ConfigError, match=f"invalid config: {name} must be a nonempty path string"):
+                load_experiment_config(None, {name: value})
+
+    def test_path_like_accepted_as_its_string(self, tmp_path):
+        cfg = load_experiment_config(None, {"out": tmp_path / "run", "model_path": tmp_path / "m.nnm"})
+        assert (cfg.out, cfg.model_path) == (str(tmp_path / "run"), str(tmp_path / "m.nnm"))
+
     def test_unreachable_template_floor_rejected_at_load(self):
         # the template bank is built, and so checked, when the config is loaded, not first in training
         with pytest.raises(ConfigError, match=re.escape("data.template_min_dist")):
@@ -166,6 +182,15 @@ class TestNumericConfigFields:
             load_experiment_config(None, {"scenario.domains": [good, good | {"brightness": "dark"}]})
         with pytest.raises(ConfigError, match=re.escape("invalid scenario.domains[0] config")):
             load_experiment_config(None, {"scenario.domains": [{"id": 0}]})
+
+    @pytest.mark.parametrize("value", [[], {}, "", 0, False, "static", {"id": 0}, 5])
+    def test_domains_neither_null_nor_a_nonempty_list_rejected(self, tmp_path, value):
+        # only null builds the domains from num_domains and severity; an empty or falsy value is no domain list
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"scenario": {"domains": value}}))
+        for path, overrides in ((p, None), (None, {"scenario.domains": value})):
+            with pytest.raises(ConfigError, match=re.escape("scenario.domains must be null or a nonempty list")):
+                load_experiment_config(path, overrides)
 
     def test_integral_floats_and_null_delta_accepted(self):
         cfg = load_experiment_config(None, {"scenario.batch_size": 8.0, "scenario.dirichlet_delta": None})

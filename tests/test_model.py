@@ -20,7 +20,7 @@ from neighbornorm.model import (
     train_linear_head,
 )
 from neighbornorm.normalization import NormalizerConfig, SourceStats, apply_normalizer
-from neighbornorm.stream import StreamScenario, build_templates, identity_domain, iter_batches, sample_batch
+from neighbornorm.stream import StreamScenario, build_templates, identity_domain, sample_batch
 from neighbornorm.tensors import ChannelStats, pooled_stats, sample_moments
 
 from oracles import loop_avg_pool2x2, loop_channel_moments, loop_conv3x3, ridge_normal_equations, window_conv3x3
@@ -589,7 +589,8 @@ class TestCapture:
         # at their final statistics; the sweep keeps each batch's activation instead. `build` fits the
         # head on the same sweep's features, so its network holds the same statistics
         clean = StreamScenario(kind="static", domains=[identity_domain()], batch_size=7, num_batches=3, seed=23)
-        stream = list(iter_batches(clean, build_templates(4, seed=5)))
+        bank = build_templates(4, seed=5)
+        stream = [sample_batch(clean, bank, i) for i in range(clean.total_batches)]
         batches, labels = [b.x for b in stream], np.concatenate([b.labels for b in stream])
         net = Network.build((4, 8, 8), (1, 16, 16), 23, 1e-5, batches, labels, 1e-2, 4)
         stats, feats = Network.capture_source_stats(net.conv_weights, net.input_shape, batches, net.eps)
@@ -768,6 +769,15 @@ class TestModelFileCorruption:
         with pytest.raises(ModelFormatError):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "key", ["format", "dtype", "seed", "eps", "input_shape", "channels", "num_classes", "ridge_lambda", "tensors"]
+    )
+    def test_missing_header_field(self, saved, key):
+        _, path = saved
+        _rewrite_header(path, lambda header: header.pop(key))
+        with pytest.raises(ModelFormatError):
+            load_model(path)
+
     def test_meta_not_an_object(self, saved):
         _, path = saved
         _rewrite_header(path, lambda header: header.__setitem__("meta", ["note", "ok"]))
@@ -808,7 +818,8 @@ class TestModelFileCorruption:
 
 # Run in a fresh interpreter under two BLAS threads: only OpenBLAS has started threads right after numpy's import, so
 # those are its workers. Set up a small network, let the worker's spin after the ridge solve decay, then stream 50
-# B=256 batches in sbn and find and print the workers' CPU clock ticks (utime + stime) over the stream.
+# B=256 batches in sbn and find through the network's stem, as `run_experiment` does, and print the workers' CPU
+# clock ticks (utime + stime) over the stream.
 WORKER_TICKS = """
 import os, time
 import numpy as np
@@ -835,9 +846,9 @@ net = Network.build((8, 16), (1, 16, 16), 0, 1e-5, clean, rng.integers(0, 10, 25
 bank, stream = build_templates(10, seed=1), StreamScenario("static", [identity_domain()], batch_size=256, num_batches=50)
 time.sleep(1.0)
 before = ticks()
-for mode in ("sbn", "find"):
-    for batch in iter_batches(stream, bank):
-        net.forward(batch.x, NormalizerConfig(mode=mode))
+for cfg in (NormalizerConfig(mode="sbn"), NormalizerConfig(mode="find")):
+    for batch, stem in iter_batches(stream, bank, net.stem(cfg)):
+        net.forward(stem(), cfg)
 print(len(workers), ticks() - before)
 """
 

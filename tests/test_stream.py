@@ -36,6 +36,11 @@ def scenario_for(kind, m=5, seed=0, batch_size=64, num_batches=20, rounds=1, del
     )
 
 
+def all_batches(scenario, bank):
+    """Every batch of the scenario, each from `sample_batch`."""
+    return [sample_batch(scenario, bank, i) for i in range(scenario.total_batches)]
+
+
 class TestTemplates:
     def test_same_seed_identical(self):
         a = build_templates(4, seed=3).templates
@@ -177,7 +182,7 @@ class TestSampling:
         bank = bank_for()
         sc = scenario_for("static", m=4, num_batches=20)
         seen = []
-        for batch in iter_batches(sc, bank):
+        for batch in all_batches(sc, bank):
             ids = set(batch.domain_ids.tolist())
             assert len(ids) == 1
             seen.append(ids.pop())
@@ -187,12 +192,12 @@ class TestSampling:
     def test_static_stretches_round_up(self):
         # each domain holds ceil(7 / 3) = 3 batches and the last one takes the rest; a floor would give 2, 2, 3
         sc = scenario_for("static", m=3, batch_size=2, num_batches=7)
-        assert [int(b.domain_ids[0]) for b in iter_batches(sc, bank_for())] == [0, 0, 0, 1, 1, 1, 2]
+        assert [int(b.domain_ids[0]) for b in all_batches(sc, bank_for())] == [0, 0, 0, 1, 1, 1, 2]
 
     def test_cross_mix_has_all_domains(self):
         bank = bank_for()
         sc = scenario_for("cross_mix", m=5, batch_size=64, num_batches=10)
-        for batch in iter_batches(sc, bank):
+        for batch in all_batches(sc, bank):
             assert len(set(batch.domain_ids.tolist())) == 5
 
     def test_cross_mix_small_batch_varies_domain(self):
@@ -204,7 +209,7 @@ class TestSampling:
     def test_shuffle_alternation(self):
         bank = bank_for()
         sc = scenario_for("shuffle", m=5, batch_size=64, num_batches=100)
-        for i, batch in enumerate(iter_batches(sc, bank)):
+        for i, batch in enumerate(all_batches(sc, bank)):
             count = len(set(batch.domain_ids.tolist()))
             if i % 2 == 0:
                 assert count == 1
@@ -220,7 +225,7 @@ class TestSampling:
     def test_random_counts_are_stochastic_in_range(self):
         bank = bank_for()
         sc = scenario_for("random", m=5, batch_size=64, num_batches=50)
-        counts = {len(set(b.domain_ids.tolist())) for b in iter_batches(sc, bank)}
+        counts = {len(set(b.domain_ids.tolist())) for b in all_batches(sc, bank)}
         assert counts <= set(range(1, 6))
         assert len(counts) >= 3
 
@@ -315,61 +320,11 @@ class TestNoiseDraw:
             assert_batch_is_reference(sc, bank, i)
             assert not np.signbit(sample_batch(sc, bank, i).x).any()
 
+
 def assert_same_batch(ours, theirs):
     for field_name in ("x", "labels", "domain_ids"):
         a, b = getattr(ours, field_name), getattr(theirs, field_name)
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), field_name
-
-
-class TestPipelinedStream:
-    """`iter_batches` draws the next batch's noise on a worker thread from one block (64 samples) up and is serial
-    below; either way its batches are `sample_batch`'s, and its worker lives no longer than the generator."""
-
-    @pytest.mark.parametrize("kind", ["static", "cross_mix", "shuffle", "random", "wild"])
-    @pytest.mark.parametrize("b", [1, 63, 64, 65, 256, 300])
-    def test_batches_are_sample_batch(self, kind, b):
-        sc = scenario_for(kind, batch_size=b, num_batches=3, rounds=2, seed=b, delta=0.5 if kind == "wild" else None)
-        bank = bank_for()
-        streamed = list(iter_batches(sc, bank))
-        assert len(streamed) == sc.total_batches
-        for i, batch in enumerate(streamed):
-            assert_same_batch(batch, sample_batch(sc, bank, i))
-
-    def test_batches_hold_under_fast_thread_switching(self):
-        # the worker fills a buffer the caller reads only after the draw's result; switching threads every
-        # microsecond must not let the caller see a half-drawn batch
-        sc, bank = scenario_for("random", batch_size=64, num_batches=12), bank_for()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            streamed = list(iter_batches(sc, bank))
-        finally:
-            sys.setswitchinterval(interval)
-        for i, batch in enumerate(streamed):
-            assert_same_batch(batch, sample_batch(sc, bank, i))
-
-    def test_only_the_next_batchs_noise_stays_alive(self):
-        # while the caller holds batch i, the stream keeps batch i+1's float64 noise (2 x B x C x H x W) and no more
-        sc, bank = scenario_for("cross_mix", batch_size=256, num_batches=3), bank_for()
-        noise = 2 * 256 * 16 * 16 * 8
-        tracemalloc.start()
-        try:
-            batches = iter_batches(sc, bank)
-            batch = next(batches)
-            held = tracemalloc.get_traced_memory()[0]
-            batches.close()
-        finally:
-            tracemalloc.stop()
-        assert noise < held < noise + batch.x.nbytes + noise // 2
-
-    @pytest.mark.parametrize("b, workers", [(1, 0), (63, 0), (64, 1), (300, 1)])
-    def test_a_worker_only_from_one_block(self, b, workers):
-        before = threading.active_count()
-        batches = iter_batches(scenario_for("cross_mix", batch_size=b, num_batches=4), bank_for())
-        next(batches)
-        assert threading.active_count() == before + workers
-        batches.close()
-        assert threading.active_count() == before
 
 
 class Recorder:
@@ -392,9 +347,64 @@ class Recorder:
         return work
 
 
+class TestPipelinedStream:
+    """`iter_batches`'s batches are byte for byte `sample_batch`'s. From one block (64 samples) up a worker draws the
+    noise of the batch after next while the caller holds this one, and lives no longer than the generator; below it
+    the stream is serial."""
+
+    @pytest.mark.parametrize("kind", ["static", "cross_mix", "shuffle", "random", "wild"])
+    @pytest.mark.parametrize("b", [1, 63, 64, 65, 256, 300])
+    def test_batches_are_sample_batch(self, kind, b):
+        sc = scenario_for(kind, batch_size=b, num_batches=3, rounds=2, seed=b, delta=0.5 if kind == "wild" else None)
+        bank = bank_for()
+        streamed = [(batch, result()) for batch, result in iter_batches(sc, bank, Recorder())]
+        assert len(streamed) == sc.total_batches
+        for i, (batch, (index, x)) in enumerate(streamed):
+            assert_same_batch(batch, sample_batch(sc, bank, i))
+            assert index == i and np.array_equal(x, batch.x)
+
+    def test_batches_hold_under_fast_thread_switching(self):
+        # the worker fills a buffer the caller reads only after the draw's result; switching threads every
+        # microsecond must not let the caller see a half-drawn batch
+        sc, bank = scenario_for("random", batch_size=64, num_batches=12), bank_for()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            streamed = [batch for batch, result in iter_batches(sc, bank, Recorder())]
+        finally:
+            sys.setswitchinterval(interval)
+        for i, batch in enumerate(streamed):
+            assert_same_batch(batch, sample_batch(sc, bank, i))
+
+    def test_only_the_next_batchs_noise_stays_alive(self):
+        # with work that allocates nothing, while the caller holds batch i the stream holds batch i+1 and the float64
+        # noise of batch i+2 (2 x B x C x H x W), and no second noise draw
+        sc, bank = scenario_for("cross_mix", batch_size=256, num_batches=4), bank_for()
+        noise, x_bytes = 2 * 256 * 16 * 16 * 8, 256 * 16 * 16 * 4
+        tracemalloc.start()
+        try:
+            batches = iter_batches(sc, bank, lambda x: lambda: None)
+            batch, result = next(batches)
+            result()
+            held = tracemalloc.get_traced_memory()[0]
+            batches.close()
+        finally:
+            tracemalloc.stop()
+        assert noise + 2 * x_bytes < held < noise + 3 * x_bytes
+
+    @pytest.mark.parametrize("b, workers", [(1, 0), (63, 0), (64, 1), (300, 1)])
+    def test_a_worker_only_from_one_block(self, b, workers):
+        before = threading.active_count()
+        batches = iter_batches(scenario_for("cross_mix", batch_size=b, num_batches=4), bank_for(), Recorder())
+        next(batches)
+        assert threading.active_count() == before + workers
+        batches.close()
+        assert threading.active_count() == before
+
+
 class TestStreamWithAStem:
-    """With a per-batch function, `iter_batches` yields (batch, result) pairs; from one block up the worker runs the
-    next batch's work while the caller holds this one, below it the work runs inline when its result is asked for."""
+    """`iter_batches` yields (batch, result) pairs: from one block up the worker runs the next batch's work while the
+    caller holds this one, below it the work runs inline when its result is asked for."""
 
     @pytest.mark.parametrize("b", [1, 63, 64, 65, 256])
     def test_pairs_in_order_one_batch_ahead(self, b):
@@ -444,22 +454,25 @@ class TestStreamWithAStem:
         assert noise + 4 * x_bytes < held < noise + 5 * x_bytes
 
     def test_batches_hold_under_fast_thread_switching(self):
-        sc, bank, stem = scenario_for("random", batch_size=64, num_batches=12), bank_for(), Recorder()
+        # the worker runs the next batch's work while the caller reads this one's result; switching threads every
+        # microsecond must not hand the caller a half-done work, nor the work a half-drawn batch (B 65: a partial
+        # second block)
+        sc, bank, stem = scenario_for("cross_mix", batch_size=65, num_batches=12), bank_for(), Recorder()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            streamed = [(batch, result()) for batch, result in iter_batches(sc, bank, stem)]
+            results = [result() for batch, result in iter_batches(sc, bank, stem)]
         finally:
             sys.setswitchinterval(interval)
-        for i, (batch, (index, x)) in enumerate(streamed):
-            assert_same_batch(batch, sample_batch(sc, bank, i))
-            assert index == i and np.array_equal(x, batch.x)
+        assert len(results) == sc.total_batches
+        for i, (index, x) in enumerate(results):
+            assert index == i and x.tobytes() == sample_batch(sc, bank, i).x.tobytes()
 
 
 def wild_labels(bank, delta, num_samples, seed, batch_size=64):
     """The first `num_samples` labels of a wild stream, batch after batch."""
     sc = scenario_for("wild", m=3, seed=seed, batch_size=batch_size, num_batches=-(-num_samples // batch_size), delta=delta)
-    return np.concatenate([b.labels for b in iter_batches(sc, bank)])[:num_samples]
+    return np.concatenate([b.labels for b in all_batches(sc, bank)])[:num_samples]
 
 
 class TestDirichletSchedule:
@@ -496,7 +509,7 @@ class TestDirichletSchedule:
         # each batch's labels are the first draws on its RNG: proportions, then counts per class
         bank = bank_for(num_classes=8)
         sc = scenario_for("wild", m=3, batch_size=32, num_batches=6, delta=0.05, seed=9)
-        for i, batch in enumerate(iter_batches(sc, bank)):
+        for i, batch in enumerate(all_batches(sc, bank)):
             rng = np.random.default_rng([9, i])
             counts = rng.multinomial(32, rng.dirichlet(np.full(8, 0.05)))
             assert np.array_equal(batch.labels, np.repeat(np.arange(8), counts))
