@@ -1,17 +1,19 @@
 """Command-line experiment runner. Each command loads the config (and, past `train`, the model file), makes one
-harness call, writes its files and prints a report. With `out` the output prefix, the files are:
+harness call, writes its files, prints a report and names the files. It takes only the flags listed for it here;
+any other is argparse's usage error, exit 2, before any config is read. With `out` the output prefix:
 
-- train: the model file at `model_path`;
-- run: <out>.json, <out>.csv and <out>.timing.json, from one experiment;
-- compare: <out>.json and <out>.csv, one row per mode over the configured seeds;
-- diagnose: <out>.diagnostics.json (cluster counts, sensitivity, true domain counts), from one experiment;
-- sweep-batch: <out>.batch_sweep.json, accuracy across batch sizes at a fixed sample budget.
+- train [--config --out]: the model file at `model_path`, the field its --out sets;
+- run [--config --mode --alpha --gamma --seed --out]: <out>.json, <out>.csv and <out>.timing.json, from one run;
+- compare [--config --alpha --gamma --seed --out --modes]: <out>.json and <out>.csv, one row per mode over the
+  configured `seeds`, so its --seed sets only the seed the domain set is drawn from;
+- diagnose [the run flags]: <out>.diagnostics.json (cluster counts, sensitivity, true domain counts), from one run;
+- sweep-batch [the run flags, --sizes]: <out>.batch_sweep.json, accuracy across batch sizes at a fixed budget.
 
-`run` and `diagnose` print one report, with the layer gate's lines in find_star. Flags override the matching
-config fields, `--out` the model path for `train` and `out` otherwise; that path's directory is made before any
-batch runs. A model file must agree with the config on every field it records: data.*, and model.seed, eps,
-channels, head_lambda, train_batches, train_batch_size and train_seed. Exit codes: 0 success, 1 config error
-(a missing, malformed or disagreeing model file, or an uncreatable output directory), 2 runtime/numeric error.
+`run` and `diagnose` print the layer gate's lines in find_star. A model file must agree with the config on every
+field it records: data.*, and model.seed, eps, channels, head_lambda, train_batches, train_batch_size and
+train_seed. Exit codes: 0 success, 1 config error (an unreadable config file; a missing, unreadable, malformed or
+disagreeing model file; an uncreatable output directory; a swept batch size above the sample budget), 2 usage or
+runtime/numeric error.
 """
 
 from __future__ import annotations
@@ -41,11 +43,9 @@ from .rules import COUNT
 
 
 def _load_cfg(args) -> ExperimentConfig:
-    written = "model_path" if args.command == "train" else "out"
-    overrides = {"normalizer.mode": args.mode, "normalizer.alpha": args.alpha, "normalizer.gamma_threshold": args.gamma,
-                 "scenario.seed": args.seed, written: args.out}
-    cfg = load_experiment_config(args.config, overrides)
-    path = getattr(cfg, written)
+    """The config under the command's own flags, once the directory of the file it writes (its `--out`) exists."""
+    cfg = load_experiment_config(args.config, {field: getattr(args, dest) for dest, field in args.fields.items()})
+    path = getattr(cfg, args.fields["out"])
     try:  # before any batch runs
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     except OSError as exc:
@@ -59,6 +59,8 @@ def _load_model_checked(cfg: ExperimentConfig) -> Network:
         net, meta = load_model(cfg.model_path)
     except FileNotFoundError:
         raise ConfigError(f"model file not found: {cfg.model_path}; run `train` first") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read model file {cfg.model_path}: {exc.strerror}") from None
     except ModelFormatError as exc:
         raise ConfigError(f"malformed model file: {exc}; run `train` again") from None
     recorded = {**{f"data.{k}": v for k, v in meta.get("data", {}).items()},
@@ -78,18 +80,15 @@ def _entries(flag: str, text: str, parse) -> list:
         raise ConfigError(f"{flag} {text!r}: {exc}") from None
 
 
-def cmd_train(args) -> int:
-    cfg = _load_cfg(args)
+def cmd_train(cfg: ExperimentConfig, args) -> list[str]:
     net, _, meta = train_model(cfg)
     save_model(net, cfg.model_path, meta=meta)
-    print(f"model written to {cfg.model_path}")
     print(f"clean test accuracy: {meta['clean_accuracy']:.4f}")
-    return 0
+    return [cfg.model_path]
 
 
-def _run_and_report(args, write) -> int:
+def _run_and_report(cfg: ExperimentConfig, args, write) -> list[str]:
     """Stream one experiment, write it with `write(record, out)` and report it."""
-    cfg = _load_cfg(args)
     record = run_experiment(_load_model_checked(cfg), cfg.bank, cfg.scenario, cfg.normalizer)
     paths = write(record, cfg.out)
     print(f"mode={cfg.normalizer.mode} scenario={cfg.scenario.kind} seed={cfg.scenario.seed}")
@@ -99,75 +98,80 @@ def _run_and_report(args, write) -> int:
     for rec in record.sensitivity or ():
         print(f"layer {rec['layer']}: raw={rec['raw_average']:.4f} "
               f"normalized={rec['normalized_score']:.4f} partition={'on' if rec['partition_enabled'] else 'off'}")
-    print("wrote " + ", ".join(paths))
-    return 0
+    return paths
 
 
 cmd_run, cmd_diagnose = partial(_run_and_report, write=write_metrics), partial(_run_and_report, write=dump_diagnostics)
 
 
-def cmd_compare(args) -> int:
-    cfg = _load_cfg(args)
+def cmd_compare(cfg: ExperimentConfig, args) -> list[str]:
     modes = _entries("--modes", args.modes, canonical_mode) if args.modes else MODES
     rows = compare_modes(_load_model_checked(cfg), cfg.bank, cfg.scenario, cfg.normalizer, modes=modes, seeds=cfg.seeds)
-    paths = write_comparison(rows, cfg.out)
     print(f"{'mode':<10} {'mean_acc':>9} {'std':>7}   seeds={cfg.seeds}")
     for row in rows:
         print(f"{row['mode']:<10} {row['mean_accuracy']:>9.4f} {row['std_accuracy']:>7.4f}")
-    print("wrote " + ", ".join(paths))
-    return 0
+    return write_comparison(rows, cfg.out)
 
 
-def cmd_sweep_batch(args) -> int:
-    cfg = _load_cfg(args)
+def cmd_sweep_batch(cfg: ExperimentConfig, args) -> list[str]:
     sizes = _entries("--sizes", args.sizes, lambda s: COUNT("--sizes entry", int(s))) if args.sizes else SWEEP_BATCH_SIZES
     rows = batch_size_sweep(_load_model_checked(cfg), cfg.bank, cfg.scenario, cfg.normalizer, batch_sizes=sizes)
-    paths = write_batch_sweep(rows, cfg.normalizer.mode, cfg.out)
     for row in rows:
         print(f"batch_size={row['batch_size']:<4} accuracy={row['mean_accuracy']:.4f} ({row['num_samples']} samples)")
-    print("wrote " + ", ".join(paths))
-    return 0
+    return write_batch_sweep(rows, cfg.normalizer.mode, cfg.out)
+
+
+# Each flag once: (type, the config field it overrides or None, help); a (command, flag) row restates it for one command.
+_FLAGS = {
+    "--config": (str, None, "JSON experiment config; omitted fields, or all without this flag, take the defaults"),
+    "--mode": (str, "normalizer.mode", f"normalizer.mode: {'|'.join(MODES)}"),
+    "--alpha": (float, "normalizer.alpha", "normalizer.alpha: the source statistics' share of each blend, in [0, 1]"),
+    "--gamma": (float, "normalizer.gamma_threshold", "normalizer.gamma_threshold: find_star's layer gate threshold"),
+    "--seed": (int, "scenario.seed", "scenario.seed: the seed of the stream and of the domain set drawn for it"),
+    "--out": (str, "out", "out: the prefix of the files written"),
+    "--modes": (str, None, f"comma-separated modes, one row each (default {','.join(MODES)})"),
+    "--sizes": (str, None, f"comma-separated batch sizes (default {','.join(map(str, SWEEP_BATCH_SIZES))})"),
+    ("train", "--out"): (str, "model_path", "model_path: the model file written"),
+    ("compare", "--seed"): (int, "scenario.seed", "scenario.seed, here only the domain set's seed: the streams use seeds"),
+}
+_RUN_FLAGS = "--config --mode --alpha --gamma --seed --out"
+_COMMANDS = {  # command: (function, help, the flags it reads)
+    "train": (cmd_train, "build templates, capture source stats, fit head, write model file", "--config --out"),
+    "run": (cmd_run, "run one experiment and write metrics", _RUN_FLAGS),
+    "compare": (cmd_compare, "sweep normalizer modes over the configured seeds",
+                "--config --alpha --gamma --seed --out --modes"),
+    "diagnose": (cmd_diagnose, "run and dump cluster-count and sensitivity diagnostics", _RUN_FLAGS),
+    "sweep-batch": (cmd_sweep_batch, "accuracy across batch sizes at fixed sample budget", _RUN_FLAGS + " --sizes"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="neighbornorm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--config", default=None, help="JSON experiment config (defaults used when omitted)")
-        p.add_argument("--mode", default=None, help=f"normalizer mode: {'|'.join(MODES)}")
-        p.add_argument("--alpha", type=float, default=None, help="source/test blend weight in [0,1]")
-        p.add_argument("--gamma", type=float, default=None, help="gating threshold on normalized scores")
-        p.add_argument("--seed", type=int, default=None, help="stream seed override")
-        p.add_argument("--out", default=None, help="output path prefix override")
-
-    for name, func, help_text, extra in (
-        ("train", cmd_train, "build templates, capture source stats, fit head, write model file", None),
-        ("run", cmd_run, "run one experiment and write metrics", None),
-        ("compare", cmd_compare, "sweep normalizer modes over the configured seeds", ("--modes", "comma-separated mode list")),
-        ("diagnose", cmd_diagnose, "run and dump cluster-count and sensitivity diagnostics", None),
-        ("sweep-batch", cmd_sweep_batch, "accuracy across batch sizes at fixed sample budget",
-         ("--sizes", f"comma-separated batch sizes (default {','.join(map(str, SWEEP_BATCH_SIZES))})")),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        add_common(p)
-        p.set_defaults(func=func)
-        if extra:
-            p.add_argument(extra[0], default=None, help=extra[1])
-
+    for name, (func, help_text, flags) in _COMMANDS.items():
+        # no prefix matching: compare's --modes would take a --mode; fields: a flag's dest -> the config field it sets
+        p, fields = sub.add_parser(name, help=help_text, allow_abbrev=False), {}
+        for flag in flags.split():
+            kind, field, flag_help = _FLAGS.get((name, flag), _FLAGS[flag])
+            p.add_argument(flag, type=kind, help=flag_help)
+            if field:
+                fields[flag[2:]] = field
+        p.set_defaults(func=func, fields=fields)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        paths = args.func(_load_cfg(args), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime/numeric failures
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    print("wrote " + ", ".join(paths))
+    return 0
 
 
 if __name__ == "__main__":

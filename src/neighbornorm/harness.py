@@ -158,11 +158,11 @@ def load_experiment_config(path=None, overrides: dict | None = None) -> Experime
     user = {}
     if path is not None:
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 user = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}") from None
-        except json.JSONDecodeError as exc:
+        except OSError as exc:  # a missing file, a directory, no permission
+            raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     nested = {}  # the overrides as one more config, so one merge rejects an unknown field in either
     for dotted, value in (overrides or {}).items():
@@ -365,9 +365,12 @@ SWEEP_BATCH_SIZES = (1, 4, 16, 64)  # `batch_size_sweep`'s default, and the CLI'
 
 def batch_size_sweep(net: Network, bank: TemplateBank, scenario: StreamScenario, ncfg: NormalizerConfig,
                      batch_sizes=SWEEP_BATCH_SIZES) -> list[dict]:
-    """Accuracy across batch sizes, one or more as `COUNT` checks them, at a fixed total sample budget."""
-    total, rows = scenario.batch_size * scenario.num_batches, []
-    for bs in integers("batch_sizes", batch_sizes, COUNT):
+    """Accuracy across batch sizes, one or more as `COUNT` checks them and none above the scenario's sample budget,
+    at that fixed total budget."""
+    total, sizes, rows = scenario.batch_size * scenario.num_batches, integers("batch_sizes", batch_sizes, COUNT), []
+    if max(sizes) > total:  # one batch of that size would run past the budget
+        raise ConfigError(f"batch size {max(sizes)} exceeds the sample budget of {total} (batch_size x num_batches)")
+    for bs in sizes:
         rec = run_experiment(net, bank, replace(scenario, batch_size=bs, num_batches=max(1, total // bs)), ncfg)
         rows.append({"batch_size": bs, "mean_accuracy": rec.mean_accuracy, "num_samples": rec.num_samples})
     return rows
@@ -379,11 +382,18 @@ def _dump_json(obj, path) -> None:
         fh.write("\n")
 
 
+def _dump_csv(path, header: list, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_metrics(record: MetricsRecord, out_prefix) -> list[str]:
     """Write <out>.json and <out>.csv (deterministic) plus <out>.timing.json
     (wall clock of each batch's forward on the calling thread, as `MetricsRecord.per_batch_seconds`
     says; excluded from determinism guarantees)."""
-    out_prefix = str(out_prefix)
+    json_path, csv_path, timing_path = (f"{out_prefix}{ext}" for ext in (".json", ".csv", ".timing.json"))
     doc = {
         "scenario": record.scenario,
         "normalizer": record.normalizer,
@@ -400,22 +410,11 @@ def write_metrics(record: MetricsRecord, out_prefix) -> list[str]:
         },
         "sensitivity": record.sensitivity,
     }
-    json_path = out_prefix + ".json"
     _dump_json(doc, json_path)
-
-    csv_path = out_prefix + ".csv"
     slot_names = sorted(record.cluster_counts)
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["batch_index", "accuracy"] + [f"r_{s}" for s in slot_names])
-        for i, acc in enumerate(record.per_batch_accuracy):
-            row = [i, f"{acc:.6f}"]
-            for s in slot_names:
-                c = record.cluster_counts[s][i]
-                row.append("" if c is None else c)
-            writer.writerow(row)
-
-    timing_path = out_prefix + ".timing.json"
+    counts = zip(*(record.cluster_counts[s] for s in slot_names))  # csv writes None, a slot that did not group, as ""
+    _dump_csv(csv_path, ["batch_index", "accuracy"] + [f"r_{s}" for s in slot_names],
+              ([i, f"{acc:.6f}", *c] for i, (acc, c) in enumerate(zip(record.per_batch_accuracy, counts))))
     _dump_json(
         {
             "per_batch_seconds": record.per_batch_seconds,
@@ -430,11 +429,8 @@ def write_metrics(record: MetricsRecord, out_prefix) -> list[str]:
 def write_comparison(rows: list[dict], out_prefix) -> list[str]:
     json_path, csv_path = f"{out_prefix}.json", f"{out_prefix}.csv"
     _dump_json({"rows": rows}, json_path)
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mode", "mean_accuracy", "std_accuracy"])
-        for row in rows:
-            writer.writerow([row["mode"], f"{row['mean_accuracy']:.6f}", f"{row['std_accuracy']:.6f}"])
+    _dump_csv(csv_path, ["mode", "mean_accuracy", "std_accuracy"],
+              ([row["mode"], f"{row['mean_accuracy']:.6f}", f"{row['std_accuracy']:.6f}"] for row in rows))
     return [json_path, csv_path]
 
 

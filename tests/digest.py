@@ -16,7 +16,17 @@ Case groups, all on the stock config's model and templates:
 - iter_batches: each batch, its stem's conv map and moments, and the logits of forwarding the stem, streamed with
   `Network.stem` in `sbn` and in `find` at the stream batch sizes below;
 - run_files: the JSON and CSV bytes `write_metrics` gives for one stock-stream `run_experiment` per mode at
-  B 1 and 64.
+  B 1 and 64;
+- forward_mixes: the forward group's cases on `shuffle`, `random` and `wild` batches;
+- apply_normalizer: the output, trace and input of `apply_normalizer` on the stock slot-0 conv map of
+  `cross_mix` batches 0 and 3 at each batch size, in each forward configuration (find_star with the gating's slot-0
+  flag); the digest stops with an error if a call writes its input;
+- writer_files: the bytes `write_comparison`, `write_batch_sweep` and `dump_diagnostics` write for a
+  `WRITER_BATCHES`-batch `cross_mix` stream at B 16: every mode over seeds 0 and 1, the sweep at sizes 1, 4, 16
+  and 64 in find, and a find_star run.
+
+The groups before forward_mixes are those of the first version of this script, so their lines can be diffed
+against its output.
 """
 
 from __future__ import annotations
@@ -37,6 +47,8 @@ BATCH_INDICES = (0, 3)
 STREAM_BATCH_SIZES = (1, 63, 64, 65, 256)
 STREAM_BATCHES = 4
 RUN_BATCH_SIZES = (1, 64)
+MIX_KINDS = ("shuffle", "random", "wild")
+WRITER_BATCHES = 12
 ALPHAS = (0.0, 0.3, 0.8, 1.0)
 GATINGS = (None, (True, False), (False, True), (False, False))
 
@@ -111,13 +123,17 @@ def main(argv=None) -> int:
                     batch = stream.sample_batch(scenario(kind, b), bank, i)
                     group.add(batch.x, batch.labels, batch.domain_ids)
 
-        group = groups["forward"] = Digest()
-        for kind in ("cross_mix", "static"):
-            for b in BATCH_SIZES:
-                for i in BATCH_INDICES:
-                    x = stream.sample_batch(scenario(kind, b), bank, i).x
-                    for ncfg, gating in forward_configs(normalization):
-                        group.add(*forwarded(net, x, ncfg, gating))
+        def forwards(kinds) -> Digest:
+            group = Digest()
+            for kind in kinds:
+                for b in BATCH_SIZES:
+                    for i in BATCH_INDICES:
+                        x = stream.sample_batch(scenario(kind, b), bank, i).x
+                        for ncfg, gating in forward_configs(normalization):
+                            group.add(*forwarded(net, x, ncfg, gating))
+            return group
+
+        groups["forward"] = forwards(("cross_mix", "static"))
 
         group = groups["iter_batches"] = Digest()
         for b in STREAM_BATCH_SIZES:
@@ -137,12 +153,38 @@ def main(argv=None) -> int:
                 json_path, csv_path, _ = harness.write_metrics(record, os.path.join(tmp, f"{mode}_b{b}"))
                 group.add(Path(json_path).read_bytes(), Path(csv_path).read_bytes())
 
+        groups["forward_mixes"] = forwards(MIX_KINDS)
+
+        group = groups["apply_normalizer"] = Digest()
+        conv_of = net.stem(normalization.NormalizerConfig(mode="sbn"))  # a batch's slot-0 conv map, as the network makes it
+        for b in BATCH_SIZES:
+            for i in BATCH_INDICES:
+                conv = conv_of(stream.sample_batch(scenario("cross_mix", b), bank, i).x)().conv
+                for ncfg, gating in forward_configs(normalization):
+                    before = conv.copy()
+                    out, trace = normalization.apply_normalizer(conv, net.source_stats[0], ncfg, gating is None or gating[0])
+                    if conv.tobytes() != before.tobytes():
+                        sys.exit(f"apply_normalizer wrote its input: B={b} batch {i} mode {ncfg.mode}")
+                    group.add(out, trace.cluster_count, trace.length, trace.sums, trace.m2, conv)
+
+        group = groups["writer_files"] = Digest()
+        sc, ncfg = scenario("cross_mix", 16, num_batches=WRITER_BATCHES), cfg.normalizer
+        written = [
+            harness.write_comparison(harness.compare_modes(net, bank, sc, ncfg, seeds=(0, 1)), os.path.join(tmp, "cmp")),
+            harness.write_batch_sweep(harness.batch_size_sweep(net, bank, sc, replace(ncfg, mode="find"),
+                                                               batch_sizes=(1, 4, 16, 64)), "find", os.path.join(tmp, "sweep")),
+            harness.dump_diagnostics(harness.run_experiment(net, bank, sc, replace(ncfg, mode="find_star")),
+                                     os.path.join(tmp, "diag")),
+        ]
+        for path in [p for paths in written for p in paths]:
+            group.add(Path(path).read_bytes())
+
     total = hashlib.sha256()
     for name, group in groups.items():
         digest = group.hash.hexdigest()
         total.update(f"{name} {digest}\n".encode())
-        print(f"{name:<13} {group.cases:>5} cases  {digest}")
-    print(f"{'total':<13} {'':>11}  {total.hexdigest()}")
+        print(f"{name:<16} {group.cases:>5} cases  {digest}")
+    print(f"{'total':<16} {'':>11}  {total.hexdigest()}")
     return 0
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from neighbornorm import cli
+from neighbornorm import cli, harness
 from neighbornorm.cli import main
 from neighbornorm.harness import SWEEP_BATCH_SIZES
 from neighbornorm.normalization import MODES
@@ -282,11 +282,100 @@ class TestSweep:
         doc = json.loads((root / "out" / "sweep.batch_sweep.json").read_text())
         assert [r["batch_size"] for r in doc["rows"]] == [4, 16]
 
+    def test_size_above_the_sample_budget_is_config_error(self, workspace, tmp_path, capsys, monkeypatch):
+        # SMALL_CONFIG's budget is 12 batches of 32: a 1000-sample batch would run past it
+        _, cfg_path = workspace
+        monkeypatch.setattr(harness, "run_experiment", lambda *args: pytest.fail("ran a batch"))
+        assert main(["sweep-batch", "--config", str(cfg_path), "--sizes", "4,1000", "--out", str(tmp_path / "s")]) == 1
+        assert "batch size 1000 exceeds the sample budget of 384" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
     def test_sweep_defaults_to_stock_sizes(self, workspace):
         root, cfg_path = workspace
         assert main(["sweep-batch", "--config", str(cfg_path), "--out", str(root / "out" / "stock")]) == 0
         doc = json.loads((root / "out" / "stock.batch_sweep.json").read_text())
         assert [r["batch_size"] for r in doc["rows"]] == list(SWEEP_BATCH_SIZES)
+
+
+# The flags each command takes, and a value for each flag
+COMMAND_FLAGS = {
+    "train": {"--config", "--out"},
+    "compare": {"--config", "--alpha", "--gamma", "--seed", "--out", "--modes"},
+    "run": {"--config", "--mode", "--alpha", "--gamma", "--seed", "--out"},
+    "diagnose": {"--config", "--mode", "--alpha", "--gamma", "--seed", "--out"},
+    "sweep-batch": {"--config", "--mode", "--alpha", "--gamma", "--seed", "--out", "--sizes"},
+}
+FLAG_VALUES = {"--config": "c.json", "--mode": "tbn", "--alpha": "0.3", "--gamma": "5", "--seed": "4", "--out": "o/x",
+               "--modes": "sbn", "--sizes": "4"}
+
+
+class TestFlags:
+    def test_the_flag_table_is_the_one_tried(self):
+        assert {flag for flag in cli._FLAGS if isinstance(flag, str)} == set(FLAG_VALUES)
+        assert set(cli._COMMANDS) == set(COMMAND_FLAGS)
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+    @pytest.mark.parametrize("flag", sorted(FLAG_VALUES))
+    def test_a_command_parses_exactly_its_flags(self, command, flag, capsys):
+        argv = [command, flag, FLAG_VALUES[flag]]
+        if flag in COMMAND_FLAGS[command]:
+            assert getattr(cli.build_parser().parse_args(argv), flag[2:]) is not None
+        else:
+            with pytest.raises(SystemExit) as exc:
+                cli.build_parser().parse_args(argv)
+            assert exc.value.code == 2 and f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+    def test_each_flag_lands_in_its_config_field(self, workspace, tmp_path, monkeypatch, command):
+        _, cfg_path = workspace
+        monkeypatch.chdir(tmp_path)
+        argv = [command] + [arg for flag in sorted(COMMAND_FLAGS[command])
+                            for arg in (flag, str(cfg_path) if flag == "--config" else FLAG_VALUES[flag])]
+        cfg = cli._load_cfg(cli.build_parser().parse_args(argv))
+        landed = {"--mode": cfg.normalizer.mode, "--alpha": cfg.normalizer.alpha, "--gamma": cfg.normalizer.gamma_threshold,
+                  "--seed": cfg.scenario.seed, "--out": cfg.model_path if command == "train" else cfg.out}
+        expected = {"--mode": "tbn", "--alpha": 0.3, "--gamma": 5.0, "--seed": 4, "--out": "o/x"}
+        for flag in COMMAND_FLAGS[command] & set(expected):
+            assert landed[flag] == expected[flag], flag
+        other = "out" if command == "train" else "model_path"  # the path `--out` does not set keeps the config's
+        assert getattr(cfg, other) == json.loads(cfg_path.read_text())[other]
+        assert (tmp_path / "o").is_dir()
+
+    @pytest.mark.parametrize("argv", [["train", "--mode", "find"], ["train", "--alpha", "0.3"], ["train", "--gamma", "5"],
+                                      ["train", "--seed", "4"], ["compare", "--mode", "tbn"]])
+    def test_a_flag_the_command_ignores_is_a_usage_error(self, workspace, tmp_path, monkeypatch, capsys, argv):
+        # none of these changes the command's files, so each stops before the config is read or anything written
+        _, cfg_path = workspace
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "load_experiment_config", lambda *args: pytest.fail("read the config"))
+        monkeypatch.setattr(cli, "train_model", lambda cfg: pytest.fail("trained the model"))
+        monkeypatch.setattr(cli, "compare_modes", lambda *args, **kwargs: pytest.fail("ran a batch"))
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--config", str(cfg_path), "--out", "written"])
+        assert exc.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+
+class TestUnreadableInput:
+    def test_config_that_is_a_directory_is_config_error(self, tmp_path, capsys):
+        assert main(["run", "--config", str(tmp_path)]) == 1
+        assert f"cannot read config file {tmp_path}: Is a directory" in capsys.readouterr().err
+
+    def test_config_that_is_not_utf8_is_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes('{"out": "résultats/run"}'.encode("latin-1"))
+        assert main(["run", "--config", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert f"config file {bad} is not valid JSON" in err and "utf-8" in err
+
+    def test_model_path_that_is_a_directory_is_config_error(self, workspace, tmp_path, capsys, monkeypatch):
+        _, cfg_path = workspace
+        cfg = json.loads(cfg_path.read_text())
+        cfg["model_path"] = str(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        monkeypatch.setattr(cli, "run_experiment", lambda *args: pytest.fail("ran a batch"))
+        assert main(["run", "--config", str(tmp_path / "cfg.json")]) == 1
+        assert f"cannot read model file {tmp_path}: Is a directory" in capsys.readouterr().err
 
 
 class TestBlasThreads:

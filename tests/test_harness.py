@@ -4,13 +4,16 @@ import math
 import pathlib
 import re
 import threading
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import neighbornorm.harness as harness
 import neighbornorm.model as model
+import neighbornorm.rules as rules
 from neighbornorm.harness import (
     ConfigError,
     batch_size_sweep,
@@ -208,15 +211,8 @@ class TestNumericConfigFields:
             "seeds": [0],
         }
 
-        def as_floats(value):
-            if isinstance(value, dict):
-                return {k: as_floats(v) for k, v in value.items()}
-            if isinstance(value, list):
-                return [as_floats(v) for v in value]
-            return float(value) if type(value) is int else value
-
         files = []
-        for name, doc in (("ints", ints), ("floats", as_floats(ints))):
+        for name, doc in (("ints", ints), ("floats", floated(ints))):
             path = tmp_path / f"{name}.json"
             path.write_text(json.dumps(doc | {"model_path": str(tmp_path / f"{name}.nnm")}))
             cfg = load_experiment_config(path)
@@ -225,6 +221,65 @@ class TestNumericConfigFields:
             paths = write_metrics(run_experiment(net, bank, cfg.scenario, cfg.normalizer), tmp_path / name)
             files.append([pathlib.Path(p).read_bytes() for p in (cfg.model_path, *paths[:2])])
         assert files[0] == files[1]
+
+
+# Each numeric rule, and integral values it accepts
+RULE_VALUES = {"FINITE": st.integers(-2**53, 2**53), "INTEGER": st.integers(-2**53, 2**53), "COUNT": st.integers(1, 2**53),
+               "SEED": st.integers(0, 2**53), "NUM_CLASSES": st.integers(2, 2**53), "SEVERITY": st.integers(1, 5),
+               "NONNEGATIVE": st.integers(0, 2**53), "POSITIVE": st.integers(1, 2**53), "SHARE": st.integers(0, 1),
+               "EPS": st.integers(1, 2**53)}
+_seeds, _counts = st.integers(0, 2**53), st.integers(1, 64)
+# Each numeric config field, and integral values it accepts that load quickly
+CONFIG_VALUES = {
+    "data.num_classes": st.integers(2, 12), "data.template_seed": _seeds, "data.base_noise": st.integers(0, 3),
+    "data.template_min_dist": st.integers(0, 8),
+    "data.input_shape": st.tuples(st.integers(1, 3), st.sampled_from([4, 8, 16]), st.sampled_from([4, 8, 16])).map(list),
+    "model.seed": _seeds, "model.eps": st.integers(1, 3), "model.head_lambda": st.integers(1, 10**6),
+    "model.channels": st.lists(_counts, min_size=1, max_size=4), "model.train_batches": _counts,
+    "model.train_batch_size": _counts, "model.train_seed": _seeds, "model.clean_eval_batches": _counts,
+    "scenario.num_domains": st.integers(1, 10), "scenario.severity": st.integers(1, 5), "scenario.batch_size": _counts,
+    "scenario.num_batches": _counts, "scenario.rounds": st.integers(1, 4), "scenario.seed": _seeds,
+    "scenario.dirichlet_delta": st.integers(1, 100),
+    "scenario.domains": st.fixed_dictionaries({"id": st.integers(-5, 5), "contrast": st.integers(1, 3), "brightness": st.integers(-3, 3),
+                                               "noise_sigma": st.integers(0, 2), "severity": st.integers(1, 5)}).map(lambda d: [d]),
+    "normalizer.alpha": st.integers(0, 1), "normalizer.gamma_threshold": st.integers(0, 100),
+    "normalizer.cold_start_batches": _counts, "seeds": st.lists(_seeds, min_size=1, max_size=3),
+}
+
+
+def floated(value):
+    """`value` with every int in it, nested in lists and dicts, as a float."""
+    if isinstance(value, dict):
+        return {k: floated(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [floated(v) for v in value]
+    return float(value) if type(value) is int else value
+
+
+class TestGeneratedRuleForms:
+    """Every rule returns the int or float it checked, so an integral value and its float are stored alike."""
+
+    @pytest.mark.parametrize("name", sorted(RULE_VALUES))
+    @settings(max_examples=20, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_each_form_of_a_value_comes_back_as_one_number(self, name, data):
+        rule, n = getattr(rules, name), data.draw(RULE_VALUES[name])
+        kind = int if rule.keywords.get("integral") else float
+        checked = [rule("v", form) for form in (n, float(n), np.int64(n), np.float64(n))]
+        assert [(type(v), v) for v in checked] == [(kind, kind(n))] * 4
+        if kind is int:
+            assert rules.integers("v", [float(n), n], rule) == [n, n]
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(st.sampled_from(sorted(CONFIG_VALUES)).flatmap(lambda field: st.tuples(st.just(field), CONFIG_VALUES[field])))
+    def test_an_integral_float_gives_the_config_its_int_gives(self, case):
+        field, value = case
+        loaded = []
+        for form in (value, floated(value)):
+            cfg = load_experiment_config(None, {field: form})
+            loaded.append(repr((cfg.data, cfg.model, asdict(cfg.scenario), asdict(cfg.normalizer), cfg.seeds)))
+            loaded.append(cfg.bank.templates.tobytes())
+        assert loaded[:2] == loaded[2:]
 
 
 def test_train_model_runs_each_stage_once_per_batch(small_setup, monkeypatch):
@@ -442,6 +497,15 @@ class TestCompareAndSweep:
         rows = batch_size_sweep(net, bank, sc, cfg.normalizer, batch_sizes=(1, 4, 16, 32))
         assert [r["batch_size"] for r in rows] == [1, 4, 16, 32]
         assert len({r["num_samples"] for r in rows}) == 1
+
+    def test_batch_size_sweep_rejects_a_size_above_the_budget_before_any_batch(self, small_setup, monkeypatch):
+        # a budget of 4 x 8 = 32 samples: a size of 32 runs one batch, 33 would run one batch past the budget
+        cfg, net, bank, _, _ = small_setup
+        sc = replace(cfg.scenario, num_batches=4, batch_size=8)
+        assert [r["num_samples"] for r in batch_size_sweep(net, bank, sc, cfg.normalizer, batch_sizes=(32,))] == [32]
+        monkeypatch.setattr(harness, "run_experiment", lambda *args: pytest.fail("streamed a batch"))
+        with pytest.raises(ConfigError, match="batch size 33 exceeds the sample budget of 32"):
+            batch_size_sweep(net, bank, sc, cfg.normalizer, batch_sizes=(4, 33))
 
     @pytest.mark.parametrize("seeds", [(1.7, True), (), [0, -1], "01"])
     def test_compare_modes_rejects_bad_seeds(self, small_setup, seeds):

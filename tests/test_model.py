@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neighbornorm.model import (
     LinearHead,
@@ -516,6 +518,53 @@ class TestConstruction:
             x = rng.normal(size=(5, *shape)).astype(np.float32)
             for mode in MODES:
                 assert same_bits(net.forward(x, NormalizerConfig(mode=mode)), loaded.forward(x, NormalizerConfig(mode=mode))), (i, mode)
+
+
+@st.composite
+def generated_networks(draw):
+    """A network the constructor accepts: 1-3 stages of 1-5 channels on a 1-3 channel input whose sides pool evenly,
+    a seed up to 2**53 (int or integral float), an eps from 2**-149 to 1, 2-6 classes, float32 or float64 parts, random
+    source moments (zero variances among them) and affine terms, and a ridge lambda over twelve decades."""
+    channels = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    stages = len(channels)
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 3)) << stages, draw(st.integers(1, 3)) << stages)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    weights = [w.astype(dtype) for w in kernels(int(rng.integers(2**31)), channels, c_in=shape[0])]
+    eps = draw(st.sampled_from([2.0**-149, 1e-8, 1e-5, 0.5, 1.0]))
+    stats = [SourceStats(ChannelStats(rng.normal(scale=5.0, size=c), rng.uniform(0, 3, c) * rng.integers(0, 2, c)),
+                         rng.normal(size=c).astype(dtype), rng.normal(size=c).astype(dtype), eps) for c in channels]
+    width = channels[-1] * (shape[1] >> stages) * (shape[2] >> stages)
+    k = draw(st.integers(2, 6))
+    head = LinearHead(rng.normal(size=(k, width)).astype(dtype), rng.normal(size=k), 10.0 ** rng.uniform(-6, 6))
+    seed = draw(st.integers(0, 2**53))
+    return Network(weights, stats, head, shape, float(seed) if draw(st.booleans()) else seed, eps)
+
+
+class TestGeneratedRoundTrips:
+    @settings(max_examples=25, derandomize=True, database=None, deadline=None)
+    @given(generated_networks())
+    def test_every_generated_network_round_trips_bitwise(self, tmp_path_factory, net):
+        path = tmp_path_factory.mktemp("nets") / "net.nnm"
+        save_model(net, path)
+        loaded, _ = load_model(path)
+        assert (loaded.input_shape, loaded.seed, loaded.eps, loaded.channels) == (net.input_shape, net.seed, net.eps, net.channels)
+        assert type(loaded.seed) is type(net.seed) is int and loaded.head.ridge_lambda == net.head.ridge_lambda
+        for ours, theirs in zip(_tensor_arrays(net), _tensor_arrays(loaded), strict=True):
+            assert same_bits(ours, theirs)
+        x = np.random.default_rng(net.seed % 2**32).normal(size=(3, *net.input_shape)).astype(np.float32)
+        for mode in MODES:
+            assert logits_or_error(net, x, mode) == logits_or_error(loaded, x, mode), mode
+
+
+def logits_or_error(net, x, mode):
+    """The bytes of the logits, or the message of the ValueError a forward raises on features that overflow (a zero
+    source variance over a tiny eps scales by ~2**74)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return net.forward(x, NormalizerConfig(mode=mode)).tobytes()
+        except ValueError as exc:
+            return str(exc)
 
 
 def _tensor_arrays(net) -> list:

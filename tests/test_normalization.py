@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neighbornorm.grouping import first_neighbor_labels, first_neighbor_partition
 from neighbornorm.normalization import NormalizerConfig, SourceStats, apply_normalizer, canonical_mode
@@ -342,6 +344,28 @@ def random_src(rng, c):
     """Source statistics with random moments and a non-identity affine."""
     stats = ChannelStats(rng.normal(size=c), rng.uniform(0.5, 2.0, size=c))
     return SourceStats(stats=stats, affine_scale=rng.uniform(0.5, 2.0, size=c), affine_shift=rng.normal(size=c))
+
+
+@st.composite
+def maps_and_sources(draw):
+    """A float32 (B, C, H, W) map, B 1-300, of per-sample offset and scale drawn over several decades, and source
+    statistics with random moments and affine terms."""
+    b, c, h, w = draw(st.integers(1, 300)), draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    loc = rng.normal(scale=10.0 ** draw(st.integers(-2, 3)), size=(b, c, 1, 1))
+    x = loc + rng.normal(size=(b, c, h, w)) * 10.0 ** rng.integers(-3, 3, (b, 1, 1, 1))
+    return x.astype(np.float32), random_src(rng, c)
+
+
+class TestGeneratedDegeneracies:
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(maps_and_sources())
+    def test_alpha_bn_at_0_is_tbn_and_at_1_is_sbn_bitwise(self, case):
+        x, src = case
+        for alpha, mode in ((0.0, "tbn"), (1.0, "sbn")):
+            blended, _ = apply_normalizer(x, src, NormalizerConfig(mode="alpha_bn", alpha=alpha))
+            reference, _ = apply_normalizer(x, src, NormalizerConfig(mode=mode))
+            assert blended.tobytes() == reference.tobytes(), (alpha, x.shape)
 
 
 ONE_SAMPLE_CONFIGS = [("tbn", 0.8, True)] + [("alpha_bn", a, True) for a in (0.0, 0.3, 0.8, 1.0)]

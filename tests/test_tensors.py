@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neighbornorm.tensors import (
     ChannelStats,
@@ -113,6 +115,36 @@ class TestSegmentMoments:
         _, var = merge_moments(*sample_moments(x), 64, np.zeros(8, np.intp), 1)
         _, var_ref = loop_channel_moments(x)
         np.testing.assert_allclose(var[0], var_ref, rtol=1e-10)
+
+
+@st.composite
+def labelled_moments(draw):
+    """`sample_moments`-shaped (B, C) sums and m2 over `length` positions, B 1-64, whose samples sit on a shared
+    offset of up to 1e8 with spreads down to 1e-3, and a labelling of them into `count` groups, none empty."""
+    b, c, length = draw(st.integers(1, 64)), draw(st.integers(1, 4)), draw(st.integers(1, 64))
+    count = draw(st.integers(1, b))
+    offset, spread = 10.0 ** draw(st.integers(0, 8)), 10.0 ** draw(st.integers(-3, 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sums = length * (offset * rng.choice([-1.0, 1.0], c) + rng.normal(scale=spread, size=(b, c)))
+    m2 = length * rng.uniform(0.0, spread**2, (b, c))
+    labels = rng.permutation(np.concatenate([np.arange(count), rng.integers(0, count, b - count)]))
+    return sums, m2, length, labels, count
+
+
+class TestGeneratedMerges:
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(labelled_moments())
+    def test_merge_matches_pooled_moments_oracle(self, case):
+        sums, m2, length, labels, count = case
+        mean, var = merge_moments(sums, m2, length, labels, count)
+        for g in range(count):
+            members = np.flatnonzero(labels == g)
+            mean_ref, var_ref = pooled_moments([(length, sums[i] / length, m2[i] / length) for i in members])
+            # each sample's offset from the group mean carries the rounding of the sample's mean, ~1e-16 of the offset
+            # shared by all, so the variance is good to that rounding times the spread, never to the offset squared
+            scale = np.abs(mean_ref).max()
+            np.testing.assert_allclose(mean[g], mean_ref, rtol=1e-14)
+            assert (np.abs(var[g] - var_ref) <= 1e-12 * var_ref + 1e-14 * scale * np.sqrt(var_ref)).all()
 
 
 class TestSampleMoments:
