@@ -12,8 +12,8 @@ any other is argparse's usage error, exit 2, before any config is read. With `ou
 `run` and `diagnose` print the layer gate's lines in find_star. A model file must agree with the config on every
 field it records: data.*, and model.seed, eps, channels, head_lambda, train_batches, train_batch_size and
 train_seed. Exit codes: 0 success, 1 config error (an unreadable config file; a missing, unreadable, malformed or
-disagreeing model file; an uncreatable output directory; a swept batch size above the sample budget), 2 usage or
-runtime/numeric error.
+disagreeing model file; an uncreatable output directory, or an output file that names a directory; a swept batch
+size above the sample budget), 2 usage or runtime/numeric error.
 """
 
 from __future__ import annotations
@@ -21,12 +21,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from functools import partial
 
 from .harness import (
     SWEEP_BATCH_SIZES,
     ConfigError,
     ExperimentConfig,
+    _output_paths,
     batch_size_sweep,
     compare_modes,
     dump_diagnostics,
@@ -43,13 +43,17 @@ from .rules import COUNT
 
 
 def _load_cfg(args) -> ExperimentConfig:
-    """The config under the command's own flags, once the directory of the file it writes (its `--out`) exists."""
+    """The config under the command's own flags, once the directory of the files it writes (its `--out`) exists and
+    none of those files is a directory."""
     cfg = load_experiment_config(args.config, {field: getattr(args, dest) for dest, field in args.fields.items()})
     path = getattr(cfg, args.fields["out"])
     try:  # before any batch runs
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create the directory of {path}: {exc}") from None
+    for written in _output_paths(args.writer, path) if args.writer else [path]:
+        if os.path.isdir(written):
+            raise ConfigError(f"cannot write {written}: it is a directory")
     return cfg
 
 
@@ -87,10 +91,10 @@ def cmd_train(cfg: ExperimentConfig, args) -> list[str]:
     return [cfg.model_path]
 
 
-def _run_and_report(cfg: ExperimentConfig, args, write) -> list[str]:
-    """Stream one experiment, write it with `write(record, out)` and report it."""
+def _run_and_report(cfg: ExperimentConfig, args) -> list[str]:
+    """Stream one experiment, write it with the command's writer and report it."""
     record = run_experiment(_load_model_checked(cfg), cfg.bank, cfg.scenario, cfg.normalizer)
-    paths = write(record, cfg.out)
+    paths = args.writer(record, cfg.out)
     print(f"mode={cfg.normalizer.mode} scenario={cfg.scenario.kind} seed={cfg.scenario.seed}")
     print(f"mean accuracy: {record.mean_accuracy:.4f} over {record.num_samples} samples")
     for slot, summary in record.cluster_count_summary().items():
@@ -101,16 +105,13 @@ def _run_and_report(cfg: ExperimentConfig, args, write) -> list[str]:
     return paths
 
 
-cmd_run, cmd_diagnose = partial(_run_and_report, write=write_metrics), partial(_run_and_report, write=dump_diagnostics)
-
-
 def cmd_compare(cfg: ExperimentConfig, args) -> list[str]:
     modes = _entries("--modes", args.modes, canonical_mode) if args.modes else MODES
     rows = compare_modes(_load_model_checked(cfg), cfg.bank, cfg.scenario, cfg.normalizer, modes=modes, seeds=cfg.seeds)
     print(f"{'mode':<10} {'mean_acc':>9} {'std':>7}   seeds={cfg.seeds}")
     for row in rows:
         print(f"{row['mode']:<10} {row['mean_accuracy']:>9.4f} {row['std_accuracy']:>7.4f}")
-    return write_comparison(rows, cfg.out)
+    return args.writer(rows, cfg.out)
 
 
 def cmd_sweep_batch(cfg: ExperimentConfig, args) -> list[str]:
@@ -118,7 +119,7 @@ def cmd_sweep_batch(cfg: ExperimentConfig, args) -> list[str]:
     rows = batch_size_sweep(_load_model_checked(cfg), cfg.bank, cfg.scenario, cfg.normalizer, batch_sizes=sizes)
     for row in rows:
         print(f"batch_size={row['batch_size']:<4} accuracy={row['mean_accuracy']:.4f} ({row['num_samples']} samples)")
-    return write_batch_sweep(rows, cfg.normalizer.mode, cfg.out)
+    return args.writer(rows, cfg.normalizer.mode, cfg.out)
 
 
 # Each flag once: (type, the config field it overrides or None, help); a (command, flag) row restates it for one command.
@@ -135,20 +136,21 @@ _FLAGS = {
     ("compare", "--seed"): (int, "scenario.seed", "scenario.seed, here only the domain set's seed: the streams use seeds"),
 }
 _RUN_FLAGS = "--config --mode --alpha --gamma --seed --out"
-_COMMANDS = {  # command: (function, help, the flags it reads)
-    "train": (cmd_train, "build templates, capture source stats, fit head, write model file", "--config --out"),
-    "run": (cmd_run, "run one experiment and write metrics", _RUN_FLAGS),
+_COMMANDS = {  # command: (function, help, the flags it reads, the harness writer of its files, or None: train's model)
+    "train": (cmd_train, "build templates, capture source stats, fit head, write model file", "--config --out", None),
+    "run": (_run_and_report, "run one experiment and write metrics", _RUN_FLAGS, write_metrics),
     "compare": (cmd_compare, "sweep normalizer modes over the configured seeds",
-                "--config --alpha --gamma --seed --out --modes"),
-    "diagnose": (cmd_diagnose, "run and dump cluster-count and sensitivity diagnostics", _RUN_FLAGS),
-    "sweep-batch": (cmd_sweep_batch, "accuracy across batch sizes at fixed sample budget", _RUN_FLAGS + " --sizes"),
+                "--config --alpha --gamma --seed --out --modes", write_comparison),
+    "diagnose": (_run_and_report, "run and dump cluster-count and sensitivity diagnostics", _RUN_FLAGS, dump_diagnostics),
+    "sweep-batch": (cmd_sweep_batch, "accuracy across batch sizes at fixed sample budget", _RUN_FLAGS + " --sizes",
+                    write_batch_sweep),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="neighbornorm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, help_text, flags) in _COMMANDS.items():
+    for name, (func, help_text, flags, writer) in _COMMANDS.items():
         # no prefix matching: compare's --modes would take a --mode; fields: a flag's dest -> the config field it sets
         p, fields = sub.add_parser(name, help=help_text, allow_abbrev=False), {}
         for flag in flags.split():
@@ -156,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, type=kind, help=flag_help)
             if field:
                 fields[flag[2:]] = field
-        p.set_defaults(func=func, fields=fields)
+        p.set_defaults(func=func, fields=fields, writer=writer)
     return parser
 
 

@@ -376,6 +376,13 @@ def batch_size_sweep(net: Network, bank: TemplateBank, scenario: StreamScenario,
     return rows
 
 
+def _output_paths(writer, out_prefix) -> list[str]:
+    """The files `writer`, one of the four writers below, makes of `out_prefix`, in the order it returns them."""
+    suffixes = {write_metrics: (".json", ".csv", ".timing.json"), write_comparison: (".json", ".csv"),
+                write_batch_sweep: (".batch_sweep.json",), dump_diagnostics: (".diagnostics.json",)}
+    return [f"{out_prefix}{suffix}" for suffix in suffixes[writer]]
+
+
 def _dump_json(obj, path) -> None:
     with open(path, "w") as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)
@@ -393,7 +400,7 @@ def write_metrics(record: MetricsRecord, out_prefix) -> list[str]:
     """Write <out>.json and <out>.csv (deterministic) plus <out>.timing.json
     (wall clock of each batch's forward on the calling thread, as `MetricsRecord.per_batch_seconds`
     says; excluded from determinism guarantees)."""
-    json_path, csv_path, timing_path = (f"{out_prefix}{ext}" for ext in (".json", ".csv", ".timing.json"))
+    json_path, csv_path, timing_path = _output_paths(write_metrics, out_prefix)
     doc = {
         "scenario": record.scenario,
         "normalizer": record.normalizer,
@@ -427,7 +434,7 @@ def write_metrics(record: MetricsRecord, out_prefix) -> list[str]:
 
 
 def write_comparison(rows: list[dict], out_prefix) -> list[str]:
-    json_path, csv_path = f"{out_prefix}.json", f"{out_prefix}.csv"
+    json_path, csv_path = _output_paths(write_comparison, out_prefix)
     _dump_json({"rows": rows}, json_path)
     _dump_csv(csv_path, ["mode", "mean_accuracy", "std_accuracy"],
               ([row["mode"], f"{row['mean_accuracy']:.6f}", f"{row['std_accuracy']:.6f}"] for row in rows))
@@ -435,7 +442,7 @@ def write_comparison(rows: list[dict], out_prefix) -> list[str]:
 
 
 def write_batch_sweep(rows: list[dict], mode: str, out_prefix) -> list[str]:
-    path = f"{out_prefix}.batch_sweep.json"
+    [path] = _output_paths(write_batch_sweep, out_prefix)
     _dump_json({"rows": rows, "mode": mode}, path)
     return [path]
 
@@ -446,7 +453,7 @@ def dump_diagnostics(record: MetricsRecord, out_prefix) -> list[str]:
     This is the only output channel that sees ground-truth domain
     composition (as per-batch domain counts).
     """
-    path = f"{out_prefix}.diagnostics.json"
+    [path] = _output_paths(dump_diagnostics, out_prefix)
     _dump_json(
         {
             "cluster_counts": record.cluster_count_summary(),

@@ -20,9 +20,9 @@ made earlier, which the stream computes one batch ahead on its worker thread.
 A stage sees the whole batch, as the grouping must; the two kernels whose temporaries
 grow with it, `_conv` and `sample_moments`, run over blocks of `tensors._BLOCK`
 samples, so those stay in L2, and none of their bits depends on block edges. The
-head and the grouping's similarity GEMM also run in 64-row blocks, so that no product
-wakes a BLAS thread; their rows round as their block's do, so above 64 samples a
-sample's logits are those of its 64-row block forwarded alone.
+head is computed row by row, so a sample's logits do not depend on its batch beyond
+what its features do; only the grouping's similarity GEMM runs in 64-row blocks, so
+that no product wakes a BLAS thread.
 """
 
 from __future__ import annotations
@@ -204,7 +204,8 @@ class Network:
     The constructor checks every part once: `input_shape` pools evenly through the stages, `seed` and `eps` follow
     their rules, each conv kernel is a finite (C_out, C_in, 3, 3) array that chains from the input's channels, each
     slot's `SourceStats` has its conv's C_out channels and the network's eps, and the head takes the pooled feature
-    count. Anything it accepts runs, and comes back bitwise from `save_model` and `load_model`.
+    count. Anything it accepts comes back bitwise from `save_model` and `load_model`; a forward whose stages overflow
+    (sbn scales a zero source variance by 1/sqrt(eps), ~2**74 at eps 2**-149) raises the exit check's ValueError.
     """
 
     def __init__(self, conv_weights, source_stats, head: LinearHead, input_shape, seed: int, eps: float = 1e-5):
@@ -334,9 +335,7 @@ class Network:
         """Class scores (B, K) of a raw batch or its `Stem`, as `backbone` takes them; with `collect_traces`, also
         per-slot traces."""
         feats, traces = self.backbone(x, cfg, gating)
-        w_t, logits = self.head.weight.T, np.empty((feats.shape[0], self.head.num_classes), np.float32)
-        for i in range(0, feats.shape[0], _BLOCK):  # 64-row products stay on one BLAS thread
-            np.matmul(feats[i : i + _BLOCK], w_t, out=logits[i : i + _BLOCK])
+        logits = np.einsum("bd,kd->bk", feats, self.head.weight)  # row by row, no BLAS call: no row sees the batch
         logits += self.head.bias
         return (logits, traces) if collect_traces else logits
 

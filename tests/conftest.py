@@ -1,4 +1,6 @@
+import os
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,12 +21,17 @@ SMALL_CONFIG = {
 }
 
 
-def pytest_report_header(config):
-    """Name the package under test: pyproject's `pythonpath = ["src"]` puts this checkout's src/ ahead of
-    PYTHONPATH, so a run meant for another tree's src/ shows here that it tests this one."""
+def pytest_configure(config):
+    """Stop unless the package under test is the one PYTHONPATH names: pyproject's `pythonpath = ["src"]` puts this
+    checkout's src/ ahead of PYTHONPATH, so a run meant for another tree's src/ would test this one, and pass."""
     import neighbornorm
 
-    return f"neighbornorm: {neighbornorm.__file__}"
+    imported = Path(neighbornorm.__file__).resolve().parent.parent
+    named = [Path(entry).resolve() for entry in os.environ.get("PYTHONPATH", "").split(os.pathsep) if entry]
+    named = [entry for entry in named if (entry / "neighbornorm" / "__init__.py").is_file()]
+    if named and named[0] != imported:
+        raise pytest.UsageError(f"PYTHONPATH names the neighbornorm package in {named[0]}, but pytest imported the "
+                                f"one in {imported}; run pytest from that tree instead")
 
 
 @pytest.fixture(autouse=True)

@@ -23,10 +23,12 @@ Case groups, all on the stock config's model and templates:
   flag); the digest stops with an error if a call writes its input;
 - writer_files: the bytes `write_comparison`, `write_batch_sweep` and `dump_diagnostics` write for a
   `WRITER_BATCHES`-batch `cross_mix` stream at B 16: every mode over seeds 0 and 1, the sweep at sizes 1, 4, 16
-  and 64 in find, and a find_star run.
+  and 64 in find, and a find_star run;
+- no_logits: the cases of forward, iter_batches and forward_mixes, in that order, with everything but their logits,
+  so a change that moves only logits shows those three groups differ while this one does not.
 
-The groups before forward_mixes are those of the first version of this script, so their lines can be diffed
-against its output.
+The groups before forward_mixes are those of the first version of this script, and those before no_logits those of
+the second, so their lines can be diffed against either's output.
 """
 
 from __future__ import annotations
@@ -123,6 +125,8 @@ def main(argv=None) -> int:
                     batch = stream.sample_batch(scenario(kind, b), bank, i)
                     group.add(batch.x, batch.labels, batch.domain_ids)
 
+        no_logits = Digest()  # fed with each forwarded case's values after its logits; printed last
+
         def forwards(kinds) -> Digest:
             group = Digest()
             for kind in kinds:
@@ -130,7 +134,9 @@ def main(argv=None) -> int:
                     for i in BATCH_INDICES:
                         x = stream.sample_batch(scenario(kind, b), bank, i).x
                         for ncfg, gating in forward_configs(normalization):
-                            group.add(*forwarded(net, x, ncfg, gating))
+                            logits, *rest = forwarded(net, x, ncfg, gating)
+                            group.add(logits, *rest)
+                            no_logits.add(*rest)
             return group
 
         groups["forward"] = forwards(("cross_mix", "static"))
@@ -144,7 +150,9 @@ def main(argv=None) -> int:
                         stem = result()  # copied before the forward, which normalizes the conv map in place
                         made = [batch.x, batch.labels, batch.domain_ids] + [
                             a if a is None else a.copy() for a in (stem.conv, stem.moments)]
-                        group.add(*made, *forwarded(net, stem, ncfg))
+                        logits, *rest = forwarded(net, stem, ncfg)
+                        group.add(*made, logits, *rest)
+                        no_logits.add(*made, *rest)
 
         group = groups["run_files"] = Digest()
         for b in RUN_BATCH_SIZES:
@@ -178,6 +186,7 @@ def main(argv=None) -> int:
         ]
         for path in [p for paths in written for p in paths]:
             group.add(Path(path).read_bytes())
+        groups["no_logits"] = no_logits
 
     total = hashlib.sha256()
     for name, group in groups.items():

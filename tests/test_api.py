@@ -1,8 +1,11 @@
 import ast
 import importlib
 import importlib.util
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -125,3 +128,18 @@ def test_tracer_spans_one_capture_per_train_model(small_setup, monkeypatch):
     spans = tracer.span_counts()
     assert spans[("harness.train_model", tracer_module.SETUP)] == 1
     assert spans[("model.capture_source_stats", tracer_module.SETUP)] == 1
+
+
+def test_pytest_stops_when_pythonpath_names_another_tree(tmp_path):
+    # pyproject's `pythonpath = ["src"]` imports this checkout's package ahead of the one PYTHONPATH names, so a run
+    # meant for that tree would test this one; conftest stops it and names both
+    other = tmp_path / "src"
+    (other / "neighbornorm").mkdir(parents=True)
+    (other / "neighbornorm" / "__init__.py").write_text("")
+    root = pathlib.Path(__file__).resolve().parents[1]
+    test = "tests/test_api.py::test_package_exports_resolve"
+    argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test]
+    run = subprocess.run(argv, cwd=root, env={**os.environ, "PYTHONPATH": str(other)}, capture_output=True, text=True)
+    assert run.returncode != 0, run.stdout
+    named = f"names the neighbornorm package in {other.resolve()}, but pytest imported the one in {root / 'src'}"
+    assert named in run.stderr

@@ -377,13 +377,29 @@ class TestUnreadableInput:
         assert main(["run", "--config", str(tmp_path / "cfg.json")]) == 1
         assert f"cannot read model file {tmp_path}: Is a directory" in capsys.readouterr().err
 
+    def test_train_out_that_is_a_directory_is_config_error(self, workspace, tmp_path, capsys, monkeypatch):
+        _, cfg_path = workspace
+        (tmp_path / "m.nnm").mkdir()
+        monkeypatch.setattr(cli, "train_model", lambda cfg: pytest.fail("trained the model"))
+        assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "m.nnm")]) == 1
+        assert f"cannot write {tmp_path / 'm.nnm'}: it is a directory" in capsys.readouterr().err
+
+    def test_run_file_that_is_a_directory_is_config_error(self, workspace, tmp_path, capsys, monkeypatch):
+        # the `out` prefix names no directory; one of the files the run writes from it does
+        _, cfg_path = workspace
+        (tmp_path / "run.json").mkdir()
+        monkeypatch.setattr(cli, "run_experiment", lambda *args: pytest.fail("ran a batch"))
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 1
+        assert f"cannot write {tmp_path / 'run.json'}: it is a directory" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["run.json"]
+
 
 class TestBlasThreads:
     STREAMS = {"static256": {"kind": "static", "batch_size": 256}, "b1": {"batch_size": 1, "num_batches": 24}}
 
     def test_run_files_do_not_depend_on_blas_threads(self, tmp_path):
-        # Train, then find_star runs on a B=256 stream (conv, moments, similarity and head in 64-row blocks)
-        # and a B=1 stream: their metrics files must be the same bytes under 1 and 2 BLAS threads.
+        # Train, then find_star runs on a B=256 stream (conv, moments and similarity in 64-row blocks, the head row
+        # by row) and a B=1 stream: their metrics files must be the same bytes under 1 and 2 BLAS threads.
         nproc = len(os.sched_getaffinity(0))
         if nproc < 2:
             pytest.skip("needs two cores to run two BLAS threads")

@@ -333,30 +333,15 @@ class TestNetworkForward:
             assert same_bits(feats, h.reshape(b, -1)), (mode, gating)
 
     def test_sbn_features_do_not_depend_on_the_batch(self, default_setup):
-        # sbn uses only frozen source statistics, so a sample's features alone are bitwise its row in a
-        # stock batch, across block edges at B=256 too. Logits are not: the head matmul rounds
-        # differently for one row (M=1) than for a block of rows (see the head tests below).
+        # sbn uses only frozen source statistics, and the head computes each row on its own, so a sample's
+        # features and logits alone are bitwise its row in a stock batch, across block edges too
         net, sbn = default_setup[1], NormalizerConfig(mode="sbn")
-        for b in (64, 256):
+        for b in (2, 64, 65, 256, 300):
             x = stock_batch(default_setup, b, index=1)
-            feats, _ = net.backbone(x, sbn)
+            feats, logits = net.backbone(x, sbn)[0], net.forward(x, sbn)
             for i in range(b):
                 assert same_bits(net.backbone(x[i : i + 1], sbn)[0][0], feats[i]), (b, i)
-
-    @pytest.mark.parametrize("b", [1, 2, 63, 64])
-    def test_head_of_one_block_is_one_product(self, default_setup, b):
-        net, sbn = default_setup[1], NormalizerConfig(mode="sbn")
-        x = stock_batch(default_setup, b, index=2)
-        feats, _ = net.backbone(x, sbn)
-        assert same_bits(net.forward(x, sbn), feats @ net.head.weight.T + net.head.bias)
-
-    @pytest.mark.parametrize("b", [65, 256, 300])
-    def test_head_runs_in_64_row_blocks(self, default_setup, b):
-        # above one block, a sample's logits are those of its 64-row block forwarded alone
-        net, sbn = default_setup[1], NormalizerConfig(mode="sbn")
-        x = stock_batch(default_setup, b, index=2)
-        blocks = np.concatenate([net.forward(x[i : i + 64], sbn) for i in range(0, b, 64)])
-        assert same_bits(net.forward(x, sbn), blocks)
+                assert same_bits(net.forward(x[i : i + 1], sbn)[0], logits[i]), (b, i)
 
 
 GATED_RUNS = [(mode, None) for mode in MODES]
@@ -518,6 +503,18 @@ class TestConstruction:
             x = rng.normal(size=(5, *shape)).astype(np.float32)
             for mode in MODES:
                 assert same_bits(net.forward(x, NormalizerConfig(mode=mode)), loaded.forward(x, NormalizerConfig(mode=mode))), (i, mode)
+
+    def test_an_accepted_network_whose_sbn_features_overflow_raises_at_exit(self):
+        # zero source variances over eps 2**-149 scale each sbn channel by ~2**74, so two stages overflow float32;
+        # the constructor accepts the network, and the exit check names the overflow
+        eps = 2.0**-149
+        stats = [SourceStats.with_identity_affine(ChannelStats(np.zeros(2), np.zeros(2)), eps) for _ in range(2)]
+        net = Network(kernels(5, (2, 2)), stats, LinearHead(np.ones((2, 8)), np.zeros(2), 1.0), (1, 8, 8), 0, eps)
+        x = np.random.default_rng(0).normal(size=(4, 1, 8, 8)).astype(np.float32)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="stages overflowed"):
+            net.forward(x, NormalizerConfig(mode="sbn"))
+        for mode in ("tbn", "find"):
+            assert np.isfinite(net.forward(x, NormalizerConfig(mode=mode))).all(), mode
 
 
 @st.composite
@@ -924,8 +921,9 @@ class TestBlasThreadsInTheStreamLoop:
         return subprocess.run([sys.executable, "-c", script], env=env, check=True, capture_output=True, text=True).stdout
 
     def test_b256_stream_leaves_the_blas_worker_idle(self):
-        # every product in the loop is at most 64 rows, below OpenBLAS's threading size, so its worker never
-        # wakes and the stream's noise worker keeps the second core; whole B=256 products kept it busy for 30+ ticks
+        # every BLAS product in the loop is at most 64 rows, below OpenBLAS's threading size (the head makes none),
+        # so its worker never wakes and the stream's noise worker keeps the second core; whole B=256 products kept
+        # it busy for 30+ ticks
         workers, ticks = map(int, self.run_script(WORKER_TICKS, 2).split())
         if not workers:
             pytest.skip("the BLAS library started no worker threads")
