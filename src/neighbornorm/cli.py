@@ -1,5 +1,6 @@
 """Command-line experiment runner. Each command loads the config (and, past `train`, the model file), makes one
-harness call, writes its files, prints a report and names the files. It takes only the flags listed for it here;
+harness call and prints a report; then the directory of its files is made, once every check has passed, and the files
+are written and named. A command that fails leaves no directory behind. It takes only the flags listed for it here;
 any other is argparse's usage error, exit 2, before any config is read. With `out` the output prefix:
 
 - train [--config --out]: the model file at `model_path`, the field its --out sets;
@@ -43,15 +44,16 @@ from .rules import COUNT
 
 
 def _load_cfg(args) -> ExperimentConfig:
-    """The config under the command's own flags, once the directory of the files it writes (its `--out`) exists and
-    none of those files is a directory."""
+    """The config under the command's own flags, once the directory of the files it writes (its `--out`) can be made
+    and none of those files is a directory. Nothing is made here: `main` makes the directory."""
     cfg = load_experiment_config(args.config, {field: getattr(args, dest) for dest, field in args.fields.items()})
     path = getattr(cfg, args.fields["out"])
-    try:  # before any batch runs
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create the directory of {path}: {exc}") from None
-    for written in _output_paths(args.writer, path) if args.writer else [path]:
+    existing = os.path.dirname(os.path.abspath(path))
+    while not os.path.exists(existing):  # up to the nearest ancestor that exists, which must be a directory
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ConfigError(f"cannot create the directory of {path}: {existing} is not a directory")
+    for written in [path] if args.writer is _save else _output_paths(args.writer, path):
         if os.path.isdir(written):
             raise ConfigError(f"cannot write {written}: it is a directory")
     return cfg
@@ -84,17 +86,21 @@ def _entries(flag: str, text: str, parse) -> list:
         raise ConfigError(f"{flag} {text!r}: {exc}") from None
 
 
-def cmd_train(cfg: ExperimentConfig, args) -> list[str]:
+def cmd_train(cfg: ExperimentConfig, args) -> tuple:
     net, _, meta = train_model(cfg)
-    save_model(net, cfg.model_path, meta=meta)
     print(f"clean test accuracy: {meta['clean_accuracy']:.4f}")
-    return [cfg.model_path]
+    return net, meta
 
 
-def _run_and_report(cfg: ExperimentConfig, args) -> list[str]:
-    """Stream one experiment, write it with the command's writer and report it."""
+def _save(net: Network, meta: dict, path) -> list[str]:
+    """`train`'s writer: the model file at `path`."""
+    save_model(net, path, meta=meta)
+    return [path]
+
+
+def _run_and_report(cfg: ExperimentConfig, args) -> tuple:
+    """Stream one experiment and report it."""
     record = run_experiment(_load_model_checked(cfg), cfg.bank, cfg.scenario, cfg.normalizer)
-    paths = args.writer(record, cfg.out)
     print(f"mode={cfg.normalizer.mode} scenario={cfg.scenario.kind} seed={cfg.scenario.seed}")
     print(f"mean accuracy: {record.mean_accuracy:.4f} over {record.num_samples} samples")
     for slot, summary in record.cluster_count_summary().items():
@@ -102,24 +108,24 @@ def _run_and_report(cfg: ExperimentConfig, args) -> list[str]:
     for rec in record.sensitivity or ():
         print(f"layer {rec['layer']}: raw={rec['raw_average']:.4f} "
               f"normalized={rec['normalized_score']:.4f} partition={'on' if rec['partition_enabled'] else 'off'}")
-    return paths
+    return (record,)
 
 
-def cmd_compare(cfg: ExperimentConfig, args) -> list[str]:
+def cmd_compare(cfg: ExperimentConfig, args) -> tuple:
     modes = _entries("--modes", args.modes, canonical_mode) if args.modes else MODES
     rows = compare_modes(_load_model_checked(cfg), cfg.bank, cfg.scenario, cfg.normalizer, modes=modes, seeds=cfg.seeds)
     print(f"{'mode':<10} {'mean_acc':>9} {'std':>7}   seeds={cfg.seeds}")
     for row in rows:
         print(f"{row['mode']:<10} {row['mean_accuracy']:>9.4f} {row['std_accuracy']:>7.4f}")
-    return args.writer(rows, cfg.out)
+    return (rows,)
 
 
-def cmd_sweep_batch(cfg: ExperimentConfig, args) -> list[str]:
+def cmd_sweep_batch(cfg: ExperimentConfig, args) -> tuple:
     sizes = _entries("--sizes", args.sizes, lambda s: COUNT("--sizes entry", int(s))) if args.sizes else SWEEP_BATCH_SIZES
     rows = batch_size_sweep(_load_model_checked(cfg), cfg.bank, cfg.scenario, cfg.normalizer, batch_sizes=sizes)
     for row in rows:
         print(f"batch_size={row['batch_size']:<4} accuracy={row['mean_accuracy']:.4f} ({row['num_samples']} samples)")
-    return args.writer(rows, cfg.normalizer.mode, cfg.out)
+    return rows, cfg.normalizer.mode
 
 
 # Each flag once: (type, the config field it overrides or None, help); a (command, flag) row restates it for one command.
@@ -136,8 +142,8 @@ _FLAGS = {
     ("compare", "--seed"): (int, "scenario.seed", "scenario.seed, here only the domain set's seed: the streams use seeds"),
 }
 _RUN_FLAGS = "--config --mode --alpha --gamma --seed --out"
-_COMMANDS = {  # command: (function, help, the flags it reads, the harness writer of its files, or None: train's model)
-    "train": (cmd_train, "build templates, capture source stats, fit head, write model file", "--config --out", None),
+_COMMANDS = {  # command: (function, which returns its writer's arguments but the path; help; flags it reads; writer)
+    "train": (cmd_train, "build templates, capture source stats, fit head, write model file", "--config --out", _save),
     "run": (_run_and_report, "run one experiment and write metrics", _RUN_FLAGS, write_metrics),
     "compare": (cmd_compare, "sweep normalizer modes over the configured seeds",
                 "--config --alpha --gamma --seed --out --modes", write_comparison),
@@ -165,7 +171,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        paths = args.func(_load_cfg(args), args)
+        cfg = _load_cfg(args)
+        values, path = args.func(cfg, args), getattr(cfg, args.fields["out"])
+        try:  # the one place the directory is made: every check has passed, and the first file follows
+            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create the directory of {path}: {exc}") from None
+        paths = args.writer(*values, path)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

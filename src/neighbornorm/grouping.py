@@ -7,6 +7,8 @@ sharing a first neighbor k need no link of their own: i - k - j joins them.
 Ties break toward the lowest index and the similarity matrix is exactly
 symmetric, so the graph's only cycles are mutual pairs (first[first[i]] == i)
 and ceil(log2 B) rounds of pointer jumping bring every sample onto its pair.
+A lone sample has no other to point at: its masked row is all -inf, so it
+points at itself and is one group, with no branch of its own.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ def first_neighbor_components(first: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def first_neighbor_labels(means: np.ndarray) -> tuple[np.ndarray, int]:
-    """Group id per sample and group count from (B, C) instance means, B >= 2."""
+    """Group id per sample and group count from (B, C) instance means, B >= 1: a lone sample is one group."""
     sim = cosine_similarity_matrix(means)
     np.fill_diagonal(sim, -np.inf)  # never its own first neighbor; a fresh matrix, so masked in place
     return first_neighbor_components(np.argmax(sim, axis=1))
@@ -79,14 +81,7 @@ class Partition:
 
 
 def first_neighbor_partition(x: np.ndarray) -> Partition:
-    """Group a canonical batch by the components of its first-neighbor graph.
-
-    A single-sample batch is its own group; the graph is undefined
-    without a distinct neighbor.
-    """
-    b = x.shape[0]
-    if b == 1:
-        return Partition(groups=[np.asarray([0], dtype=np.intp)])
+    """Group a canonical batch by the components of its first-neighbor graph."""
     labels, count = first_neighbor_labels(sample_moments(x)[0] / (x.shape[2] * x.shape[3]))
     order = np.argsort(labels, kind="stable")
     return Partition(groups=np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1]))

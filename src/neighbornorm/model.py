@@ -356,14 +356,6 @@ def _expected_manifest(channels: list, input_shape: list, num_classes: int) -> l
     return manifest + [["head.weight", [num_classes, head_dim]], ["head.bias", [num_classes]]]
 
 
-def _tensor_manifest(net: Network) -> list[tuple[str, np.ndarray]]:
-    arrays = list(net.conv_weights)
-    for src in net.source_stats:
-        arrays += [src.stats.mean, src.stats.var, src.affine_scale, src.affine_shift]
-    names = [name for name, _ in _expected_manifest(list(net.channels), list(net.input_shape), net.head.num_classes)]
-    return list(zip(names, arrays + [net.head.weight, net.head.bias]))
-
-
 def _check_header(header) -> None:
     """Raise ValueError unless `save_model` could have written this header, which holds every size as a JSON
     integer; `load_model` raises it as a ModelFormatError."""
@@ -389,9 +381,10 @@ def _check_header(header) -> None:
 
 
 def save_model(net: Network, path, meta: dict | None = None) -> None:
-    """Write a model file: one JSON header line, then the little-endian
-    float32 payload of every tensor in manifest order."""
-    named = _tensor_manifest(net)
+    """Write a model file: one JSON header line, whose `tensors` is `_expected_manifest` of the network's sizes, then
+    the little-endian float32 payload of those tensors in that order: the kernels, each slot's mean, var,
+    affine_scale and affine_shift, then the head's weight and bias."""
+    slots = [part for src in net.source_stats for part in (src.stats.mean, src.stats.var, src.affine_scale, src.affine_shift)]
     header = {
         "format": MODEL_FORMAT,
         "seed": net.seed,
@@ -401,21 +394,22 @@ def save_model(net: Network, path, meta: dict | None = None) -> None:
         "num_classes": net.head.num_classes,
         "ridge_lambda": net.head.ridge_lambda,
         "dtype": "<f4",
-        "tensors": [[name, list(arr.shape)] for name, arr in named],
+        "tensors": _expected_manifest(list(net.channels), list(net.input_shape), net.head.num_classes),
         "meta": meta or {},
     }
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
-        for _, arr in named:
+        for arr in [*net.conv_weights, *slots, net.head.weight, net.head.bias]:
             fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
 def load_model(path) -> tuple[Network, dict]:
     """Read a model file written by `save_model`; returns (network, meta).
 
-    Any header, tensor shape, payload size or value `save_model` would not
-    write raises ModelFormatError.
+    Any header, tensor shape, payload size or value `save_model` would not write raises ModelFormatError. The
+    header's manifest must be `_expected_manifest` of its sizes, so the payload is read by position: converted
+    to float32 once, then cut into k kernels, four vectors per slot and the head, views of that one buffer.
     """
     with open(path, "rb") as fh:
         header_line = fh.readline()
@@ -429,20 +423,14 @@ def load_model(path) -> tuple[Network, dict]:
         flat = np.frombuffer(payload, dtype="<f4")
         if not np.isfinite(flat).all():
             raise ModelFormatError("payload contains NaN or Inf")
-        ends = np.cumsum(sizes)
-        tensors = {
-            name: flat[end - size : end].reshape(shape).astype(np.float32)
-            for (name, shape), size, end in zip(header["tensors"], sizes, ends)
-        }
-        slots = range(len(header["channels"]))
-        source_stats = [
-            SourceStats(ChannelStats(tensors[f"slot{k}.mean"], tensors[f"slot{k}.var"]), tensors[f"slot{k}.affine_scale"],
-                        tensors[f"slot{k}.affine_shift"], header["eps"])
-            for k in slots
-        ]
-        head = LinearHead(tensors["head.weight"], tensors["head.bias"], header["ridge_lambda"])
-        weights = [tensors[f"conv{k}"] for k in slots]
-        net = Network(weights, source_stats, head, header["input_shape"], header["seed"], header["eps"])
+        parts = np.split(flat.astype(np.float32), np.cumsum(sizes)[:-1])
+        tensors = [part.reshape(shape) for part, (_, shape) in zip(parts, header["tensors"])]
+        k = len(header["channels"])
+        slots, (weight, bias) = tensors[k:-2], tensors[-2:]
+        source_stats = [SourceStats(ChannelStats(*slots[i : i + 2]), *slots[i + 2 : i + 4], header["eps"])
+                        for i in range(0, 4 * k, 4)]
+        head = LinearHead(weight, bias, header["ridge_lambda"])
+        net = Network(tensors[:k], source_stats, head, header["input_shape"], header["seed"], header["eps"])
     except ValueError as exc:  # the checks above and the constructors', an undecodable header, a negative variance
         raise ModelFormatError(f"{path}: {exc}") from exc
     return net, header.get("meta", {})

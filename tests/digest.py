@@ -25,15 +25,21 @@ Case groups, all on the stock config's model and templates:
   `WRITER_BATCHES`-batch `cross_mix` stream at B 16: every mode over seeds 0 and 1, the sweep at sizes 1, 4, 16
   and 64 in find, and a find_star run;
 - no_logits: the cases of forward, iter_batches and forward_mixes, in that order, with everything but their logits,
-  so a change that moves only logits shows those three groups differ while this one does not.
+  so a change that moves only logits shows those three groups differ while this one does not;
+- source_stats: each slot's source mean, var, affine scale and shift and eps, of the network `load_model` returns;
+- head: that network's head weight, bias and ridge lambda.
 
-The groups before forward_mixes are those of the first version of this script, and those before no_logits those of
-the second, so their lines can be diffed against either's output.
+Every array of the last two groups is hashed with its C-contiguity too, so they show whether the model file is read
+back into the same network. The groups before forward_mixes are those of the first version of this script, those
+before no_logits those of the second and those before source_stats those of the third, so their lines can be diffed
+against any of their outputs. The header names the BLAS numpy was built with, the thread count and kernel its
+OpenBLAS runs with, and OPENBLAS_CORETYPE: outputs depend on the kernel, so compare only outputs of one kernel.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import os
 import sys
@@ -80,6 +86,28 @@ def forwarded(net, x, cfg, gating=None) -> list:
     return [logits, *[value for tr in traces for value in (tr.cluster_count, tr.length, tr.sums, tr.m2)]]
 
 
+def blas_facts() -> str:
+    """The BLAS numpy was built with; the thread count and kernel of the OpenBLAS it loaded, read from the library
+    where its symbols can be found (else "unknown"); and OPENBLAS_CORETYPE, which picks that kernel."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = kernel = "unknown"
+    try:
+        with open("/proc/self/maps") as fh:  # the shared objects this process has mapped, on Linux
+            [lib] = {line.split()[-1] for line in fh if "openblas" in line.rsplit("/", 1)[-1].lower()}
+        lib = ctypes.CDLL(lib)
+        for name in ("scipy_openblas_{}64_", "scipy_openblas_{}", "openblas_{}"):
+            if hasattr(lib, name.format("get_num_threads")):
+                get_threads, corename = (getattr(lib, name.format(f)) for f in ("get_num_threads", "get_corename"))
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                threads, kernel = get_threads(), corename().decode()
+                break
+    except (OSError, ValueError):  # no /proc, or not exactly one OpenBLAS mapped
+        pass
+    coretype = os.environ.get("OPENBLAS_CORETYPE", "unset")
+    return f"{blas.get('name')} {blas.get('version')}, {threads} threads, kernel {kernel}, OPENBLAS_CORETYPE {coretype}"
+
+
 def forward_configs(normalization):
     NormalizerConfig = normalization.NormalizerConfig
     yield NormalizerConfig(mode="sbn"), None
@@ -104,6 +132,7 @@ def main(argv=None) -> int:
     from neighbornorm.model import load_model, save_model
 
     print(f"package: {neighbornorm.__file__}")
+    print(f"blas:    {blas_facts()}")
     groups = {}
     cfg = harness.load_experiment_config()
     with tempfile.TemporaryDirectory() as tmp:
@@ -187,6 +216,16 @@ def main(argv=None) -> int:
         for path in [p for paths in written for p in paths]:
             group.add(Path(path).read_bytes())
         groups["no_logits"] = no_logits
+
+        def layout(a: np.ndarray) -> list:
+            return [a, a.flags.c_contiguous]
+
+        group = groups["source_stats"] = Digest()
+        for src in net.source_stats:
+            group.add(*[v for a in (src.stats.mean, src.stats.var, src.affine_scale, src.affine_shift) for v in layout(a)],
+                      src.eps)
+        group = groups["head"] = Digest()
+        group.add(*layout(net.head.weight), *layout(net.head.bias), net.head.ridge_lambda)
 
     total = hashlib.sha256()
     for name, group in groups.items():

@@ -187,6 +187,15 @@ class TestRun:
             assert "cannot create the directory" in capsys.readouterr().err, command
         assert not (tmp_path / "file" / "run").exists()
 
+    def test_missing_model_leaves_no_directory(self, workspace, tmp_path, capsys):
+        _, cfg_path = workspace
+        cfg = json.loads(cfg_path.read_text())
+        cfg["model_path"] = str(tmp_path / "absent.nnm")
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "d1" / "run")]) == 1
+        assert "model file not found" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
     def test_conflicting_data_section_rejected(self, workspace, tmp_path, capsys):
         _, cfg_path = workspace
         cfg = json.loads(cfg_path.read_text())
@@ -237,6 +246,12 @@ class TestCompare:
         root, cfg_path = workspace
         assert main(["compare", "--config", str(cfg_path), "--modes", "sbn,bogus"]) == 1
         assert "bogus" in capsys.readouterr().err
+
+    def test_bad_modes_flag_leaves_no_directory(self, workspace, tmp_path, capsys):
+        _, cfg_path = workspace
+        assert main(["compare", "--config", str(cfg_path), "--modes", "bogus", "--out", str(tmp_path / "d2" / "c")]) == 1
+        assert "bogus" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     def test_compare_writes_table(self, workspace, capsys):
         root, cfg_path = workspace
@@ -290,6 +305,12 @@ class TestSweep:
         assert "batch size 1000 exceeds the sample budget of 384" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
+    def test_size_above_the_sample_budget_leaves_no_directory(self, workspace, tmp_path, capsys):
+        _, cfg_path = workspace
+        assert main(["sweep-batch", "--config", str(cfg_path), "--sizes", "999999", "--out", str(tmp_path / "d3" / "s")]) == 1
+        assert "batch size 999999 exceeds the sample budget" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
     def test_sweep_defaults_to_stock_sizes(self, workspace):
         root, cfg_path = workspace
         assert main(["sweep-batch", "--config", str(cfg_path), "--out", str(root / "out" / "stock")]) == 0
@@ -339,7 +360,7 @@ class TestFlags:
             assert landed[flag] == expected[flag], flag
         other = "out" if command == "train" else "model_path"  # the path `--out` does not set keeps the config's
         assert getattr(cfg, other) == json.loads(cfg_path.read_text())[other]
-        assert (tmp_path / "o").is_dir()
+        assert os.listdir(tmp_path) == []  # the checks make nothing: the command makes the directory once they pass
 
     @pytest.mark.parametrize("argv", [["train", "--mode", "find"], ["train", "--alpha", "0.3"], ["train", "--gamma", "5"],
                                       ["train", "--seed", "4"], ["compare", "--mode", "tbn"]])

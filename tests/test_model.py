@@ -794,6 +794,19 @@ class TestModelFileCorruption:
             with pytest.raises(ModelFormatError, match="tensor manifest"):
                 load_model(path)
 
+    def test_swapped_entries_of_one_shape(self, saved):
+        # slot0.mean and slot0.var share a shape, so only their names tell them apart; the payload is read by position
+        _, path = saved
+
+        def swap(header):
+            tensors = header["tensors"]
+            i, j = [n for n, (name, _) in enumerate(tensors) if name in ("slot0.mean", "slot0.var")]
+            tensors[i], tensors[j] = tensors[j], tensors[i]
+
+        _rewrite_header(path, swap)
+        with pytest.raises(ModelFormatError, match="tensor manifest"):
+            load_model(path)
+
     @pytest.mark.parametrize(
         "field, value",
         [
