@@ -87,12 +87,7 @@ DEFAULT_CONFIG = {
         "seed": 0,
         "dirichlet_delta": None,
     },
-    "normalizer": {
-        "mode": "find",
-        "alpha": 0.8,
-        "gamma_threshold": 0.1,
-        "cold_start_batches": 10,
-    },
+    "normalizer": asdict(NormalizerConfig()),
     "model_path": "model.nnm",
     "out": "results/run",
     "seeds": [0, 1, 2, 3, 4],
@@ -289,7 +284,7 @@ def run_experiment(net: Network, bank: TemplateBank, scenario: StreamScenario, n
     true_domain_counts = []
     correct = total = 0
 
-    # from `_BLOCK` samples up the stream runs each batch's stem a batch ahead; closing joins its worker if one raises
+    # each batch's stem a batch ahead from `_BLOCK` samples up, else the raw batch; closing joins the worker if one raises
     with closing(iter_batches(scenario, bank, net.stem(ncfg))) as batches:
         for batch, stem in batches:
             t0 = time.perf_counter()
@@ -344,8 +339,8 @@ def predictions_at(net: Network, bank: TemplateBank, scenario: StreamScenario, n
     return np.argmax(net.forward(sample_batch(scenario, bank, index).x, ncfg, gating=gating), axis=1)
 
 
-def compare_modes(net: Network, bank: TemplateBank, scenario: StreamScenario, ncfg: NormalizerConfig, modes=MODES,
-                  seeds=(0, 1, 2, 3, 4)) -> list[dict]:
+def compare_modes(net: Network, bank: TemplateBank, scenario: StreamScenario, ncfg: NormalizerConfig, modes=MODES, *,
+                  seeds) -> list[dict]:
     """One row per mode: mean and std of run accuracy over stream seeds, one or more as `SEED` checks them.
 
     All runs share the scenario apart from its seed, so rows are

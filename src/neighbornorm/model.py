@@ -13,10 +13,9 @@ The public kernels check their inputs. A `Network` checks its input once, at
 entry, runs each stage through one unchecked body, `_stage` (`_conv`; `_normalize`,
 the one FABN body, which normalizes in place; relu in place; pool), and checks at
 exit that the result is finite (else ValueError). Capture runs the same body.
-A forward is its stem and then the rest: `Network.stem` checks the batch and runs
-the first stage's conv and, except in sbn, its `sample_moments`, which depend on
-nothing but the batch; `forward` takes the raw batch, through the stem, or a `Stem`
-made earlier, which the stream computes one batch ahead on its worker thread.
+`forward` takes a raw batch, or a `Stem` that stands for it: `Network.stem` checks a
+batch and runs the first stage's conv and, except in sbn, its `sample_moments`, which
+depend on nothing but the batch, so the stream runs it one batch ahead on its worker.
 A stage sees the whole batch, as the grouping must; the two kernels whose temporaries
 grow with it, `_conv` and `sample_moments`, run over blocks of `tensors._BLOCK`
 samples, so those stay in L2, and none of their bits depends on block edges. The
@@ -281,22 +280,20 @@ class Network:
         Called on the calling thread with a raw batch, it checks the batch once and allocates the slot-0 conv
         map and, unless the mode is sbn, its per-sample moments. The callable it returns fills them, on whichever
         thread runs it, and returns the `Stem` that `forward` takes in the batch's place. The block scratch of
-        the conv and the moments is allocated on the first call (and again only for a larger block), then reused
-        by every later call, so the callables of one stem function must run one at a time, as the stream runs them.
+        the conv and the moments, sized for `_BLOCK` samples, is allocated on the first call and reused by every
+        later call, so the callables of one stem function must run one at a time, as the stream runs them.
         """
         w, measure = self.conv_weights[0], cfg.mode != "sbn"
-        block, scratch = 0, None  # samples per block the scratch holds, and the scratch
+        (c_in, height, width), c, scratch = self.input_shape, w.shape[0], None
 
         def prepare(x: np.ndarray):
-            nonlocal block, scratch
+            nonlocal scratch
             h = _checked(x, self.input_shape)
-            (b, c_in, height, width), c = h.shape, w.shape[0]
-            if block < min(b, _BLOCK):
-                block = min(b, _BLOCK)
-                moments_scratch = np.empty((block, c, height * width)) if measure else None
-                scratch = _conv_scratch(block, c_in, c, height, width), moments_scratch
-            (conv_scratch, moments_scratch), conv = scratch, np.empty((b, c, height, width), np.float32)
-            moments = np.empty((2, b, c)) if measure else None
+            if scratch is None:
+                scratch = (_conv_scratch(_BLOCK, c_in, c, height, width),
+                           np.empty((_BLOCK, c, height * width)) if measure else None)
+            (conv_scratch, moments_scratch), conv = scratch, np.empty((h.shape[0], c, height, width), np.float32)
+            moments = np.empty((2, h.shape[0], c)) if measure else None
 
             def fill() -> Stem:
                 _conv(h, w, conv, conv_scratch)
@@ -309,23 +306,25 @@ class Network:
     def backbone(self, x, cfg: NormalizerConfig, gating=None) -> tuple[np.ndarray, list[SlotTrace]]:
         """Features after all stages, plus one trace per normalization slot.
 
-        `x` is a raw batch, which goes through `stem` first, or a `Stem` of this network, which stands for
-        its batch; from there both take one path. `gating` is an optional per-slot sequence of partition
-        flags; None leaves partitioning on everywhere (only the partitioning modes look at it). Checks the
-        input once; non-finite features raise ValueError, and so does a stem that this network did not make,
-        that was forwarded already, or that was made for sbn when `cfg`'s mode measures the batch.
+        `x` is a raw batch, which is checked once, or a `Stem` of this network, which stands for its batch after
+        the first conv; from there both take one path. `gating` is an optional per-slot sequence of partition flags;
+        None leaves partitioning on everywhere (only the partitioning modes look at it). Non-finite features raise
+        ValueError, and so does a stem that this network did not make, that was forwarded already, or that was made
+        for sbn when `cfg`'s mode measures the batch.
         """
-        stem = x if isinstance(x, Stem) else self.stem(cfg)(x)()
-        if stem.net is not self or stem.conv is None:
+        if not isinstance(x, Stem):  # `first`: the first slot whose conv runs here
+            h, moments, first = _checked(x, self.input_shape), None, 0
+        elif x.net is not self or x.conv is None:
             raise ValueError("a stem is forwarded once, by the network that made it")
-        if stem.moments is None and cfg.mode != "sbn":
+        elif x.moments is None and cfg.mode != "sbn":
             raise ValueError(f"this stem was made for sbn and holds no moments; mode {cfg.mode} measures the batch")
+        else:  # the stem is spent: the first stage normalizes its map in place
+            h, moments, first, x.conv = x.conv, x.moments, 1, None
         if gating is not None and len(gating) != self.num_slots:
             raise ValueError(f"gating must list {self.num_slots} flags")
-        h, moments, traces = stem.conv, stem.moments, []
-        stem.conv = None  # spent: the first stage normalizes the map in place
+        traces = []
         for k, (w, src) in enumerate(zip(self.conv_weights, self.source_stats)):
-            if k:
+            if k >= first:
                 h, moments = _conv(h, w), None
             h, trace = _stage(h, src, cfg, True if gating is None else bool(gating[k]), moments)
             traces.append(trace)

@@ -18,19 +18,19 @@ Every batch is a pure function of (seed, batch_index mod num_batches),
 so batches can be regenerated out of order and `rounds` replays the
 identical sequence.
 
-`iter_batches` is the in-order stream loop that feeds a network: it yields
-each batch with the result of a per-batch function, such as `Network.stem`'s
-(the network's first conv and moments). From one block (`tensors._BLOCK`
-samples) per batch up, a worker thread runs that work one batch ahead and
-draws the noise of the batch after next, which numpy does outside the GIL,
-while the caller works on the current batch. Smaller batches run serially: a
-hand-off costs more than their draw. Batches alone come from `sample_batch`.
+`iter_batches` is the in-order stream loop that feeds a network. From one
+block (`tensors._BLOCK` samples) per batch up, it yields each batch with the
+result of a per-batch function, such as `Network.stem`'s, which a worker thread
+runs one batch ahead after drawing the noise of the batch after next (numpy
+does that outside the GIL). Smaller batches run serially, each with its map as
+its result: a hand-off costs more than their draw. Batches alone come from
+`sample_batch`.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,7 +112,7 @@ def make_domains(num_domains: int, severity: int, seed: int) -> list[DomainSpec]
 @dataclass(frozen=True)
 class StreamScenario:
     kind: str
-    domains: list = field(default_factory=list)
+    domains: list
     batch_size: int = 64
     num_batches: int = 100
     rounds: int = 1
@@ -275,19 +275,19 @@ def sample_batch(scenario: StreamScenario, bank: TemplateBank, batch_index: int)
 def iter_batches(scenario: StreamScenario, bank: TemplateBank, stem):
     """Every batch of the scenario in order, byte for byte `sample_batch`'s, as (batch, result) pairs.
 
-    `stem` is a per-batch function such as `Network.stem`'s: called on the calling thread with a batch's map, it
-    allocates what its work writes and returns a callable that does the work. `result` is a callable that returns
-    the work's result and raises its error. From `_BLOCK` samples per batch up, the prologue, the buffers and the
+    From `_BLOCK` samples per batch up, `stem` is a per-batch function such as `Network.stem`'s: called on the
+    calling thread with a batch's map, it allocates what its work writes and returns a callable that does the work.
+    `result` is a callable that returns the work's result and raises its error. The prologue, the buffers and the
     epilogue stay on the calling thread; while the caller holds a batch, the worker draws the noise of the batch
     after next, then runs the next batch's work. An error in the calling-thread part of `stem` is raised when the
-    batch is made, one batch early. Smaller batches run serially, the work when `result` is called. Close or
-    exhaust the generator to join the worker.
+    batch is made, one batch early. Smaller batches run serially and `stem` is never called: `result` returns the
+    batch's map, which `Network.forward` takes as it is. Close or exhaust the generator to join the worker.
     """
     total = scenario.total_batches
     if scenario.batch_size < _BLOCK:
         for i in range(total):
             batch = sample_batch(scenario, bank, i)
-            yield batch, stem(batch.x)
+            yield batch, lambda x=batch.x: x
         return
     with ThreadPoolExecutor(1) as worker:
 

@@ -14,7 +14,8 @@ Case groups, all on the stock config's model and templates:
 - forward: logits, per-slot cluster counts and trace `sums`/`m2` of `cross_mix` and `static` batches 0 and 3 at
   each batch size below, in every mode, `alpha_bn` at several alphas and `find_star` under every gating;
 - iter_batches: each batch, its stem's conv map and moments, and the logits of forwarding the stem, streamed with
-  `Network.stem` in `sbn` and in `find` at the stream batch sizes below;
+  `Network.stem` in `sbn` and in `find` at the stream batch sizes below (below one block, where the stream runs
+  none, a stem made here for the batch);
 - run_files: the JSON and CSV bytes `write_metrics` gives for one stock-stream `run_experiment` per mode at
   B 1 and 64;
 - forward_mixes: the forward group's cases on `shuffle`, `random` and `wild` batches;
@@ -27,13 +28,16 @@ Case groups, all on the stock config's model and templates:
 - no_logits: the cases of forward, iter_batches and forward_mixes, in that order, with everything but their logits,
   so a change that moves only logits shows those three groups differ while this one does not;
 - source_stats: each slot's source mean, var, affine scale and shift and eps, of the network `load_model` returns;
-- head: that network's head weight, bias and ridge lambda.
+- head: that network's head weight, bias and ridge lambda;
+- small_model_file: the bytes of the model file `train_model` and `save_model` write for tests/conftest.py's
+  SMALL_CONFIG, whose head follows the BLAS thread count (the stock model's does not).
 
-Every array of the last two groups is hashed with its C-contiguity too, so they show whether the model file is read
+Every array of source_stats and head is hashed with its C-contiguity too, so they show whether the model file is read
 back into the same network. The groups before forward_mixes are those of the first version of this script, those
-before no_logits those of the second and those before source_stats those of the third, so their lines can be diffed
-against any of their outputs. The header names the BLAS numpy was built with, the thread count and kernel its
-OpenBLAS runs with, and OPENBLAS_CORETYPE: outputs depend on the kernel, so compare only outputs of one kernel.
+before no_logits those of the second, those before source_stats those of the third and those before small_model_file
+those of the fourth, so their lines can be diffed against any of their outputs. The header names the BLAS numpy was
+built with, the thread count and kernel its OpenBLAS runs with, and OPENBLAS_CORETYPE: outputs depend on the kernel,
+so compare only outputs of one kernel.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import hashlib
+import json
 import os
 import sys
 import tempfile
@@ -128,6 +133,7 @@ def main(argv=None) -> int:
         parser.error(f"{src} holds no neighbornorm package")
     sys.path.insert(0, str(src))
     import neighbornorm
+    from conftest import SMALL_CONFIG
     from neighbornorm import harness, normalization, stream
     from neighbornorm.model import load_model, save_model
 
@@ -176,7 +182,9 @@ def main(argv=None) -> int:
             for ncfg in (normalization.NormalizerConfig(mode="sbn"), normalization.NormalizerConfig(mode="find")):
                 with closing(stream.iter_batches(sc, bank, net.stem(ncfg))) as batches:
                     for batch, result in batches:
-                        stem = result()  # copied before the forward, which normalizes the conv map in place
+                        stem = result()  # below one block the batch's map: its stem is made here
+                        stem = net.stem(ncfg)(stem)() if isinstance(stem, np.ndarray) else stem
+                        # copied before the forward, which normalizes the conv map in place
                         made = [batch.x, batch.labels, batch.domain_ids] + [
                             a if a is None else a.copy() for a in (stem.conv, stem.moments)]
                         logits, *rest = forwarded(net, stem, ncfg)
@@ -226,6 +234,13 @@ def main(argv=None) -> int:
                       src.eps)
         group = groups["head"] = Digest()
         group.add(*layout(net.head.weight), *layout(net.head.bias), net.head.ridge_lambda)
+
+        group = groups["small_model_file"] = Digest()
+        config_path, small_path = os.path.join(tmp, "small.json"), os.path.join(tmp, "small.nnm")
+        Path(config_path).write_text(json.dumps(SMALL_CONFIG))
+        small, _, small_meta = harness.train_model(harness.load_experiment_config(config_path))
+        save_model(small, small_path, meta=small_meta)
+        group.add(Path(small_path).read_bytes())
 
     total = hashlib.sha256()
     for name, group in groups.items():

@@ -350,7 +350,7 @@ GATED_RUNS += [("find_star", gating) for gating in ((True, False), (False, True)
 
 class TestStem:
     """`Network.stem` checks a batch and runs its first conv and moments ahead of the network; `forward` of the
-    resulting `Stem` is the forward of the batch, which itself goes through the stem."""
+    resulting `Stem` is the forward of the batch, which makes no stem."""
 
     @staticmethod
     def outputs(net, x, cfg, gating):
@@ -369,6 +369,18 @@ class TestStem:
                 assert ours.cluster_count == theirs.cluster_count, (mode, gating)
                 for a, b_ in ((ours.sums, theirs.sums), (ours.m2, theirs.m2)):
                     assert a is b_ is None or same_bits(a, b_), (mode, gating)
+
+    @pytest.mark.parametrize("b", [1, 64])
+    def test_a_raw_forward_makes_no_stem(self, default_setup, monkeypatch, b):
+        net, x = default_setup[1], stock_batch(default_setup, b)
+        expected = [net.forward(x, NormalizerConfig(mode=mode)) for mode in MODES]
+
+        def stem(self, cfg):
+            raise AssertionError("a raw forward made a stem")
+
+        monkeypatch.setattr(Network, "stem", stem)
+        for mode, logits in zip(MODES, expected):
+            assert same_bits(net.forward(x, NormalizerConfig(mode=mode)), logits), mode
 
     def test_one_stem_function_serves_a_stream_with_fresh_moments(self, default_setup):
         # the scratch is shared by the batches of one function; the traces of a forwarded batch keep their bits
@@ -406,6 +418,25 @@ class TestStem:
         net = default_setup[1]
         with pytest.raises(ValueError, match="does not match network input"):
             net.stem(NormalizerConfig())(np.zeros((2, 1, 8, 8), np.float32))
+
+    @pytest.mark.parametrize("mode", ["sbn", "find"])
+    def test_the_scratch_is_one_block_allocated_at_the_first_call(self, default_setup, mode):
+        # making the stem function allocates no scratch; its first call, even on one sample, allocates the block
+        # scratch for `_BLOCK` samples, and later calls only their own outputs
+        net, x = default_setup[1], stock_batch(default_setup, 1)
+        tracemalloc.start()
+        try:
+            stem = net.stem(NormalizerConfig(mode=mode))
+            made = tracemalloc.get_traced_memory()[0]
+            first = stem(x)
+            after_first = tracemalloc.get_traced_memory()[0]
+            second = stem(x)
+            after_second = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        cols = 64 * 9 * 16 * 18 * 4  # the im2col columns of one block of stock 1 x 16 x 16 samples
+        assert made < 4096 and after_first - made > cols and after_second - after_first < 32 * 1024
+        assert first().conv.shape == second().conv.shape == (1, 8, 16, 16)
 
     @pytest.mark.parametrize("mode", ["sbn", "find"])
     def test_the_work_allocates_no_batch_sized_array(self, default_setup, mode):
