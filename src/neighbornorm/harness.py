@@ -16,6 +16,7 @@ import os
 import time
 from contextlib import closing, contextmanager
 from dataclasses import asdict, dataclass, field, replace
+from itertools import islice
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .stream import (
     make_domains,
     sample_batch,
 )
+from .tensors import _BLOCK
 
 __all__ = [
     "ConfigError",
@@ -221,7 +223,7 @@ class MetricsRecord:
     sensitivity: list | None
     metadata: dict
     # sidecar only: each batch's forward on the calling thread; from `_BLOCK` samples up, its stem ran on the
-    # stream's worker beforehand, so only any wait for it counts
+    # stream's worker beforehand, so only any wait for it counts; at B=1, an equal share of its stack's forward
     per_batch_seconds: list = field(default_factory=list)
     predictions: list = field(default_factory=list)  # in-memory only
     true_domain_counts: list = field(default_factory=list)  # diagnostics channel only
@@ -284,27 +286,38 @@ def run_experiment(net: Network, bank: TemplateBank, scenario: StreamScenario, n
     true_domain_counts = []
     correct = total = 0
 
+    # one-sample batches share no statistic, so up to `_BLOCK` of them go through one forward as `singles`, a stack
+    # that ends where find_star's cold start does; the gate applies from the next stack on
+    b, singles = scenario.batch_size, scenario.batch_size == 1
+    block = _BLOCK if singles else 1
     # each batch's stem a batch ahead from `_BLOCK` samples up, else the raw batch; closing joins the worker if one raises
     with closing(iter_batches(scenario, bank, net.stem(ncfg))) as batches:
-        for batch, stem in batches:
+        while True:
+            cold = ncfg.mode == "find_star" and sensitivity is None
+            stack = list(islice(batches, min(block, ncfg.cold_start_batches - len(scores)) if cold else block))
+            if not stack:
+                break
             t0 = time.perf_counter()
-            logits, traces = net.forward(stem(), ncfg, gating=gating, collect_traces=True)
-            if ncfg.mode == "find_star" and sensitivity is None:
-                scores.append(_layer_scores(net, traces))
+            x = stack[0][1]() if len(stack) == 1 else np.concatenate([stem() for _, stem in stack])
+            logits, traces = net.forward(x, ncfg, gating=gating, collect_traces=True, singles=singles)
+            if cold:
+                scores += [_layer_scores(net, [tr.row(j) for tr in traces] if singles else traces) for j in range(len(stack))]
                 if len(scores) == ncfg.cold_start_batches:
                     sensitivity = layer_gate(scores, ncfg.gamma_threshold)
                     gating = [rec["partition_enabled"] for rec in sensitivity]
-            per_batch_seconds.append(time.perf_counter() - t0)
+            per_batch_seconds += [(time.perf_counter() - t0) / len(stack)] * len(stack)
 
-            preds = logits.argmax(axis=1)
-            predictions.append(preds)
-            hits = int(np.count_nonzero(preds == batch.labels))
-            correct += hits
-            total += batch.labels.shape[0]
-            per_batch_acc.append(hits / batch.labels.shape[0])
-            for name, tr in zip(slot_names, traces):
-                cluster_counts[name].append(tr.cluster_count)
-            true_domain_counts.append(int(np.count_nonzero(np.bincount(batch.domain_ids))))
+            all_preds = logits.argmax(axis=1)
+            for j, (batch, _) in enumerate(stack):
+                preds = all_preds[j * b : (j + 1) * b]
+                predictions.append(preds)
+                hits = int(np.count_nonzero(preds == batch.labels))
+                correct += hits
+                total += b
+                per_batch_acc.append(hits / b)
+                for name, tr in zip(slot_names, traces):
+                    cluster_counts[name].append(tr.cluster_count)
+                true_domain_counts.append(int(np.count_nonzero(np.bincount(batch.domain_ids))))
 
     return MetricsRecord(
         scenario=asdict(scenario),
@@ -394,7 +407,8 @@ def _dump_csv(path, header: list, rows) -> None:
 def write_metrics(record: MetricsRecord, out_prefix) -> list[str]:
     """Write <out>.json and <out>.csv (deterministic) plus <out>.timing.json
     (wall clock of each batch's forward on the calling thread, as `MetricsRecord.per_batch_seconds`
-    says; excluded from determinism guarantees)."""
+    says: at B=1 an equal share of the forward of its stack, so `total_seconds` still sums the forwards;
+    excluded from determinism guarantees)."""
     json_path, csv_path, timing_path = _output_paths(write_metrics, out_prefix)
     doc = {
         "scenario": record.scenario,

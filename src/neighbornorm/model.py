@@ -176,10 +176,11 @@ def _checked(x: np.ndarray, input_shape: tuple) -> np.ndarray:
 
 
 def _stage(conv: np.ndarray, src: SourceStats, cfg: NormalizerConfig, enabled: bool = True,
-           moments: np.ndarray | None = None) -> tuple[np.ndarray, SlotTrace]:
+           moments: np.ndarray | None = None, singles: bool = False) -> tuple[np.ndarray, SlotTrace]:
     """One stage after its conv, on a conv map of any batch size, unchecked: normalize the map in place against
-    `src` (`moments`: its `sample_moments`, if measured already), relu in place, pool."""
-    h, trace = _normalize(conv, src, cfg, enabled, moments)
+    `src` (`moments`: its `sample_moments`, if measured already; `singles`: each row a one-sample batch), relu in
+    place, pool."""
+    h, trace = _normalize(conv, src, cfg, enabled, moments, singles=singles)
     return avg_pool_2x2(np.maximum(h, 0.0, out=h)), trace
 
 
@@ -303,8 +304,9 @@ class Network:
 
         return prepare
 
-    def backbone(self, x, cfg: NormalizerConfig, gating=None) -> tuple[np.ndarray, list[SlotTrace]]:
-        """Features after all stages, plus one trace per normalization slot.
+    def backbone(self, x, cfg: NormalizerConfig, gating=None, *,
+                 singles: bool = False) -> tuple[np.ndarray, list[SlotTrace]]:
+        """Features after all stages, plus one trace per normalization slot; `singles` as `forward` takes it.
 
         `x` is a raw batch, which is checked once, or a `Stem` of this network, which stands for its batch after
         the first conv; from there both take one path. `gating` is an optional per-slot sequence of partition flags;
@@ -326,14 +328,15 @@ class Network:
         for k, (w, src) in enumerate(zip(self.conv_weights, self.source_stats)):
             if k >= first:
                 h, moments = _conv(h, w), None
-            h, trace = _stage(h, src, cfg, True if gating is None else bool(gating[k]), moments)
+            h, trace = _stage(h, src, cfg, True if gating is None else bool(gating[k]), moments, singles)
             traces.append(trace)
         return _finite(h.reshape(h.shape[0], -1)), traces
 
-    def forward(self, x, cfg: NormalizerConfig, gating=None, collect_traces: bool = False):
+    def forward(self, x, cfg: NormalizerConfig, gating=None, collect_traces: bool = False, *, singles: bool = False):
         """Class scores (B, K) of a raw batch or its `Stem`, as `backbone` takes them; with `collect_traces`, also
-        per-slot traces."""
-        feats, traces = self.backbone(x, cfg, gating)
+        per-slot traces. With `singles`, each row of `x` is a one-sample batch of its own: its logits are bitwise
+        its forward alone, and `SlotTrace.row` is its trace, so one call forwards many such batches."""
+        feats, traces = self.backbone(x, cfg, gating, singles=singles)
         logits = np.einsum("bd,kd->bk", feats, self.head.weight)  # row by row, no BLAS call: no row sees the batch
         logits += self.head.bias
         return (logits, traces) if collect_traces else logits

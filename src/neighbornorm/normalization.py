@@ -115,6 +115,10 @@ class SlotTrace:
     def batch_stats(self) -> ChannelStats | None:
         return None if self.sums is None else pooled_stats(self.sums, self.m2, self.length)
 
+    def row(self, j: int) -> "SlotTrace":
+        """Sample j's trace, of a map normalized with `singles`: the trace of its one-sample batch alone."""
+        return SlotTrace(self.cluster_count, *(None if m is None else m[j : j + 1] for m in (self.sums, self.m2)), self.length)
+
 
 def apply_normalizer(
     x: np.ndarray,
@@ -136,19 +140,20 @@ def apply_normalizer(
 
 
 def _normalize(x: np.ndarray, src: SourceStats, cfg: NormalizerConfig, partition_enabled: bool,
-               moments: np.ndarray | None = None) -> tuple[np.ndarray, SlotTrace]:
+               moments: np.ndarray | None = None, *, singles: bool = False) -> tuple[np.ndarray, SlotTrace]:
     """`apply_normalizer` of a canonical map with `src`'s channel count, which it normalizes in place, unchecked.
     `moments` is the map's `sample_moments` if the caller measured it already (the network's stem does); else,
     except in sbn, it is measured here. Mean and variance travel as one (2, count, C) array. A one-sample batch
-    is its own group, `moments / L`: `merge_moments`' bits, without labels or a merge. Each group's row blends
-    alpha parts source with (1 - alpha) parts test, except in tbn."""
+    is its own group, `moments / L`: `merge_moments`' bits, without labels or a merge. With `singles`, every row
+    is such a batch of its own, normalized bitwise as alone; the trace's count, 1 or None, holds for each row.
+    Each group's row blends alpha parts source with (1 - alpha) parts test, except in tbn."""
     b, _, h, w = x.shape
     if cfg.mode == "sbn":  # one group; the batch is not measured
         mean, scale, trace = src.stats.mean[None], src._sbn_scale, SlotTrace(None, None, None, h * w)
     else:
         moments = sample_moments(x) if moments is None else moments
         grouped = cfg.mode in ("find", "find_star") and partition_enabled
-        if b == 1:  # the sample is its own group
+        if b == 1 or singles:  # each sample is its own group: elementwise over rows
             labels, count, mv = None, 1, (moments / (h * w)).astype(np.float32)
         else:
             labels, count = first_neighbor_labels(moments[0] / (h * w)) if grouped else (np.zeros(b, np.intp), 1)

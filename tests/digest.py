@@ -31,11 +31,15 @@ Case groups, all on the stock config's model and templates:
 - head: that network's head weight, bias and ridge lambda;
 - small_model_file: the bytes of the model file `train_model` and `save_model` write for tests/conftest.py's
   SMALL_CONFIG, whose head follows the BLAS thread count (the stock model's does not).
+- one_sample_runs: the JSON and CSV bytes `write_metrics` gives for `ONE_SAMPLE_BATCHES`-batch `cross_mix` and
+  `static` runs at B 1, in every mode, find_star at each of `ONE_SAMPLE_COLD_STARTS`, where the run forwards up to
+  64 batches at a time.
 
 Every array of source_stats and head is hashed with its C-contiguity too, so they show whether the model file is read
 back into the same network. The groups before forward_mixes are those of the first version of this script, those
-before no_logits those of the second, those before source_stats those of the third and those before small_model_file
-those of the fourth, so their lines can be diffed against any of their outputs. The header names the BLAS numpy was
+before no_logits those of the second, those before source_stats those of the third, those before small_model_file
+those of the fourth and those before one_sample_runs those of the fifth, so their lines can be diffed against any of
+their outputs. The header names the BLAS numpy was
 built with, the thread count and kernel its OpenBLAS runs with, and OPENBLAS_CORETYPE: outputs depend on the kernel,
 so compare only outputs of one kernel.
 """
@@ -64,6 +68,8 @@ MIX_KINDS = ("shuffle", "random", "wild")
 WRITER_BATCHES = 12
 ALPHAS = (0.0, 0.3, 0.8, 1.0)
 GATINGS = (None, (True, False), (False, True), (False, False))
+ONE_SAMPLE_BATCHES = 130
+ONE_SAMPLE_COLD_STARTS = (10, 64, 65)
 
 
 class Digest:
@@ -241,6 +247,16 @@ def main(argv=None) -> int:
         small, _, small_meta = harness.train_model(harness.load_experiment_config(config_path))
         save_model(small, small_path, meta=small_meta)
         group.add(Path(small_path).read_bytes())
+
+        group = groups["one_sample_runs"] = Digest()
+        for kind in ("cross_mix", "static"):
+            sc = scenario(kind, 1, num_batches=ONE_SAMPLE_BATCHES)
+            configs = [replace(cfg.normalizer, mode=mode) for mode in normalization.MODES if mode != "find_star"]
+            configs += [replace(cfg.normalizer, mode="find_star", cold_start_batches=c) for c in ONE_SAMPLE_COLD_STARTS]
+            for ncfg in configs:
+                json_path, csv_path, _ = harness.write_metrics(harness.run_experiment(net, bank, sc, ncfg),
+                                                               os.path.join(tmp, f"single_{kind}_{ncfg.mode}"))
+                group.add(Path(json_path).read_bytes(), Path(csv_path).read_bytes())
 
     total = hashlib.sha256()
     for name, group in groups.items():

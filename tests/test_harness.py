@@ -368,6 +368,42 @@ class TestRunExperiment:
         for ours, theirs in zip(rec.predictions, preds, strict=True):
             assert np.array_equal(ours, theirs)
 
+    @pytest.mark.parametrize("mode, num_batches, cold", [*((mode, n, 10) for mode in MODES for n in (1, 65, 130)),
+                                                         *(("find_star", 130, cold) for cold in (1, 64, 65))])
+    def test_one_sample_batches_forward_in_stacks(self, small_setup, monkeypatch, mode, num_batches, cold):
+        # at B=1 up to 64 batches share a forward, a stack that ends at find_star's last cold-start batch; the record
+        # is a loop's that forwards each `sample_batch` alone, with the gate from batch `cold` on
+        cfg, net, bank, _, _ = small_setup
+        sc = replace(cfg.scenario, batch_size=1, num_batches=num_batches)
+        ncfg = NormalizerConfig(mode=mode, cold_start_batches=cold)
+        real_forward, forwarded = model.Network.forward, []
+
+        def forward(self, x, *args, **kwargs):
+            forwarded.append(x.shape[0])
+            return real_forward(self, x, *args, **kwargs)
+
+        monkeypatch.setattr(model.Network, "forward", forward)
+        rec = run_experiment(net, bank, sc, ncfg)
+        monkeypatch.undo()
+        head = min(cold, num_batches) if mode == "find_star" else 0
+        assert forwarded == [min(64, end - i) for start, end in ((0, head), (head, num_batches)) for i in range(start, end, 64)]
+
+        batches, scores, gate, outs = [sample_batch(sc, bank, i) for i in range(num_batches)], [], None, []
+        for batch in batches:
+            outs.append(net.forward(batch.x, ncfg, gating=gate, collect_traces=True))
+            if mode == "find_star" and gate is None:
+                scores.append(harness._layer_scores(net, outs[-1][1]))
+                if len(scores) == cold:
+                    sensitivity = layer_gate(scores, ncfg.gamma_threshold)
+                    gate = [r["partition_enabled"] for r in sensitivity]
+        assert rec.sensitivity == (None if gate is None else sensitivity)
+        preds = [logits.argmax(axis=1) for logits, _ in outs]
+        assert rec.per_batch_accuracy == [float(p[0] == batch.labels[0]) for p, batch in zip(preds, batches)]
+        assert rec.cluster_counts == {f"slot{k}": [traces[k].cluster_count for _, traces in outs] for k in range(net.num_slots)}
+        assert rec.true_domain_counts == [1] * num_batches
+        for ours, theirs in zip(rec.predictions, preds, strict=True):
+            assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+
     def test_raising_forward_leaves_no_thread(self, small_setup, monkeypatch):
         # the exception's traceback keeps `run_experiment`'s frame alive; the stream's worker must be joined anyway,
         # whether the forward raises on the calling thread or a batch's stem on the worker
@@ -652,6 +688,12 @@ class TestOutputs:
         assert len(doc["per_batch"]["accuracy"]) == cfg.scenario.total_batches
         timing = json.loads((tmp_path / "m.timing.json").read_text())
         assert len(timing["per_batch_seconds"]) == cfg.scenario.total_batches
+        # at B=1 each batch's entry is an equal share of its stack's forward: the cold start's 10, then 64 a stack
+        sc = replace(cfg.scenario, batch_size=1, num_batches=80)
+        write_metrics(run_experiment(net, bank, sc, NormalizerConfig(mode="find_star", cold_start_batches=10)), tmp_path / "s")
+        seconds = json.loads((tmp_path / "s.timing.json").read_text())["per_batch_seconds"]
+        assert [len(set(seconds[i:j])) for i, j in ((0, 10), (10, 74), (74, 80))] == [1, 1, 1]
+        assert len(seconds) == 80 and all(s > 0 for s in seconds)
 
     def test_diagnostics_series_per_mode(self, small_setup, tmp_path):
         cfg, net, bank, _, _ = small_setup

@@ -343,6 +343,31 @@ class TestNetworkForward:
                 assert same_bits(net.backbone(x[i : i + 1], sbn)[0][0], feats[i]), (b, i)
                 assert same_bits(net.forward(x[i : i + 1], sbn)[0], logits[i]), (b, i)
 
+    @pytest.mark.parametrize("s", [1, 2, 63, 64, 65, 300])
+    def test_singles_forward_each_row_as_its_own_batch(self, default_setup, s):
+        # with `singles`, a stack of S one-sample batches goes through one forward: each row's logits and
+        # `SlotTrace.row` are bitwise that sample's forward alone, in every mode and gating, across block edges
+        net, x = default_setup[1], stock_batch(default_setup, s, index=2)
+        runs = [(NormalizerConfig(mode=mode), gating) for mode, gating in GATED_RUNS]
+        runs += [(NormalizerConfig(mode="alpha_bn", alpha=alpha), None) for alpha in (0.0, 1.0)]
+        for cfg, gating in runs:
+            logits, traces = net.forward(x, cfg, gating=gating, collect_traces=True, singles=True)
+            for i in range(s):
+                alone, alone_traces = net.forward(x[i : i + 1], cfg, gating=gating, collect_traces=True)
+                assert same_bits(logits[i : i + 1], alone), (cfg, gating, i)
+                for row, theirs in zip([tr.row(i) for tr in traces], alone_traces, strict=True):
+                    assert row.cluster_count == theirs.cluster_count, (cfg, gating, i)
+                    for a, b_ in ((row.sums, theirs.sums), (row.m2, theirs.m2)):
+                        assert a is b_ is None or same_bits(a, b_), (cfg, gating, i)
+
+    def test_a_stack_needs_singles(self, default_setup):
+        # without the flag a stack is one batch: tbn normalizes every row by the stack's statistics
+        net, x, tbn = default_setup[1], stock_batch(default_setup, 64, index=2), NormalizerConfig(mode="tbn")
+        stacked, singles = net.forward(x, tbn), net.forward(x, tbn, singles=True)
+        alone = np.concatenate([net.forward(x[i : i + 1], tbn) for i in range(64)])
+        assert same_bits(singles, alone)
+        assert not np.array_equal(stacked, alone)
+
 
 GATED_RUNS = [(mode, None) for mode in MODES]
 GATED_RUNS += [("find_star", gating) for gating in ((True, False), (False, True), (False, False))]
