@@ -282,9 +282,7 @@ def run_experiment(net: Network, bank: TemplateBank, scenario: StreamScenario, n
     scores, gating, sensitivity = [], None, None  # find_star: cold-start scores, then the frozen gate
     slot_names = [f"slot{k}" for k in range(net.num_slots)]
     cluster_counts = {name: [] for name in slot_names}
-    per_batch_acc, per_batch_seconds, predictions = [], [], []
-    true_domain_counts = []
-    correct = total = 0
+    per_batch_hits, per_batch_seconds, predictions, true_domain_counts = [], [], [], []
 
     # one-sample batches share no statistic, so up to `_BLOCK` of them go through one forward as `singles`, a stack
     # that ends where find_star's cold start does; the gate applies from the next stack on
@@ -297,35 +295,31 @@ def run_experiment(net: Network, bank: TemplateBank, scenario: StreamScenario, n
             stack = list(islice(batches, min(block, ncfg.cold_start_batches - len(scores)) if cold else block))
             if not stack:
                 break
-            t0 = time.perf_counter()
-            x = stack[0][1]() if len(stack) == 1 else np.concatenate([stem() for _, stem in stack])
+            n, t0 = len(stack), time.perf_counter()
+            x = stack[0][1]() if n == 1 else np.concatenate([stem() for _, stem in stack])
             logits, traces = net.forward(x, ncfg, gating=gating, collect_traces=True, singles=singles)
             if cold:
-                scores += [_layer_scores(net, [tr.row(j) for tr in traces] if singles else traces) for j in range(len(stack))]
+                scores += [_layer_scores(net, [tr.row(j) for tr in traces] if singles else traces) for j in range(n)]
                 if len(scores) == ncfg.cold_start_batches:
                     sensitivity = layer_gate(scores, ncfg.gamma_threshold)
                     gating = [rec["partition_enabled"] for rec in sensitivity]
-            per_batch_seconds += [(time.perf_counter() - t0) / len(stack)] * len(stack)
+            per_batch_seconds += [(time.perf_counter() - t0) / n] * n
 
-            all_preds = logits.argmax(axis=1)
-            for j, (batch, _) in enumerate(stack):
-                preds = all_preds[j * b : (j + 1) * b]
-                predictions.append(preds)
-                hits = int(np.count_nonzero(preds == batch.labels))
-                correct += hits
-                total += b
-                per_batch_acc.append(hits / b)
-                for name, tr in zip(slot_names, traces):
-                    cluster_counts[name].append(tr.cluster_count)
-                true_domain_counts.append(int(np.count_nonzero(np.bincount(batch.domain_ids))))
+            preds = logits.argmax(axis=1).reshape(n, b)  # the stack's record, a row per batch
+            per_batch_hits += np.count_nonzero(preds == np.stack([batch.labels for batch, _ in stack]), axis=1).tolist()
+            predictions += list(preds)
+            for name, tr in zip(slot_names, traces):
+                cluster_counts[name] += [tr.cluster_count] * n
+            domains = np.sort(np.stack([batch.domain_ids for batch, _ in stack]), axis=1)
+            true_domain_counts += (1 + np.count_nonzero(np.diff(domains, axis=1), axis=1)).tolist()
 
     return MetricsRecord(
         scenario=asdict(scenario),
         normalizer=asdict(ncfg),
-        mean_accuracy=correct / total,
+        mean_accuracy=sum(per_batch_hits) / (b * len(per_batch_hits)),
         num_batches=scenario.total_batches,
-        num_samples=total,
-        per_batch_accuracy=per_batch_acc,
+        num_samples=b * len(per_batch_hits),
+        per_batch_accuracy=[hits / b for hits in per_batch_hits],
         cluster_counts=cluster_counts,
         sensitivity=sensitivity,
         metadata={"cold_start_predictions_counted": True},
@@ -342,14 +336,14 @@ def predictions_at(net: Network, bank: TemplateBank, scenario: StreamScenario, n
     that includes the layer gate, replayed here from the cold-start
     batches alone.
     """
-    gating = None
+    x, gating = sample_batch(scenario, bank, index).x, None  # which checks `index`
     if ncfg.mode == "find_star" and index >= ncfg.cold_start_batches:
         scores = []
         for i in range(ncfg.cold_start_batches):
             _, traces = net.forward(sample_batch(scenario, bank, i).x, ncfg, collect_traces=True)
             scores.append(_layer_scores(net, traces))
         gating = [rec["partition_enabled"] for rec in layer_gate(scores, ncfg.gamma_threshold)]
-    return np.argmax(net.forward(sample_batch(scenario, bank, index).x, ncfg, gating=gating), axis=1)
+    return np.argmax(net.forward(x, ncfg, gating=gating), axis=1)
 
 
 def compare_modes(net: Network, bank: TemplateBank, scenario: StreamScenario, ncfg: NormalizerConfig, modes=MODES, *,

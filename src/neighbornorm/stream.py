@@ -23,8 +23,9 @@ block (`tensors._BLOCK` samples) per batch up, it yields each batch with the
 result of a per-batch function, such as `Network.stem`'s, which a worker thread
 runs one batch ahead after drawing the noise of the batch after next (numpy
 does that outside the GIL). Smaller batches run serially, each with its map as
-its result: a hand-off costs more than their draw. Batches alone come from
-`sample_batch`.
+its result: a hand-off costs more than their draw. They are drawn a stack of
+ceil(_BLOCK / B) at a time, each from its own seed, in one float32 pass.
+Batches alone come from `sample_batch`, a draw of one.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rules import COUNT, FINITE, INTEGER, NONNEGATIVE, NUM_CLASSES, POSITIVE, SEED, SEVERITY, one_of
+from .rules import COUNT, FINITE, INTEGER, NONNEGATIVE, NUM_CLASSES, POSITIVE, SEED, SEVERITY, _number, one_of
 from .tensors import _BLOCK
 
 __all__ = [
@@ -206,10 +207,8 @@ def _block_labels(rng: np.random.Generator, scenario_kind: str, delta: float | N
 
 def _mixed_domain_ids(rng: np.random.Generator, b: int, m: int) -> np.ndarray:
     """All m domains present whenever the batch is large enough."""
-    if b >= m:
-        base = rng.permutation(m)
-        extra = rng.integers(0, m, size=b - m)
-        return rng.permutation(np.concatenate([base, extra]))
+    if b >= m:  # a permutation of all m, then b - m more ids, shuffled together
+        return rng.permutation(np.concatenate([rng.permutation(m), rng.integers(0, m, size=b - m)]))
     return rng.permutation(m)[:b]
 
 
@@ -233,43 +232,49 @@ def _domain_ids(rng: np.random.Generator, scenario: StreamScenario, eff_index: i
 
 
 def _prologue(scenario: StreamScenario, bank: TemplateBank, batch_index: int):
-    """A batch's seeded draws before its noise: (rng, labels, domain ids, an unfilled float64 buffer for both noise
-    fields). The buffer is allocated here, on the calling thread, whichever thread fills it: a worker thread that
-    allocated batch-sized arrays would make glibc open a second heap arena for it and raise peak memory."""
-    if not 0 <= batch_index < scenario.total_batches:
-        raise ValueError(f"batch_index {batch_index} outside 0..{scenario.total_batches - 1}")
+    """A batch's seeded draws before its noise: (rng, labels, domain ids). Its caller allocates the noise buffer on
+    the calling thread, whichever thread fills it: a worker thread that allocated batch-sized arrays would make glibc
+    open a second heap arena for it and raise peak memory."""
     eff = batch_index % scenario.num_batches
-    rng = np.random.default_rng([scenario.seed, int(eff)])
+    rng = np.random.default_rng([scenario.seed, eff])
     labels = _block_labels(rng, scenario.kind, scenario.dirichlet_delta, bank.num_classes, scenario.batch_size)
-    domain_ids = _domain_ids(rng, scenario, eff)
-    return rng, labels, domain_ids, np.empty((2, scenario.batch_size, *bank.templates.shape[1:]))
+    return rng, labels, _domain_ids(rng, scenario, eff)
 
 
-def _epilogue(scenario: StreamScenario, bank: TemplateBank, labels, domain_ids, z: np.ndarray) -> LabeledBatch:
-    """The float32 batch from its labels, domain ids and drawn noise `z` (both fields, one standard_normal fill)."""
+def _epilogue(scenario: StreamScenario, bank: TemplateBank, drawn: list, z: np.ndarray) -> tuple:
+    """The maps, labels and domain ids, n * B rows each, of n prologues `drawn` and their noise `z` (n, 2, B, C, H, W),
+    both fields of a batch one fill, made in one elementwise float32 pass: bitwise n passes of one batch each."""
+    labels, domain_ids = (np.concatenate([d[k] for d in drawn]).astype(np.intp, copy=False) for k in (1, 2))
     x = bank.templates[labels].astype(np.float32, copy=False)  # indexing already copied
     # `0.0 + s * z` is `normal(0, s)` bit for bit, -0.0 products turned +0.0
-    x += (0.0 + bank.base_noise * z[0]).astype(np.float32)
+    x += (0.0 + bank.base_noise * z[:, 0]).astype(np.float32).reshape(x.shape)
 
     contrast, brightness, noise_sigma = scenario._domain_table[domain_ids].T[:, :, None, None, None]
-    shift_noise = z[1].astype(np.float32)
+    shift_noise = z[:, 1].astype(np.float32).reshape(x.shape)
     x *= contrast
     x += brightness
     shift_noise *= noise_sigma
     x += shift_noise
+    return x, labels, domain_ids
 
-    return LabeledBatch(x=x, labels=labels.astype(np.intp, copy=False), domain_ids=domain_ids.astype(np.intp, copy=False))
+
+def _drawn(scenario: StreamScenario, bank: TemplateBank, indices) -> tuple:
+    """Batches `indices`, all valid: each one's seeded draws and noise fill into one buffer, then one epilogue."""
+    drawn = [_prologue(scenario, bank, i) for i in indices]
+    z = np.empty((len(drawn), 2, scenario.batch_size, *bank.templates.shape[1:]))
+    for (rng, _, _), noise in zip(drawn, z):
+        rng.standard_normal(out=noise)
+    return _epilogue(scenario, bank, drawn, z)
 
 
 def sample_batch(scenario: StreamScenario, bank: TemplateBank, batch_index: int) -> LabeledBatch:
-    """Generate one batch; fully determined by (scenario.seed, batch_index).
+    """Generate one batch; fully determined by (scenario.seed, batch_index), an integer in 0..total_batches - 1.
 
     Indices beyond num_batches wrap around, replaying the per-round
     sequence.
     """
-    rng, labels, domain_ids, z = _prologue(scenario, bank, batch_index)
-    rng.standard_normal(out=z)
-    return _epilogue(scenario, bank, labels, domain_ids, z)
+    index = _number("batch_index", batch_index, lo=0, hi=scenario.total_batches - 1, integral=True)
+    return LabeledBatch(*_drawn(scenario, bank, [index]))
 
 
 def iter_batches(scenario: StreamScenario, bank: TemplateBank, stem):
@@ -281,24 +286,25 @@ def iter_batches(scenario: StreamScenario, bank: TemplateBank, stem):
     epilogue stay on the calling thread; while the caller holds a batch, the worker draws the noise of the batch
     after next, then runs the next batch's work. An error in the calling-thread part of `stem` is raised when the
     batch is made, one batch early. Smaller batches run serially and `stem` is never called: `result` returns the
-    batch's map, which `Network.forward` takes as it is. Close or exhaust the generator to join the worker.
+    batch's map, which `Network.forward` takes as it is; a stack of ceil(`_BLOCK` / B) of them is drawn with one
+    epilogue, each batch a row slice of it. Close or exhaust the generator to join the worker.
     """
-    total = scenario.total_batches
+    total, per_stack = scenario.total_batches, -(-_BLOCK // scenario.batch_size)
     if scenario.batch_size < _BLOCK:
-        for i in range(total):
-            batch = sample_batch(scenario, bank, i)
-            yield batch, lambda x=batch.x: x
+        for first in range(0, total, per_stack):
+            stack = _drawn(scenario, bank, range(first, min(first + per_stack, total)))
+            for batch in map(LabeledBatch, *(a.reshape(-1, scenario.batch_size, *a.shape[1:]) for a in stack)):
+                yield batch, lambda x=batch.x: x
         return
     with ThreadPoolExecutor(1) as worker:
 
-        def draw(i):  # the prologue here and the noise on the worker; None past the end
+        def draw(i):  # the prologue and the noise buffer here, the noise on the worker; None past the end
             if i < total:
-                rng, labels, domain_ids, z = _prologue(scenario, bank, i)
-                return labels, domain_ids, worker.submit(rng.standard_normal, out=z)  # the future's result is z
+                prologue, z = _prologue(scenario, bank, i), np.empty((1, 2, scenario.batch_size, *bank.templates.shape[1:]))
+                return prologue, worker.submit(prologue[0].standard_normal, out=z)  # the future's result is z
 
         def make(drawn):  # the epilogue here once the noise is in, then the batch's work on the worker
-            labels, domain_ids, noise = drawn
-            batch = _epilogue(scenario, bank, labels, domain_ids, noise.result())
+            batch = LabeledBatch(*_epilogue(scenario, bank, [drawn[0]], drawn[1].result()))
             return batch, worker.submit(stem(batch.x)).result
 
         # a spent noise buffer is dropped before the yield, when `drawn` moves on

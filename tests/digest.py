@@ -33,13 +33,16 @@ Case groups, all on the stock config's model and templates:
   SMALL_CONFIG, whose head follows the BLAS thread count (the stock model's does not).
 - one_sample_runs: the JSON and CSV bytes `write_metrics` gives for `ONE_SAMPLE_BATCHES`-batch `cross_mix` and
   `static` runs at B 1, in every mode, find_star at each of `ONE_SAMPLE_COLD_STARTS`, where the run forwards up to
-  64 batches at a time.
+  64 batches at a time;
+- small_batch_stream: each batch's `x`, `labels` and `domain_ids` from `iter_batches` for every scenario kind at
+  each of `SMALL_STREAM_BATCH_SIZES`, `SMALL_STREAM_BATCHES` batches over two rounds, which the stream draws
+  ceil(64 / B) batches at a time.
 
 Every array of source_stats and head is hashed with its C-contiguity too, so they show whether the model file is read
 back into the same network. The groups before forward_mixes are those of the first version of this script, those
 before no_logits those of the second, those before source_stats those of the third, those before small_model_file
-those of the fourth and those before one_sample_runs those of the fifth, so their lines can be diffed against any of
-their outputs. The header names the BLAS numpy was
+those of the fourth, those before one_sample_runs those of the fifth and those before small_batch_stream those of the
+sixth, so their lines can be diffed against any of their outputs. The header names the BLAS numpy was
 built with, the thread count and kernel its OpenBLAS runs with, and OPENBLAS_CORETYPE: outputs depend on the kernel,
 so compare only outputs of one kernel.
 """
@@ -70,6 +73,8 @@ ALPHAS = (0.0, 0.3, 0.8, 1.0)
 GATINGS = (None, (True, False), (False, True), (False, False))
 ONE_SAMPLE_BATCHES = 130
 ONE_SAMPLE_COLD_STARTS = (10, 64, 65)
+SMALL_STREAM_BATCH_SIZES = (1, 3, 63)
+SMALL_STREAM_BATCHES = 70
 
 
 class Digest:
@@ -257,6 +262,14 @@ def main(argv=None) -> int:
                 json_path, csv_path, _ = harness.write_metrics(harness.run_experiment(net, bank, sc, ncfg),
                                                                os.path.join(tmp, f"single_{kind}_{ncfg.mode}"))
                 group.add(Path(json_path).read_bytes(), Path(csv_path).read_bytes())
+
+        group = groups["small_batch_stream"] = Digest()
+        for kind in stream.SCENARIO_KINDS:
+            for b in SMALL_STREAM_BATCH_SIZES:
+                sc = scenario(kind, b, num_batches=SMALL_STREAM_BATCHES, rounds=2)
+                with closing(stream.iter_batches(sc, bank, net.stem(cfg.normalizer))) as batches:
+                    for batch, _ in batches:
+                        group.add(batch.x, batch.labels, batch.domain_ids)
 
     total = hashlib.sha256()
     for name, group in groups.items():

@@ -343,12 +343,17 @@ class TestRunExperiment:
             assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("b", [63, 64, 65, 129])
-    def test_pipelined_stream_gives_the_serial_record(self, small_setup, b, mode):
+    @pytest.mark.parametrize("b, kind", [*(pytest.param(b, "cross_mix", id=str(b)) for b in (63, 64, 65, 129)),
+                                         *(pytest.param(b, kind, id=f"{b}-{kind}") for kind in ("random", "wild")
+                                           for b in (3, 64))])
+    def test_pipelined_stream_gives_the_serial_record(self, small_setup, b, kind, mode):
         # from one block up `run_experiment` streams through a worker thread, which runs each batch's stem one
-        # batch ahead; its record is a plain loop's, find_star's gate (after a 2-batch cold start) included
+        # batch ahead, and below it a stack of batches is drawn at once; the record, made a stack at a time, is a
+        # plain loop's, find_star's gate (after a 2-batch cold start) included. random and wild batches hold
+        # varying numbers of domains.
         cfg, net, bank, _, _ = small_setup
-        sc = replace(cfg.scenario, batch_size=b, num_batches=3, rounds=2)
+        sc = replace(cfg.scenario, kind=kind, batch_size=b, num_batches=3, rounds=2,
+                     dirichlet_delta=0.5 if kind == "wild" else None)
         ncfg = NormalizerConfig(mode=mode, cold_start_batches=2)
         rec = run_experiment(net, bank, sc, ncfg)
         batches = [sample_batch(sc, bank, i) for i in range(sc.total_batches)]
@@ -361,8 +366,9 @@ class TestRunExperiment:
         else:
             assert rec.sensitivity is None
         preds = [logits.argmax(axis=1) for logits, _ in outs]
-        assert rec.mean_accuracy == sum(int(np.count_nonzero(p == batch.labels)) for p, batch in zip(preds, batches)) / (
-            b * sc.total_batches)
+        hits = [int(np.count_nonzero(p == batch.labels)) for p, batch in zip(preds, batches)]
+        assert rec.mean_accuracy == sum(hits) / (b * sc.total_batches)
+        assert rec.per_batch_accuracy == [h / b for h in hits]
         assert rec.cluster_counts == {f"slot{k}": [traces[k].cluster_count for _, traces in outs] for k in range(net.num_slots)}
         assert rec.true_domain_counts == [len(set(batch.domain_ids.tolist())) for batch in batches]
         for ours, theirs in zip(rec.predictions, preds, strict=True):
@@ -464,6 +470,13 @@ class TestRunExperiment:
             assert np.array_equal(a, b)
         for t in (0, sc.total_batches - 1):
             assert np.array_equal(predictions_at(net, bank, sc, ncfg, t), rec.predictions[t])
+
+    @pytest.mark.parametrize("mode", ["find", "find_star"])
+    @pytest.mark.parametrize("index", [2.7, True, "1", float("nan")])
+    def test_predictions_at_takes_sample_batchs_index(self, small_setup, mode, index):
+        cfg, net, bank, _, _ = small_setup
+        with pytest.raises(ValueError, match=r"^batch_index must be an integer"):
+            predictions_at(net, bank, cfg.scenario, NormalizerConfig(mode=mode, cold_start_batches=2), index)
 
     def test_accuracy_bounds_and_counts(self, small_setup):
         cfg, net, bank, _, _ = small_setup

@@ -6,6 +6,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+import neighbornorm.stream as stream
 from neighbornorm.stream import (
     DomainSpec,
     StreamScenario,
@@ -264,6 +265,17 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_batch(sc, bank, 5)
 
+    @pytest.mark.parametrize("index", [2.7, True, "1", float("nan"), -1, 10])
+    def test_index_must_be_an_integer_in_range(self, index):
+        sc = scenario_for("cross_mix", batch_size=4, num_batches=5, rounds=2)
+        with pytest.raises(ValueError, match=r"^batch_index must be an integer"):
+            sample_batch(sc, bank_for(), index)
+
+    @pytest.mark.parametrize("index", [2.0, np.int64(2)])
+    def test_an_integral_index_of_another_type_is_that_batch(self, index):
+        sc, bank = scenario_for("cross_mix", batch_size=4, num_batches=5), bank_for()
+        assert_same_batch(sample_batch(sc, bank, index), sample_batch(sc, bank, 2))
+
     def test_different_seeds_differ(self):
         bank = bank_for()
         a = sample_batch(scenario_for("cross_mix", seed=0), bank, 0)
@@ -353,11 +365,20 @@ class TestPipelinedStream:
     the stream is serial."""
 
     @pytest.mark.parametrize("kind", ["static", "cross_mix", "shuffle", "random", "wild"])
-    @pytest.mark.parametrize("b", [1, 63, 64, 65, 256, 300])
-    def test_batches_are_sample_batch(self, kind, b):
-        sc = scenario_for(kind, batch_size=b, num_batches=3, rounds=2, seed=b, delta=0.5 if kind == "wild" else None)
-        bank = bank_for()
+    @pytest.mark.parametrize("b, num_batches, rounds", [
+        *(pytest.param(b, 3, 2, id=str(b)) for b in (1, 63, 64, 65, 256, 300)),
+        # below one block, three or more stacks of ceil(64 / B) batches, the last one partial, a round's end inside one
+        pytest.param(1, 70, 2, id="1x140"), pytest.param(3, 25, 2, id="3x50"), pytest.param(63, 3, 3, id="63x9")])
+    def test_batches_are_sample_batch(self, monkeypatch, kind, b, num_batches, rounds):
+        sc = scenario_for(kind, batch_size=b, num_batches=num_batches, rounds=rounds, seed=b,
+                          delta=0.5 if kind == "wild" else None)
+        bank, real_epilogue, epilogues = bank_for(), stream._epilogue, []
+        monkeypatch.setattr(stream, "_epilogue", lambda *args: epilogues.append(args) or real_epilogue(*args))
         streamed = [(batch, result()) for batch, result in iter_batches(sc, bank, Recorder())]
+        monkeypatch.undo()
+        # one epilogue per stack below one block, one per batch from one block up
+        per_stack = -(-64 // b) if b < 64 else 1
+        assert len(epilogues) == -(-sc.total_batches // per_stack)
         assert len(streamed) == sc.total_batches
         for i, (batch, out) in enumerate(streamed):
             assert_same_batch(batch, sample_batch(sc, bank, i))
