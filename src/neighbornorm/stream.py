@@ -14,8 +14,9 @@ kinds control how domains are mixed across batches:
   wild       random composition plus temporally correlated labels drawn
              from a per-batch Dirichlet distribution
 
-Every batch is a pure function of (seed, batch_index mod num_batches),
-so batches can be regenerated out of order and `rounds` replays the
+Every batch is a pure function of (seed, eff = batch_index mod
+num_batches), its generator `default_rng([seed, eff])` by definition, so
+batches can be regenerated out of order and `rounds` replays the
 identical sequence.
 
 `iter_batches` is the in-order stream loop that feeds a network. From one
@@ -24,8 +25,10 @@ result of a per-batch function, such as `Network.stem`'s, which a worker thread
 runs one batch ahead after drawing the noise of the batch after next (numpy
 does that outside the GIL). Smaller batches run serially, each with its map as
 its result: a hand-off costs more than their draw. They are drawn a stack of
-ceil(_BLOCK / B) at a time, each from its own seed, in one float32 pass.
-Batches alone come from `sample_batch`, a draw of one.
+ceil(_BLOCK / B) at a time, in one float32 pass; the stack's generators come
+from one vectorized pass of SeedSequence's hash, bit for bit, which rests on
+NumPy's stability policy for SeedSequence and PCG64 and is pinned by a
+property test. Batches alone come from `sample_batch`, a draw of one.
 """
 
 from __future__ import annotations
@@ -62,6 +65,11 @@ NOISE_STEP = 0.05
 
 # Draws of a whole template set before `build_templates` gives up on min_dist.
 TEMPLATE_DRAWS = 100
+
+# NumPy's SeedSequence hash constants (numpy/random/bit_generator.pyx), kept stable by its RNG policy (NEP 19).
+INIT_A, MULT_A, INIT_B, MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+VECTOR_SEEDS = 10  # the fewest batches whose generators `_generators` makes in one pass
 
 
 @dataclass(frozen=True)
@@ -202,7 +210,7 @@ def _block_labels(rng: np.random.Generator, scenario_kind: str, delta: float | N
         props = rng.dirichlet(np.full(k, delta))
         counts = rng.multinomial(b, props)
         return np.repeat(np.arange(k), counts)  # contiguous class runs
-    return rng.integers(0, k, size=b)
+    return rng.integers(0, k, size=b) if b > 1 else np.array([rng.integers(0, k)])  # b = 1: the same fill, cheaper
 
 
 def _mixed_domain_ids(rng: np.random.Generator, b: int, m: int) -> np.ndarray:
@@ -231,12 +239,47 @@ def _domain_ids(rng: np.random.Generator, scenario: StreamScenario, eff_index: i
     return chosen[rng.integers(0, count, size=b)]
 
 
-def _prologue(scenario: StreamScenario, bank: TemplateBank, batch_index: int):
-    """A batch's seeded draws before its noise: (rng, labels, domain ids). Its caller allocates the noise buffer on
-    the calling thread, whichever thread fills it: a worker thread that allocated batch-sized arrays would make glibc
-    open a second heap arena for it and raise peak memory."""
-    eff = batch_index % scenario.num_batches
-    rng = np.random.default_rng([scenario.seed, eff])
+class _Seeded(np.random.bit_generator.ISeedSequence):
+    """A seed sequence whose state is already made: PCG64 reads its four uint64 words and nothing else."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
+
+def _hashmix(v: np.ndarray, h: int, mult: int) -> tuple:
+    """NumPy's `hashmix` of each row of `v` in turn, its multiplier stepping from `h` by `mult`: (hashes, last step)."""
+    h = np.multiply.accumulate(np.array([h] + [mult] * len(v), np.uint32), dtype=np.uint32)[:, None]
+    v = (v ^ h[:-1]) * h[1:]
+    return v ^ v >> 16, int(h[-1, 0])
+
+
+def _generators(seed: int, effs: list) -> list:
+    """`np.random.default_rng([seed, eff])` for each of `effs`, bit for bit. From `VECTOR_SEEDS` effs, each of one
+    uint32 word, SeedSequence's hash runs for all of them in one pass of uint32 arithmetic; fewer effs cost less
+    through `default_rng`, and a wider one takes it too."""
+    if len(effs) < VECTOR_SEEDS or max(effs) > 0xFFFFFFFF:
+        return [np.random.default_rng([seed, eff]) for eff in effs]
+    words = [seed >> s & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]  # low word first; 0 is [0]
+    entropy = np.zeros((max(len(words) + 1, 4), len(effs)), np.uint32)  # the seed's words, the eff, 0s to the pool
+    entropy[: len(words)] = np.array(words, np.uint32)[:, None]
+    entropy[len(words)] = effs
+    pool, h = _hashmix(entropy[:4], INIT_A, MULT_A)
+    for src in range(len(entropy)):  # each word into every other pool word, the pool's own first
+        dst = [d for d in range(4) if d != src]
+        hashed, h = _hashmix((pool if src < 4 else entropy)[[src] * len(dst)], h, MULT_A)
+        mixed = MIX_MULT_L * pool[dst] - MIX_MULT_R * hashed
+        pool[dst] = mixed ^ mixed >> 16
+    state = _hashmix(np.concatenate([pool, pool]), INIT_B, MULT_B)[0].astype(np.uint64)  # 8 words; 4 uint64 below
+    return [np.random.Generator(np.random.PCG64(_Seeded(row))) for row in (state[0::2] | state[1::2] << 32).T.copy()]
+
+
+def _prologue(scenario: StreamScenario, bank: TemplateBank, rng: np.random.Generator, eff: int):
+    """Batch `eff`'s seeded draws on its generator `rng`, before its noise: (rng, labels, domain ids). Its caller
+    allocates the noise buffer on the calling thread, whichever thread fills it: a worker thread that allocated
+    batch-sized arrays would make glibc open a second heap arena for it and raise peak memory."""
     labels = _block_labels(rng, scenario.kind, scenario.dirichlet_delta, bank.num_classes, scenario.batch_size)
     return rng, labels, _domain_ids(rng, scenario, eff)
 
@@ -260,7 +303,8 @@ def _epilogue(scenario: StreamScenario, bank: TemplateBank, drawn: list, z: np.n
 
 def _drawn(scenario: StreamScenario, bank: TemplateBank, indices) -> tuple:
     """Batches `indices`, all valid: each one's seeded draws and noise fill into one buffer, then one epilogue."""
-    drawn = [_prologue(scenario, bank, i) for i in indices]
+    effs = [i % scenario.num_batches for i in indices]
+    drawn = [_prologue(scenario, bank, rng, eff) for rng, eff in zip(_generators(scenario.seed, effs), effs)]
     z = np.empty((len(drawn), 2, scenario.batch_size, *bank.templates.shape[1:]))
     for (rng, _, _), noise in zip(drawn, z):
         rng.standard_normal(out=noise)
@@ -300,7 +344,8 @@ def iter_batches(scenario: StreamScenario, bank: TemplateBank, stem):
 
         def draw(i):  # the prologue and the noise buffer here, the noise on the worker; None past the end
             if i < total:
-                prologue, z = _prologue(scenario, bank, i), np.empty((1, 2, scenario.batch_size, *bank.templates.shape[1:]))
+                eff, z = i % scenario.num_batches, np.empty((1, 2, scenario.batch_size, *bank.templates.shape[1:]))
+                prologue = _prologue(scenario, bank, np.random.default_rng([scenario.seed, eff]), eff)
                 return prologue, worker.submit(prologue[0].standard_normal, out=z)  # the future's result is z
 
         def make(drawn):  # the epilogue here once the noise is in, then the batch's work on the worker

@@ -36,15 +36,18 @@ Case groups, all on the stock config's model and templates:
   64 batches at a time;
 - small_batch_stream: each batch's `x`, `labels` and `domain_ids` from `iter_batches` for every scenario kind at
   each of `SMALL_STREAM_BATCH_SIZES`, `SMALL_STREAM_BATCHES` batches over two rounds, which the stream draws
-  ceil(64 / B) batches at a time.
+  ceil(64 / B) batches at a time;
+- stream_seeds: each batch's `x`, `labels` and `domain_ids` from `iter_batches` and from `sample_batch` for every
+  scenario kind at stream seeds `STREAM_SEEDS`, of one to three uint32 words, at each of `STREAM_SEED_BATCH_SIZES`,
+  `SMALL_STREAM_BATCHES` batches over two rounds.
 
 Every array of source_stats and head is hashed with its C-contiguity too, so they show whether the model file is read
 back into the same network. The groups before forward_mixes are those of the first version of this script, those
 before no_logits those of the second, those before source_stats those of the third, those before small_model_file
-those of the fourth, those before one_sample_runs those of the fifth and those before small_batch_stream those of the
-sixth, so their lines can be diffed against any of their outputs. The header names the BLAS numpy was
-built with, the thread count and kernel its OpenBLAS runs with, and OPENBLAS_CORETYPE: outputs depend on the kernel,
-so compare only outputs of one kernel.
+those of the fourth, those before one_sample_runs those of the fifth, those before small_batch_stream those of the
+sixth and those before stream_seeds those of the seventh, so their lines can be diffed against any of their outputs.
+The header names the BLAS numpy was built with, the thread count and kernel its OpenBLAS runs with, and
+OPENBLAS_CORETYPE: outputs depend on the kernel, so compare only outputs of one kernel.
 """
 
 from __future__ import annotations
@@ -75,6 +78,8 @@ ONE_SAMPLE_BATCHES = 130
 ONE_SAMPLE_COLD_STARTS = (10, 64, 65)
 SMALL_STREAM_BATCH_SIZES = (1, 3, 63)
 SMALL_STREAM_BATCHES = 70
+STREAM_SEEDS = (1, 2**32 - 1, 2**32, 2**64 + 7)
+STREAM_SEED_BATCH_SIZES = (1, 3, 64)
 
 
 class Digest:
@@ -270,6 +275,16 @@ def main(argv=None) -> int:
                 with closing(stream.iter_batches(sc, bank, net.stem(cfg.normalizer))) as batches:
                     for batch, _ in batches:
                         group.add(batch.x, batch.labels, batch.domain_ids)
+
+        group = groups["stream_seeds"] = Digest()
+        for kind in stream.SCENARIO_KINDS:
+            for seed in STREAM_SEEDS:
+                for b in STREAM_SEED_BATCH_SIZES:
+                    sc = scenario(kind, b, num_batches=SMALL_STREAM_BATCHES, rounds=2, seed=seed)
+                    with closing(stream.iter_batches(sc, bank, lambda x: lambda: None)) as batches:
+                        for i, (batch, _) in enumerate(batches):
+                            alone = stream.sample_batch(sc, bank, i)
+                            group.add(batch.x, batch.labels, batch.domain_ids, alone.x, alone.labels, alone.domain_ids)
 
     total = hashlib.sha256()
     for name, group in groups.items():

@@ -5,6 +5,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import neighbornorm.stream as stream
 from neighbornorm.stream import (
@@ -16,7 +18,6 @@ from neighbornorm.stream import (
     iter_batches,
     make_domains,
     sample_batch,
-    _block_labels,
     _domain_ids,
 )
 
@@ -284,11 +285,15 @@ class TestSampling:
 
 
 def reference_batch(scenario, bank, batch_index):
-    """`sample_batch` with the two noise fields drawn by two calls: `normal(0, base_noise)` for the pixel
-    noise, then `standard_normal` for the domain's shift noise."""
-    eff = batch_index % scenario.num_batches
+    """`sample_batch` on its own generator `default_rng([seed, eff])`, its labels drawn here as the stream defines
+    them, and the two noise fields drawn by two calls: `normal(0, base_noise)` for the pixel noise, then
+    `standard_normal` for the domain's shift noise."""
+    eff, b, k = batch_index % scenario.num_batches, scenario.batch_size, bank.num_classes
     rng = np.random.default_rng([scenario.seed, eff])
-    labels = _block_labels(rng, scenario.kind, scenario.dirichlet_delta, bank.num_classes, scenario.batch_size)
+    if scenario.kind == "wild":  # class proportions, then a count per class, laid out in runs
+        labels = np.repeat(np.arange(k), rng.multinomial(b, rng.dirichlet(np.full(k, scenario.dirichlet_delta))))
+    else:
+        labels = rng.integers(0, k, size=b)
     domain_ids = _domain_ids(rng, scenario, eff)
     x = bank.templates[labels].astype(np.float32)
     x += rng.normal(0.0, bank.base_noise, size=x.shape).astype(np.float32)
@@ -301,8 +306,9 @@ def reference_batch(scenario, bank, batch_index):
     return x, labels.astype(np.intp), domain_ids.astype(np.intp)
 
 
-def assert_batch_is_reference(scenario, bank, batch_index):
-    batch = sample_batch(scenario, bank, batch_index)
+def assert_batch_is_reference(scenario, bank, batch_index, batch=None):
+    """`batch`, by default `sample_batch`'s, is byte for byte `reference_batch`'s."""
+    batch = sample_batch(scenario, bank, batch_index) if batch is None else batch
     x, labels, domain_ids = reference_batch(scenario, bank, batch_index)
     for ours, theirs in ((batch.x, x), (batch.labels, labels), (batch.domain_ids, domain_ids)):
         assert ours.dtype == theirs.dtype and ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes()
@@ -331,6 +337,33 @@ class TestNoiseDraw:
         for i in range(sc.num_batches):
             assert_batch_is_reference(sc, bank, i)
             assert not np.signbit(sample_batch(sc, bank, i).x).any()
+
+    @pytest.mark.parametrize("kind", ["static", "cross_mix", "shuffle", "random", "wild"])
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 7])
+    def test_one_sample_batches_at_seeds_of_every_width(self, kind, seed):
+        # the stream makes a stack of 64 generators in one pass, the 6 left over and `sample_batch` one by one
+        sc = scenario_for(kind, batch_size=1, num_batches=70, seed=seed, delta=0.5 if kind == "wild" else None)
+        bank = bank_for()
+        for i, (batch, _) in enumerate(iter_batches(sc, bank, Recorder())):
+            assert_batch_is_reference(sc, bank, i, batch)
+            assert_batch_is_reference(sc, bank, i)
+
+
+@st.composite
+def eff_lists(draw):
+    """1 to 70 batch indices mod num_batches, all of one uint32 word or some of two."""
+    top, n = draw(st.sampled_from([2**32 - 1, 2**33 - 1])), draw(st.integers(1, 70))
+    return draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
+
+
+class TestSeeding:
+    """`_generators` makes each batch's generator `default_rng([seed, eff])`, bit for bit, in one pass for a stack."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2**130 - 1), effs=eff_lists())
+    def test_each_generator_is_default_rngs(self, seed, effs):
+        for eff, rng in zip(effs, stream._generators(seed, effs), strict=True):
+            assert rng.bit_generator.state == np.random.default_rng([seed, eff]).bit_generator.state
 
 
 def assert_same_batch(ours, theirs):
