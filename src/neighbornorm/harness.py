@@ -16,7 +16,7 @@ import os
 import time
 from contextlib import closing, contextmanager
 from dataclasses import asdict, dataclass, field, replace
-from itertools import islice
+from itertools import pairwise
 
 import numpy as np
 
@@ -30,11 +30,10 @@ from .stream import (
     TemplateBank,
     build_templates,
     identity_domain,
-    iter_batches,
+    iter_stacks,
     make_domains,
     sample_batch,
 )
-from .tensors import _BLOCK
 
 __all__ = [
     "ConfigError",
@@ -222,8 +221,8 @@ class MetricsRecord:
     cluster_counts: dict  # slot name -> list of int or None per batch
     sensitivity: list | None
     metadata: dict
-    # sidecar only: each batch's forward on the calling thread; from `_BLOCK` samples up, its stem ran on the
-    # stream's worker beforehand, so only any wait for it counts; at B=1, an equal share of its stack's forward
+    # sidecar only, per batch: from 64 samples up, its forward on the calling thread and any wait for the stem the
+    # stream's worker ran; from 2 to 63, its forward, slot 0 included; at B=1, an equal share of its run's forward
     per_batch_seconds: list = field(default_factory=list)
     predictions: list = field(default_factory=list)  # in-memory only
     true_domain_counts: list = field(default_factory=list)  # diagnostics channel only
@@ -284,33 +283,30 @@ def run_experiment(net: Network, bank: TemplateBank, scenario: StreamScenario, n
     cluster_counts = {name: [] for name in slot_names}
     per_batch_hits, per_batch_seconds, predictions, true_domain_counts = [], [], [], []
 
-    # one-sample batches share no statistic, so up to `_BLOCK` of them go through one forward as `singles`, a stack
-    # that ends where find_star's cold start does; the gate applies from the next stack on
-    b, singles = scenario.batch_size, scenario.batch_size == 1
-    block = _BLOCK if singles else 1
-    # each batch's stem a batch ahead from `_BLOCK` samples up, else the raw batch; closing joins the worker if one raises
-    with closing(iter_batches(scenario, bank, net.stem(ncfg))) as batches:
-        while True:
-            cold = ncfg.mode == "find_star" and sensitivity is None
-            stack = list(islice(batches, min(block, ncfg.cold_start_batches - len(scores)) if cold else block))
-            if not stack:
-                break
-            n, t0 = len(stack), time.perf_counter()
-            x = stack[0][1]() if n == 1 else np.concatenate([stem() for _, stem in stack])
-            logits, traces = net.forward(x, ncfg, gating=gating, collect_traces=True, singles=singles)
-            if cold:
-                scores += [_layer_scores(net, [tr.row(j) for tr in traces] if singles else traces) for j in range(n)]
-                if len(scores) == ncfg.cold_start_batches:
-                    sensitivity = layer_gate(scores, ncfg.gamma_threshold)
-                    gating = [rec["partition_enabled"] for rec in sensitivity]
-            per_batch_seconds += [(time.perf_counter() - t0) / n] * n
-
-            preds = logits.argmax(axis=1).reshape(n, b)  # the stack's record, a row per batch
-            per_batch_hits += np.count_nonzero(preds == np.stack([batch.labels for batch, _ in stack]), axis=1).tolist()
+    # a stack is one batch and its stem from one block up, else the map of ceil(64 / B) batches, forwarded a batch at
+    # a time, or at B=1 a run at a time, as `singles`: find_star's last cold-start batch ends a run, the gate the next
+    b, singles, star = scenario.batch_size, scenario.batch_size == 1, ncfg.mode == "find_star"
+    with closing(iter_stacks(scenario, bank, net.stem(ncfg))) as stacks:  # closing joins the worker if one raises
+        for stack, result in stacks:
+            t0, n = time.perf_counter(), len(stack.labels) // b
+            x, preds = result(), np.empty((n, b), np.intp)
+            cut = ncfg.cold_start_batches - len(scores) if star and sensitivity is None else 0
+            for lo, hi in pairwise(sorted({0, min(cut, n), n}) if singles else range(n + 1)):
+                logits, traces = net.forward(x if hi - lo == n else x[lo * b : hi * b], ncfg, gating=gating,
+                                             collect_traces=True, singles=singles)
+                if star and sensitivity is None:  # a cold-start run
+                    scores += [_layer_scores(net, [tr.row(j) for tr in traces] if singles else traces) for j in range(hi - lo)]
+                    if len(scores) == ncfg.cold_start_batches:
+                        sensitivity = layer_gate(scores, ncfg.gamma_threshold)
+                        gating = [rec["partition_enabled"] for rec in sensitivity]
+                per_batch_seconds += [(time.perf_counter() - t0) / (hi - lo)] * (hi - lo)
+                preds[lo:hi] = logits.argmax(axis=1).reshape(hi - lo, b)
+                for name, tr in zip(slot_names, traces):
+                    cluster_counts[name] += [tr.cluster_count] * (hi - lo)
+                t0 = time.perf_counter()
+            per_batch_hits += np.count_nonzero(preds == stack.labels.reshape(n, b), axis=1).tolist()
             predictions += list(preds)
-            for name, tr in zip(slot_names, traces):
-                cluster_counts[name] += [tr.cluster_count] * n
-            domains = np.sort(np.stack([batch.domain_ids for batch, _ in stack]), axis=1)
+            domains = np.sort(stack.domain_ids.reshape(n, b), axis=1)
             true_domain_counts += (1 + np.count_nonzero(np.diff(domains, axis=1), axis=1)).tolist()
 
     return MetricsRecord(
@@ -399,10 +395,8 @@ def _dump_csv(path, header: list, rows) -> None:
 
 
 def write_metrics(record: MetricsRecord, out_prefix) -> list[str]:
-    """Write <out>.json and <out>.csv (deterministic) plus <out>.timing.json
-    (wall clock of each batch's forward on the calling thread, as `MetricsRecord.per_batch_seconds`
-    says: at B=1 an equal share of the forward of its stack, so `total_seconds` still sums the forwards;
-    excluded from determinism guarantees)."""
+    """Write <out>.json and <out>.csv (deterministic) plus <out>.timing.json: `MetricsRecord.per_batch_seconds` and
+    their sum, `total_seconds`, the wall clock of the forwards (excluded from determinism guarantees)."""
     json_path, csv_path, timing_path = _output_paths(write_metrics, out_prefix)
     doc = {
         "scenario": record.scenario,

@@ -276,14 +276,14 @@ class Network:
         return tuple(w.shape[0] for w in self.conv_weights)
 
     def stem(self, cfg: NormalizerConfig):
-        """The per-batch function that `stream.iter_batches` runs ahead of the network, for the mode of `cfg`.
+        """The per-batch function, for the mode of `cfg`, that `stream.iter_stacks` runs a batch ahead of the network
+        from `_BLOCK` samples per batch up (smaller batches reach `forward` as maps, and no stem is made).
 
-        Called on the calling thread with a raw batch, it checks the batch once and allocates the slot-0 conv
-        map and, unless the mode is sbn, its per-sample moments. The callable it returns fills them, on whichever
-        thread runs it, and returns the `Stem` that `forward` takes in the batch's place. The block scratch of
-        the conv and the moments, sized for `_BLOCK` samples, is allocated on the first call and reused by every
-        later call, so the callables of one stem function must run one at a time, as the stream runs them.
-        """
+        Called on the calling thread with a raw batch, it checks the batch once and allocates the slot-0 conv map and,
+        unless the mode is sbn, its per-sample moments. The callable it returns fills them, on whichever thread runs
+        it, and returns the `Stem` that `forward` takes in the batch's place. The block scratch of the conv and the
+        moments, sized for `_BLOCK` samples, is allocated on the first call and reused by every later call, so the
+        callables of one stem function must run one at a time, as the stream runs them."""
         w, measure = self.conv_weights[0], cfg.mode != "sbn"
         (c_in, height, width), c, scratch = self.input_shape, w.shape[0], None
 

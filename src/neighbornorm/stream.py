@@ -19,16 +19,16 @@ num_batches), its generator `default_rng([seed, eff])` by definition, so
 batches can be regenerated out of order and `rounds` replays the
 identical sequence.
 
-`iter_batches` is the in-order stream loop that feeds a network. From one
-block (`tensors._BLOCK` samples) per batch up, it yields each batch with the
-result of a per-batch function, such as `Network.stem`'s, which a worker thread
-runs one batch ahead after drawing the noise of the batch after next (numpy
-does that outside the GIL). Smaller batches run serially, each with its map as
-its result: a hand-off costs more than their draw. They are drawn a stack of
-ceil(_BLOCK / B) at a time, in one float32 pass; the stack's generators come
-from one vectorized pass of SeedSequence's hash, bit for bit, which rests on
-NumPy's stability policy for SeedSequence and PCG64 and is pinned by a
-property test. Batches alone come from `sample_batch`, a draw of one.
+`iter_stacks` is the in-order stream loop that feeds a network, a stack at a time.
+Below one block (`tensors._BLOCK` samples) per batch, a stack is the rows of
+ceil(_BLOCK / B) batches drawn in one float32 pass, yielded with its map, serially:
+a hand-off costs more than their draw. Their generators come from one vectorized
+pass of SeedSequence's hash, bit for bit, which rests on NumPy's stability policy
+for SeedSequence and PCG64 and is pinned by a property test. From one block up, a
+stack is one batch, yielded with the result of a per-batch function such as
+`Network.stem`'s, which a worker thread runs one batch ahead after drawing the noise
+of the batch after next (numpy does that outside the GIL). `iter_batches` is its
+per-batch view; a batch alone is `sample_batch`'s draw of one.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ __all__ = [
     "make_domains",
     "build_templates",
     "sample_batch",
+    "iter_stacks",
     "iter_batches",
 ]
 
@@ -284,9 +285,9 @@ def _prologue(scenario: StreamScenario, bank: TemplateBank, rng: np.random.Gener
     return rng, labels, _domain_ids(rng, scenario, eff)
 
 
-def _epilogue(scenario: StreamScenario, bank: TemplateBank, drawn: list, z: np.ndarray) -> tuple:
-    """The maps, labels and domain ids, n * B rows each, of n prologues `drawn` and their noise `z` (n, 2, B, C, H, W),
-    both fields of a batch one fill, made in one elementwise float32 pass: bitwise n passes of one batch each."""
+def _epilogue(scenario: StreamScenario, bank: TemplateBank, drawn: list, z: np.ndarray) -> LabeledBatch:
+    """The stack of maps, labels and domain ids, n * B rows each, of n prologues `drawn` and their noise `z`
+    (n, 2, B, C, H, W), both fields of a batch one fill, in one elementwise float32 pass: bitwise n one-batch passes."""
     labels, domain_ids = (np.concatenate([d[k] for d in drawn]).astype(np.intp, copy=False) for k in (1, 2))
     x = bank.templates[labels].astype(np.float32, copy=False)  # indexing already copied
     # `0.0 + s * z` is `normal(0, s)` bit for bit, -0.0 products turned +0.0
@@ -298,10 +299,10 @@ def _epilogue(scenario: StreamScenario, bank: TemplateBank, drawn: list, z: np.n
     x += brightness
     shift_noise *= noise_sigma
     x += shift_noise
-    return x, labels, domain_ids
+    return LabeledBatch(x, labels, domain_ids)
 
 
-def _drawn(scenario: StreamScenario, bank: TemplateBank, indices) -> tuple:
+def _drawn(scenario: StreamScenario, bank: TemplateBank, indices) -> LabeledBatch:
     """Batches `indices`, all valid: each one's seeded draws and noise fill into one buffer, then one epilogue."""
     effs = [i % scenario.num_batches for i in indices]
     drawn = [_prologue(scenario, bank, rng, eff) for rng, eff in zip(_generators(scenario.seed, effs), effs)]
@@ -313,32 +314,26 @@ def _drawn(scenario: StreamScenario, bank: TemplateBank, indices) -> tuple:
 
 def sample_batch(scenario: StreamScenario, bank: TemplateBank, batch_index: int) -> LabeledBatch:
     """Generate one batch; fully determined by (scenario.seed, batch_index), an integer in 0..total_batches - 1.
-
-    Indices beyond num_batches wrap around, replaying the per-round
-    sequence.
-    """
+    Indices beyond num_batches wrap around, replaying the per-round sequence."""
     index = _number("batch_index", batch_index, lo=0, hi=scenario.total_batches - 1, integral=True)
-    return LabeledBatch(*_drawn(scenario, bank, [index]))
+    return _drawn(scenario, bank, [index])
 
 
-def iter_batches(scenario: StreamScenario, bank: TemplateBank, stem):
-    """Every batch of the scenario in order, byte for byte `sample_batch`'s, as (batch, result) pairs.
-
-    From `_BLOCK` samples per batch up, `stem` is a per-batch function such as `Network.stem`'s: called on the
-    calling thread with a batch's map, it allocates what its work writes and returns a callable that does the work.
-    `result` is a callable that returns the work's result and raises its error. The prologue, the buffers and the
-    epilogue stay on the calling thread; while the caller holds a batch, the worker draws the noise of the batch
-    after next, then runs the next batch's work. An error in the calling-thread part of `stem` is raised when the
-    batch is made, one batch early. Smaller batches run serially and `stem` is never called: `result` returns the
-    batch's map, which `Network.forward` takes as it is; a stack of ceil(`_BLOCK` / B) of them is drawn with one
-    epilogue, each batch a row slice of it. Close or exhaust the generator to join the worker.
-    """
+def iter_stacks(scenario: StreamScenario, bank: TemplateBank, stem):
+    """The scenario's batches in order, byte for byte `sample_batch`'s, as (stack, result) pairs, a stack being one
+    `LabeledBatch` of consecutive batches' rows. Below `_BLOCK` samples per batch, a stack holds ceil(`_BLOCK` / B)
+    batches (the last may hold fewer) drawn with one epilogue, `result` returns its map, which `Network.forward`
+    takes as it is, and `stem` is never called. From `_BLOCK` up, a stack is one batch, and `stem` a per-batch
+    function such as `Network.stem`'s: called on the calling thread with a batch's map, it allocates what its work
+    writes and returns a callable that does the work; `result` returns the work's result and raises its error. The
+    prologue, buffers and epilogue stay on the calling thread; while the caller holds a batch, the worker draws the
+    noise of the batch after next, then runs the next batch's work. An error in the calling-thread part of `stem` is
+    raised one batch early, when the batch is made. Close or exhaust the generator to join the worker."""
     total, per_stack = scenario.total_batches, -(-_BLOCK // scenario.batch_size)
     if scenario.batch_size < _BLOCK:
         for first in range(0, total, per_stack):
             stack = _drawn(scenario, bank, range(first, min(first + per_stack, total)))
-            for batch in map(LabeledBatch, *(a.reshape(-1, scenario.batch_size, *a.shape[1:]) for a in stack)):
-                yield batch, lambda x=batch.x: x
+            yield stack, lambda x=stack.x: x
         return
     with ThreadPoolExecutor(1) as worker:
 
@@ -349,7 +344,7 @@ def iter_batches(scenario: StreamScenario, bank: TemplateBank, stem):
                 return prologue, worker.submit(prologue[0].standard_normal, out=z)  # the future's result is z
 
         def make(drawn):  # the epilogue here once the noise is in, then the batch's work on the worker
-            batch = LabeledBatch(*_epilogue(scenario, bank, [drawn[0]], drawn[1].result()))
+            batch = _epilogue(scenario, bank, [drawn[0]], drawn[1].result())
             return batch, worker.submit(stem(batch.x)).result
 
         # a spent noise buffer is dropped before the yield, when `drawn` moves on
@@ -358,3 +353,14 @@ def iter_batches(scenario: StreamScenario, bank: TemplateBank, stem):
             following = draw(i + 2)
             current, made, drawn = made, drawn and make(drawn), following
             yield current
+
+
+def iter_batches(scenario: StreamScenario, bank: TemplateBank, stem):
+    """`iter_stacks` batch by batch, as (batch, result) pairs: its own pairs from `_BLOCK` samples per batch up, and
+    below, each batch a row slice of its stack, with a `result` that returns the batch's map."""
+    b, stacks = scenario.batch_size, iter_stacks(scenario, bank, stem)
+    if b >= _BLOCK:
+        return (yield from stacks)  # closing this generator closes `stacks`, which joins the worker
+    for stack, _ in stacks:
+        for batch in map(LabeledBatch, *(a.reshape(-1, b, *a.shape[1:]) for a in (stack.x, stack.labels, stack.domain_ids))):
+            yield batch, lambda x=batch.x: x

@@ -39,13 +39,17 @@ Case groups, all on the stock config's model and templates:
   ceil(64 / B) batches at a time;
 - stream_seeds: each batch's `x`, `labels` and `domain_ids` from `iter_batches` and from `sample_batch` for every
   scenario kind at stream seeds `STREAM_SEEDS`, of one to three uint32 words, at each of `STREAM_SEED_BATCH_SIZES`,
-  `SMALL_STREAM_BATCHES` batches over two rounds.
+  `SMALL_STREAM_BATCHES` batches over two rounds;
+- small_batch_runs: the JSON and CSV bytes `write_metrics` gives for `SMALL_RUN_BATCHES`-batch `cross_mix` and
+  `random` runs at each of `SMALL_RUN_BATCH_SIZES`, in every mode, find_star at each of `SMALL_RUN_COLD_STARTS`,
+  where the run draws ceil(64 / B) batches at a time and forwards them one by one.
 
 Every array of source_stats and head is hashed with its C-contiguity too, so they show whether the model file is read
 back into the same network. The groups before forward_mixes are those of the first version of this script, those
 before no_logits those of the second, those before source_stats those of the third, those before small_model_file
 those of the fourth, those before one_sample_runs those of the fifth, those before small_batch_stream those of the
-sixth and those before stream_seeds those of the seventh, so their lines can be diffed against any of their outputs.
+sixth, those before stream_seeds those of the seventh and those before small_batch_runs those of the eighth, so their
+lines can be diffed against any of their outputs.
 The header names the BLAS numpy was built with, the thread count and kernel its OpenBLAS runs with, and
 OPENBLAS_CORETYPE: outputs depend on the kernel, so compare only outputs of one kernel.
 """
@@ -80,6 +84,9 @@ SMALL_STREAM_BATCH_SIZES = (1, 3, 63)
 SMALL_STREAM_BATCHES = 70
 STREAM_SEEDS = (1, 2**32 - 1, 2**32, 2**64 + 7)
 STREAM_SEED_BATCH_SIZES = (1, 3, 64)
+SMALL_RUN_BATCH_SIZES = (3, 16, 63)
+SMALL_RUN_BATCHES = 50
+SMALL_RUN_COLD_STARTS = (5, 22)
 
 
 class Digest:
@@ -285,6 +292,16 @@ def main(argv=None) -> int:
                         for i, (batch, _) in enumerate(batches):
                             alone = stream.sample_batch(sc, bank, i)
                             group.add(batch.x, batch.labels, batch.domain_ids, alone.x, alone.labels, alone.domain_ids)
+
+        group = groups["small_batch_runs"] = Digest()
+        configs = [replace(cfg.normalizer, mode=mode) for mode in normalization.MODES if mode != "find_star"]
+        configs += [replace(cfg.normalizer, mode="find_star", cold_start_batches=c) for c in SMALL_RUN_COLD_STARTS]
+        for kind in ("cross_mix", "random"):
+            for b in SMALL_RUN_BATCH_SIZES:
+                for ncfg in configs:
+                    record = harness.run_experiment(net, bank, scenario(kind, b, num_batches=SMALL_RUN_BATCHES), ncfg)
+                    json_path, csv_path, _ = harness.write_metrics(record, os.path.join(tmp, f"small_{kind}_{b}"))
+                    group.add(Path(json_path).read_bytes(), Path(csv_path).read_bytes())
 
     total = hashlib.sha256()
     for name, group in groups.items():

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import neighbornorm.harness as harness
 import neighbornorm.model as model
 import neighbornorm.rules as rules
+import neighbornorm.stream as stream
 from neighbornorm.harness import (
     ConfigError,
     batch_size_sweep,
@@ -30,6 +31,46 @@ from neighbornorm.stream import LabeledBatch, StreamScenario, identity_domain, s
 
 from conftest import SMALL_CONFIG, separated_bank, separated_domains
 from support import instance_means
+
+
+def assert_loop_record(rec, net, bank, sc, ncfg):
+    """`rec` is the record of a loop that forwards each `sample_batch` alone, find_star's gate from batch
+    `ncfg.cold_start_batches` on: predictions, per-batch accuracy, cluster counts, sensitivity and domain counts."""
+    batches, scores, sensitivity, gate, outs = [sample_batch(sc, bank, i) for i in range(sc.total_batches)], [], None, None, []
+    for batch in batches:
+        outs.append(net.forward(batch.x, ncfg, gating=gate, collect_traces=True))
+        if ncfg.mode == "find_star" and gate is None:
+            scores.append(harness._layer_scores(net, outs[-1][1]))
+            if len(scores) == ncfg.cold_start_batches:
+                sensitivity = layer_gate(scores, ncfg.gamma_threshold)
+                gate = [r["partition_enabled"] for r in sensitivity]
+    assert rec.sensitivity == sensitivity
+    preds, b = [logits.argmax(axis=1) for logits, _ in outs], sc.batch_size
+    hits = [int(np.count_nonzero(p == batch.labels)) for p, batch in zip(preds, batches)]
+    assert rec.mean_accuracy == sum(hits) / (b * sc.total_batches)
+    assert rec.per_batch_accuracy == [h / b for h in hits]
+    assert rec.cluster_counts == {f"slot{k}": [traces[k].cluster_count for _, traces in outs] for k in range(net.num_slots)}
+    assert rec.true_domain_counts == [len(set(batch.domain_ids.tolist())) for batch in batches]
+    for ours, theirs in zip(rec.predictions, preds, strict=True):
+        assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+
+
+def run_counting_draws_and_forwards(monkeypatch, net, bank, sc, ncfg):
+    """`run_experiment`'s record, the sample count of each forward and the batch indices of each `stream._drawn`."""
+    real_forward, real_drawn, forwarded, drawn = model.Network.forward, stream._drawn, [], []
+
+    def forward(self, x, *args, **kwargs):
+        forwarded.append(x.shape[0])
+        return real_forward(self, x, *args, **kwargs)
+
+    def draw(scenario, the_bank, indices):
+        drawn.append(list(indices))
+        return real_drawn(scenario, the_bank, indices)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(model.Network, "forward", forward)
+        patch.setattr(stream, "_drawn", draw)
+        return run_experiment(net, bank, sc, ncfg), forwarded, drawn
 
 
 class TestConfigLoading:
@@ -355,60 +396,38 @@ class TestRunExperiment:
         sc = replace(cfg.scenario, kind=kind, batch_size=b, num_batches=3, rounds=2,
                      dirichlet_delta=0.5 if kind == "wild" else None)
         ncfg = NormalizerConfig(mode=mode, cold_start_batches=2)
-        rec = run_experiment(net, bank, sc, ncfg)
-        batches = [sample_batch(sc, bank, i) for i in range(sc.total_batches)]
-        gate = None if rec.sensitivity is None else [r["partition_enabled"] for r in rec.sensitivity]
-        outs = [net.forward(batch.x, ncfg, gating=gate if i >= 2 else None, collect_traces=True)
-                for i, batch in enumerate(batches)]
-        if mode == "find_star":
-            assert rec.sensitivity == layer_gate([harness._layer_scores(net, traces) for _, traces in outs[:2]],
-                                                 ncfg.gamma_threshold)
-        else:
-            assert rec.sensitivity is None
-        preds = [logits.argmax(axis=1) for logits, _ in outs]
-        hits = [int(np.count_nonzero(p == batch.labels)) for p, batch in zip(preds, batches)]
-        assert rec.mean_accuracy == sum(hits) / (b * sc.total_batches)
-        assert rec.per_batch_accuracy == [h / b for h in hits]
-        assert rec.cluster_counts == {f"slot{k}": [traces[k].cluster_count for _, traces in outs] for k in range(net.num_slots)}
-        assert rec.true_domain_counts == [len(set(batch.domain_ids.tolist())) for batch in batches]
-        for ours, theirs in zip(rec.predictions, preds, strict=True):
-            assert np.array_equal(ours, theirs)
+        assert_loop_record(run_experiment(net, bank, sc, ncfg), net, bank, sc, ncfg)
 
     @pytest.mark.parametrize("mode, num_batches, cold", [*((mode, n, 10) for mode in MODES for n in (1, 65, 130)),
                                                          *(("find_star", 130, cold) for cold in (1, 64, 65))])
     def test_one_sample_batches_forward_in_stacks(self, small_setup, monkeypatch, mode, num_batches, cold):
-        # at B=1 up to 64 batches share a forward, a stack that ends at find_star's last cold-start batch; the record
-        # is a loop's that forwards each `sample_batch` alone, with the gate from batch `cold` on
+        # at B=1 each stack of up to 64 batches is one draw and one forward, cut in two after find_star's last
+        # cold-start batch; the record is a loop's that forwards each `sample_batch` alone, with the gate from batch
+        # `cold` on
         cfg, net, bank, _, _ = small_setup
         sc = replace(cfg.scenario, batch_size=1, num_batches=num_batches)
         ncfg = NormalizerConfig(mode=mode, cold_start_batches=cold)
-        real_forward, forwarded = model.Network.forward, []
-
-        def forward(self, x, *args, **kwargs):
-            forwarded.append(x.shape[0])
-            return real_forward(self, x, *args, **kwargs)
-
-        monkeypatch.setattr(model.Network, "forward", forward)
-        rec = run_experiment(net, bank, sc, ncfg)
-        monkeypatch.undo()
+        rec, forwarded, drawn = run_counting_draws_and_forwards(monkeypatch, net, bank, sc, ncfg)
+        assert drawn == [list(range(i, min(i + 64, num_batches))) for i in range(0, num_batches, 64)]
         head = min(cold, num_batches) if mode == "find_star" else 0
-        assert forwarded == [min(64, end - i) for start, end in ((0, head), (head, num_batches)) for i in range(start, end, 64)]
+        assert forwarded == np.diff(sorted({*range(0, num_batches, 64), head, num_batches})).tolist()
+        assert_loop_record(rec, net, bank, sc, ncfg)
 
-        batches, scores, gate, outs = [sample_batch(sc, bank, i) for i in range(num_batches)], [], None, []
-        for batch in batches:
-            outs.append(net.forward(batch.x, ncfg, gating=gate, collect_traces=True))
-            if mode == "find_star" and gate is None:
-                scores.append(harness._layer_scores(net, outs[-1][1]))
-                if len(scores) == cold:
-                    sensitivity = layer_gate(scores, ncfg.gamma_threshold)
-                    gate = [r["partition_enabled"] for r in sensitivity]
-        assert rec.sensitivity == (None if gate is None else sensitivity)
-        preds = [logits.argmax(axis=1) for logits, _ in outs]
-        assert rec.per_batch_accuracy == [float(p[0] == batch.labels[0]) for p, batch in zip(preds, batches)]
-        assert rec.cluster_counts == {f"slot{k}": [traces[k].cluster_count for _, traces in outs] for k in range(net.num_slots)}
-        assert rec.true_domain_counts == [1] * num_batches
-        for ours, theirs in zip(rec.predictions, preds, strict=True):
-            assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+    @pytest.mark.parametrize("b, num_batches, mode, cold", [
+        *((3, 50, mode, 10) for mode in MODES if mode != "find_star"), *((3, 50, "find_star", cold) for cold in (5, 22)),
+        *((b, n, mode, 5) for b, n in ((16, 10), (63, 5)) for mode in MODES)])
+    def test_small_batches_forward_one_by_one_from_stacks(self, small_setup, monkeypatch, b, num_batches, mode, cold):
+        # from 2 to 63 samples a run draws ceil(64 / B) batches at a time, the last stack partial (B 3: 22, 22 and 6
+        # batches; B 16: 4, 4 and 2; B 63: 2, 2 and 1), and forwards each batch alone, a row slice of its stack;
+        # find_star's cold start ends inside a stack or on its edge
+        cfg, net, bank, _, _ = small_setup
+        sc = replace(cfg.scenario, batch_size=b, num_batches=num_batches)
+        ncfg = NormalizerConfig(mode=mode, cold_start_batches=cold)
+        rec, forwarded, drawn = run_counting_draws_and_forwards(monkeypatch, net, bank, sc, ncfg)
+        per_stack = -(-64 // b)
+        assert drawn == [list(range(i, min(i + per_stack, num_batches))) for i in range(0, num_batches, per_stack)]
+        assert forwarded == [b] * num_batches
+        assert_loop_record(rec, net, bank, sc, ncfg)
 
     def test_raising_forward_leaves_no_thread(self, small_setup, monkeypatch):
         # the exception's traceback keeps `run_experiment`'s frame alive; the stream's worker must be joined anyway,
@@ -492,17 +511,18 @@ class TestRunExperiment:
         cfg, net, bank, _, _ = small_setup
         baseline = run_experiment(net, bank, cfg.scenario, cfg.normalizer)
 
-        real, streamed = harness.iter_batches, []
+        real, streamed = harness.iter_stacks, []
 
         def scrambled(scenario, the_bank, stem):
             for b, stemmed in real(scenario, the_bank, stem):
                 streamed.append(b)
                 yield LabeledBatch(x=b.x, labels=b.labels, domain_ids=b.domain_ids[::-1].copy()), stemmed
 
-        monkeypatch.setattr(harness, "iter_batches", scrambled)
+        monkeypatch.setattr(harness, "iter_stacks", scrambled)
         scrambled_rec = run_experiment(net, bank, cfg.scenario, cfg.normalizer)
-        assert len(streamed) == cfg.scenario.total_batches
-        for a, b in zip(baseline.predictions, scrambled_rec.predictions):
+        sc = cfg.scenario  # B 32: stacks of two batches, each stack's ids reversed across both
+        assert [len(b.labels) for b in streamed] == [2 * sc.batch_size] * (sc.total_batches // 2)
+        for a, b in zip(baseline.predictions, scrambled_rec.predictions, strict=True):
             assert np.array_equal(a, b)
 
     def test_streaming_drop_history(self, small_setup):
@@ -701,11 +721,12 @@ class TestOutputs:
         assert len(doc["per_batch"]["accuracy"]) == cfg.scenario.total_batches
         timing = json.loads((tmp_path / "m.timing.json").read_text())
         assert len(timing["per_batch_seconds"]) == cfg.scenario.total_batches
-        # at B=1 each batch's entry is an equal share of its stack's forward: the cold start's 10, then 64 a stack
+        # at B=1 each batch's entry is an equal share of its run's forward: a stack of 64, cut after the cold start's
+        # 10th batch, then the last 16
         sc = replace(cfg.scenario, batch_size=1, num_batches=80)
         write_metrics(run_experiment(net, bank, sc, NormalizerConfig(mode="find_star", cold_start_batches=10)), tmp_path / "s")
         seconds = json.loads((tmp_path / "s.timing.json").read_text())["per_batch_seconds"]
-        assert [len(set(seconds[i:j])) for i, j in ((0, 10), (10, 74), (74, 80))] == [1, 1, 1]
+        assert [len(set(seconds[i:j])) for i, j in ((0, 10), (10, 64), (64, 80))] == [1, 1, 1]
         assert len(seconds) == 80 and all(s > 0 for s in seconds)
 
     def test_diagnostics_series_per_mode(self, small_setup, tmp_path):

@@ -457,6 +457,47 @@ class TestPipelinedStream:
         assert threading.active_count() == before
 
 
+class TestStacks:
+    """`iter_batches` is `iter_stacks` batch by batch: below one block each batch is a row slice of its stack, from
+    one block up a stack is one batch."""
+
+    @pytest.mark.parametrize("b, num_batches", [(1, 70), (3, 25), (16, 9), (63, 3)])
+    def test_below_one_block_each_batch_is_a_row_slice_of_its_stack(self, monkeypatch, b, num_batches):
+        # two rounds: a round's end inside a stack, the last stack partial
+        sc = scenario_for("random", batch_size=b, num_batches=num_batches, rounds=2, seed=b)
+        bank, real, stacks = bank_for(), stream.iter_stacks, []
+
+        def recording(*args):
+            for stack, result in real(*args):
+                stacks.append((stack, result()))
+                yield stack, result
+
+        monkeypatch.setattr(stream, "iter_stacks", recording)
+        streamed = list(iter_batches(sc, bank, Recorder()))
+        monkeypatch.undo()
+        per_stack = -(-64 // b)
+        assert [len(stack.labels) for stack, _ in stacks] == [
+            b * (min(i + per_stack, sc.total_batches) - i) for i in range(0, sc.total_batches, per_stack)]
+        assert len(streamed) == sc.total_batches
+        for i, (batch, result) in enumerate(streamed):
+            (stack, x), rows = stacks[i // per_stack], slice(i % per_stack * b, (i % per_stack + 1) * b)
+            assert x is stack.x and result() is batch.x
+            for field_name in ("x", "labels", "domain_ids"):
+                ours, theirs = getattr(batch, field_name), getattr(stack, field_name)
+                assert np.shares_memory(ours, theirs) and ours.tobytes() == theirs[rows].tobytes(), field_name
+            assert_same_batch(batch, sample_batch(sc, bank, i))
+
+    @pytest.mark.parametrize("b", [64, 65, 256])
+    def test_from_one_block_a_stack_is_a_batch(self, b):
+        sc, bank = scenario_for("wild", batch_size=b, num_batches=3, rounds=2, seed=b, delta=0.5), bank_for()
+        stacks = [(stack, result()) for stack, result in stream.iter_stacks(sc, bank, Recorder())]
+        batches = [(batch, result()) for batch, result in iter_batches(sc, bank, Recorder())]
+        assert len(stacks) == len(batches) == sc.total_batches
+        for i, ((stack, (j, x)), (batch, (k, y))) in enumerate(zip(stacks, batches)):
+            assert_same_batch(stack, batch)
+            assert i == j == k and x.tobytes() == y.tobytes() == batch.x.tobytes()
+
+
 class TestStreamWithAStem:
     """`iter_batches` yields (batch, result) pairs: from one block up the worker runs the next batch's work while the
     caller holds this one; below it no work runs, and the result is the batch's map."""
