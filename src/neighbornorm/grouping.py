@@ -62,9 +62,13 @@ def first_neighbor_components(first: np.ndarray) -> tuple[np.ndarray, int]:
     return np.argsort(np.argsort(smallest))[labels], smallest.size  # rank of each group's smallest member
 
 
-def first_neighbor_labels(means: np.ndarray) -> tuple[np.ndarray, int]:
-    """Group id per sample and group count from (B, C) instance means, B >= 1: a lone sample is one group."""
+def first_neighbor_labels(means: np.ndarray, segment: int | None = None) -> tuple[np.ndarray, int]:
+    """Group id per sample and group count from (B, C) instance means, B >= 1: a lone sample is one group. With a
+    `segment` above 1, each run of that many rows is a batch, whose ids are its own shifted by the earlier batches'."""
     sim = cosine_similarity_matrix(means)
+    if segment is not None and segment < len(sim):
+        batch = np.arange(len(sim)) // segment
+        sim[batch[:, None] != batch] = -np.inf  # a one-row batch's row would point at row 0, not at itself
     np.fill_diagonal(sim, -np.inf)  # never its own first neighbor; a fresh matrix, so masked in place
     return first_neighbor_components(np.argmax(sim, axis=1))
 

@@ -222,7 +222,7 @@ class MetricsRecord:
     sensitivity: list | None
     metadata: dict
     # sidecar only, per batch: from 64 samples up, its forward on the calling thread and any wait for the stem the
-    # stream's worker ran; from 2 to 63, its forward, slot 0 included; at B=1, an equal share of its run's forward
+    # stream's worker ran; below, an equal share of its run's forward
     per_batch_seconds: list = field(default_factory=list)
     predictions: list = field(default_factory=list)  # in-memory only
     true_domain_counts: list = field(default_factory=list)  # diagnostics channel only
@@ -273,36 +273,33 @@ def _layer_scores(net: Network, traces) -> list[float]:
 
 
 def run_experiment(net: Network, bank: TemplateBank, scenario: StreamScenario, ncfg: NormalizerConfig) -> MetricsRecord:
-    """Stream all batches in order and score predictions against labels.
-
-    Ground-truth domain ids stay inside this function's diagnostics; the
-    network only ever sees the raw feature maps.
-    """
+    """Stream all batches in order and score predictions against labels: a stack of `iter_stacks` at a time (one
+    batch and its stem from one block up, else ceil(64 / B) batches), forwarded whole with `segment` B, except that
+    find_star's last cold-start batch ends a run, and its gate applies from the next. Ground-truth domain ids stay
+    inside this function's diagnostics; the network only ever sees the raw feature maps."""
     scores, gating, sensitivity = [], None, None  # find_star: cold-start scores, then the frozen gate
     slot_names = [f"slot{k}" for k in range(net.num_slots)]
     cluster_counts = {name: [] for name in slot_names}
     per_batch_hits, per_batch_seconds, predictions, true_domain_counts = [], [], [], []
 
-    # a stack is one batch and its stem from one block up, else the map of ceil(64 / B) batches, forwarded a batch at
-    # a time, or at B=1 a run at a time, as `singles`: find_star's last cold-start batch ends a run, the gate the next
-    b, singles, star = scenario.batch_size, scenario.batch_size == 1, ncfg.mode == "find_star"
+    b, star = scenario.batch_size, ncfg.mode == "find_star"
     with closing(iter_stacks(scenario, bank, net.stem(ncfg))) as stacks:  # closing joins the worker if one raises
         for stack, result in stacks:
             t0, n = time.perf_counter(), len(stack.labels) // b
             x, preds = result(), np.empty((n, b), np.intp)
             cut = ncfg.cold_start_batches - len(scores) if star and sensitivity is None else 0
-            for lo, hi in pairwise(sorted({0, min(cut, n), n}) if singles else range(n + 1)):
+            for lo, hi in pairwise(sorted({0, min(cut, n), n})):
                 logits, traces = net.forward(x if hi - lo == n else x[lo * b : hi * b], ncfg, gating=gating,
-                                             collect_traces=True, singles=singles)
+                                             collect_traces=True, segment=b)
                 if star and sensitivity is None:  # a cold-start run
-                    scores += [_layer_scores(net, [tr.row(j) for tr in traces] if singles else traces) for j in range(hi - lo)]
+                    scores += [_layer_scores(net, [tr.row(j) for tr in traces]) for j in range(hi - lo)]
                     if len(scores) == ncfg.cold_start_batches:
                         sensitivity = layer_gate(scores, ncfg.gamma_threshold)
                         gating = [rec["partition_enabled"] for rec in sensitivity]
                 per_batch_seconds += [(time.perf_counter() - t0) / (hi - lo)] * (hi - lo)
                 preds[lo:hi] = logits.argmax(axis=1).reshape(hi - lo, b)
                 for name, tr in zip(slot_names, traces):
-                    cluster_counts[name] += [tr.cluster_count] * (hi - lo)
+                    cluster_counts[name] += tr.cluster_counts
                 t0 = time.perf_counter()
             per_batch_hits += np.count_nonzero(preds == stack.labels.reshape(n, b), axis=1).tolist()
             predictions += list(preds)

@@ -176,11 +176,10 @@ def _checked(x: np.ndarray, input_shape: tuple) -> np.ndarray:
 
 
 def _stage(conv: np.ndarray, src: SourceStats, cfg: NormalizerConfig, enabled: bool = True,
-           moments: np.ndarray | None = None, singles: bool = False) -> tuple[np.ndarray, SlotTrace]:
-    """One stage after its conv, on a conv map of any batch size, unchecked: normalize the map in place against
-    `src` (`moments`: its `sample_moments`, if measured already; `singles`: each row a one-sample batch), relu in
-    place, pool."""
-    h, trace = _normalize(conv, src, cfg, enabled, moments, singles=singles)
+           moments: np.ndarray | None = None, segment: int | None = None) -> tuple[np.ndarray, SlotTrace]:
+    """One stage after its conv, on a conv map of any batch size, unchecked: normalize the map in place against `src`
+    (`moments`: its `sample_moments`, if measured already; `segment`: the samples per batch), relu in place, pool."""
+    h, trace = _normalize(conv, src, cfg, enabled, moments, segment=segment)
     return avg_pool_2x2(np.maximum(h, 0.0, out=h)), trace
 
 
@@ -305,14 +304,14 @@ class Network:
         return prepare
 
     def backbone(self, x, cfg: NormalizerConfig, gating=None, *,
-                 singles: bool = False) -> tuple[np.ndarray, list[SlotTrace]]:
-        """Features after all stages, plus one trace per normalization slot; `singles` as `forward` takes it.
+                 segment: int | None = None) -> tuple[np.ndarray, list[SlotTrace]]:
+        """Features after all stages, plus one trace per normalization slot; `segment` as `forward` takes it.
 
         `x` is a raw batch, which is checked once, or a `Stem` of this network, which stands for its batch after
         the first conv; from there both take one path. `gating` is an optional per-slot sequence of partition flags;
         None leaves partitioning on everywhere (only the partitioning modes look at it). Non-finite features raise
-        ValueError, and so does a stem that this network did not make, that was forwarded already, or that was made
-        for sbn when `cfg`'s mode measures the batch.
+        ValueError, and so do a stem that this network did not make, that was forwarded already, or that was made
+        for sbn when `cfg`'s mode measures the batch, and a `segment` that does not divide the batch (a stem's: whole).
         """
         if not isinstance(x, Stem):  # `first`: the first slot whose conv runs here
             h, moments, first = _checked(x, self.input_shape), None, 0
@@ -322,21 +321,24 @@ class Network:
             raise ValueError(f"this stem was made for sbn and holds no moments; mode {cfg.mode} measures the batch")
         else:  # the stem is spent: the first stage normalizes its map in place
             h, moments, first, x.conv = x.conv, x.moments, 1, None
+        if segment is not None and (type(segment) is not int and not isinstance(segment, np.integer) or segment < 1
+                                    or len(h) % segment or first and segment < len(h)):  # `first`: a stem is one batch
+            raise ValueError(f"segment must be a positive integer dividing the batch's {len(h)} samples, got {segment!r}")
         if gating is not None and len(gating) != self.num_slots:
             raise ValueError(f"gating must list {self.num_slots} flags")
         traces = []
         for k, (w, src) in enumerate(zip(self.conv_weights, self.source_stats)):
             if k >= first:
                 h, moments = _conv(h, w), None
-            h, trace = _stage(h, src, cfg, True if gating is None else bool(gating[k]), moments, singles)
+            h, trace = _stage(h, src, cfg, True if gating is None else bool(gating[k]), moments, segment)
             traces.append(trace)
         return _finite(h.reshape(h.shape[0], -1)), traces
 
-    def forward(self, x, cfg: NormalizerConfig, gating=None, collect_traces: bool = False, *, singles: bool = False):
+    def forward(self, x, cfg: NormalizerConfig, gating=None, collect_traces: bool = False, *, segment: int | None = None):
         """Class scores (B, K) of a raw batch or its `Stem`, as `backbone` takes them; with `collect_traces`, also
-        per-slot traces. With `singles`, each row of `x` is a one-sample batch of its own: its logits are bitwise
+        per-slot traces. Each run of `segment` rows of `x` (None: all) is a batch of its own: its logits are bitwise
         its forward alone, and `SlotTrace.row` is its trace, so one call forwards many such batches."""
-        feats, traces = self.backbone(x, cfg, gating, singles=singles)
+        feats, traces = self.backbone(x, cfg, gating, segment=segment)
         logits = np.einsum("bd,kd->bk", feats, self.head.weight)  # row by row, no BLAS call: no row sees the batch
         logits += self.head.bias
         return (logits, traces) if collect_traces else logits

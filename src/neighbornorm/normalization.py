@@ -100,24 +100,28 @@ class NormalizerConfig:
 
 @dataclass(frozen=True)
 class SlotTrace:
-    """What one normalization call observed: group count (None when the batch
-    was normalized whole) and the two rows of the incoming map's `sample_moments`,
-    (B, C) float64 sums and m2 over `length` positions, never the map itself.
-    `batch_stats`, the full-batch statistics, is merged from them on first read.
-    `sbn` never measures the batch: its sums, m2 and batch_stats are None."""
+    """What one normalization call observed: each batch's group count (None: normalized whole) and the two rows of
+    the map's `sample_moments`, (B, C) float64 sums and m2 over `length` positions, never the map itself. `batch_stats`,
+    the whole map's statistics, is merged from them on first read. `sbn` measures nothing: those three are None."""
 
-    cluster_count: int | None
+    cluster_counts: list
     sums: np.ndarray | None = field(compare=False)
     m2: np.ndarray | None = field(compare=False)
     length: int
+
+    @property
+    def cluster_count(self) -> int | None:  # a one-batch map's; ValueError for a stack, whose batch j's is `row(j)`'s
+        [count] = self.cluster_counts
+        return count
 
     @cached_property
     def batch_stats(self) -> ChannelStats | None:
         return None if self.sums is None else pooled_stats(self.sums, self.m2, self.length)
 
     def row(self, j: int) -> "SlotTrace":
-        """Sample j's trace, of a map normalized with `singles`: the trace of its one-sample batch alone."""
-        return SlotTrace(self.cluster_count, *(None if m is None else m[j : j + 1] for m in (self.sums, self.m2)), self.length)
+        """Batch j's trace, of a map normalized with `segment`: the trace of its batch alone."""
+        rows = (m if m is None else m.reshape(len(self.cluster_counts), -1, m.shape[1])[j] for m in (self.sums, self.m2))
+        return SlotTrace(self.cluster_counts[j : j + 1], *rows, self.length)
 
 
 def apply_normalizer(
@@ -140,23 +144,24 @@ def apply_normalizer(
 
 
 def _normalize(x: np.ndarray, src: SourceStats, cfg: NormalizerConfig, partition_enabled: bool,
-               moments: np.ndarray | None = None, *, singles: bool = False) -> tuple[np.ndarray, SlotTrace]:
+               moments: np.ndarray | None = None, *, segment: int | None = None) -> tuple[np.ndarray, SlotTrace]:
     """`apply_normalizer` of a canonical map with `src`'s channel count, which it normalizes in place, unchecked.
     `moments` is the map's `sample_moments` if the caller measured it already (the network's stem does); else,
-    except in sbn, it is measured here. Mean and variance travel as one (2, count, C) array. A one-sample batch
-    is its own group, `moments / L`: `merge_moments`' bits, without labels or a merge. With `singles`, every row
-    is such a batch of its own, normalized bitwise as alone; the trace's count, 1 or None, holds for each row.
+    except in sbn, it is measured here. Each run of `segment` rows (None: B) is a batch, normalized bitwise as alone,
+    its count in the trace. Mean and variance travel as one (2, count, C) array. A one-sample batch is its own group,
+    `moments / L`: `merge_moments`' bits, without labels or a merge; else one merge covers every batch's groups.
     Each group's row blends alpha parts source with (1 - alpha) parts test, except in tbn."""
     b, _, h, w = x.shape
+    seg = segment or b
     if cfg.mode == "sbn":  # one group; the batch is not measured
-        mean, scale, trace = src.stats.mean[None], src._sbn_scale, SlotTrace(None, None, None, h * w)
+        mean, scale, trace = src.stats.mean[None], src._sbn_scale, SlotTrace([None] * (b // seg), None, None, h * w)
     else:
         moments = sample_moments(x) if moments is None else moments
         grouped = cfg.mode in ("find", "find_star") and partition_enabled
-        if b == 1 or singles:  # each sample is its own group: elementwise over rows
+        if seg == 1:  # each sample is its own group: elementwise over rows
             labels, count, mv = None, 1, (moments / (h * w)).astype(np.float32)
         else:
-            labels, count = first_neighbor_labels(moments[0] / (h * w)) if grouped else (np.zeros(b, np.intp), 1)
+            labels, count = first_neighbor_labels(moments[0] / (h * w), seg) if grouped else (np.arange(b) // seg, b // seg)
             mv = merge_moments(*moments, h * w, labels, count).astype(np.float32)
         if cfg.mode != "tbn":
             terms = src._blends.get(cfg.alpha)
@@ -168,7 +173,9 @@ def _normalize(x: np.ndarray, src: SourceStats, cfg: NormalizerConfig, partition
         mean, scale = mv[0], src._scale(mv[1])
         if count > 1:  # one row per sample; a single group's row broadcasts
             mean, scale = mean[labels], scale[labels]
-        trace = SlotTrace(count if grouped else None, *moments, h * w)
+        counts = ([None] * (b // seg) if not grouped else [1] * b if seg == 1 else [count] if seg == b
+                  else np.diff(labels[::seg], append=count).tolist())  # batch j's ids start at labels[j * seg]
+        trace = SlotTrace(counts, *moments, h * w)
     x -= mean[:, :, None, None]
     x *= scale[:, :, None, None]
     x += src._shift

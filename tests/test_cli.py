@@ -416,14 +416,16 @@ class TestUnreadableInput:
 
 
 class TestBlasThreads:
-    STREAMS = {"static256": {"kind": "static", "batch_size": 256}, "b1": {"batch_size": 1, "num_batches": 24}}
+    STREAMS = {"static256": {"kind": "static", "batch_size": 256}, "b1": {"batch_size": 1, "num_batches": 24},
+               "b4": {"kind": "cross_mix", "batch_size": 4, "num_batches": 24}}
 
     def test_run_files_hold_across_blas_threads_and_kernels_but_for_scores(self, tmp_path):
         # Train, then find_star runs on a B=256 stream (conv, moments and similarity in 64-row blocks, the head row
-        # by row) and a B=1 stream: their metrics files must be the same bytes under 1 and 2 BLAS threads. Under
-        # OpenBLAS's Sandybridge kernel, at the default thread count, the model file differs, and so do find_star's
-        # raw layer scores, which follow the source statistics; everything else must be the same bytes. A BLAS that
-        # ignores OPENBLAS_CORETYPE runs its own kernel there, and that comparison holds trivially.
+        # by row), a B=1 stream and a B=4 stream (one masked similarity and one merge per stack of 16 batches, the
+        # cold start ending inside the first): their metrics files must be the same bytes under 1 and 2 BLAS
+        # threads. Under OpenBLAS's Sandybridge kernel, at the default thread count, the model file differs, and so
+        # do find_star's raw layer scores, which follow the source statistics; everything else must be the same
+        # bytes. A BLAS that ignores OPENBLAS_CORETYPE runs its own kernel there, and that comparison holds trivially.
         nproc = len(os.sched_getaffinity(0))
         if nproc < 2:
             pytest.skip("needs two cores to run two BLAS threads")

@@ -191,6 +191,19 @@ class TestGeneratedMeans:
         groups = [np.flatnonzero(labels == g).tolist() for g in range(count)]
         assert groups == union_find_partition(means[:, :, None, None])
 
+    @settings(max_examples=20, derandomize=True, database=None, deadline=None)
+    @given(generated_means(), st.data())
+    def test_a_segment_labels_each_batch_as_alone(self, means, data):
+        # with `segment`, each run of that many rows is a batch: its labels are those it gets alone, ties and zero
+        # rows included, shifted past the groups of the batches before it
+        b = len(means)
+        segment = data.draw(st.sampled_from([d for d in range(2, b + 1) if b % d == 0]))
+        alone = [first_neighbor_labels(means[i : i + segment]) for i in range(0, b, segment)]
+        offsets = np.cumsum([0] + [count for _, count in alone])
+        labels, count = first_neighbor_labels(means, segment)
+        assert np.array_equal(labels, np.concatenate([ids + k for (ids, _), k in zip(alone, offsets)]))
+        assert count == offsets[-1]
+
 
 class TestPartition:
     def test_singleton_batch(self):

@@ -325,14 +325,15 @@ class TestGeneratedRuleForms:
 
 def test_train_model_runs_each_stage_once_per_batch(small_setup, monkeypatch):
     # one 2x2 pool per stage: set-up runs the K stages once per training batch (the capture
-    # sweep) and once per clean-eval batch, and never again
+    # sweep) and once per clean-eval stack of ceil(64 / B) batches, and never again
     cfg = small_setup[0]
     calls = []
     pool = model.avg_pool_2x2
     monkeypatch.setattr(model, "avg_pool_2x2", lambda x, *args, **kwargs: calls.append(x.shape) or pool(x, *args, **kwargs))
     harness.train_model(cfg)
     mc = cfg.model
-    assert len(calls) == len(mc["channels"]) * (mc["train_batches"] + mc["clean_eval_batches"]) == 24
+    stacks = -(-mc["clean_eval_batches"] // -(-64 // mc["train_batch_size"]))
+    assert len(calls) == len(mc["channels"]) * (mc["train_batches"] + stacks) == 20
 
 
 class TestRunExperiment:
@@ -418,16 +419,36 @@ class TestRunExperiment:
         *((b, n, mode, 5) for b, n in ((16, 10), (63, 5)) for mode in MODES)])
     def test_small_batches_forward_one_by_one_from_stacks(self, small_setup, monkeypatch, b, num_batches, mode, cold):
         # from 2 to 63 samples a run draws ceil(64 / B) batches at a time, the last stack partial (B 3: 22, 22 and 6
-        # batches; B 16: 4, 4 and 2; B 63: 2, 2 and 1), and forwards each batch alone, a row slice of its stack;
-        # find_star's cold start ends inside a stack or on its edge
+        # batches; B 16: 4, 4 and 2; B 63: 2, 2 and 1), and forwards each stack whole, not one by one as the name
+        # (kept, so the test's ids stay comparable) says: find_star's last cold-start batch, inside a stack or on its
+        # edge, cuts it in two. The record is a loop's that forwards each `sample_batch` alone
         cfg, net, bank, _, _ = small_setup
         sc = replace(cfg.scenario, batch_size=b, num_batches=num_batches)
         ncfg = NormalizerConfig(mode=mode, cold_start_batches=cold)
         rec, forwarded, drawn = run_counting_draws_and_forwards(monkeypatch, net, bank, sc, ncfg)
         per_stack = -(-64 // b)
         assert drawn == [list(range(i, min(i + per_stack, num_batches))) for i in range(0, num_batches, per_stack)]
-        assert forwarded == [b] * num_batches
+        head = min(cold, num_batches) if mode == "find_star" else 0
+        assert forwarded == [b * n for n in np.diff(sorted({*range(0, num_batches, per_stack), head, num_batches}))]
         assert_loop_record(rec, net, bank, sc, ncfg)
+
+    @pytest.mark.parametrize("b", [1, 3, 16, 63])
+    def test_one_forward_per_stack_below_one_block(self, small_setup, monkeypatch, b):
+        # below one block a run makes one forward per stack, each with `segment` B, in every mode but find_star
+        # (whose cold start cuts one stack): no per-batch forward loop is left
+        cfg, net, bank, _, _ = small_setup
+        per_stack, real_forward, segments = -(-64 // b), model.Network.forward, []
+
+        def forward(self, x, *args, segment=None, **kwargs):
+            segments.append((x.shape[0], segment))
+            return real_forward(self, x, *args, segment=segment, **kwargs)
+
+        monkeypatch.setattr(model.Network, "forward", forward)
+        sc = replace(cfg.scenario, batch_size=b, num_batches=2 * per_stack + 1)
+        for mode in ("sbn", "tbn", "alpha_bn", "find"):
+            segments.clear()
+            run_experiment(net, bank, sc, NormalizerConfig(mode=mode))
+            assert segments == [(b * per_stack, b), (b * per_stack, b), (b, b)], mode
 
     def test_raising_forward_leaves_no_thread(self, small_setup, monkeypatch):
         # the exception's traceback keeps `run_experiment`'s frame alive; the stream's worker must be joined anyway,

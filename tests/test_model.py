@@ -345,28 +345,76 @@ class TestNetworkForward:
 
     @pytest.mark.parametrize("s", [1, 2, 63, 64, 65, 300])
     def test_singles_forward_each_row_as_its_own_batch(self, default_setup, s):
-        # with `singles`, a stack of S one-sample batches goes through one forward: each row's logits and
-        # `SlotTrace.row` are bitwise that sample's forward alone, in every mode and gating, across block edges
+        # with `segment=1`, a stack of S one-sample batches goes through one forward: each row's logits and
+        # `SlotTrace.row` are bitwise that sample's forward alone, in every mode and gating, across block edges;
+        # sbn's rows hold no moments
         net, x = default_setup[1], stock_batch(default_setup, s, index=2)
         runs = [(NormalizerConfig(mode=mode), gating) for mode, gating in GATED_RUNS]
         runs += [(NormalizerConfig(mode="alpha_bn", alpha=alpha), None) for alpha in (0.0, 1.0)]
         for cfg, gating in runs:
-            logits, traces = net.forward(x, cfg, gating=gating, collect_traces=True, singles=True)
+            logits, traces = net.forward(x, cfg, gating=gating, collect_traces=True, segment=1)
+            assert [len(tr.cluster_counts) for tr in traces] == [s] * net.num_slots, (cfg, gating)
             for i in range(s):
                 alone, alone_traces = net.forward(x[i : i + 1], cfg, gating=gating, collect_traces=True)
                 assert same_bits(logits[i : i + 1], alone), (cfg, gating, i)
                 for row, theirs in zip([tr.row(i) for tr in traces], alone_traces, strict=True):
                     assert row.cluster_count == theirs.cluster_count, (cfg, gating, i)
                     for a, b_ in ((row.sums, theirs.sums), (row.m2, theirs.m2)):
+                        assert (a is b_ is None) == (cfg.mode == "sbn"), (cfg, gating, i)
                         assert a is b_ is None or same_bits(a, b_), (cfg, gating, i)
 
-    def test_a_stack_needs_singles(self, default_setup):
-        # without the flag a stack is one batch: tbn normalizes every row by the stack's statistics
-        net, x, tbn = default_setup[1], stock_batch(default_setup, 64, index=2), NormalizerConfig(mode="tbn")
-        stacked, singles = net.forward(x, tbn), net.forward(x, tbn, singles=True)
-        alone = np.concatenate([net.forward(x[i : i + 1], tbn) for i in range(64)])
-        assert same_bits(singles, alone)
-        assert not np.array_equal(stacked, alone)
+    @pytest.mark.parametrize("b", [2, 3, 16, 63])
+    def test_segment_forwards_each_batch_as_alone(self, default_setup, b):
+        # with `segment` B, a stack of n B-sample batches, stock batches 0 to n - 1, goes through one forward: each
+        # batch's logits and `SlotTrace.row` (count, sums and m2) are bitwise its forward alone, in every mode and
+        # gating, for one batch, a partial stack, a full one of ceil(64 / B) batches and one batch more, across a
+        # block edge; sbn's rows hold no moments (B=1 is the singles test above)
+        net, per_stack = default_setup[1], -(-64 // b)
+        runs = [(NormalizerConfig(mode=mode), gating) for mode, gating in GATED_RUNS]
+        runs += [(NormalizerConfig(mode="alpha_bn", alpha=alpha), None) for alpha in (0.0, 1.0)]
+        for n in sorted({1, per_stack - 1, per_stack, per_stack + 1} - {0}):
+            batches = [stock_batch(default_setup, b, index=j) for j in range(n)]
+            for cfg, gating in runs:
+                logits, traces = net.forward(np.concatenate(batches), cfg, gating=gating, collect_traces=True, segment=b)
+                assert [len(tr.cluster_counts) for tr in traces] == [n] * net.num_slots, (cfg, gating, n)
+                for j, x in enumerate(batches):
+                    alone, alone_traces = net.forward(x, cfg, gating=gating, collect_traces=True)
+                    assert same_bits(logits[j * b : (j + 1) * b], alone), (cfg, gating, n, j)
+                    for row, theirs in zip([tr.row(j) for tr in traces], alone_traces, strict=True):
+                        assert row.cluster_count == theirs.cluster_count, (cfg, gating, n, j)
+                        for a, b_ in ((row.sums, theirs.sums), (row.m2, theirs.m2)):
+                            assert (a is b_ is None) == (cfg.mode == "sbn"), (cfg, gating, n, j)
+                            assert a is b_ is None or same_bits(a, b_), (cfg, gating, n, j)
+
+    def test_a_stack_of_batches_is_not_one_batch(self, default_setup):
+        # without `segment` a stack is one batch: each 2-row batch normalized alone differs from its rows in the
+        # 64-row batch, in every mode that measures the batch
+        net, x = default_setup[1], stock_batch(default_setup, 64, index=2)
+        for mode in ("tbn", "alpha_bn", "find"):
+            cfg = NormalizerConfig(mode=mode)
+            pairs = net.forward(x, cfg, segment=2)
+            assert same_bits(pairs, np.concatenate([net.forward(x[i : i + 2], cfg) for i in range(0, 64, 2)])), mode
+            assert not np.array_equal(pairs, net.forward(x, cfg)), mode
+
+    @pytest.mark.parametrize("segment", [0, -2, 5, 128, 2.0, True, "2", np.float64(4.0)])
+    def test_a_segment_must_divide_the_batch(self, default_setup, segment):
+        # `forward` and `backbone` take outside input: a segment that is not a positive integer dividing the batch
+        # raises, before any stage runs, where `np.arange(64) // 5` would make a 4-sample last batch
+        net, x, cfg = default_setup[1], stock_batch(default_setup, 64), NormalizerConfig(mode="tbn")
+        for call in (net.forward, net.backbone):
+            with pytest.raises(ValueError, match="segment must be a positive integer dividing the batch's 64 samples"):
+                call(x, cfg, segment=segment)
+
+    def test_a_stem_is_one_batch(self, default_setup):
+        # a stem stands for one batch: its segment is None or the whole batch, as a Python or numpy integer, and
+        # a smaller one raises, though it divides the batch
+        net, x, cfg = default_setup[1], stock_batch(default_setup, 64), NormalizerConfig(mode="find")
+        whole = net.forward(x, cfg)
+        for segment in (64, np.int64(64)):
+            assert same_bits(net.forward(net.stem(cfg)(x)(), cfg, segment=segment), whole)
+        for segment in (1, 2, 32):
+            with pytest.raises(ValueError, match="dividing the batch.s 64 samples"):
+                net.forward(net.stem(cfg)(x)(), cfg, segment=segment)
 
 
 GATED_RUNS = [(mode, None) for mode in MODES]
