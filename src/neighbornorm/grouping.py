@@ -51,15 +51,18 @@ def first_neighbor_components(first: np.ndarray) -> tuple[np.ndarray, int]:
     """Components of i -> first[i]: a group id per sample and the group count.
 
     Every cycle of `first` must be a mutual pair, as `first_neighbor_labels`
-    guarantees. Ids are ordered by each group's smallest member.
+    guarantees. Ids rank each group's smallest member, which `np.minimum.at`
+    scatters onto its pair in no order that matters, by a cumsum.
     """
     first = np.asarray(first, dtype=np.intp)
-    reach = first
+    reach, order = first, np.arange(first.shape[0])
     for _ in range((first.shape[0] - 1).bit_length()):  # ceil(log2 B) rounds
         reach = reach[reach]  # first applied 2^k times: on the pair after k rounds
-    pair = np.minimum(reach, first[reach])
-    _, smallest, labels = np.unique(pair, return_index=True, return_inverse=True)
-    return np.argsort(np.argsort(smallest))[labels], smallest.size  # rank of each group's smallest member
+    pair, smallest = np.minimum(reach, first[reach]), np.full(first.shape[0], first.shape[0])
+    np.minimum.at(smallest, pair, order)
+    lowest = smallest[pair]  # each sample's group's smallest member
+    rank = np.cumsum(lowest == order) - 1
+    return rank[lowest], int(rank[-1]) + 1
 
 
 def first_neighbor_labels(means: np.ndarray, segment: int | None = None) -> tuple[np.ndarray, int]:

@@ -11,8 +11,8 @@ from construction, and its constructor checks every part once.
 
 The public kernels check their inputs. A `Network` checks its input once, at
 entry, runs each stage through one unchecked body, `_stage` (`_conv`; `_normalize`,
-the one FABN body, which normalizes in place; relu in place; pool), and checks at
-exit that the result is finite (else ValueError). Capture runs the same body.
+the one FABN body, which normalizes and relus in place, a zero shift riding on the
+relu; pool), and checks at exit that the result is finite. Capture runs the same body.
 `forward` takes a raw batch, or a `Stem` that stands for it: `Network.stem` checks a
 batch and runs the first stage's conv and, except in sbn, its `sample_moments`, which
 depend on nothing but the batch, so the stream runs it one batch ahead on its worker.
@@ -178,9 +178,9 @@ def _checked(x: np.ndarray, input_shape: tuple) -> np.ndarray:
 def _stage(conv: np.ndarray, src: SourceStats, cfg: NormalizerConfig, enabled: bool = True,
            moments: np.ndarray | None = None, segment: int | None = None) -> tuple[np.ndarray, SlotTrace]:
     """One stage after its conv, on a conv map of any batch size, unchecked: normalize the map in place against `src`
-    (`moments`: its `sample_moments`, if measured already; `segment`: the samples per batch), relu in place, pool."""
-    h, trace = _normalize(conv, src, cfg, enabled, moments, segment=segment)
-    return avg_pool_2x2(np.maximum(h, 0.0, out=h)), trace
+    (`moments`: its `sample_moments`, if measured already; `segment`: the samples per batch) and relu it, pool."""
+    h, trace = _normalize(conv, src, cfg, enabled, moments, segment=segment, relu=True)
+    return avg_pool_2x2(h), trace
 
 
 @dataclass(eq=False, slots=True)
@@ -313,19 +313,20 @@ class Network:
         ValueError, and so do a stem that this network did not make, that was forwarded already, or that was made
         for sbn when `cfg`'s mode measures the batch, and a `segment` that does not divide the batch (a stem's: whole).
         """
-        if not isinstance(x, Stem):  # `first`: the first slot whose conv runs here
-            h, moments, first = _checked(x, self.input_shape), None, 0
-        elif x.net is not self or x.conv is None:
+        stem = isinstance(x, Stem)
+        if stem and (x.net is not self or x.conv is None):
             raise ValueError("a stem is forwarded once, by the network that made it")
-        elif x.moments is None and cfg.mode != "sbn":
+        if stem and x.moments is None and cfg.mode != "sbn":
             raise ValueError(f"this stem was made for sbn and holds no moments; mode {cfg.mode} measures the batch")
-        else:  # the stem is spent: the first stage normalizes its map in place
-            h, moments, first, x.conv = x.conv, x.moments, 1, None
+        # `first`: the first slot whose conv runs here
+        h, moments, first = (x.conv, x.moments, 1) if stem else (_checked(x, self.input_shape), None, 0)
         if segment is not None and (type(segment) is not int and not isinstance(segment, np.integer) or segment < 1
-                                    or len(h) % segment or first and segment < len(h)):  # `first`: a stem is one batch
+                                    or len(h) % segment or stem and segment < len(h)):  # a stem is one batch
             raise ValueError(f"segment must be a positive integer dividing the batch's {len(h)} samples, got {segment!r}")
         if gating is not None and len(gating) != self.num_slots:
             raise ValueError(f"gating must list {self.num_slots} flags")
+        if stem:  # the arguments hold, so the stem is spent: the first stage normalizes its map in place
+            x.conv = None
         traces = []
         for k, (w, src) in enumerate(zip(self.conv_weights, self.source_stats)):
             if k >= first:

@@ -46,8 +46,8 @@ def canonical_mode(mode: str) -> str:
 @dataclass(frozen=True)
 class SourceStats:
     """Frozen per-channel source statistics plus the layer's affine parameters. The normalizer's constant
-    terms are set here once: the float32 `eps`, the (1, C, 1, 1) shift and sbn's (1, C) scale row, and
-    `_blends`, the memo of the source's share of each alpha's blend, which `_normalize` fills."""
+    terms are set here once: the float32 `eps`, the (1, C, 1, 1) shift, whether any of it is nonzero, sbn's (1, C)
+    scale row, and `_blends`, the memo of the source's share of each alpha's blend, which `_normalize` fills."""
 
     stats: ChannelStats
     affine_scale: np.ndarray
@@ -67,6 +67,7 @@ class SourceStats:
         object.__setattr__(self, "affine_shift", shift)
         object.__setattr__(self, "_eps", np.float32(self.eps))  # the constant terms are not fields, so not in asdict
         object.__setattr__(self, "_shift", shift[None, :, None, None])  # as `_normalize` adds it
+        object.__setattr__(self, "_shifted", bool(shift.any()))  # False for entries of +0.0 and -0.0 alike
         object.__setattr__(self, "_sbn_scale", self._scale(self.stats.var[None]))
         object.__setattr__(self, "_blends", {})  # alpha -> float32 ((2, 1, C) alpha * [mean; var], 1 - alpha)
 
@@ -144,13 +145,14 @@ def apply_normalizer(
 
 
 def _normalize(x: np.ndarray, src: SourceStats, cfg: NormalizerConfig, partition_enabled: bool,
-               moments: np.ndarray | None = None, *, segment: int | None = None) -> tuple[np.ndarray, SlotTrace]:
+               moments: np.ndarray | None = None, *, segment: int | None = None, relu=False) -> tuple[np.ndarray, SlotTrace]:
     """`apply_normalizer` of a canonical map with `src`'s channel count, which it normalizes in place, unchecked.
     `moments` is the map's `sample_moments` if the caller measured it already (the network's stem does); else,
     except in sbn, it is measured here. Each run of `segment` rows (None: B) is a batch, normalized bitwise as alone,
     its count in the trace. Mean and variance travel as one (2, count, C) array. A one-sample batch is its own group,
     `moments / L`: `merge_moments`' bits, without labels or a merge; else one merge covers every batch's groups.
-    Each group's row blends alpha parts source with (1 - alpha) parts test, except in tbn."""
+    Each group's row blends alpha parts source with (1 - alpha) parts test, except in tbn. `relu` relus the map in
+    place after the shift, skipping a zero shift's add: adding +0.0 or -0.0 changes only a -0.0, to the +0.0 relu gives."""
     b, _, h, w = x.shape
     seg = segment or b
     if cfg.mode == "sbn":  # one group; the batch is not measured
@@ -178,5 +180,6 @@ def _normalize(x: np.ndarray, src: SourceStats, cfg: NormalizerConfig, partition
         trace = SlotTrace(counts, *moments, h * w)
     x -= mean[:, :, None, None]
     x *= scale[:, :, None, None]
-    x += src._shift
-    return x, trace
+    if src._shifted or not relu:
+        x += src._shift
+    return np.maximum(x, 0.0, out=x) if relu else x, trace

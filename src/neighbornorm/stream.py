@@ -286,19 +286,22 @@ def _prologue(scenario: StreamScenario, bank: TemplateBank, rng: np.random.Gener
 
 
 def _epilogue(scenario: StreamScenario, bank: TemplateBank, drawn: list, z: np.ndarray) -> LabeledBatch:
-    """The stack of maps, labels and domain ids, n * B rows each, of n prologues `drawn` and their noise `z`
+    """The stack of maps, labels and domain ids, n * B rows each, of n prologues `drawn` and their spent noise `z`
     (n, 2, B, C, H, W), both fields of a batch one fill, in one elementwise float32 pass: bitwise n one-batch passes."""
     labels, domain_ids = (np.concatenate([d[k] for d in drawn]).astype(np.intp, copy=False) for k in (1, 2))
     x = bank.templates[labels].astype(np.float32, copy=False)  # indexing already copied
-    # `0.0 + s * z` is `normal(0, s)` bit for bit, -0.0 products turned +0.0
-    x += (0.0 + bank.base_noise * z[:, 0]).astype(np.float32).reshape(x.shape)
+    noise, base = np.empty(x.shape, np.float32), z[:, 0]  # each field is cast once, into this one array
+    base *= bank.base_noise
+    base += 0.0  # `0.0 + s * z` is `normal(0, s)` bit for bit, -0.0 products turned +0.0
+    noise.reshape(base.shape)[...] = base
+    x += noise
 
     contrast, brightness, noise_sigma = scenario._domain_table[domain_ids].T[:, :, None, None, None]
-    shift_noise = z[:, 1].astype(np.float32).reshape(x.shape)
+    noise.reshape(base.shape)[...] = z[:, 1]
     x *= contrast
     x += brightness
-    shift_noise *= noise_sigma
-    x += shift_noise
+    noise *= noise_sigma
+    x += noise
     return LabeledBatch(x, labels, domain_ids)
 
 

@@ -45,14 +45,18 @@ Case groups, all on the stock config's model and templates:
   where the run draws ceil(64 / B) batches at a time and forwards each stack in runs;
 - tiny_batch_runs: the JSON and CSV bytes `write_metrics` gives for `TINY_RUN_BATCHES`-batch `cross_mix` and `random`
   runs at each of `TINY_RUN_BATCH_SIZES`, in every mode, find_star at each of `TINY_RUN_COLD_STARTS`, a cold start
-  inside a stack and one on a stack's edge; at B 2 a stack holds 32 batches, the most of any batch size.
+  inside a stack and one on a stack's edge; at B 2 a stack holds 32 batches, the most of any batch size;
+- shifted_forward: the forward group's values for `cross_mix` and `static` batches 0 and 3 at each of
+  `SHIFTED_BATCH_SIZES`, in every forward configuration, of the stock network with its slot shifts replaced, one slot's
+  by nonzero entries and the other's by +0.0 and -0.0 in turn, each way round, built through the public constructors.
 
 Every array of source_stats and head is hashed with its C-contiguity too, so they show whether the model file is read
 back into the same network. The groups before forward_mixes are those of the first version of this script, those
 before no_logits those of the second, those before source_stats those of the third, those before small_model_file
 those of the fourth, those before one_sample_runs those of the fifth, those before small_batch_stream those of the
-sixth, those before stream_seeds those of the seventh, those before small_batch_runs those of the eighth and those
-before tiny_batch_runs those of the ninth, so their lines can be diffed against any of their outputs.
+sixth, those before stream_seeds those of the seventh, those before small_batch_runs those of the eighth, those
+before tiny_batch_runs those of the ninth and those before shifted_forward those of the tenth, so their lines can be
+diffed against any of their outputs.
 The header names the BLAS numpy was built with, the thread count and kernel its OpenBLAS runs with, and
 OPENBLAS_CORETYPE: outputs depend on the kernel, so compare only outputs of one kernel.
 """
@@ -93,6 +97,7 @@ SMALL_RUN_COLD_STARTS = (5, 22)
 TINY_RUN_BATCH_SIZES = (2, 4, 8)
 TINY_RUN_BATCHES = 70
 TINY_RUN_COLD_STARTS = (7, 32)
+SHIFTED_BATCH_SIZES = (1, 64, 256)
 
 
 class Digest:
@@ -164,7 +169,7 @@ def main(argv=None) -> int:
     import neighbornorm
     from conftest import SMALL_CONFIG
     from neighbornorm import harness, normalization, stream
-    from neighbornorm.model import load_model, save_model
+    from neighbornorm.model import Network, load_model, save_model
 
     print(f"package: {neighbornorm.__file__}")
     print(f"blas:    {blas_facts()}")
@@ -313,6 +318,21 @@ def main(argv=None) -> int:
 
         groups["small_batch_runs"] = small_runs(SMALL_RUN_BATCH_SIZES, SMALL_RUN_BATCHES, SMALL_RUN_COLD_STARTS)
         groups["tiny_batch_runs"] = small_runs(TINY_RUN_BATCH_SIZES, TINY_RUN_BATCHES, TINY_RUN_COLD_STARTS)
+
+        group = groups["shifted_forward"] = Digest()
+        for k in range(net.num_slots):  # slot k's shift nonzero, every other slot's zeros of both signs
+            shifts = [np.where(np.arange(src.num_channels) % 2, np.float32(-0.0), np.float32(0.0))
+                      for src in net.source_stats]
+            shifts[k] = np.linspace(-0.5, 0.5, net.source_stats[k].num_channels, dtype=np.float32)
+            shifted = Network(net.conv_weights, [normalization.SourceStats(src.stats, src.affine_scale, shift, src.eps)
+                                                 for src, shift in zip(net.source_stats, shifts)],
+                              net.head, net.input_shape, net.seed, net.eps)
+            for kind in ("cross_mix", "static"):
+                for b in SHIFTED_BATCH_SIZES:
+                    for i in BATCH_INDICES:
+                        x = stream.sample_batch(scenario(kind, b), bank, i).x
+                        for ncfg, gating in forward_configs(normalization):
+                            group.add(*forwarded(shifted, x, ncfg, gating))
 
     total = hashlib.sha256()
     for name, group in groups.items():

@@ -205,6 +205,55 @@ class TestGeneratedMeans:
         assert count == offsets[-1]
 
 
+def unique_components(first: np.ndarray) -> tuple[np.ndarray, int]:
+    """`first_neighbor_components` as first written, kept as its reference: the same pointer jumping, then the pairs'
+    `np.unique`, each group's id the rank of its first index by a double argsort."""
+    first = np.asarray(first, dtype=np.intp)
+    reach = first
+    for _ in range((first.shape[0] - 1).bit_length()):
+        reach = reach[reach]
+    pair = np.minimum(reach, first[reach])
+    _, smallest, labels = np.unique(pair, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(smallest))[labels], smallest.size
+
+
+@st.composite
+def first_neighbor_graphs(draw):
+    """A `first` array of B 1-300 samples whose only cycles are mutual pairs and lone samples' self-loops: either the
+    first neighbors of generated means (ties and zero rows among them), masked to a stack of batches of a drawn
+    segment as `first_neighbor_labels` masks them, or drawn as a graph: pairs and self-loops, then every other
+    sample pointing at one placed before it, in a drawn order."""
+    if draw(st.booleans()):
+        means = draw(generated_means()) if draw(st.integers(0, 9)) else np.ones((1, 3))
+        b = len(means)
+        segment = draw(st.sampled_from([d for d in range(2, b + 1) if b % d == 0] or [1]))
+        sim, batch = cosine_similarity_matrix(means), np.arange(b) // segment
+        sim[batch[:, None] != batch] = -np.inf
+        np.fill_diagonal(sim, -np.inf)
+        return np.argmax(sim, axis=1) if b > 1 else np.zeros(1, np.intp)
+    b = draw(st.integers(1, 300))
+    pairs = draw(st.integers(0, b // 2))
+    lone = draw(st.integers(0 if pairs else 1, min(b - 2 * pairs, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    order, first = rng.permutation(b), np.empty(b, np.intp)
+    first[order[0 : 2 * pairs : 2]], first[order[1 : 2 * pairs : 2]] = order[1 : 2 * pairs : 2], order[0 : 2 * pairs : 2]
+    first[order[2 * pairs : 2 * pairs + lone]] = order[2 * pairs : 2 * pairs + lone]
+    for j in range(2 * pairs + lone, b):  # often onto a few early samples, so many share a first neighbor
+        first[order[j]] = order[rng.integers(0, j if rng.random() < 0.5 else min(j, 3))]
+    return first
+
+
+class TestGeneratedGraphs:
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(first_neighbor_graphs())
+    def test_components_match_the_unique_formulation(self, first):
+        # the scattered smallest members and cumsum ranks are the np.unique / argsort labels, id for id
+        labels, count = first_neighbor_components(first)
+        expected, expected_count = unique_components(first)
+        assert labels.dtype == np.intp and type(count) is int
+        assert np.array_equal(labels, expected) and count == expected_count
+
+
 class TestPartition:
     def test_singleton_batch(self):
         part = first_neighbor_partition(np.ones((1, 3, 2, 2), np.float32))

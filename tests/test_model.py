@@ -487,6 +487,21 @@ class TestStem:
         with pytest.raises(ValueError, match="forwarded once"):
             net.forward(stem, cfg)
 
+    @pytest.mark.parametrize("bad", [{"gating": [True]}, {"gating": [True, False, True]}, {"segment": 2},
+                                     {"segment": 0}, {"segment": 2.0}])
+    def test_a_rejected_forward_leaves_its_stem_whole(self, default_setup, bad):
+        # a forward that rejects its gating or segment raises before it spends the stem, which then forwards
+        # bitwise as a fresh stem of the same batch would
+        net, x, cfg = default_setup[1], stock_batch(default_setup, 64, index=1), NormalizerConfig(mode="find")
+        stem = net.stem(cfg)(x)()
+        with pytest.raises(ValueError, match="gating must list|segment must be"):
+            net.forward(stem, cfg, **bad)
+        assert stem.conv is not None
+        ours, theirs = self.outputs(net, stem, cfg, None), self.outputs(net, net.stem(cfg)(x)(), cfg, None)
+        assert same_bits(ours[0], theirs[0]) and stem.conv is None
+        for (count, *moments), (their_count, *their_moments) in zip(ours[1], theirs[1], strict=True):
+            assert count == their_count and all(same_bits(a, b) for a, b in zip(moments, their_moments))
+
     def test_the_batch_is_checked_when_the_stem_is_made(self, default_setup):
         net = default_setup[1]
         with pytest.raises(ValueError, match="does not match network input"):
@@ -527,6 +542,92 @@ class TestStem:
         finally:
             tracemalloc.stop()
         assert peak < 96 * 1024
+
+
+STOCK_STAGE_MAPS = ((8, 16, 16), (16, 8, 8))  # a sample's conv map at slot 0 and at slot 1 of the stock network
+ZERO_SHIFTS = {"+0.0": 0.0, "-0.0": -0.0}
+
+
+def with_shifts(net, shifts, zero_scale):
+    """`net` with slot k's affine shift `shifts[k]` (an array, a float for every channel, or "mixed": +0.0 and -0.0 in
+    turn) and, with `zero_scale`, a zero affine scale on every third channel, whose normalized entries below the mean
+    are -0.0 before the shift is added."""
+    stats = []
+    for src, shift in zip(net.source_stats, shifts):
+        c = src.num_channels
+        scale = np.where(np.arange(c) % 3 == 0, np.float32(0.0), src.affine_scale) if zero_scale else src.affine_scale
+        shift = np.where(np.arange(c) % 2, -0.0, 0.0) if isinstance(shift, str) else np.broadcast_to(shift, c)
+        stats.append(SourceStats(src.stats, scale, shift.astype(np.float32), src.eps))
+    return Network(net.conv_weights, stats, net.head, net.input_shape, net.seed, net.eps)
+
+
+class TestShiftOnTheRelu:
+    """A stage adds its slot's shift only where an entry is nonzero: a shift of +0.0 and -0.0 entries changes a
+    normalized entry only from -0.0 to +0.0, which the relu after it does too. `apply_normalizer`, which has no
+    relu, always adds it."""
+
+    @pytest.mark.parametrize("b", [1, 64, 256])
+    @pytest.mark.parametrize("shape", STOCK_STAGE_MAPS)
+    def test_the_relu_maps_negative_zero_to_positive_zero(self, b, shape):
+        # the premise: np.maximum(t, 0.0) in place is +0.0 for t = -0.0 as for t = +0.0 and every t < 0, whichever
+        # SIMD lane the entry falls in, on maps shaped like both stock stages' conv maps
+        rng = np.random.default_rng(b)
+        x = rng.choice(np.array([-0.0, 0.0, -1.5, 2.5, -1e-40, 1e-40], np.float32), size=(b, *shape))
+        expected = np.where(x > 0, x, np.float32(0.0))
+        assert np.signbit(x[x == 0]).any() and not np.signbit(expected).any()
+        assert same_bits(np.maximum(x, 0.0, out=x), expected)
+
+    @pytest.mark.parametrize("shifts", [(0.25, "+0.0"), ("-0.0", -0.5), ("mixed", "+0.0"), ("+0.0", "mixed"),
+                                        ("-0.0", "-0.0"), (0.0, -0.5), ("mixed", 0.75)])
+    @pytest.mark.parametrize("b", [1, 64, 65])
+    def test_a_stage_is_normalize_then_relu_then_pool(self, default_setup, shifts, b):
+        # a forward is bitwise the public chain that always adds the shift: conv, apply_normalizer, relu, pool, head,
+        # for slots whose shift is nonzero, +0.0, -0.0 or both, in every mode and gating, raw and through a stem;
+        # the zero-scale channels make -0.0 entries before the shift (the map with a -0.0 shift, which adds nothing,
+        # shows them), so skipping a zero shift's add is tested where it would count
+        net = with_shifts(default_setup[1], [ZERO_SHIFTS.get(s, s) for s in shifts], zero_scale=True)
+        x = stock_batch(default_setup, b, index=2)
+        for mode, gating in GATED_RUNS:
+            cfg = NormalizerConfig(mode=mode)
+            h, chained = x, []
+            for k, (w, src) in enumerate(zip(net.conv_weights, net.source_stats)):
+                conv, enabled = conv2d_3x3(h, w), True if gating is None else gating[k]
+                unshifted = SourceStats(src.stats, src.affine_scale, np.full(src.num_channels, -0.0, np.float32), src.eps)
+                before = apply_normalizer(conv, unshifted, cfg, enabled)[0]
+                assert (np.signbit(before) & (before == 0)).any(), (mode, gating, k)
+                y, trace = apply_normalizer(conv, src, cfg, enabled)
+                h = avg_pool_2x2(np.maximum(y, np.float32(0.0)))
+                chained.append(trace)
+            logits = np.einsum("bd,kd->bk", h.reshape(b, -1), net.head.weight)
+            logits += net.head.bias
+            runs = [x] + ([net.stem(cfg)(x)()] if b >= 64 else [])
+            for ours, traces in (net.forward(run, cfg, gating=gating, collect_traces=True) for run in runs):
+                assert same_bits(ours, logits), (mode, gating)
+                for trace, theirs in zip(traces, chained, strict=True):
+                    assert trace.cluster_counts == theirs.cluster_counts, (mode, gating)
+                    for a, b_ in ((trace.sums, theirs.sums), (trace.m2, theirs.m2)):
+                        assert a is b_ is None or same_bits(a, b_), (mode, gating)
+
+    def test_apply_normalizer_adds_a_zero_shift(self):
+        # with no relu after it, apply_normalizer keeps the add: sbn against a zero source mean takes a -0.0 input
+        # entry to -0.0 before the shift, so a +0.0 shift makes it +0.0 and a -0.0 shift leaves it -0.0
+        stats, x = ChannelStats(np.zeros(3), np.ones(3)), np.full((2, 3, 2, 2), -0.0, np.float32)
+        for shift, negative in ((0.0, False), (-0.0, True)):
+            src = SourceStats(stats, np.ones(3, np.float32), np.full(3, shift, np.float32))
+            out, _ = apply_normalizer(x, src, NormalizerConfig(mode="sbn"))
+            assert not out.any() and np.signbit(out).all() == negative and np.signbit(out).any() == negative
+
+    def test_a_shift_is_added_where_any_entry_is_nonzero(self, default_setup):
+        # a shift with one nonzero entry among zeros is added: the stage's output rises on that channel alone (where
+        # its relu lets it through)
+        net, x, cfg = default_setup[1], stock_batch(default_setup, 64), NormalizerConfig(mode="tbn")
+        shift = np.zeros(net.source_stats[0].num_channels)
+        shift[3] = 0.5
+        moved = with_shifts(net, [shift, 0.0], zero_scale=False)
+        ours = _stage(conv2d_3x3(x, net.conv_weights[0]), moved.source_stats[0], cfg)[0]
+        base = _stage(conv2d_3x3(x, net.conv_weights[0]), net.source_stats[0], cfg)[0]
+        assert same_bits(np.delete(ours, 3, axis=1), np.delete(base, 3, axis=1))
+        assert (ours[:, 3] >= base[:, 3]).all() and (ours[:, 3] > base[:, 3]).mean() > 0.5
 
 
 def parts_of(net) -> dict:
