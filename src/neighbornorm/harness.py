@@ -221,8 +221,8 @@ class MetricsRecord:
     cluster_counts: dict  # slot name -> list of int or None per batch
     sensitivity: list | None
     metadata: dict
-    # sidecar only, per batch: from 64 samples up, its forward on the calling thread and any wait for the stem the
-    # stream's worker ran; below, an equal share of its run's forward
+    # sidecar only, per batch: an equal share of its run's forward on the calling thread, which from 64 samples up
+    # includes any wait for its stack's stem on the stream's worker
     per_batch_seconds: list = field(default_factory=list)
     predictions: list = field(default_factory=list)  # in-memory only
     true_domain_counts: list = field(default_factory=list)  # diagnostics channel only
@@ -273,10 +273,10 @@ def _layer_scores(net: Network, traces) -> list[float]:
 
 
 def run_experiment(net: Network, bank: TemplateBank, scenario: StreamScenario, ncfg: NormalizerConfig) -> MetricsRecord:
-    """Stream all batches in order and score predictions against labels: a stack of `iter_stacks` at a time (one
-    batch and its stem from one block up, else ceil(64 / B) batches), forwarded whole with `segment` B, except that
-    find_star's last cold-start batch ends a run, and its gate applies from the next. Ground-truth domain ids stay
-    inside this function's diagnostics; the network only ever sees the raw feature maps."""
+    """Stream all batches in order and score predictions against labels: a stack of `iter_stacks` at a time, with its
+    stem from one block up, forwarded whole with `segment` B, except that find_star's last cold-start batch ends a
+    run, and its gate applies from the next: both runs are forwarded from the stack's raw rows. Ground-truth domain
+    ids stay inside this function's diagnostics; the network only ever sees the raw feature maps."""
     scores, gating, sensitivity = [], None, None  # find_star: cold-start scores, then the frozen gate
     slot_names = [f"slot{k}" for k in range(net.num_slots)]
     cluster_counts = {name: [] for name in slot_names}
@@ -289,7 +289,7 @@ def run_experiment(net: Network, bank: TemplateBank, scenario: StreamScenario, n
             x, preds = result(), np.empty((n, b), np.intp)
             cut = ncfg.cold_start_batches - len(scores) if star and sensitivity is None else 0
             for lo, hi in pairwise(sorted({0, min(cut, n), n})):
-                logits, traces = net.forward(x if hi - lo == n else x[lo * b : hi * b], ncfg, gating=gating,
+                logits, traces = net.forward(x if hi - lo == n else stack.x[lo * b : hi * b], ncfg, gating=gating,
                                              collect_traces=True, segment=b)
                 if star and sensitivity is None:  # a cold-start run
                     scores += [_layer_scores(net, [tr.row(j) for tr in traces]) for j in range(hi - lo)]
@@ -346,8 +346,10 @@ def compare_modes(net: Network, bank: TemplateBank, scenario: StreamScenario, nc
     All runs share the scenario apart from its seed, so rows are
     comparable by construction.
     """
-    seeds, rows = integers("seeds", seeds, SEED), []
-    for mode_cfg in [replace(ncfg, mode=mode) for mode in modes]:  # every mode checked before the first batch
+    seeds, rows, configs = integers("seeds", seeds, SEED), [], [replace(ncfg, mode=mode) for mode in modes]
+    if not configs:  # every mode is checked before the first batch
+        raise ValueError(f"modes must list one or more modes, got {modes!r}")
+    for mode_cfg in configs:
         accs = [run_experiment(net, bank, replace(scenario, seed=seed), mode_cfg).mean_accuracy for seed in seeds]
         arr = np.asarray(accs, dtype=np.float64)
         rows.append({"mode": mode_cfg.mode, "mean_accuracy": float(arr.mean()), "std_accuracy": float(arr.std()),

@@ -15,7 +15,7 @@ the one FABN body, which normalizes and relus in place, a zero shift riding on t
 relu; pool), and checks at exit that the result is finite. Capture runs the same body.
 `forward` takes a raw batch, or a `Stem` that stands for it: `Network.stem` checks a
 batch and runs the first stage's conv and, except in sbn, its `sample_moments`, which
-depend on nothing but the batch, so the stream runs it one batch ahead on its worker.
+depend on nothing but the batch, so the stream runs it one stack ahead on its worker.
 A stage sees the whole batch, as the grouping must; the two kernels whose temporaries
 grow with it, `_conv` and `sample_moments`, run over blocks of `tensors._BLOCK`
 samples, so those stay in L2, and none of their bits depends on block edges. The
@@ -185,7 +185,7 @@ def _stage(conv: np.ndarray, src: SourceStats, cfg: NormalizerConfig, enabled: b
 
 @dataclass(eq=False, slots=True)
 class Stem:
-    """A checked batch after the first stage's conv, which `Network.forward` takes in the batch's place.
+    """A checked batch, or stack of batches, after the first stage's conv, which `Network.forward` takes in its place.
 
     `conv` is the slot-0 conv map, float32 (B, C, H, W); `moments` is its `sample_moments`, or None in a stem
     made for sbn, the one mode that does not measure the batch. The forward normalizes the map in place and
@@ -275,10 +275,10 @@ class Network:
         return tuple(w.shape[0] for w in self.conv_weights)
 
     def stem(self, cfg: NormalizerConfig):
-        """The per-batch function, for the mode of `cfg`, that `stream.iter_stacks` runs a batch ahead of the network
+        """The per-stack function, for the mode of `cfg`, that `stream.iter_stacks` runs one stack ahead of the network
         from `_BLOCK` samples per batch up (smaller batches reach `forward` as maps, and no stem is made).
 
-        Called on the calling thread with a raw batch, it checks the batch once and allocates the slot-0 conv map and,
+        Called on the calling thread with a raw stack, it checks the stack once and allocates the slot-0 conv map and,
         unless the mode is sbn, its per-sample moments. The callable it returns fills them, on whichever thread runs
         it, and returns the `Stem` that `forward` takes in the batch's place. The block scratch of the conv and the
         moments, sized for `_BLOCK` samples, is allocated on the first call and reused by every later call, so the
@@ -311,7 +311,7 @@ class Network:
         the first conv; from there both take one path. `gating` is an optional per-slot sequence of partition flags;
         None leaves partitioning on everywhere (only the partitioning modes look at it). Non-finite features raise
         ValueError, and so do a stem that this network did not make, that was forwarded already, or that was made
-        for sbn when `cfg`'s mode measures the batch, and a `segment` that does not divide the batch (a stem's: whole).
+        for sbn when `cfg`'s mode measures the batch, and a `segment` that does not divide the batch or the stem's rows.
         """
         stem = isinstance(x, Stem)
         if stem and (x.net is not self or x.conv is None):
@@ -321,7 +321,7 @@ class Network:
         # `first`: the first slot whose conv runs here
         h, moments, first = (x.conv, x.moments, 1) if stem else (_checked(x, self.input_shape), None, 0)
         if segment is not None and (type(segment) is not int and not isinstance(segment, np.integer) or segment < 1
-                                    or len(h) % segment or stem and segment < len(h)):  # a stem is one batch
+                                    or len(h) % segment):
             raise ValueError(f"segment must be a positive integer dividing the batch's {len(h)} samples, got {segment!r}")
         if gating is not None and len(gating) != self.num_slots:
             raise ValueError(f"gating must list {self.num_slots} flags")

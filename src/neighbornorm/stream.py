@@ -19,21 +19,19 @@ num_batches), its generator `default_rng([seed, eff])` by definition, so
 batches can be regenerated out of order and `rounds` replays the
 identical sequence.
 
-`iter_stacks` is the in-order stream loop that feeds a network, a stack at a time.
-Below one block (`tensors._BLOCK` samples) per batch, a stack is the rows of
-ceil(_BLOCK / B) batches drawn in one float32 pass, yielded with its map, serially:
-a hand-off costs more than their draw. Their generators come from one vectorized
-pass of SeedSequence's hash, bit for bit, which rests on NumPy's stability policy
-for SeedSequence and PCG64 and is pinned by a property test. From one block up, a
-stack is one batch, yielded with the result of a per-batch function such as
-`Network.stem`'s, which a worker thread runs one batch ahead after drawing the noise
-of the batch after next (numpy does that outside the GIL). `iter_batches` is its
+`iter_stacks` is the in-order stream loop that feeds a network, a stack at a time: the rows of ceil(_STACK / B)
+batches, drawn with one float32 epilogue. Their generators come from one vectorized pass of SeedSequence's hash,
+bit for bit, which rests on NumPy's stability policy for SeedSequence and PCG64 and is pinned by a property test.
+Below one block (`tensors._BLOCK` samples) per batch, stacks are drawn serially, yielded with their maps: a hand-off
+costs more than their draw. From one block up, a worker thread draws the noise of the stack after next (numpy does
+that outside the GIL) and runs a per-stack function such as `Network.stem`'s one stack ahead. `iter_batches` is its
 per-batch view; a batch alone is `sample_batch`'s draw of one.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +69,7 @@ TEMPLATE_DRAWS = 100
 INIT_A, MULT_A, INIT_B, MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 VECTOR_SEEDS = 10  # the fewest batches whose generators `_generators` makes in one pass
+_STACK = 2 * _BLOCK  # samples per stack: the stream draws, and a run forwards, ceil(_STACK / B) batches at a time
 
 
 @dataclass(frozen=True)
@@ -305,14 +304,25 @@ def _epilogue(scenario: StreamScenario, bank: TemplateBank, drawn: list, z: np.n
     return LabeledBatch(x, labels, domain_ids)
 
 
+def _prologues(scenario: StreamScenario, bank: TemplateBank, indices) -> tuple:
+    """Batches `indices`, all valid: each one's seeded draws, after their noise buffer (n, 2, B, C, H, W) is
+    allocated, and a callable that fills the buffer, each batch's noise on its own generator, and returns it."""
+    effs = [i % scenario.num_batches for i in indices]
+    z = np.empty((len(effs), 2, scenario.batch_size, *bank.templates.shape[1:]))
+    drawn = [_prologue(scenario, bank, rng, eff) for rng, eff in zip(_generators(scenario.seed, effs), effs)]
+
+    def fill() -> np.ndarray:
+        for (rng, _, _), noise in zip(drawn, z):
+            rng.standard_normal(out=noise)
+        return z
+
+    return drawn, fill
+
+
 def _drawn(scenario: StreamScenario, bank: TemplateBank, indices) -> LabeledBatch:
     """Batches `indices`, all valid: each one's seeded draws and noise fill into one buffer, then one epilogue."""
-    effs = [i % scenario.num_batches for i in indices]
-    drawn = [_prologue(scenario, bank, rng, eff) for rng, eff in zip(_generators(scenario.seed, effs), effs)]
-    z = np.empty((len(drawn), 2, scenario.batch_size, *bank.templates.shape[1:]))
-    for (rng, _, _), noise in zip(drawn, z):
-        rng.standard_normal(out=noise)
-    return _epilogue(scenario, bank, drawn, z)
+    drawn, fill = _prologues(scenario, bank, indices)
+    return _epilogue(scenario, bank, drawn, fill())
 
 
 def sample_batch(scenario: StreamScenario, bank: TemplateBank, batch_index: int) -> LabeledBatch:
@@ -324,46 +334,43 @@ def sample_batch(scenario: StreamScenario, bank: TemplateBank, batch_index: int)
 
 def iter_stacks(scenario: StreamScenario, bank: TemplateBank, stem):
     """The scenario's batches in order, byte for byte `sample_batch`'s, as (stack, result) pairs, a stack being one
-    `LabeledBatch` of consecutive batches' rows. Below `_BLOCK` samples per batch, a stack holds ceil(`_BLOCK` / B)
-    batches (the last may hold fewer) drawn with one epilogue, `result` returns its map, which `Network.forward`
-    takes as it is, and `stem` is never called. From `_BLOCK` up, a stack is one batch, and `stem` a per-batch
-    function such as `Network.stem`'s: called on the calling thread with a batch's map, it allocates what its work
-    writes and returns a callable that does the work; `result` returns the work's result and raises its error. The
-    prologue, buffers and epilogue stay on the calling thread; while the caller holds a batch, the worker draws the
-    noise of the batch after next, then runs the next batch's work. An error in the calling-thread part of `stem` is
-    raised one batch early, when the batch is made. Close or exhaust the generator to join the worker."""
-    total, per_stack = scenario.total_batches, -(-_BLOCK // scenario.batch_size)
+    `LabeledBatch` of the rows of ceil(`_STACK` / B) consecutive batches (the last may hold fewer), drawn with one
+    epilogue. Below `_BLOCK` samples per batch, `result` returns the stack's map, which `Network.forward` takes as it
+    is, and `stem` is never called. From `_BLOCK` up, `stem` is a per-stack function such as `Network.stem`'s: called
+    on the calling thread with a stack's map, it allocates what its work writes and returns a callable that does the
+    work; `result` returns the work's result and raises its error. The prologues, buffers and epilogue stay on the
+    calling thread; while the caller holds a stack, the worker draws the noise of the stack after next, then runs the
+    next stack's work. An error in the calling-thread part of `stem` is raised one stack early, when the stack is
+    made. Close or exhaust the generator to join the worker."""
+    total, per_stack = scenario.total_batches, -(-_STACK // scenario.batch_size)
+    stacks = [range(first, min(first + per_stack, total)) for first in range(0, total, per_stack)]
     if scenario.batch_size < _BLOCK:
-        for first in range(0, total, per_stack):
-            stack = _drawn(scenario, bank, range(first, min(first + per_stack, total)))
+        for indices in stacks:
+            stack = _drawn(scenario, bank, indices)
             yield stack, lambda x=stack.x: x
         return
     with ThreadPoolExecutor(1) as worker:
 
-        def draw(i):  # the prologue and the noise buffer here, the noise on the worker; None past the end
-            if i < total:
-                eff, z = i % scenario.num_batches, np.empty((1, 2, scenario.batch_size, *bank.templates.shape[1:]))
-                prologue = _prologue(scenario, bank, np.random.default_rng([scenario.seed, eff]), eff)
-                return prologue, worker.submit(prologue[0].standard_normal, out=z)  # the future's result is z
+        def draw(k):  # stack k's prologues and noise buffer here, its noise on the worker; None past the end
+            if k < len(stacks):
+                drawn, fill = _prologues(scenario, bank, stacks[k])
+                return drawn, worker.submit(fill)  # the future's result is the buffer
 
-        def make(drawn):  # the epilogue here once the noise is in, then the batch's work on the worker
-            batch = _epilogue(scenario, bank, [drawn[0]], drawn[1].result())
-            return batch, worker.submit(stem(batch.x)).result
-
-        # a spent noise buffer is dropped before the yield, when `drawn` moves on
-        made, drawn = make(draw(0)), draw(1)
-        for i in range(total):
-            following = draw(i + 2)
-            current, made, drawn = made, drawn and make(drawn), following
-            yield current
+        made, drawn = None, draw(0)
+        for k in range(-1, len(stacks)):  # pass -1 makes stack 0 and yields nothing
+            # the epilogue once the noise is in; the spent buffer goes before the next's, whose fill precedes the work
+            stack, drawn = drawn and _epilogue(scenario, bank, drawn[0], drawn[1].result()), None
+            drawn = draw(k + 2)
+            current, made = made, stack and (stack, worker.submit(stem(stack.x)).result)
+            if current:
+                yield current
 
 
 def iter_batches(scenario: StreamScenario, bank: TemplateBank, stem):
-    """`iter_stacks` batch by batch, as (batch, result) pairs: its own pairs from `_BLOCK` samples per batch up, and
-    below, each batch a row slice of its stack, with a `result` that returns the batch's map."""
-    b, stacks = scenario.batch_size, iter_stacks(scenario, bank, stem)
-    if b >= _BLOCK:
-        return (yield from stacks)  # closing this generator closes `stacks`, which joins the worker
-    for stack, _ in stacks:
-        for batch in map(LabeledBatch, *(a.reshape(-1, b, *a.shape[1:]) for a in (stack.x, stack.labels, stack.domain_ids))):
-            yield batch, lambda x=batch.x: x
+    """`iter_stacks` batch by batch, as (batch, result) pairs: each batch a row slice of its stack, and `result` its
+    map, returned once its stack's result is in, whose error it raises. Closing this generator joins the worker."""
+    b = scenario.batch_size
+    with closing(iter_stacks(scenario, bank, stem)) as stacks:
+        for stack, result in stacks:
+            for batch in map(LabeledBatch, *(a.reshape(-1, b, *a.shape[1:]) for a in (stack.x, stack.labels, stack.domain_ids))):
+                yield batch, lambda x=batch.x, stacked=result: (stacked(), x)[1]

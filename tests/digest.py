@@ -14,8 +14,8 @@ Case groups, all on the stock config's model and templates:
 - forward: logits, per-slot cluster counts and trace `sums`/`m2` of `cross_mix` and `static` batches 0 and 3 at
   each batch size below, in every mode, `alpha_bn` at several alphas and `find_star` under every gating;
 - iter_batches: each batch, its stem's conv map and moments, and the logits of forwarding the stem, streamed with
-  `Network.stem` in `sbn` and in `find` at the stream batch sizes below (below one block, where the stream runs
-  none, a stem made here for the batch);
+  `Network.stem` in `sbn` and in `find` at the stream batch sizes below (a stem made here for the batch, which the
+  stream's result gives as its map);
 - run_files: the JSON and CSV bytes `write_metrics` gives for one stock-stream `run_experiment` per mode at
   B 1 and 64;
 - forward_mixes: the forward group's cases on `shuffle`, `random` and `wild` batches;
@@ -33,30 +33,35 @@ Case groups, all on the stock config's model and templates:
   SMALL_CONFIG, whose head follows the BLAS thread count (the stock model's does not).
 - one_sample_runs: the JSON and CSV bytes `write_metrics` gives for `ONE_SAMPLE_BATCHES`-batch `cross_mix` and
   `static` runs at B 1, in every mode, find_star at each of `ONE_SAMPLE_COLD_STARTS`, where the run forwards up to
-  64 batches at a time;
+  ceil(`stream._STACK` / B) batches at a time;
 - small_batch_stream: each batch's `x`, `labels` and `domain_ids` from `iter_batches` for every scenario kind at
   each of `SMALL_STREAM_BATCH_SIZES`, `SMALL_STREAM_BATCHES` batches over two rounds, which the stream draws
-  ceil(64 / B) batches at a time;
+  ceil(`stream._STACK` / B) batches at a time;
 - stream_seeds: each batch's `x`, `labels` and `domain_ids` from `iter_batches` and from `sample_batch` for every
   scenario kind at stream seeds `STREAM_SEEDS`, of one to three uint32 words, at each of `STREAM_SEED_BATCH_SIZES`,
   `SMALL_STREAM_BATCHES` batches over two rounds;
 - small_batch_runs: the JSON and CSV bytes `write_metrics` gives for `SMALL_RUN_BATCHES`-batch `cross_mix` and
   `random` runs at each of `SMALL_RUN_BATCH_SIZES`, in every mode, find_star at each of `SMALL_RUN_COLD_STARTS`,
-  where the run draws ceil(64 / B) batches at a time and forwards each stack in runs;
+  where the run draws ceil(`stream._STACK` / B) batches at a time and forwards each stack in runs;
 - tiny_batch_runs: the JSON and CSV bytes `write_metrics` gives for `TINY_RUN_BATCHES`-batch `cross_mix` and `random`
   runs at each of `TINY_RUN_BATCH_SIZES`, in every mode, find_star at each of `TINY_RUN_COLD_STARTS`, a cold start
-  inside a stack and one on a stack's edge; at B 2 a stack holds 32 batches, the most of any batch size;
+  inside a stack and one on a stack's edge at the 64-sample stacks this group was made for;
 - shifted_forward: the forward group's values for `cross_mix` and `static` batches 0 and 3 at each of
   `SHIFTED_BATCH_SIZES`, in every forward configuration, of the stock network with its slot shifts replaced, one slot's
-  by nonzero entries and the other's by +0.0 and -0.0 in turn, each way round, built through the public constructors.
+  by nonzero entries and the other's by +0.0 and -0.0 in turn, each way round, built through the public constructors;
+- block_stack_runs: the JSON and CSV bytes `write_metrics` gives for `BLOCK_STACK_RUN_BATCHES`-batch `cross_mix` and
+  `random` runs at each of `BLOCK_STACK_RUN_BATCH_SIZES`, in every mode, find_star at each of
+  `BLOCK_STACK_COLD_STARTS`, inside and on the edge of a two-batch stack, where the stream's worker runs a stem
+  per stack; then a `cross_mix` run of `EDGE_RUN_BATCHES` batches at B 2, find_star with its cold start on the edge
+  of a 64-batch stack.
 
 Every array of source_stats and head is hashed with its C-contiguity too, so they show whether the model file is read
 back into the same network. The groups before forward_mixes are those of the first version of this script, those
 before no_logits those of the second, those before source_stats those of the third, those before small_model_file
 those of the fourth, those before one_sample_runs those of the fifth, those before small_batch_stream those of the
 sixth, those before stream_seeds those of the seventh, those before small_batch_runs those of the eighth, those
-before tiny_batch_runs those of the ninth and those before shifted_forward those of the tenth, so their lines can be
-diffed against any of their outputs.
+before tiny_batch_runs those of the ninth, those before shifted_forward those of the tenth and those before
+block_stack_runs those of the eleventh, so their lines can be diffed against any of their outputs.
 The header names the BLAS numpy was built with, the thread count and kernel its OpenBLAS runs with, and
 OPENBLAS_CORETYPE: outputs depend on the kernel, so compare only outputs of one kernel.
 """
@@ -98,6 +103,11 @@ TINY_RUN_BATCH_SIZES = (2, 4, 8)
 TINY_RUN_BATCHES = 70
 TINY_RUN_COLD_STARTS = (7, 32)
 SHIFTED_BATCH_SIZES = (1, 64, 256)
+BLOCK_STACK_RUN_BATCH_SIZES = (64, 65, 100, 127, 128)
+BLOCK_STACK_RUN_BATCHES = 9
+BLOCK_STACK_COLD_STARTS = (1, 2, 3)
+EDGE_RUN_BATCHES = 130
+EDGE_COLD_START = 64
 
 
 class Digest:
@@ -333,6 +343,13 @@ def main(argv=None) -> int:
                         x = stream.sample_batch(scenario(kind, b), bank, i).x
                         for ncfg, gating in forward_configs(normalization):
                             group.add(*forwarded(shifted, x, ncfg, gating))
+
+        group = groups["block_stack_runs"] = small_runs(BLOCK_STACK_RUN_BATCH_SIZES, BLOCK_STACK_RUN_BATCHES,
+                                                        BLOCK_STACK_COLD_STARTS)
+        ncfg = replace(cfg.normalizer, mode="find_star", cold_start_batches=EDGE_COLD_START)
+        record = harness.run_experiment(net, bank, scenario("cross_mix", 2, num_batches=EDGE_RUN_BATCHES), ncfg)
+        json_path, csv_path, _ = harness.write_metrics(record, os.path.join(tmp, "edge"))
+        group.add(Path(json_path).read_bytes(), Path(csv_path).read_bytes())
 
     total = hashlib.sha256()
     for name, group in groups.items():

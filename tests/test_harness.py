@@ -27,15 +27,15 @@ from neighbornorm.harness import (
 )
 from neighbornorm.normalization import MODES, NormalizerConfig
 from neighbornorm.sensitivity import layer_gate
-from neighbornorm.stream import LabeledBatch, StreamScenario, identity_domain, sample_batch
+from neighbornorm.stream import _STACK, LabeledBatch, StreamScenario, identity_domain, sample_batch
 
 from conftest import SMALL_CONFIG, separated_bank, separated_domains
 from support import instance_means
 
 
-def assert_loop_record(rec, net, bank, sc, ncfg):
-    """`rec` is the record of a loop that forwards each `sample_batch` alone, find_star's gate from batch
-    `ncfg.cold_start_batches` on: predictions, per-batch accuracy, cluster counts, sensitivity and domain counts."""
+def loop_record(net, bank, sc, ncfg) -> harness.MetricsRecord:
+    """The record of a loop that forwards each `sample_batch` alone, find_star's gate from batch
+    `ncfg.cold_start_batches` on, with no timings."""
     batches, scores, sensitivity, gate, outs = [sample_batch(sc, bank, i) for i in range(sc.total_batches)], [], None, None, []
     for batch in batches:
         outs.append(net.forward(batch.x, ncfg, gating=gate, collect_traces=True))
@@ -44,14 +44,25 @@ def assert_loop_record(rec, net, bank, sc, ncfg):
             if len(scores) == ncfg.cold_start_batches:
                 sensitivity = layer_gate(scores, ncfg.gamma_threshold)
                 gate = [r["partition_enabled"] for r in sensitivity]
-    assert rec.sensitivity == sensitivity
     preds, b = [logits.argmax(axis=1) for logits, _ in outs], sc.batch_size
     hits = [int(np.count_nonzero(p == batch.labels)) for p, batch in zip(preds, batches)]
-    assert rec.mean_accuracy == sum(hits) / (b * sc.total_batches)
-    assert rec.per_batch_accuracy == [h / b for h in hits]
-    assert rec.cluster_counts == {f"slot{k}": [traces[k].cluster_count for _, traces in outs] for k in range(net.num_slots)}
-    assert rec.true_domain_counts == [len(set(batch.domain_ids.tolist())) for batch in batches]
-    for ours, theirs in zip(rec.predictions, preds, strict=True):
+    return harness.MetricsRecord(
+        scenario=asdict(sc), normalizer=asdict(ncfg), mean_accuracy=sum(hits) / (b * sc.total_batches),
+        num_batches=sc.total_batches, num_samples=b * sc.total_batches, per_batch_accuracy=[h / b for h in hits],
+        cluster_counts={f"slot{k}": [traces[k].cluster_count for _, traces in outs] for k in range(net.num_slots)},
+        sensitivity=sensitivity, metadata={"cold_start_predictions_counted": True}, predictions=preds,
+        true_domain_counts=[len(set(batch.domain_ids.tolist())) for batch in batches])
+
+
+def assert_loop_record(rec, net, bank, sc, ncfg):
+    """`rec` is `loop_record`'s: predictions, per-batch accuracy, cluster counts, sensitivity and domain counts."""
+    loop = loop_record(net, bank, sc, ncfg)
+    assert rec.sensitivity == loop.sensitivity
+    assert rec.mean_accuracy == loop.mean_accuracy
+    assert rec.per_batch_accuracy == loop.per_batch_accuracy
+    assert rec.cluster_counts == loop.cluster_counts
+    assert rec.true_domain_counts == loop.true_domain_counts
+    for ours, theirs in zip(rec.predictions, loop.predictions, strict=True):
         assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
 
 
@@ -325,15 +336,15 @@ class TestGeneratedRuleForms:
 
 def test_train_model_runs_each_stage_once_per_batch(small_setup, monkeypatch):
     # one 2x2 pool per stage: set-up runs the K stages once per training batch (the capture
-    # sweep) and once per clean-eval stack of ceil(64 / B) batches, and never again
+    # sweep) and once per clean-eval stack of ceil(_STACK / B) batches, and never again
     cfg = small_setup[0]
     calls = []
     pool = model.avg_pool_2x2
     monkeypatch.setattr(model, "avg_pool_2x2", lambda x, *args, **kwargs: calls.append(x.shape) or pool(x, *args, **kwargs))
     harness.train_model(cfg)
     mc = cfg.model
-    stacks = -(-mc["clean_eval_batches"] // -(-64 // mc["train_batch_size"]))
-    assert len(calls) == len(mc["channels"]) * (mc["train_batches"] + stacks) == 20
+    stacks = -(-mc["clean_eval_batches"] // -(-_STACK // mc["train_batch_size"]))
+    assert len(calls) == len(mc["channels"]) * (mc["train_batches"] + stacks) == 18
 
 
 class TestRunExperiment:
@@ -400,33 +411,33 @@ class TestRunExperiment:
         assert_loop_record(run_experiment(net, bank, sc, ncfg), net, bank, sc, ncfg)
 
     @pytest.mark.parametrize("mode, num_batches, cold", [*((mode, n, 10) for mode in MODES for n in (1, 65, 130)),
-                                                         *(("find_star", 130, cold) for cold in (1, 64, 65))])
+                                                         *(("find_star", 130, cold) for cold in (1, 64, 65, 128))])
     def test_one_sample_batches_forward_in_stacks(self, small_setup, monkeypatch, mode, num_batches, cold):
-        # at B=1 each stack of up to 64 batches is one draw and one forward, cut in two after find_star's last
+        # at B=1 each stack of up to `_STACK` batches is one draw and one forward, cut in two after find_star's last
         # cold-start batch; the record is a loop's that forwards each `sample_batch` alone, with the gate from batch
         # `cold` on
         cfg, net, bank, _, _ = small_setup
         sc = replace(cfg.scenario, batch_size=1, num_batches=num_batches)
         ncfg = NormalizerConfig(mode=mode, cold_start_batches=cold)
         rec, forwarded, drawn = run_counting_draws_and_forwards(monkeypatch, net, bank, sc, ncfg)
-        assert drawn == [list(range(i, min(i + 64, num_batches))) for i in range(0, num_batches, 64)]
+        assert drawn == [list(range(i, min(i + _STACK, num_batches))) for i in range(0, num_batches, _STACK)]
         head = min(cold, num_batches) if mode == "find_star" else 0
-        assert forwarded == np.diff(sorted({*range(0, num_batches, 64), head, num_batches})).tolist()
+        assert forwarded == np.diff(sorted({*range(0, num_batches, _STACK), head, num_batches})).tolist()
         assert_loop_record(rec, net, bank, sc, ncfg)
 
     @pytest.mark.parametrize("b, num_batches, mode, cold", [
         *((3, 50, mode, 10) for mode in MODES if mode != "find_star"), *((3, 50, "find_star", cold) for cold in (5, 22)),
         *((b, n, mode, 5) for b, n in ((16, 10), (63, 5)) for mode in MODES)])
     def test_small_batches_forward_one_by_one_from_stacks(self, small_setup, monkeypatch, b, num_batches, mode, cold):
-        # from 2 to 63 samples a run draws ceil(64 / B) batches at a time, the last stack partial (B 3: 22, 22 and 6
-        # batches; B 16: 4, 4 and 2; B 63: 2, 2 and 1), and forwards each stack whole, not one by one as the name
+        # from 2 to 63 samples a run draws ceil(_STACK / B) batches at a time, the last stack partial (B 3: 43 and 7
+        # batches; B 16: 8 and 2; B 63: 3 and 2), and forwards each stack whole, not one by one as the name
         # (kept, so the test's ids stay comparable) says: find_star's last cold-start batch, inside a stack or on its
         # edge, cuts it in two. The record is a loop's that forwards each `sample_batch` alone
         cfg, net, bank, _, _ = small_setup
         sc = replace(cfg.scenario, batch_size=b, num_batches=num_batches)
         ncfg = NormalizerConfig(mode=mode, cold_start_batches=cold)
         rec, forwarded, drawn = run_counting_draws_and_forwards(monkeypatch, net, bank, sc, ncfg)
-        per_stack = -(-64 // b)
+        per_stack = -(-_STACK // b)
         assert drawn == [list(range(i, min(i + per_stack, num_batches))) for i in range(0, num_batches, per_stack)]
         head = min(cold, num_batches) if mode == "find_star" else 0
         assert forwarded == [b * n for n in np.diff(sorted({*range(0, num_batches, per_stack), head, num_batches}))]
@@ -437,7 +448,7 @@ class TestRunExperiment:
         # below one block a run makes one forward per stack, each with `segment` B, in every mode but find_star
         # (whose cold start cuts one stack): no per-batch forward loop is left
         cfg, net, bank, _, _ = small_setup
-        per_stack, real_forward, segments = -(-64 // b), model.Network.forward, []
+        per_stack, real_forward, segments = -(-_STACK // b), model.Network.forward, []
 
         def forward(self, x, *args, segment=None, **kwargs):
             segments.append((x.shape[0], segment))
@@ -450,12 +461,46 @@ class TestRunExperiment:
             run_experiment(net, bank, sc, NormalizerConfig(mode=mode))
             assert segments == [(b * per_stack, b), (b * per_stack, b), (b, b)], mode
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.1, 1.5])
+    @pytest.mark.parametrize("cold", [1, 2, 3])
+    @pytest.mark.parametrize("b", [64, 65, 127])
+    def test_a_cold_start_inside_a_stack_forwards_its_raw_rows(self, small_setup, monkeypatch, tmp_path, b, cold, gamma):
+        # from 64 to 127 samples a stack holds two batches: find_star's cold start of 1 or 3 batches ends inside one,
+        # whose two runs are forwarded from the stack's raw rows, and one of 2 on a stack's edge, so every stack
+        # forwards its stem. gamma 0, 0.1 and 1.5 gate both slots on, one off and both off. The files are a loop's
+        # that forwards each `sample_batch` alone
+        cfg, net, bank, _, _ = small_setup
+        sc = replace(cfg.scenario, batch_size=b, num_batches=5)  # stacks [0, 1], [2, 3] and [4]
+        ncfg = NormalizerConfig(mode="find_star", cold_start_batches=cold, gamma_threshold=gamma)
+        real_forward, forwarded = model.Network.forward, []
+
+        def forward(self, x, *args, **kwargs):
+            stem = isinstance(x, model.Stem)
+            forwarded.append((stem, len(x.conv if stem else x)))
+            return real_forward(self, x, *args, **kwargs)
+
+        monkeypatch.setattr(model.Network, "forward", forward)
+        rec = run_experiment(net, bank, sc, ncfg)
+        monkeypatch.undo()
+        per_stack = -(-_STACK // b)
+        expected = []
+        for first in range(0, sc.total_batches, per_stack):
+            n = min(per_stack, sc.total_batches - first)
+            expected += ([(False, (cold - first) * b), (False, (first + n - cold) * b)] if first < cold < first + n
+                         else [(True, n * b)])
+        assert per_stack == 2 and forwarded == expected
+        assert sum(r["partition_enabled"] for r in rec.sensitivity) == {0.0: 2, 0.1: 1, 1.5: 0}[gamma]
+        ours = write_metrics(rec, tmp_path / "run")[:2]
+        theirs = write_metrics(loop_record(net, bank, sc, ncfg), tmp_path / "loop")[:2]
+        for a, b_ in zip(ours, theirs):
+            assert pathlib.Path(a).read_bytes() == pathlib.Path(b_).read_bytes()
+
     def test_raising_forward_leaves_no_thread(self, small_setup, monkeypatch):
         # the exception's traceback keeps `run_experiment`'s frame alive; the stream's worker must be joined anyway,
-        # whether the forward raises on the calling thread or a batch's stem on the worker
+        # whether the forward raises on the calling thread or a stack's stem on the worker
         cfg, net, bank, _, _ = small_setup
         real_forward, real_stem, forwarded, stem_threads = model.Network.forward, model.Network.stem, [], []
-        raising = {}  # "forward" or "stem" -> the 1-based batch at which it raises
+        raising = {}  # "forward" or "stem" -> the 1-based call (a stack) at which it raises
 
         def forward(self, stem, *args, **kwargs):
             forwarded.append(stem.conv.shape[0])
@@ -491,7 +536,8 @@ class TestRunExperiment:
             with pytest.raises(error) as info:
                 run_experiment(net, bank, replace(cfg.scenario, batch_size=64), cfg.normalizer)
             assert threading.active_count() == before
-            assert forwarded == [64, 64] and info.traceback  # the stem's error reaches the caller at batch 3, its own
+            # B 64: stacks of two batches; the stem's error reaches the caller at stack 3, its own
+            assert forwarded == [_STACK, _STACK] and info.traceback
             assert threading.main_thread() not in stem_threads[:3]  # every stem ran on the worker
 
     def test_cold_start_longer_than_stream(self, small_setup, tmp_path):
@@ -541,8 +587,8 @@ class TestRunExperiment:
 
         monkeypatch.setattr(harness, "iter_stacks", scrambled)
         scrambled_rec = run_experiment(net, bank, cfg.scenario, cfg.normalizer)
-        sc = cfg.scenario  # B 32: stacks of two batches, each stack's ids reversed across both
-        assert [len(b.labels) for b in streamed] == [2 * sc.batch_size] * (sc.total_batches // 2)
+        sc, per_stack = cfg.scenario, -(-_STACK // cfg.scenario.batch_size)  # B 32: stacks of four batches
+        assert [len(b.labels) for b in streamed] == [per_stack * sc.batch_size] * (sc.total_batches // per_stack)
         for a, b in zip(baseline.predictions, scrambled_rec.predictions, strict=True):
             assert np.array_equal(a, b)
 
@@ -603,6 +649,14 @@ class TestCompareAndSweep:
         cfg, net, bank, _, _ = small_setup
         with pytest.raises(ValueError, match="seeds"):
             compare_modes(net, bank, cfg.scenario, cfg.normalizer, seeds=seeds)
+
+    @pytest.mark.parametrize("modes", [(), []])
+    def test_compare_modes_rejects_no_modes_before_any_batch(self, small_setup, monkeypatch, modes):
+        # no modes at all would write an empty table
+        cfg, net, bank, _, _ = small_setup
+        monkeypatch.setattr(harness, "run_experiment", lambda *args: pytest.fail("streamed a batch"))
+        with pytest.raises(ValueError, match="modes must list one or more modes"):
+            compare_modes(net, bank, cfg.scenario, cfg.normalizer, modes=modes, seeds=(0, 1))
 
     def test_compare_modes_rejects_bad_mode_before_any_batch(self, small_setup, monkeypatch):
         cfg, net, bank, _, _ = small_setup

@@ -406,13 +406,18 @@ class TestNetworkForward:
                 call(x, cfg, segment=segment)
 
     def test_a_stem_is_one_batch(self, default_setup):
-        # a stem stands for one batch: its segment is None or the whole batch, as a Python or numpy integer, and
-        # a smaller one raises, though it divides the batch
+        # a stem's segment, a Python or numpy integer, need only divide its rows, as a raw map's does: a stem of a
+        # stack forwards each batch bitwise as the raw stack and each batch alone do; a non-divisor raises
         net, x, cfg = default_setup[1], stock_batch(default_setup, 64), NormalizerConfig(mode="find")
         whole = net.forward(x, cfg)
         for segment in (64, np.int64(64)):
             assert same_bits(net.forward(net.stem(cfg)(x)(), cfg, segment=segment), whole)
-        for segment in (1, 2, 32):
+        for segment in (1, 2, np.int64(32)):
+            assert same_bits(net.forward(net.stem(cfg)(x)(), cfg, segment=segment), net.forward(x, cfg, segment=segment))
+        stack = stock_batch(default_setup, 130)  # two batches of 65, a partial third block
+        alone = np.concatenate([net.forward(stack[:65], cfg), net.forward(stack[65:], cfg)])
+        assert same_bits(net.forward(net.stem(cfg)(stack)(), cfg, segment=65), alone)
+        for segment in (5, 128):
             with pytest.raises(ValueError, match="dividing the batch.s 64 samples"):
                 net.forward(net.stem(cfg)(x)(), cfg, segment=segment)
 
@@ -487,7 +492,7 @@ class TestStem:
         with pytest.raises(ValueError, match="forwarded once"):
             net.forward(stem, cfg)
 
-    @pytest.mark.parametrize("bad", [{"gating": [True]}, {"gating": [True, False, True]}, {"segment": 2},
+    @pytest.mark.parametrize("bad", [{"gating": [True]}, {"gating": [True, False, True]}, {"segment": 3},
                                      {"segment": 0}, {"segment": 2.0}])
     def test_a_rejected_forward_leaves_its_stem_whole(self, default_setup, bad):
         # a forward that rejects its gating or segment raises before it spends the stem, which then forwards
@@ -1082,7 +1087,7 @@ class TestModelFileCorruption:
 
 # Run in a fresh interpreter under two BLAS threads: only OpenBLAS has started threads right after numpy's import, so
 # those are its workers. Set up a small network, let the worker's spin after the ridge solve decay, then stream 50
-# B=256 batches in sbn and find through the network's stem, as `run_experiment` does, and print the workers' CPU
+# B=256 batches in sbn and find as `run_experiment` does, a stack and its stem at a time, and print the workers' CPU
 # clock ticks (utime + stime) over the stream.
 WORKER_TICKS = """
 import os, time
@@ -1102,7 +1107,7 @@ def ticks():
 
 from neighbornorm.model import Network
 from neighbornorm.normalization import NormalizerConfig
-from neighbornorm.stream import StreamScenario, build_templates, identity_domain, iter_batches
+from neighbornorm.stream import StreamScenario, build_templates, identity_domain, iter_stacks
 
 rng = np.random.default_rng(0)
 clean = [rng.normal(size=(64, 1, 16, 16)).astype(np.float32) for _ in range(4)]
@@ -1111,8 +1116,8 @@ bank, stream = build_templates(10, seed=1), StreamScenario("static", [identity_d
 time.sleep(1.0)
 before = ticks()
 for cfg in (NormalizerConfig(mode="sbn"), NormalizerConfig(mode="find")):
-    for batch, stem in iter_batches(stream, bank, net.stem(cfg)):
-        net.forward(stem(), cfg)
+    for stack, result in iter_stacks(stream, bank, net.stem(cfg)):
+        net.forward(result(), cfg, segment=256)
 print(len(workers), ticks() - before)
 """
 

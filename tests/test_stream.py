@@ -1,6 +1,7 @@
 import sys
 import threading
 import tracemalloc
+from contextlib import closing
 from dataclasses import asdict
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import neighbornorm.stream as stream
 from neighbornorm.stream import (
     DomainSpec,
+    LabeledBatch,
     StreamScenario,
     TemplateBank,
     build_templates,
@@ -19,6 +21,7 @@ from neighbornorm.stream import (
     make_domains,
     sample_batch,
     _domain_ids,
+    _STACK,
 )
 
 
@@ -341,8 +344,8 @@ class TestNoiseDraw:
     @pytest.mark.parametrize("kind", ["static", "cross_mix", "shuffle", "random", "wild"])
     @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 7])
     def test_one_sample_batches_at_seeds_of_every_width(self, kind, seed):
-        # the stream makes a stack of 64 generators in one pass, the 6 left over and `sample_batch` one by one
-        sc = scenario_for(kind, batch_size=1, num_batches=70, seed=seed, delta=0.5 if kind == "wild" else None)
+        # the stream makes a stack of 128 generators in one pass, the 6 left over and `sample_batch` one by one
+        sc = scenario_for(kind, batch_size=1, num_batches=_STACK + 6, seed=seed, delta=0.5 if kind == "wild" else None)
         bank = bank_for()
         for i, (batch, _) in enumerate(iter_batches(sc, bank, Recorder())):
             assert_batch_is_reference(sc, bank, i, batch)
@@ -373,8 +376,8 @@ def assert_same_batch(ours, theirs):
 
 
 class Recorder:
-    """A per-batch function for `iter_batches`: records the batches it was handed, on which thread each one's work
-    ran, and returns (batch number, a copy of its map) from the work, raising at batch `raising` if set."""
+    """A per-stack function for `iter_stacks`: records the stacks it was handed, on which thread each one's work
+    ran, and returns (stack number, a copy of its map) from the work, raising at stack `raising` if set."""
 
     def __init__(self, raising=None):
         self.handed, self.threads, self.raising = [], {}, raising
@@ -392,31 +395,44 @@ class Recorder:
         return work
 
 
+def stacked(sc, bank, indices):
+    """The rows of `sample_batch`'s batches `indices`, stacked."""
+    batches = [sample_batch(sc, bank, i) for i in indices]
+    return LabeledBatch(*(np.concatenate([getattr(b, name) for b in batches]) for name in ("x", "labels", "domain_ids")))
+
+
+def stack_ranges(sc):
+    """The batch indices of each stack: ceil(`_STACK` / B) consecutive batches, the last may hold fewer."""
+    per_stack = -(-_STACK // sc.batch_size)
+    return [range(i, min(i + per_stack, sc.total_batches)) for i in range(0, sc.total_batches, per_stack)]
+
+
 class TestPipelinedStream:
     """`iter_batches`'s batches are byte for byte `sample_batch`'s. From one block (64 samples) up a worker draws the
-    noise of the batch after next while the caller holds this one, and lives no longer than the generator; below it
+    noise of the stack after next while the caller holds this one, and lives no longer than the generator; below it
     the stream is serial."""
 
     @pytest.mark.parametrize("kind", ["static", "cross_mix", "shuffle", "random", "wild"])
     @pytest.mark.parametrize("b, num_batches, rounds", [
         *(pytest.param(b, 3, 2, id=str(b)) for b in (1, 63, 64, 65, 256, 300)),
-        # below one block, three or more stacks of ceil(64 / B) batches, the last one partial, a round's end inside one
-        pytest.param(1, 70, 2, id="1x140"), pytest.param(3, 25, 2, id="3x50"), pytest.param(63, 3, 3, id="63x9")])
+        # two or more stacks of ceil(_STACK / B) batches, the last one partial, a round's end inside one
+        pytest.param(1, 70, 2, id="1x140"), pytest.param(3, 25, 2, id="3x50"), pytest.param(63, 3, 3, id="63x9"),
+        pytest.param(1, 150, 2, id="1x300"), pytest.param(127, 5, 1, id="127x5"), pytest.param(128, 3, 1, id="128x3")])
     def test_batches_are_sample_batch(self, monkeypatch, kind, b, num_batches, rounds):
         sc = scenario_for(kind, batch_size=b, num_batches=num_batches, rounds=rounds, seed=b,
                           delta=0.5 if kind == "wild" else None)
-        bank, real_epilogue, epilogues = bank_for(), stream._epilogue, []
+        bank, real_epilogue, epilogues, stem = bank_for(), stream._epilogue, [], Recorder()
         monkeypatch.setattr(stream, "_epilogue", lambda *args: epilogues.append(args) or real_epilogue(*args))
-        streamed = [(batch, result()) for batch, result in iter_batches(sc, bank, Recorder())]
+        streamed = [(batch, result()) for batch, result in iter_batches(sc, bank, stem)]
         monkeypatch.undo()
-        # one epilogue per stack below one block, one per batch from one block up
-        per_stack = -(-64 // b) if b < 64 else 1
+        # one epilogue per stack, and from one block up one work per stack
+        per_stack = -(-_STACK // b)
         assert len(epilogues) == -(-sc.total_batches // per_stack)
+        assert len(stem.handed) == (len(epilogues) if b >= 64 else 0)
         assert len(streamed) == sc.total_batches
-        for i, (batch, out) in enumerate(streamed):
+        for i, (batch, x) in enumerate(streamed):
             assert_same_batch(batch, sample_batch(sc, bank, i))
-            index, x = (i, out) if b < 64 else out  # below one block the result is the batch's map
-            assert index == i and np.array_equal(x, batch.x)
+            assert x is batch.x  # the result is the batch's map at every batch size
 
     def test_batches_hold_under_fast_thread_switching(self):
         # the worker fills a buffer the caller reads only after the draw's result; switching threads every
@@ -428,6 +444,7 @@ class TestPipelinedStream:
             streamed = [batch for batch, result in iter_batches(sc, bank, Recorder())]
         finally:
             sys.setswitchinterval(interval)
+        assert len(streamed) == sc.total_batches == 6 * -(-_STACK // 64)
         for i, batch in enumerate(streamed):
             assert_same_batch(batch, sample_batch(sc, bank, i))
 
@@ -458,8 +475,39 @@ class TestPipelinedStream:
 
 
 class TestStacks:
-    """`iter_batches` is `iter_stacks` batch by batch: below one block each batch is a row slice of its stack, from
-    one block up a stack is one batch."""
+    """A stack holds ceil(`_STACK` / B) batches at every batch size, one from `_STACK` samples up, and `iter_batches`
+    is `iter_stacks` batch by batch, each batch a row slice of its stack."""
+
+    @pytest.mark.parametrize("b", [1, 2, 3, 63, 64, 65, 127, 128, 256])
+    def test_each_stack_holds_ceil_stack_over_b_batches(self, b):
+        # two full stacks and a one-batch third, which is partial below `_STACK` samples
+        per_stack = -(-_STACK // b)
+        sc = scenario_for("random", batch_size=b, num_batches=2 * per_stack + 1, seed=b)
+        bank, stem = bank_for(), Recorder()
+        stacks = [(stack, result()) for stack, result in stream.iter_stacks(sc, bank, stem)]
+        ranges = stack_ranges(sc)
+        assert [len(stack.labels) for stack, _ in stacks] == [b * len(r) for r in ranges]
+        assert len(ranges) == 3 and (len(ranges[-1]) < per_stack) == (b < _STACK)
+        for k, ((stack, out), indices) in enumerate(zip(stacks, ranges)):
+            assert_same_batch(stack, stacked(sc, bank, indices))
+            assert out is stack.x if b < 64 else (out[0] == k and out[1].tobytes() == stack.x.tobytes())
+        assert [x is stack.x for x, (stack, _) in zip(stem.handed, stacks, strict=True)] if b >= 64 else stem.handed == []
+
+    @pytest.mark.parametrize("b", [64, 65, 127, 128, 256])
+    def test_from_one_block_the_worker_runs_one_stem_per_stack(self, b):
+        # the stem function is called once per stack, on the calling thread, and its work runs on the worker
+        sc, bank, calls = scenario_for("cross_mix", batch_size=b, num_batches=5), bank_for(), []
+        stem = Recorder()
+
+        def counting(x):
+            calls.append(threading.current_thread())
+            return stem(x)
+
+        stacks = list(stream.iter_stacks(sc, bank, counting))
+        assert len(stacks) == len(calls) == len(stem.handed) == len(stack_ranges(sc))
+        assert calls == [threading.main_thread()] * len(calls)
+        assert [result()[0] for _, result in stacks] == list(range(len(stacks)))
+        assert threading.main_thread() not in stem.threads.values() and len(stem.threads) == len(stacks)
 
     @pytest.mark.parametrize("b, num_batches", [(1, 70), (3, 25), (16, 9), (63, 3)])
     def test_below_one_block_each_batch_is_a_row_slice_of_its_stack(self, monkeypatch, b, num_batches):
@@ -475,7 +523,7 @@ class TestStacks:
         monkeypatch.setattr(stream, "iter_stacks", recording)
         streamed = list(iter_batches(sc, bank, Recorder()))
         monkeypatch.undo()
-        per_stack = -(-64 // b)
+        per_stack = -(-_STACK // b)
         assert [len(stack.labels) for stack, _ in stacks] == [
             b * (min(i + per_stack, sc.total_batches) - i) for i in range(0, sc.total_batches, per_stack)]
         assert len(streamed) == sc.total_batches
@@ -489,49 +537,65 @@ class TestStacks:
 
     @pytest.mark.parametrize("b", [64, 65, 256])
     def test_from_one_block_a_stack_is_a_batch(self, b):
+        # from one block up each batch is a row slice of its stack too, and from `_STACK` samples up a stack is one
+        # batch; the stack's result is its work's, the batch's its map
         sc, bank = scenario_for("wild", batch_size=b, num_batches=3, rounds=2, seed=b, delta=0.5), bank_for()
         stacks = [(stack, result()) for stack, result in stream.iter_stacks(sc, bank, Recorder())]
         batches = [(batch, result()) for batch, result in iter_batches(sc, bank, Recorder())]
-        assert len(stacks) == len(batches) == sc.total_batches
-        for i, ((stack, (j, x)), (batch, (k, y))) in enumerate(zip(stacks, batches)):
-            assert_same_batch(stack, batch)
-            assert i == j == k and x.tobytes() == y.tobytes() == batch.x.tobytes()
+        per_stack = -(-_STACK // b)
+        assert len(stacks) == -(-sc.total_batches // per_stack) and len(batches) == sc.total_batches
+        assert (per_stack == 1) == (b >= _STACK)
+        for i, (batch, x) in enumerate(batches):
+            (stack, (j, y)), rows = stacks[i // per_stack], slice(i % per_stack * b, (i % per_stack + 1) * b)
+            for field_name in ("x", "labels", "domain_ids"):
+                assert getattr(batch, field_name).tobytes() == getattr(stack, field_name)[rows].tobytes(), field_name
+            assert i // per_stack == j and x is batch.x and y.tobytes() == stack.x.tobytes()
+            assert_same_batch(batch, sample_batch(sc, bank, i))
 
 
 class TestStreamWithAStem:
-    """`iter_batches` yields (batch, result) pairs: from one block up the worker runs the next batch's work while the
-    caller holds this one; below it no work runs, and the result is the batch's map."""
+    """`iter_stacks` yields (stack, result) pairs: from one block up the worker runs the next stack's work while the
+    caller holds this one; below it no work runs, and the result is the stack's map."""
 
     @pytest.mark.parametrize("b", [1, 63, 64, 65, 256])
     def test_pairs_in_order_one_batch_ahead(self, b):
         sc = scenario_for("cross_mix", batch_size=b, num_batches=3, rounds=2, seed=b)
-        bank, stem = bank_for(), Recorder()
-        for i, (batch, result) in enumerate(iter_batches(sc, bank, stem)):
-            assert_same_batch(batch, sample_batch(sc, bank, i))
+        bank, stem, ranges = bank_for(), Recorder(), stack_ranges(sc)
+        for k, (stack, result) in enumerate(stream.iter_stacks(sc, bank, stem)):
+            assert_same_batch(stack, stacked(sc, bank, ranges[k]))
             if b < 64:  # the stem is handed nothing
-                assert stem.handed == [] and result() is batch.x
+                assert stem.handed == [] and result() is stack.x
                 continue
-            assert len(stem.handed) == min(i + 2, sc.total_batches)
+            assert len(stem.handed) == min(k + 2, len(ranges))  # one stack ahead
             index, x = result()
-            assert index == i and np.array_equal(x, batch.x) and stem.handed[i] is batch.x
-            assert stem.threads[i] is not threading.main_thread()
-        assert len(stem.handed) == (sc.total_batches if b >= 64 else 0)
+            assert index == k and np.array_equal(x, stack.x) and stem.handed[k] is stack.x
+            assert stem.threads[k] is not threading.main_thread()
+        assert len(stem.handed) == (len(ranges) if b >= 64 else 0)
 
     def test_an_error_in_the_work_reaches_the_caller_at_its_batch(self):
-        before = threading.active_count()
-        batches = iter_batches(scenario_for("cross_mix", batch_size=64, num_batches=5), bank_for(), Recorder(raising=2))
-        for batch, result in batches:
+        # at its stack from `iter_stacks`, and at each of that stack's batches from `iter_batches`
+        before, sc = threading.active_count(), scenario_for("cross_mix", batch_size=64, num_batches=7)
+        stacks = stream.iter_stacks(sc, bank_for(), Recorder(raising=2))
+        for stack, result in stacks:
             if result()[0] == 1:
                 break
-        batch, result = next(batches)
+        stack, result = next(stacks)
         with pytest.raises(FloatingPointError, match="batch 2"):
             result()
-        batches.close()
+        stacks.close()
+        per_stack = -(-_STACK // 64)
+        with closing(iter_batches(sc, bank_for(), Recorder(raising=2))) as batches:
+            for i, (batch, result) in enumerate(batches):
+                if i // per_stack == 2:
+                    with pytest.raises(FloatingPointError, match="batch 2"):
+                        result()
+                else:
+                    assert result() is batch.x
         assert threading.active_count() == before
 
     def test_what_stays_alive_is_one_batch_and_one_noise_ahead(self):
-        # while the caller holds batch i and its work's output, the stream holds batch i+1 and its output and the
-        # float64 noise of batch i+2, and no more
+        # while the caller holds stack i (B 256: one batch) and its work's output, the stream holds stack i+1 and its
+        # output and the float64 noise of stack i+2, and no more
         sc, bank = scenario_for("cross_mix", batch_size=256, num_batches=4), bank_for()
         noise, x_bytes = 2 * 256 * 16 * 16 * 8, 256 * 16 * 16 * 4
 
@@ -541,29 +605,30 @@ class TestStreamWithAStem:
 
         tracemalloc.start()
         try:
-            batches = iter_batches(sc, bank, stem)
-            batch, result = next(batches)
+            stacks = stream.iter_stacks(sc, bank, stem)
+            stack, result = next(stacks)
             result()
             held = tracemalloc.get_traced_memory()[0]
-            batches.close()
+            stacks.close()
         finally:
             tracemalloc.stop()
         assert noise + 4 * x_bytes < held < noise + 5 * x_bytes
 
     def test_batches_hold_under_fast_thread_switching(self):
-        # the worker runs the next batch's work while the caller reads this one's result; switching threads every
-        # microsecond must not hand the caller a half-done work, nor the work a half-drawn batch (B 65: a partial
-        # second block)
+        # the worker runs the next stack's work while the caller reads this one's result; switching threads every
+        # microsecond must not hand the caller a half-done work, nor the work a half-drawn stack (B 65: two batches,
+        # a partial third block)
         sc, bank, stem = scenario_for("cross_mix", batch_size=65, num_batches=12), bank_for(), Recorder()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            results = [result() for batch, result in iter_batches(sc, bank, stem)]
+            results = [result() for stack, result in stream.iter_stacks(sc, bank, stem)]
         finally:
             sys.setswitchinterval(interval)
-        assert len(results) == sc.total_batches
-        for i, (index, x) in enumerate(results):
-            assert index == i and x.tobytes() == sample_batch(sc, bank, i).x.tobytes()
+        ranges = stack_ranges(sc)
+        assert len(results) == len(ranges) == sc.total_batches // 2
+        for k, (index, x) in enumerate(results):
+            assert index == k and x.tobytes() == stacked(sc, bank, ranges[k]).x.tobytes()
 
 
 def wild_labels(bank, delta, num_samples, seed, batch_size=64):
