@@ -221,8 +221,8 @@ class MetricsRecord:
     cluster_counts: dict  # slot name -> list of int or None per batch
     sensitivity: list | None
     metadata: dict
-    # sidecar only, per batch: an equal share of its run's forward on the calling thread, which from 64 samples up
-    # includes any wait for its stack's stem on the stream's worker
+    # sidecar only, per batch: an equal share of its run's forward on the calling thread and of its wait for its
+    # stack's stem on the stream's worker
     per_batch_seconds: list = field(default_factory=list)
     predictions: list = field(default_factory=list)  # in-memory only
     true_domain_counts: list = field(default_factory=list)  # diagnostics channel only
@@ -272,11 +272,20 @@ def _layer_scores(net: Network, traces) -> list[float]:
     ]
 
 
+def _check_classes(net: Network, bank: TemplateBank) -> None:
+    """ValueError unless `bank` draws its labels from the classes `net`'s head scores, so every label can be hit."""
+    if bank.num_classes != net.head.num_classes:
+        raise ValueError(f"the template bank holds {bank.num_classes} classes, but the network's head scores "
+                         f"{net.head.num_classes}")
+
+
 def run_experiment(net: Network, bank: TemplateBank, scenario: StreamScenario, ncfg: NormalizerConfig) -> MetricsRecord:
-    """Stream all batches in order and score predictions against labels: a stack of `iter_stacks` at a time, with its
-    stem from one block up, forwarded whole with `segment` B, except that find_star's last cold-start batch ends a
-    run, and its gate applies from the next: both runs are forwarded from the stack's raw rows. Ground-truth domain
-    ids stay inside this function's diagnostics; the network only ever sees the raw feature maps."""
+    """Stream all batches in order and score predictions against labels: a stack of `iter_stacks` at a time, its stem
+    forwarded whole with `segment` B, except that find_star's last cold-start batch ends a run, and its gate applies
+    from the next: both runs are forwarded from the stack's raw rows. Ground-truth domain ids stay inside this
+    function's diagnostics; the network only ever sees the raw feature maps. A bank whose class count is not the
+    head's is rejected before the first batch."""
+    _check_classes(net, bank)
     scores, gating, sensitivity = [], None, None  # find_star: cold-start scores, then the frozen gate
     slot_names = [f"slot{k}" for k in range(net.num_slots)]
     cluster_counts = {name: [] for name in slot_names}
@@ -327,8 +336,9 @@ def predictions_at(net: Network, bank: TemplateBank, scenario: StreamScenario, n
 
     Only the frozen model state is carried across batches; for find_star
     that includes the layer gate, replayed here from the cold-start
-    batches alone.
+    batches alone. A bank whose class count is not the head's is rejected first.
     """
+    _check_classes(net, bank)
     x, gating = sample_batch(scenario, bank, index).x, None  # which checks `index`
     if ncfg.mode == "find_star" and index >= ncfg.cold_start_batches:
         scores = []

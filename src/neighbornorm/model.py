@@ -275,8 +275,7 @@ class Network:
         return tuple(w.shape[0] for w in self.conv_weights)
 
     def stem(self, cfg: NormalizerConfig):
-        """The per-stack function, for the mode of `cfg`, that `stream.iter_stacks` runs one stack ahead of the network
-        from `_BLOCK` samples per batch up (smaller batches reach `forward` as maps, and no stem is made).
+        """The per-stack function, for the mode of `cfg`, that `stream.iter_stacks` runs one stack ahead of the network.
 
         Called on the calling thread with a raw stack, it checks the stack once and allocates the slot-0 conv map and,
         unless the mode is sbn, its per-sample moments. The callable it returns fills them, on whichever thread runs

@@ -175,8 +175,9 @@ def _normalize(x: np.ndarray, src: SourceStats, cfg: NormalizerConfig, partition
         mean, scale = mv[0], src._scale(mv[1])
         if count > 1:  # one row per sample; a single group's row broadcasts
             mean, scale = mean[labels], scale[labels]
-        counts = ([None] * (b // seg) if not grouped else [1] * b if seg == 1 else [count] if seg == b
-                  else np.diff(labels[::seg], append=count).tolist())  # batch j's ids start at labels[j * seg]
+        # batch j's ids start at labels[j * seg], so the one batch of a whole map counts `count`, as its ids start at 0
+        counts = ([None] * (b // seg) if not grouped else [1] * b if seg == 1
+                  else np.diff(labels[::seg], append=count).tolist())
         trace = SlotTrace(counts, *moments, h * w)
     x -= mean[:, :, None, None]
     x *= scale[:, :, None, None]

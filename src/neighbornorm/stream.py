@@ -22,16 +22,13 @@ identical sequence.
 `iter_stacks` is the in-order stream loop that feeds a network, a stack at a time: the rows of ceil(_STACK / B)
 batches, drawn with one float32 epilogue. Their generators come from one vectorized pass of SeedSequence's hash,
 bit for bit, which rests on NumPy's stability policy for SeedSequence and PCG64 and is pinned by a property test.
-Below one block (`tensors._BLOCK` samples) per batch, stacks are drawn serially, yielded with their maps: a hand-off
-costs more than their draw. From one block up, a worker thread draws the noise of the stack after next (numpy does
-that outside the GIL) and runs a per-stack function such as `Network.stem`'s one stack ahead. `iter_batches` is its
-per-batch view; a batch alone is `sample_batch`'s draw of one.
+At every batch size a worker thread draws the noise of the stack after next (numpy does that outside the GIL) and
+runs a per-stack function such as `Network.stem`'s one stack ahead. A batch alone is `sample_batch`'s draw of one.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +47,6 @@ __all__ = [
     "build_templates",
     "sample_batch",
     "iter_stacks",
-    "iter_batches",
 ]
 
 SCENARIO_KINDS = ("static", "cross_mix", "shuffle", "random", "wild")
@@ -319,36 +315,25 @@ def _prologues(scenario: StreamScenario, bank: TemplateBank, indices) -> tuple:
     return drawn, fill
 
 
-def _drawn(scenario: StreamScenario, bank: TemplateBank, indices) -> LabeledBatch:
-    """Batches `indices`, all valid: each one's seeded draws and noise fill into one buffer, then one epilogue."""
-    drawn, fill = _prologues(scenario, bank, indices)
-    return _epilogue(scenario, bank, drawn, fill())
-
-
 def sample_batch(scenario: StreamScenario, bank: TemplateBank, batch_index: int) -> LabeledBatch:
     """Generate one batch; fully determined by (scenario.seed, batch_index), an integer in 0..total_batches - 1.
     Indices beyond num_batches wrap around, replaying the per-round sequence."""
     index = _number("batch_index", batch_index, lo=0, hi=scenario.total_batches - 1, integral=True)
-    return _drawn(scenario, bank, [index])
+    drawn, fill = _prologues(scenario, bank, [index])
+    return _epilogue(scenario, bank, drawn, fill())
 
 
 def iter_stacks(scenario: StreamScenario, bank: TemplateBank, stem):
     """The scenario's batches in order, byte for byte `sample_batch`'s, as (stack, result) pairs, a stack being one
     `LabeledBatch` of the rows of ceil(`_STACK` / B) consecutive batches (the last may hold fewer), drawn with one
-    epilogue. Below `_BLOCK` samples per batch, `result` returns the stack's map, which `Network.forward` takes as it
-    is, and `stem` is never called. From `_BLOCK` up, `stem` is a per-stack function such as `Network.stem`'s: called
-    on the calling thread with a stack's map, it allocates what its work writes and returns a callable that does the
-    work; `result` returns the work's result and raises its error. The prologues, buffers and epilogue stay on the
-    calling thread; while the caller holds a stack, the worker draws the noise of the stack after next, then runs the
-    next stack's work. An error in the calling-thread part of `stem` is raised one stack early, when the stack is
-    made. Close or exhaust the generator to join the worker."""
+    epilogue. `stem` is a per-stack function such as `Network.stem`'s: called on the calling thread with a stack's
+    map, it allocates what its work writes and returns a callable that does the work; `result` returns the work's
+    result and raises its error. The prologues, buffers and epilogue stay on the calling thread; while the caller
+    holds a stack, the worker draws the noise of the stack after next, then runs the next stack's work. An error in
+    the calling-thread part of `stem` is raised one stack early, when the stack is made. Close or exhaust the
+    generator to join the worker."""
     total, per_stack = scenario.total_batches, -(-_STACK // scenario.batch_size)
     stacks = [range(first, min(first + per_stack, total)) for first in range(0, total, per_stack)]
-    if scenario.batch_size < _BLOCK:
-        for indices in stacks:
-            stack = _drawn(scenario, bank, indices)
-            yield stack, lambda x=stack.x: x
-        return
     with ThreadPoolExecutor(1) as worker:
 
         def draw(k):  # stack k's prologues and noise buffer here, its noise on the worker; None past the end
@@ -364,13 +349,3 @@ def iter_stacks(scenario: StreamScenario, bank: TemplateBank, stem):
             current, made = made, stack and (stack, worker.submit(stem(stack.x)).result)
             if current:
                 yield current
-
-
-def iter_batches(scenario: StreamScenario, bank: TemplateBank, stem):
-    """`iter_stacks` batch by batch, as (batch, result) pairs: each batch a row slice of its stack, and `result` its
-    map, returned once its stack's result is in, whose error it raises. Closing this generator joins the worker."""
-    b = scenario.batch_size
-    with closing(iter_stacks(scenario, bank, stem)) as stacks:
-        for stack, result in stacks:
-            for batch in map(LabeledBatch, *(a.reshape(-1, b, *a.shape[1:]) for a in (stack.x, stack.labels, stack.domain_ids))):
-                yield batch, lambda x=batch.x, stacked=result: (stacked(), x)[1]

@@ -14,8 +14,9 @@ Case groups, all on the stock config's model and templates:
 - forward: logits, per-slot cluster counts and trace `sums`/`m2` of `cross_mix` and `static` batches 0 and 3 at
   each batch size below, in every mode, `alpha_bn` at several alphas and `find_star` under every gating;
 - iter_batches: each batch, its stem's conv map and moments, and the logits of forwarding the stem, streamed with
-  `Network.stem` in `sbn` and in `find` at the stream batch sizes below (a stem made here for the batch, which the
-  stream's result gives as its map);
+  `Network.stem` in `sbn` and in `find` at the stream batch sizes below, each batch a row slice of its stack from
+  `iter_stacks` and its stem made here for the batch alone (the group keeps the name of the per-batch view of the
+  stream it was first made with);
 - run_files: the JSON and CSV bytes `write_metrics` gives for one stock-stream `run_experiment` per mode at
   B 1 and 64;
 - forward_mixes: the forward group's cases on `shuffle`, `random` and `wild` batches;
@@ -34,12 +35,12 @@ Case groups, all on the stock config's model and templates:
 - one_sample_runs: the JSON and CSV bytes `write_metrics` gives for `ONE_SAMPLE_BATCHES`-batch `cross_mix` and
   `static` runs at B 1, in every mode, find_star at each of `ONE_SAMPLE_COLD_STARTS`, where the run forwards up to
   ceil(`stream._STACK` / B) batches at a time;
-- small_batch_stream: each batch's `x`, `labels` and `domain_ids` from `iter_batches` for every scenario kind at
+- small_batch_stream: each batch's `x`, `labels` and `domain_ids`, a row slice of `iter_stacks`, for every kind at
   each of `SMALL_STREAM_BATCH_SIZES`, `SMALL_STREAM_BATCHES` batches over two rounds, which the stream draws
   ceil(`stream._STACK` / B) batches at a time;
-- stream_seeds: each batch's `x`, `labels` and `domain_ids` from `iter_batches` and from `sample_batch` for every
-  scenario kind at stream seeds `STREAM_SEEDS`, of one to three uint32 words, at each of `STREAM_SEED_BATCH_SIZES`,
-  `SMALL_STREAM_BATCHES` batches over two rounds;
+- stream_seeds: each batch's `x`, `labels` and `domain_ids`, a row slice of `iter_stacks` and from `sample_batch`, for
+  every scenario kind at stream seeds `STREAM_SEEDS`, of one to three uint32 words, at each of
+  `STREAM_SEED_BATCH_SIZES`, `SMALL_STREAM_BATCHES` batches over two rounds;
 - small_batch_runs: the JSON and CSV bytes `write_metrics` gives for `SMALL_RUN_BATCHES`-batch `cross_mix` and
   `random` runs at each of `SMALL_RUN_BATCH_SIZES`, in every mode, find_star at each of `SMALL_RUN_COLD_STARTS`,
   where the run draws ceil(`stream._STACK` / B) batches at a time and forwards each stack in runs;
@@ -53,15 +54,21 @@ Case groups, all on the stock config's model and templates:
   `random` runs at each of `BLOCK_STACK_RUN_BATCH_SIZES`, in every mode, find_star at each of
   `BLOCK_STACK_COLD_STARTS`, inside and on the edge of a two-batch stack, where the stream's worker runs a stem
   per stack; then a `cross_mix` run of `EDGE_RUN_BATCHES` batches at B 2, find_star with its cold start on the edge
-  of a 64-batch stack.
+  of a 64-batch stack;
+- stream_stems: each stack `iter_stacks` streams with `Network.stem` in `sbn` and in `find`, the conv map and moments
+  of the stem the stream made for it, and the logits and per-batch traces of forwarding that stem with `segment` B,
+  for `cross_mix` and `random` at each of `STREAM_STEM_BATCH_SIZES`, `SMALL_STREAM_BATCHES` batches over two rounds;
+  where the stream gives a stack's map instead of its stem (the stream of a tree that made stems only from one
+  block per batch up), the stem is made here.
 
 Every array of source_stats and head is hashed with its C-contiguity too, so they show whether the model file is read
 back into the same network. The groups before forward_mixes are those of the first version of this script, those
 before no_logits those of the second, those before source_stats those of the third, those before small_model_file
 those of the fourth, those before one_sample_runs those of the fifth, those before small_batch_stream those of the
 sixth, those before stream_seeds those of the seventh, those before small_batch_runs those of the eighth, those
-before tiny_batch_runs those of the ninth, those before shifted_forward those of the tenth and those before
-block_stack_runs those of the eleventh, so their lines can be diffed against any of their outputs.
+before tiny_batch_runs those of the ninth, those before shifted_forward those of the tenth, those before
+block_stack_runs those of the eleventh and those before stream_stems those of the twelfth, so their lines can be
+diffed against any of their outputs.
 The header names the BLAS numpy was built with, the thread count and kernel its OpenBLAS runs with, and
 OPENBLAS_CORETYPE: outputs depend on the kernel, so compare only outputs of one kernel.
 """
@@ -108,6 +115,7 @@ BLOCK_STACK_RUN_BATCHES = 9
 BLOCK_STACK_COLD_STARTS = (1, 2, 3)
 EDGE_RUN_BATCHES = 130
 EDGE_COLD_START = 64
+STREAM_STEM_BATCH_SIZES = (1, 3, 63, 64, 65)
 
 
 class Digest:
@@ -133,6 +141,15 @@ def forwarded(net, x, cfg, gating=None) -> list:
     """The logits of a forward, then each slot's cluster count, length and trace sums and m2."""
     logits, traces = net.forward(x, cfg, gating=gating, collect_traces=True)
     return [logits, *[value for tr in traces for value in (tr.cluster_count, tr.length, tr.sums, tr.m2)]]
+
+
+def row_slices(stream, sc, bank, stem):
+    """Every batch `stream.iter_stacks(sc, bank, stem)` streams, in order, each a row slice of its stack."""
+    b = sc.batch_size
+    with closing(stream.iter_stacks(sc, bank, stem)) as stacks:
+        for stack, _ in stacks:
+            yield from map(stream.LabeledBatch,
+                           *(a.reshape(-1, b, *a.shape[1:]) for a in (stack.x, stack.labels, stack.domain_ids)))
 
 
 def blas_facts() -> str:
@@ -224,16 +241,14 @@ def main(argv=None) -> int:
         for b in STREAM_BATCH_SIZES:
             sc = scenario("cross_mix", b, num_batches=STREAM_BATCHES)
             for ncfg in (normalization.NormalizerConfig(mode="sbn"), normalization.NormalizerConfig(mode="find")):
-                with closing(stream.iter_batches(sc, bank, net.stem(ncfg))) as batches:
-                    for batch, result in batches:
-                        stem = result()  # below one block the batch's map: its stem is made here
-                        stem = net.stem(ncfg)(stem)() if isinstance(stem, np.ndarray) else stem
-                        # copied before the forward, which normalizes the conv map in place
-                        made = [batch.x, batch.labels, batch.domain_ids] + [
-                            a if a is None else a.copy() for a in (stem.conv, stem.moments)]
-                        logits, *rest = forwarded(net, stem, ncfg)
-                        group.add(*made, logits, *rest)
-                        no_logits.add(*made, *rest)
+                for batch in row_slices(stream, sc, bank, net.stem(ncfg)):
+                    stem = net.stem(ncfg)(batch.x)()
+                    # copied before the forward, which normalizes the conv map in place
+                    made = [batch.x, batch.labels, batch.domain_ids] + [
+                        a if a is None else a.copy() for a in (stem.conv, stem.moments)]
+                    logits, *rest = forwarded(net, stem, ncfg)
+                    group.add(*made, logits, *rest)
+                    no_logits.add(*made, *rest)
 
         group = groups["run_files"] = Digest()
         for b in RUN_BATCH_SIZES:
@@ -300,19 +315,17 @@ def main(argv=None) -> int:
         for kind in stream.SCENARIO_KINDS:
             for b in SMALL_STREAM_BATCH_SIZES:
                 sc = scenario(kind, b, num_batches=SMALL_STREAM_BATCHES, rounds=2)
-                with closing(stream.iter_batches(sc, bank, net.stem(cfg.normalizer))) as batches:
-                    for batch, _ in batches:
-                        group.add(batch.x, batch.labels, batch.domain_ids)
+                for batch in row_slices(stream, sc, bank, net.stem(cfg.normalizer)):
+                    group.add(batch.x, batch.labels, batch.domain_ids)
 
         group = groups["stream_seeds"] = Digest()
         for kind in stream.SCENARIO_KINDS:
             for seed in STREAM_SEEDS:
                 for b in STREAM_SEED_BATCH_SIZES:
                     sc = scenario(kind, b, num_batches=SMALL_STREAM_BATCHES, rounds=2, seed=seed)
-                    with closing(stream.iter_batches(sc, bank, lambda x: lambda: None)) as batches:
-                        for i, (batch, _) in enumerate(batches):
-                            alone = stream.sample_batch(sc, bank, i)
-                            group.add(batch.x, batch.labels, batch.domain_ids, alone.x, alone.labels, alone.domain_ids)
+                    for i, batch in enumerate(row_slices(stream, sc, bank, lambda x: lambda: None)):
+                        alone = stream.sample_batch(sc, bank, i)
+                        group.add(batch.x, batch.labels, batch.domain_ids, alone.x, alone.labels, alone.domain_ids)
 
         def small_runs(batch_sizes, num_batches, cold_starts) -> Digest:
             group = Digest()
@@ -350,6 +363,21 @@ def main(argv=None) -> int:
         record = harness.run_experiment(net, bank, scenario("cross_mix", 2, num_batches=EDGE_RUN_BATCHES), ncfg)
         json_path, csv_path, _ = harness.write_metrics(record, os.path.join(tmp, "edge"))
         group.add(Path(json_path).read_bytes(), Path(csv_path).read_bytes())
+
+        group = groups["stream_stems"] = Digest()
+        for kind in ("cross_mix", "random"):
+            for b in STREAM_STEM_BATCH_SIZES:
+                sc = scenario(kind, b, num_batches=SMALL_STREAM_BATCHES, rounds=2)
+                for ncfg in (normalization.NormalizerConfig(mode="sbn"), normalization.NormalizerConfig(mode="find")):
+                    with closing(stream.iter_stacks(sc, bank, net.stem(ncfg))) as stacks:
+                        for stack, result in stacks:
+                            stem = result()  # a stack's map where the stream made no stem: its stem is made here
+                            stem = net.stem(ncfg)(stem)() if isinstance(stem, np.ndarray) else stem
+                            # copied before the forward, which normalizes the conv map in place
+                            made = [a if a is None else a.copy() for a in (stem.conv, stem.moments)]
+                            logits, traces = net.forward(stem, ncfg, collect_traces=True, segment=b)
+                            rest = [value for tr in traces for value in (tr.cluster_counts, tr.length, tr.sums, tr.m2)]
+                            group.add(stack.x, stack.labels, stack.domain_ids, *made, logits, *rest)
 
     total = hashlib.sha256()
     for name, group in groups.items():

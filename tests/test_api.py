@@ -16,9 +16,8 @@ import neighbornorm.model as model
 MODULES = sorted(name for _, name, _ in pkgutil.iter_modules(neighbornorm.__path__))
 BENCHMARKS = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
 # Exported for readers outside src/ that the benchmark does not cover: the checked per-layer kernel the
-# tests compare the network against, the per-batch predictions acceptance criterion 8 reads, and the per-batch
-# view of the stream that tests/digest.py hashes.
-OUTSIDE_READERS = {"normalization.apply_normalizer", "harness.predictions_at", "stream.iter_batches"}
+# tests compare the network against and the per-batch predictions acceptance criterion 8 reads.
+OUTSIDE_READERS = {"normalization.apply_normalizer", "harness.predictions_at"}
 
 
 def benchmark_package_names() -> set:

@@ -27,7 +27,7 @@ from neighbornorm.harness import (
 )
 from neighbornorm.normalization import MODES, NormalizerConfig
 from neighbornorm.sensitivity import layer_gate
-from neighbornorm.stream import _STACK, LabeledBatch, StreamScenario, identity_domain, sample_batch
+from neighbornorm.stream import _STACK, LabeledBatch, StreamScenario, build_templates, identity_domain, sample_batch
 
 from conftest import SMALL_CONFIG, separated_bank, separated_domains
 from support import instance_means
@@ -66,21 +66,26 @@ def assert_loop_record(rec, net, bank, sc, ncfg):
         assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
 
 
+def forwarded_rows(x) -> int:
+    """The sample count of a forward's input, a raw map or a `Stem` not yet forwarded."""
+    return len(x.conv if isinstance(x, model.Stem) else x)
+
+
 def run_counting_draws_and_forwards(monkeypatch, net, bank, sc, ncfg):
-    """`run_experiment`'s record, the sample count of each forward and the batch indices of each `stream._drawn`."""
-    real_forward, real_drawn, forwarded, drawn = model.Network.forward, stream._drawn, [], []
+    """`run_experiment`'s record, the sample count of each forward and the batch indices of each `stream._prologues`."""
+    real_forward, real_prologues, forwarded, drawn = model.Network.forward, stream._prologues, [], []
 
     def forward(self, x, *args, **kwargs):
-        forwarded.append(x.shape[0])
+        forwarded.append(forwarded_rows(x))
         return real_forward(self, x, *args, **kwargs)
 
     def draw(scenario, the_bank, indices):
         drawn.append(list(indices))
-        return real_drawn(scenario, the_bank, indices)
+        return real_prologues(scenario, the_bank, indices)
 
     with monkeypatch.context() as patch:
         patch.setattr(model.Network, "forward", forward)
-        patch.setattr(stream, "_drawn", draw)
+        patch.setattr(stream, "_prologues", draw)
         return run_experiment(net, bank, sc, ncfg), forwarded, drawn
 
 
@@ -400,10 +405,9 @@ class TestRunExperiment:
                                          *(pytest.param(b, kind, id=f"{b}-{kind}") for kind in ("random", "wild")
                                            for b in (3, 64))])
     def test_pipelined_stream_gives_the_serial_record(self, small_setup, b, kind, mode):
-        # from one block up `run_experiment` streams through a worker thread, which runs each batch's stem one
-        # batch ahead, and below it a stack of batches is drawn at once; the record, made a stack at a time, is a
-        # plain loop's, find_star's gate (after a 2-batch cold start) included. random and wild batches hold
-        # varying numbers of domains.
+        # `run_experiment` streams through a worker thread, which runs each stack's stem one stack ahead, at every
+        # batch size; the record, made a stack at a time, is a plain loop's, find_star's gate (after a 2-batch cold
+        # start) included. random and wild batches hold varying numbers of domains.
         cfg, net, bank, _, _ = small_setup
         sc = replace(cfg.scenario, kind=kind, batch_size=b, num_batches=3, rounds=2,
                      dirichlet_delta=0.5 if kind == "wild" else None)
@@ -413,9 +417,9 @@ class TestRunExperiment:
     @pytest.mark.parametrize("mode, num_batches, cold", [*((mode, n, 10) for mode in MODES for n in (1, 65, 130)),
                                                          *(("find_star", 130, cold) for cold in (1, 64, 65, 128))])
     def test_one_sample_batches_forward_in_stacks(self, small_setup, monkeypatch, mode, num_batches, cold):
-        # at B=1 each stack of up to `_STACK` batches is one draw and one forward, cut in two after find_star's last
-        # cold-start batch; the record is a loop's that forwards each `sample_batch` alone, with the gate from batch
-        # `cold` on
+        # at B=1 each stack of up to `_STACK` batches is one draw and one forward of its stem, cut in two after
+        # find_star's last cold-start batch into runs of raw rows; the record is a loop's that forwards each
+        # `sample_batch` alone, with the gate from batch `cold` on
         cfg, net, bank, _, _ = small_setup
         sc = replace(cfg.scenario, batch_size=1, num_batches=num_batches)
         ncfg = NormalizerConfig(mode=mode, cold_start_batches=cold)
@@ -430,7 +434,7 @@ class TestRunExperiment:
         *((b, n, mode, 5) for b, n in ((16, 10), (63, 5)) for mode in MODES)])
     def test_small_batches_forward_one_by_one_from_stacks(self, small_setup, monkeypatch, b, num_batches, mode, cold):
         # from 2 to 63 samples a run draws ceil(_STACK / B) batches at a time, the last stack partial (B 3: 43 and 7
-        # batches; B 16: 8 and 2; B 63: 3 and 2), and forwards each stack whole, not one by one as the name
+        # batches; B 16: 8 and 2; B 63: 3 and 2), and forwards each stack's stem whole, not one by one as the name
         # (kept, so the test's ids stay comparable) says: find_star's last cold-start batch, inside a stack or on its
         # edge, cuts it in two. The record is a loop's that forwards each `sample_batch` alone
         cfg, net, bank, _, _ = small_setup
@@ -445,13 +449,14 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("b", [1, 3, 16, 63])
     def test_one_forward_per_stack_below_one_block(self, small_setup, monkeypatch, b):
-        # below one block a run makes one forward per stack, each with `segment` B, in every mode but find_star
-        # (whose cold start cuts one stack): no per-batch forward loop is left
+        # below one block, as above it, a run makes one forward per stack, of its stem with `segment` B, in every
+        # mode but find_star (whose cold start cuts one stack): no per-batch forward loop is left
         cfg, net, bank, _, _ = small_setup
         per_stack, real_forward, segments = -(-_STACK // b), model.Network.forward, []
 
         def forward(self, x, *args, segment=None, **kwargs):
-            segments.append((x.shape[0], segment))
+            assert isinstance(x, model.Stem)
+            segments.append((forwarded_rows(x), segment))
             return real_forward(self, x, *args, segment=segment, **kwargs)
 
         monkeypatch.setattr(model.Network, "forward", forward)
@@ -495,15 +500,17 @@ class TestRunExperiment:
         for a, b_ in zip(ours, theirs):
             assert pathlib.Path(a).read_bytes() == pathlib.Path(b_).read_bytes()
 
-    def test_raising_forward_leaves_no_thread(self, small_setup, monkeypatch):
+    @pytest.mark.parametrize("b", [1, 3, 64])
+    def test_raising_forward_leaves_no_thread(self, small_setup, monkeypatch, b):
         # the exception's traceback keeps `run_experiment`'s frame alive; the stream's worker must be joined anyway,
-        # whether the forward raises on the calling thread or a stack's stem on the worker
+        # whether the forward raises on the calling thread or a stack's stem on the worker, at every batch size
         cfg, net, bank, _, _ = small_setup
+        per_stack = -(-_STACK // b)
         real_forward, real_stem, forwarded, stem_threads = model.Network.forward, model.Network.stem, [], []
         raising = {}  # "forward" or "stem" -> the 1-based call (a stack) at which it raises
 
         def forward(self, stem, *args, **kwargs):
-            forwarded.append(stem.conv.shape[0])
+            forwarded.append(forwarded_rows(stem))
             if len(forwarded) == raising.get("forward"):
                 raise ArithmeticError("overflow")
             return real_forward(self, stem, *args, **kwargs)
@@ -534,10 +541,11 @@ class TestRunExperiment:
             forwarded.clear()
             stem_threads.clear()
             with pytest.raises(error) as info:
-                run_experiment(net, bank, replace(cfg.scenario, batch_size=64), cfg.normalizer)
+                run_experiment(net, bank, replace(cfg.scenario, batch_size=b, num_batches=4 * per_stack),
+                               cfg.normalizer)
             assert threading.active_count() == before
-            # B 64: stacks of two batches; the stem's error reaches the caller at stack 3, its own
-            assert forwarded == [_STACK, _STACK] and info.traceback
+            # four stacks of ceil(_STACK / B) batches; the stem's error reaches the caller at stack 3, its own
+            assert forwarded == [b * per_stack] * 2 and info.traceback
             assert threading.main_thread() not in stem_threads[:3]  # every stem ran on the worker
 
     def test_cold_start_longer_than_stream(self, small_setup, tmp_path):
@@ -556,6 +564,19 @@ class TestRunExperiment:
             assert np.array_equal(a, b)
         for t in (0, sc.total_batches - 1):
             assert np.array_equal(predictions_at(net, bank, sc, ncfg, t), rec.predictions[t])
+
+    @pytest.mark.parametrize("num_classes", [4, 12])
+    def test_a_bank_of_other_classes_is_rejected_before_any_batch(self, small_setup, monkeypatch, num_classes):
+        # more classes than the 6 the head scores give labels no prediction can hit, fewer leave head classes no label
+        # holds: either way both functions raise one ValueError that names both counts, before a batch is drawn
+        cfg, net, _, _, _ = small_setup
+        bank = build_templates(num_classes, seed=7)
+        monkeypatch.setattr(stream, "_prologues", lambda *args: pytest.fail("a batch was drawn"))
+        message = f"^the template bank holds {num_classes} classes, but the network's head scores 6$"
+        with pytest.raises(ValueError, match=message):
+            run_experiment(net, bank, cfg.scenario, cfg.normalizer)
+        with pytest.raises(ValueError, match=message):
+            predictions_at(net, bank, cfg.scenario, cfg.normalizer, 0)
 
     @pytest.mark.parametrize("mode", ["find", "find_star"])
     @pytest.mark.parametrize("index", [2.7, True, "1", float("nan")])
@@ -819,7 +840,8 @@ class TestOutputs:
     def test_separated_cross_mix_refines_domains(self, small_setup, tmp_path):
         _, net, bank, _, _ = small_setup
         sc = StreamScenario(kind="cross_mix", domains=separated_domains(5), batch_size=64, num_batches=10, seed=0)
-        rec = run_experiment(net, separated_bank(0), sc, NormalizerConfig(mode="find"))
+        # the bank draws the head's classes, as `run_experiment` requires
+        rec = run_experiment(net, separated_bank(0, net.head.num_classes), sc, NormalizerConfig(mode="find"))
         dump_diagnostics(rec, tmp_path / "sep")
         doc = json.loads((tmp_path / "sep.diagnostics.json").read_text())
         assert doc["cluster_counts"]["slot0"]["mean"] >= 5.0

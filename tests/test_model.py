@@ -605,7 +605,7 @@ class TestShiftOnTheRelu:
                 chained.append(trace)
             logits = np.einsum("bd,kd->bk", h.reshape(b, -1), net.head.weight)
             logits += net.head.bias
-            runs = [x] + ([net.stem(cfg)(x)()] if b >= 64 else [])
+            runs = (x, net.stem(cfg)(x)())  # at every batch size
             for ours, traces in (net.forward(run, cfg, gating=gating, collect_traces=True) for run in runs):
                 assert same_bits(ours, logits), (mode, gating)
                 for trace, theirs in zip(traces, chained, strict=True):

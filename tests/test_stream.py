@@ -17,7 +17,6 @@ from neighbornorm.stream import (
     TemplateBank,
     build_templates,
     identity_domain,
-    iter_batches,
     make_domains,
     sample_batch,
     _domain_ids,
@@ -347,7 +346,7 @@ class TestNoiseDraw:
         # the stream makes a stack of 128 generators in one pass, the 6 left over and `sample_batch` one by one
         sc = scenario_for(kind, batch_size=1, num_batches=_STACK + 6, seed=seed, delta=0.5 if kind == "wild" else None)
         bank = bank_for()
-        for i, (batch, _) in enumerate(iter_batches(sc, bank, Recorder())):
+        for i, batch in enumerate(streamed_batches(sc, bank, Recorder())):
             assert_batch_is_reference(sc, bank, i, batch)
             assert_batch_is_reference(sc, bank, i)
 
@@ -407,10 +406,21 @@ def stack_ranges(sc):
     return [range(i, min(i + per_stack, sc.total_batches)) for i in range(0, sc.total_batches, per_stack)]
 
 
+def row_slices(stack, b):
+    """The batches of `stack` in order, each a view of B of its rows."""
+    return map(LabeledBatch, *(a.reshape(-1, b, *a.shape[1:]) for a in (stack.x, stack.labels, stack.domain_ids)))
+
+
+def streamed_batches(sc, bank, stem):
+    """Every batch `iter_stacks(sc, bank, stem)` streams, in order, each a row slice of its stack."""
+    with closing(stream.iter_stacks(sc, bank, stem)) as stacks:
+        for stack, _ in stacks:
+            yield from row_slices(stack, sc.batch_size)
+
+
 class TestPipelinedStream:
-    """`iter_batches`'s batches are byte for byte `sample_batch`'s. From one block (64 samples) up a worker draws the
-    noise of the stack after next while the caller holds this one, and lives no longer than the generator; below it
-    the stream is serial."""
+    """`iter_stacks`'s batches are byte for byte `sample_batch`'s. At every batch size a worker draws the noise of the
+    stack after next while the caller holds this one, and lives no longer than the generator."""
 
     @pytest.mark.parametrize("kind", ["static", "cross_mix", "shuffle", "random", "wild"])
     @pytest.mark.parametrize("b, num_batches, rounds", [
@@ -423,16 +433,16 @@ class TestPipelinedStream:
                           delta=0.5 if kind == "wild" else None)
         bank, real_epilogue, epilogues, stem = bank_for(), stream._epilogue, [], Recorder()
         monkeypatch.setattr(stream, "_epilogue", lambda *args: epilogues.append(args) or real_epilogue(*args))
-        streamed = [(batch, result()) for batch, result in iter_batches(sc, bank, stem)]
+        stacks = [(stack, result()) for stack, result in stream.iter_stacks(sc, bank, stem)]
         monkeypatch.undo()
-        # one epilogue per stack, and from one block up one work per stack
-        per_stack = -(-_STACK // b)
-        assert len(epilogues) == -(-sc.total_batches // per_stack)
-        assert len(stem.handed) == (len(epilogues) if b >= 64 else 0)
+        # one epilogue and one work per stack at every batch size, the work's result on the stack's map
+        assert len(epilogues) == len(stem.handed) == len(stacks) == len(stack_ranges(sc))
+        for k, (stack, (index, x)) in enumerate(stacks):
+            assert index == k and x.tobytes() == stack.x.tobytes()
+        streamed = [batch for stack, _ in stacks for batch in row_slices(stack, b)]
         assert len(streamed) == sc.total_batches
-        for i, (batch, x) in enumerate(streamed):
+        for i, batch in enumerate(streamed):
             assert_same_batch(batch, sample_batch(sc, bank, i))
-            assert x is batch.x  # the result is the batch's map at every batch size
 
     def test_batches_hold_under_fast_thread_switching(self):
         # the worker fills a buffer the caller reads only after the draw's result; switching threads every
@@ -441,7 +451,7 @@ class TestPipelinedStream:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            streamed = [batch for batch, result in iter_batches(sc, bank, Recorder())]
+            streamed = list(streamed_batches(sc, bank, Recorder()))
         finally:
             sys.setswitchinterval(interval)
         assert len(streamed) == sc.total_batches == 6 * -(-_STACK // 64)
@@ -455,28 +465,28 @@ class TestPipelinedStream:
         noise, x_bytes = 2 * 256 * 16 * 16 * 8, 256 * 16 * 16 * 4
         tracemalloc.start()
         try:
-            batches = iter_batches(sc, bank, lambda x: lambda: None)
-            batch, result = next(batches)
+            stacks = stream.iter_stacks(sc, bank, lambda x: lambda: None)
+            stack, result = next(stacks)
             result()
             held = tracemalloc.get_traced_memory()[0]
-            batches.close()
+            stacks.close()
         finally:
             tracemalloc.stop()
         assert noise + 2 * x_bytes < held < noise + 3 * x_bytes
 
-    @pytest.mark.parametrize("b, workers", [(1, 0), (63, 0), (64, 1), (300, 1)])
-    def test_a_worker_only_from_one_block(self, b, workers):
+    @pytest.mark.parametrize("b", [1, 63, 64, 300])
+    def test_one_worker_at_every_batch_size(self, b):
         before = threading.active_count()
-        batches = iter_batches(scenario_for("cross_mix", batch_size=b, num_batches=4), bank_for(), Recorder())
-        next(batches)
-        assert threading.active_count() == before + workers
-        batches.close()
+        stacks = stream.iter_stacks(scenario_for("cross_mix", batch_size=b, num_batches=4), bank_for(), Recorder())
+        next(stacks)
+        assert threading.active_count() == before + 1
+        stacks.close()
         assert threading.active_count() == before
 
 
 class TestStacks:
-    """A stack holds ceil(`_STACK` / B) batches at every batch size, one from `_STACK` samples up, and `iter_batches`
-    is `iter_stacks` batch by batch, each batch a row slice of its stack."""
+    """A stack holds ceil(`_STACK` / B) batches at every batch size, one from `_STACK` samples up, and each batch is
+    a row slice of its stack."""
 
     @pytest.mark.parametrize("b", [1, 2, 3, 63, 64, 65, 127, 128, 256])
     def test_each_stack_holds_ceil_stack_over_b_batches(self, b):
@@ -490,72 +500,51 @@ class TestStacks:
         assert len(ranges) == 3 and (len(ranges[-1]) < per_stack) == (b < _STACK)
         for k, ((stack, out), indices) in enumerate(zip(stacks, ranges)):
             assert_same_batch(stack, stacked(sc, bank, indices))
-            assert out is stack.x if b < 64 else (out[0] == k and out[1].tobytes() == stack.x.tobytes())
-        assert [x is stack.x for x, (stack, _) in zip(stem.handed, stacks, strict=True)] if b >= 64 else stem.handed == []
+            assert out[0] == k and out[1].tobytes() == stack.x.tobytes()
+        assert all(x is stack.x for x, (stack, _) in zip(stem.handed, stacks, strict=True))
 
-    @pytest.mark.parametrize("b", [64, 65, 127, 128, 256])
-    def test_from_one_block_the_worker_runs_one_stem_per_stack(self, b):
+    @pytest.mark.parametrize("b", [1, 3, 63, 64, 65, 127, 128, 256])
+    def test_the_worker_runs_one_stem_per_stack(self, b):
         # the stem function is called once per stack, on the calling thread, and its work runs on the worker
-        sc, bank, calls = scenario_for("cross_mix", batch_size=b, num_batches=5), bank_for(), []
-        stem = Recorder()
+        sc = scenario_for("cross_mix", batch_size=b, num_batches=2 * -(-_STACK // b) + 1)
+        bank, calls, stem = bank_for(), [], Recorder()
 
         def counting(x):
             calls.append(threading.current_thread())
             return stem(x)
 
         stacks = list(stream.iter_stacks(sc, bank, counting))
-        assert len(stacks) == len(calls) == len(stem.handed) == len(stack_ranges(sc))
+        assert len(stacks) == len(calls) == len(stem.handed) == len(stack_ranges(sc)) == 3
         assert calls == [threading.main_thread()] * len(calls)
         assert [result()[0] for _, result in stacks] == list(range(len(stacks)))
         assert threading.main_thread() not in stem.threads.values() and len(stem.threads) == len(stacks)
 
-    @pytest.mark.parametrize("b, num_batches", [(1, 70), (3, 25), (16, 9), (63, 3)])
-    def test_below_one_block_each_batch_is_a_row_slice_of_its_stack(self, monkeypatch, b, num_batches):
-        # two rounds: a round's end inside a stack, the last stack partial
-        sc = scenario_for("random", batch_size=b, num_batches=num_batches, rounds=2, seed=b)
-        bank, real, stacks = bank_for(), stream.iter_stacks, []
-
-        def recording(*args):
-            for stack, result in real(*args):
-                stacks.append((stack, result()))
-                yield stack, result
-
-        monkeypatch.setattr(stream, "iter_stacks", recording)
-        streamed = list(iter_batches(sc, bank, Recorder()))
-        monkeypatch.undo()
+    @pytest.mark.parametrize("b, num_batches, kind", [
+        *((b, n, "random") for b, n in ((1, 70), (3, 25), (16, 9), (63, 3))), *((b, 3, "wild") for b in (64, 65, 256))])
+    def test_each_batch_is_a_row_slice_of_its_stack(self, b, num_batches, kind):
+        # two rounds: a round's end inside a stack, the last stack partial below `_STACK` samples, and from `_STACK`
+        # samples up a stack is one batch; the stack's result is its work's
+        sc = scenario_for(kind, batch_size=b, num_batches=num_batches, rounds=2, seed=b,
+                          delta=0.5 if kind == "wild" else None)
+        bank = bank_for()
+        stacks = [(stack, result()) for stack, result in stream.iter_stacks(sc, bank, Recorder())]
         per_stack = -(-_STACK // b)
-        assert [len(stack.labels) for stack, _ in stacks] == [
-            b * (min(i + per_stack, sc.total_batches) - i) for i in range(0, sc.total_batches, per_stack)]
-        assert len(streamed) == sc.total_batches
-        for i, (batch, result) in enumerate(streamed):
-            (stack, x), rows = stacks[i // per_stack], slice(i % per_stack * b, (i % per_stack + 1) * b)
-            assert x is stack.x and result() is batch.x
+        assert [len(stack.labels) for stack, _ in stacks] == [b * len(r) for r in stack_ranges(sc)]
+        assert (per_stack == 1) == (b >= _STACK)
+        batches = [(k, batch) for k, (stack, _) in enumerate(stacks) for batch in row_slices(stack, b)]
+        assert len(batches) == sc.total_batches
+        for i, (k, batch) in enumerate(batches):
+            (stack, (j, y)), rows = stacks[k], slice(i % per_stack * b, (i % per_stack + 1) * b)
+            assert k == i // per_stack == j and y.tobytes() == stack.x.tobytes()
             for field_name in ("x", "labels", "domain_ids"):
                 ours, theirs = getattr(batch, field_name), getattr(stack, field_name)
                 assert np.shares_memory(ours, theirs) and ours.tobytes() == theirs[rows].tobytes(), field_name
             assert_same_batch(batch, sample_batch(sc, bank, i))
 
-    @pytest.mark.parametrize("b", [64, 65, 256])
-    def test_from_one_block_a_stack_is_a_batch(self, b):
-        # from one block up each batch is a row slice of its stack too, and from `_STACK` samples up a stack is one
-        # batch; the stack's result is its work's, the batch's its map
-        sc, bank = scenario_for("wild", batch_size=b, num_batches=3, rounds=2, seed=b, delta=0.5), bank_for()
-        stacks = [(stack, result()) for stack, result in stream.iter_stacks(sc, bank, Recorder())]
-        batches = [(batch, result()) for batch, result in iter_batches(sc, bank, Recorder())]
-        per_stack = -(-_STACK // b)
-        assert len(stacks) == -(-sc.total_batches // per_stack) and len(batches) == sc.total_batches
-        assert (per_stack == 1) == (b >= _STACK)
-        for i, (batch, x) in enumerate(batches):
-            (stack, (j, y)), rows = stacks[i // per_stack], slice(i % per_stack * b, (i % per_stack + 1) * b)
-            for field_name in ("x", "labels", "domain_ids"):
-                assert getattr(batch, field_name).tobytes() == getattr(stack, field_name)[rows].tobytes(), field_name
-            assert i // per_stack == j and x is batch.x and y.tobytes() == stack.x.tobytes()
-            assert_same_batch(batch, sample_batch(sc, bank, i))
-
 
 class TestStreamWithAStem:
-    """`iter_stacks` yields (stack, result) pairs: from one block up the worker runs the next stack's work while the
-    caller holds this one; below it no work runs, and the result is the stack's map."""
+    """`iter_stacks` yields (stack, result) pairs: at every batch size the worker runs the next stack's work while the
+    caller holds this one."""
 
     @pytest.mark.parametrize("b", [1, 63, 64, 65, 256])
     def test_pairs_in_order_one_batch_ahead(self, b):
@@ -563,18 +552,16 @@ class TestStreamWithAStem:
         bank, stem, ranges = bank_for(), Recorder(), stack_ranges(sc)
         for k, (stack, result) in enumerate(stream.iter_stacks(sc, bank, stem)):
             assert_same_batch(stack, stacked(sc, bank, ranges[k]))
-            if b < 64:  # the stem is handed nothing
-                assert stem.handed == [] and result() is stack.x
-                continue
             assert len(stem.handed) == min(k + 2, len(ranges))  # one stack ahead
             index, x = result()
             assert index == k and np.array_equal(x, stack.x) and stem.handed[k] is stack.x
             assert stem.threads[k] is not threading.main_thread()
-        assert len(stem.handed) == (len(ranges) if b >= 64 else 0)
+        assert len(stem.handed) == len(ranges)
 
-    def test_an_error_in_the_work_reaches_the_caller_at_its_batch(self):
-        # at its stack from `iter_stacks`, and at each of that stack's batches from `iter_batches`
-        before, sc = threading.active_count(), scenario_for("cross_mix", batch_size=64, num_batches=7)
+    @pytest.mark.parametrize("b", [1, 3, 64])
+    def test_an_error_in_the_work_reaches_the_caller_at_its_stack(self, b):
+        # four stacks; the stream goes on past the stack whose work raised, and closing it joins the worker
+        before, sc = threading.active_count(), scenario_for("cross_mix", batch_size=b, num_batches=4 * -(-_STACK // b))
         stacks = stream.iter_stacks(sc, bank_for(), Recorder(raising=2))
         for stack, result in stacks:
             if result()[0] == 1:
@@ -582,15 +569,8 @@ class TestStreamWithAStem:
         stack, result = next(stacks)
         with pytest.raises(FloatingPointError, match="batch 2"):
             result()
+        assert next(stacks)[1]()[0] == 3
         stacks.close()
-        per_stack = -(-_STACK // 64)
-        with closing(iter_batches(sc, bank_for(), Recorder(raising=2))) as batches:
-            for i, (batch, result) in enumerate(batches):
-                if i // per_stack == 2:
-                    with pytest.raises(FloatingPointError, match="batch 2"):
-                        result()
-                else:
-                    assert result() is batch.x
         assert threading.active_count() == before
 
     def test_what_stays_alive_is_one_batch_and_one_noise_ahead(self):
@@ -614,11 +594,13 @@ class TestStreamWithAStem:
             tracemalloc.stop()
         assert noise + 4 * x_bytes < held < noise + 5 * x_bytes
 
-    def test_batches_hold_under_fast_thread_switching(self):
+    @pytest.mark.parametrize("b", [1, 3, 65])
+    def test_batches_hold_under_fast_thread_switching(self, b):
         # the worker runs the next stack's work while the caller reads this one's result; switching threads every
-        # microsecond must not hand the caller a half-done work, nor the work a half-drawn stack (B 65: two batches,
-        # a partial third block)
-        sc, bank, stem = scenario_for("cross_mix", batch_size=65, num_batches=12), bank_for(), Recorder()
+        # microsecond must not hand the caller a half-done work, nor the work a half-drawn stack (B 1: 128 rows, two
+        # blocks; B 3: 129 rows, a partial third block; B 65: two batches, a partial third block)
+        sc = scenario_for("cross_mix", batch_size=b, num_batches=6 * -(-_STACK // b))
+        bank, stem = bank_for(), Recorder()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -626,7 +608,7 @@ class TestStreamWithAStem:
         finally:
             sys.setswitchinterval(interval)
         ranges = stack_ranges(sc)
-        assert len(results) == len(ranges) == sc.total_batches // 2
+        assert len(results) == len(ranges) == 6
         for k, (index, x) in enumerate(results):
             assert index == k and x.tobytes() == stacked(sc, bank, ranges[k]).x.tobytes()
 
