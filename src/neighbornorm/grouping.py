@@ -7,8 +7,9 @@ sharing a first neighbor k need no link of their own: i - k - j joins them.
 Ties break toward the lowest index and the similarity matrix is exactly
 symmetric, so the graph's only cycles are mutual pairs (first[first[i]] == i)
 and ceil(log2 B) rounds of pointer jumping bring every sample onto its pair.
-A lone sample has no other to point at: its masked row is all -inf, so it
-points at itself and is one group, with no branch of its own.
+The diagonal is -2, below every clipped cosine, so a sample with no other
+to point at (a lone sample, or a one-row batch whose cross-batch entries
+are -inf) points at itself and is one group, with no branch of its own.
 """
 
 from __future__ import annotations
@@ -67,12 +68,13 @@ def first_neighbor_components(first: np.ndarray) -> tuple[np.ndarray, int]:
 
 def first_neighbor_labels(means: np.ndarray, segment: int | None = None) -> tuple[np.ndarray, int]:
     """Group id per sample and group count from (B, C) instance means, B >= 1: a lone sample is one group. With a
-    `segment` above 1, each run of that many rows is a batch, whose ids are its own shifted by the earlier batches'."""
+    `segment`, each run of that many rows is a batch (the last may be shorter), whose ids are its own shifted by the
+    earlier batches'."""
     sim = cosine_similarity_matrix(means)
     if segment is not None and segment < len(sim):
         batch = np.arange(len(sim)) // segment
-        sim[batch[:, None] != batch] = -np.inf  # a one-row batch's row would point at row 0, not at itself
-    np.fill_diagonal(sim, -np.inf)  # never its own first neighbor; a fresh matrix, so masked in place
+        sim[batch[:, None] != batch] = -np.inf
+    np.fill_diagonal(sim, -2.0)  # its own first neighbor only with no other; a fresh matrix, so masked in place
     return first_neighbor_components(np.argmax(sim, axis=1))
 
 

@@ -11,8 +11,8 @@ mean/variance come from:
   find_star find, but the per-layer gate `sensitivity.layer_gate` may
             disable the partitioning (a disabled layer behaves as alpha_bn)
 
-Statistics are frozen at capture time; nothing here keeps state across
-batches.
+Statistics are frozen at capture time and held as plain data; nothing
+here keeps state across batches: each call derives the terms it needs.
 """
 
 from __future__ import annotations
@@ -45,9 +45,8 @@ def canonical_mode(mode: str) -> str:
 
 @dataclass(frozen=True)
 class SourceStats:
-    """Frozen per-channel source statistics plus the layer's affine parameters. The normalizer's constant
-    terms are set here once: the float32 `eps`, the (1, C, 1, 1) shift, whether any of it is nonzero, sbn's (1, C)
-    scale row, and `_blends`, the memo of the source's share of each alpha's blend, which `_normalize` fills."""
+    """Frozen per-channel source statistics plus the layer's affine parameters, float32 (C,) vectors; plain data,
+    holding its fields alone: `_normalize` derives each term it needs from them where it reads it."""
 
     stats: ChannelStats
     affine_scale: np.ndarray
@@ -65,11 +64,6 @@ class SourceStats:
         EPS("eps", self.eps)
         object.__setattr__(self, "affine_scale", scale)
         object.__setattr__(self, "affine_shift", shift)
-        object.__setattr__(self, "_eps", np.float32(self.eps))  # the constant terms are not fields, so not in asdict
-        object.__setattr__(self, "_shift", shift[None, :, None, None])  # as `_normalize` adds it
-        object.__setattr__(self, "_shifted", bool(shift.any()))  # False for entries of +0.0 and -0.0 alike
-        object.__setattr__(self, "_sbn_scale", self._scale(self.stats.var[None]))
-        object.__setattr__(self, "_blends", {})  # alpha -> float32 ((2, 1, C) alpha * [mean; var], 1 - alpha)
 
     @classmethod
     def with_identity_affine(cls, stats: ChannelStats, eps: float = 1e-5) -> "SourceStats":
@@ -82,7 +76,7 @@ class SourceStats:
 
     def _scale(self, var: np.ndarray) -> np.ndarray:
         """Affine scale over the standard deviation, per row of the (r, C) variance."""
-        return self.affine_scale * (1.0 / np.sqrt(var + self._eps))
+        return self.affine_scale * (1.0 / np.sqrt(var + np.float32(self.eps)))
 
 
 @dataclass(frozen=True)
@@ -156,7 +150,8 @@ def _normalize(x: np.ndarray, src: SourceStats, cfg: NormalizerConfig, partition
     b, _, h, w = x.shape
     seg = segment or b
     if cfg.mode == "sbn":  # one group; the batch is not measured
-        mean, scale, trace = src.stats.mean[None], src._sbn_scale, SlotTrace([None] * (b // seg), None, None, h * w)
+        mean, scale = src.stats.mean[None], src._scale(src.stats.var[None])
+        trace = SlotTrace([None] * (b // seg), None, None, h * w)
     else:
         moments = sample_moments(x) if moments is None else moments
         grouped = cfg.mode in ("find", "find_star") and partition_enabled
@@ -165,13 +160,10 @@ def _normalize(x: np.ndarray, src: SourceStats, cfg: NormalizerConfig, partition
         else:
             labels, count = first_neighbor_labels(moments[0] / (h * w), seg) if grouped else (np.arange(b) // seg, b // seg)
             mv = merge_moments(*moments, h * w, labels, count).astype(np.float32)
-        if cfg.mode != "tbn":
-            terms = src._blends.get(cfg.alpha)
-            if terms is None:  # the source's share is constant per alpha
-                a = np.float32(cfg.alpha)
-                terms = src._blends[cfg.alpha] = (a * np.stack((src.stats.mean, src.stats.var))[:, None], np.float32(1.0) - a)
-            mv *= terms[1]
-            mv += terms[0]  # no clamp: the batch's variance is >= +0.0 and the source's >= -0.0, so the blend is >= +0.0
+        if cfg.mode != "tbn":  # no clamp: the batch's variance is >= +0.0 and the source's >= -0.0, so the blend is too
+            a = np.float32(cfg.alpha)
+            mv *= np.float32(1.0) - a
+            mv += a * np.stack((src.stats.mean, src.stats.var))[:, None]
         mean, scale = mv[0], src._scale(mv[1])
         if count > 1:  # one row per sample; a single group's row broadcasts
             mean, scale = mean[labels], scale[labels]
@@ -181,6 +173,6 @@ def _normalize(x: np.ndarray, src: SourceStats, cfg: NormalizerConfig, partition
         trace = SlotTrace(counts, *moments, h * w)
     x -= mean[:, :, None, None]
     x *= scale[:, :, None, None]
-    if src._shifted or not relu:
-        x += src._shift
+    if not relu or src.affine_shift.any():  # False for entries of +0.0 and -0.0 alike
+        x += src.affine_shift[:, None, None]
     return np.maximum(x, 0.0, out=x) if relu else x, trace

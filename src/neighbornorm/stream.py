@@ -134,8 +134,6 @@ class StreamScenario:
             object.__setattr__(self, "dirichlet_delta", POSITIVE("dirichlet_delta", self.dirichlet_delta))
         elif self.kind == "wild":
             raise ValueError("dirichlet_delta must be set for a wild scenario")
-        rows = [(d.contrast, d.brightness, d.noise_sigma) for d in self.domains]  # built once, for `sample_batch`
-        object.__setattr__(self, "_domain_table", np.array(rows, np.float32))  # not a field, so not in asdict
 
     @property
     def num_domains(self) -> int:
@@ -272,14 +270,6 @@ def _generators(seed: int, effs: list) -> list:
     return [np.random.Generator(np.random.PCG64(_Seeded(row))) for row in (state[0::2] | state[1::2] << 32).T.copy()]
 
 
-def _prologue(scenario: StreamScenario, bank: TemplateBank, rng: np.random.Generator, eff: int):
-    """Batch `eff`'s seeded draws on its generator `rng`, before its noise: (rng, labels, domain ids). Its caller
-    allocates the noise buffer on the calling thread, whichever thread fills it: a worker thread that allocated
-    batch-sized arrays would make glibc open a second heap arena for it and raise peak memory."""
-    labels = _block_labels(rng, scenario.kind, scenario.dirichlet_delta, bank.num_classes, scenario.batch_size)
-    return rng, labels, _domain_ids(rng, scenario, eff)
-
-
 def _epilogue(scenario: StreamScenario, bank: TemplateBank, drawn: list, z: np.ndarray) -> LabeledBatch:
     """The stack of maps, labels and domain ids, n * B rows each, of n prologues `drawn` and their spent noise `z`
     (n, 2, B, C, H, W), both fields of a batch one fill, in one elementwise float32 pass: bitwise n one-batch passes."""
@@ -291,7 +281,8 @@ def _epilogue(scenario: StreamScenario, bank: TemplateBank, drawn: list, z: np.n
     noise.reshape(base.shape)[...] = base
     x += noise
 
-    contrast, brightness, noise_sigma = scenario._domain_table[domain_ids].T[:, :, None, None, None]
+    table = np.array([(d.contrast, d.brightness, d.noise_sigma) for d in scenario.domains], np.float32)
+    contrast, brightness, noise_sigma = table[domain_ids].T[:, :, None, None, None]
     noise.reshape(base.shape)[...] = z[:, 1]
     x *= contrast
     x += brightness
@@ -301,11 +292,15 @@ def _epilogue(scenario: StreamScenario, bank: TemplateBank, drawn: list, z: np.n
 
 
 def _prologues(scenario: StreamScenario, bank: TemplateBank, indices) -> tuple:
-    """Batches `indices`, all valid: each one's seeded draws, after their noise buffer (n, 2, B, C, H, W) is
-    allocated, and a callable that fills the buffer, each batch's noise on its own generator, and returns it."""
-    effs = [i % scenario.num_batches for i in indices]
-    z = np.empty((len(effs), 2, scenario.batch_size, *bank.templates.shape[1:]))
-    drawn = [_prologue(scenario, bank, rng, eff) for rng, eff in zip(_generators(scenario.seed, effs), effs)]
+    """Batches `indices`, all valid: each one's seeded draws before its noise, (generator, labels, domain ids) in
+    that order, made after their noise buffer (n, 2, B, C, H, W) is allocated, and a callable that fills the buffer,
+    each batch's noise on its own generator, and returns it. The buffer is allocated here, on the calling thread,
+    whichever thread fills it: a worker thread that allocated batch-sized arrays would make glibc open a second heap
+    arena for it and raise peak memory."""
+    effs, k, b = [i % scenario.num_batches for i in indices], bank.num_classes, scenario.batch_size
+    z = np.empty((len(effs), 2, b, *bank.templates.shape[1:]))
+    drawn = [(rng, _block_labels(rng, scenario.kind, scenario.dirichlet_delta, k, b), _domain_ids(rng, scenario, eff))
+             for rng, eff in zip(_generators(scenario.seed, effs), effs)]
 
     def fill() -> np.ndarray:
         for (rng, _, _), noise in zip(drawn, z):

@@ -7,10 +7,11 @@ into sibling directories whose paths have the same length (peak RSS follows the 
 shifts; two paths of different lengths are refused). Pair i streams seed `--seed` + i in both trees, each through
 its own `benchmarks/run.py` in a subprocess, one after the other: tree A first in even pairs, tree B first in odd
 ones. Per end-to-end metric of A's `BENCHMARK.json` but the accuracies, and per wall-clock note (the rates before
-scaling to the reference speed), it prints both medians and quartiles, the change from A to B, the pairs B won and
-whether the medians differ by more than A's interquartile range. It exits 1 if any accuracy differs within a pair,
-an operation failed or a run's checks failed, and 0 otherwise. pytest does not collect it: its name does not start
-with `test_`.
+scaling to the reference speed), it prints both medians and quartiles, the change from A to B, the pairs B won,
+whether the medians differ by more than A's interquartile range and, for a metric with a `bound`, whether B's median
+stays within it of A's in the worse direction (lower-is-better: B <= A * (1 + bound); higher: B >= A * (1 - bound)).
+It exits 1 if any accuracy differs within a pair, an operation failed, a run's checks failed or a median left its
+bound, and 0 otherwise. pytest does not collect it: its name does not start with `test_`.
 """
 
 from __future__ import annotations
@@ -76,7 +77,8 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be 1 or more")
     with open(os.path.join(trees[0], "BENCHMARK.json")) as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"] if not m["name"].endswith("_accuracy")}
+        metrics = [m for m in json.load(fh)["end_to_end"] if not m["name"].endswith("_accuracy")]
+    better, bounds = {m["name"]: m["better"] for m in metrics}, {m["name"]: m["bound"] for m in metrics}
     better.update(WALL_METRICS)
 
     runs, problems = [], []  # runs: one (A's, B's) per pair
@@ -97,7 +99,8 @@ def main(argv=None) -> int:
 
     print(f"\nworkload {args.workload}: {args.pairs} alternating pairs, --seconds {args.seconds:g}, seeds {args.seed}-"
           f"{args.seed + args.pairs - 1}\nA {trees[0]}\nB {trees[1]}")
-    print(f"{'metric':<26} {'A median [q1-q3]':>28} {'B median [q1-q3]':>28} {'change':>8} {'B won':>7}  beyond A's IQR")
+    print(f"{'metric':<26} {'A median [q1-q3]':>28} {'B median [q1-q3]':>28} {'change':>8} {'B won':>7}  "
+          f"beyond A's IQR  within bound")
     for name, direction in better.items():
         a, b = ([pair[side]["values"][name] for pair in runs if name in pair[side]["values"]] for side in (0, 1))
         if len(a) != args.pairs or len(b) != args.pairs:
@@ -106,8 +109,15 @@ def main(argv=None) -> int:
         won = sum((y < x) if direction == "lower" else (y > x) for x, y in zip(a, b))
         change = (mb - ma) / ma * 100 if ma else float("nan")
         a_text, b_text = (f"{number(m)} [{number(q1)}-{number(q3)}]" for m, q1, q3 in ((ma, qa1, qa3), (mb, qb1, qb3)))
-        print(f"{name:<26} {a_text:>28} {b_text:>28} "
-              f"{change:>+7.1f}% {f'{won}/{args.pairs}':>7}  {'yes' if abs(mb - ma) > qa3 - qa1 else 'no'}")
+        within = "-"  # a wall-clock note has no bound
+        if name in bounds:
+            bound = bounds[name]
+            held = mb <= ma * (1 + bound) if direction == "lower" else mb >= ma * (1 - bound)
+            within = "yes" if held else "NO"
+            if not held:
+                problems.append(f"{name}: B's median {number(mb)} is more than {bound:.0%} worse than A's {number(ma)}")
+        print(f"{name:<26} {a_text:>28} {b_text:>28} {change:>+7.1f}% {f'{won}/{args.pairs}':>7}  "
+              f"{'yes' if abs(mb - ma) > qa3 - qa1 else 'no':<14}  {within}")
     attempted = sum(pair[side]["attempted"] for pair in runs for side in (0, 1))
     print(f"operations: {attempted} attempted in {2 * args.pairs} runs; accuracies compared within each pair")
     for problem in problems:

@@ -2,7 +2,8 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from contextlib import closing
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from neighbornorm.model import (
     train_linear_head,
 )
 from neighbornorm.normalization import NormalizerConfig, SourceStats, apply_normalizer
-from neighbornorm.stream import StreamScenario, build_templates, identity_domain, sample_batch
+from neighbornorm.stream import StreamScenario, build_templates, identity_domain, iter_stacks, sample_batch
 from neighbornorm.tensors import ChannelStats, pooled_stats, sample_moments
 
 from oracles import loop_avg_pool2x2, loop_channel_moments, loop_conv3x3, ridge_normal_equations, window_conv3x3
@@ -633,6 +634,33 @@ class TestShiftOnTheRelu:
         base = _stage(conv2d_3x3(x, net.conv_weights[0]), net.source_stats[0], cfg)[0]
         assert same_bits(np.delete(ours, 3, axis=1), np.delete(base, 3, axis=1))
         assert (ours[:, 3] >= base[:, 3]).all() and (ours[:, 3] > base[:, 3]).mean() > 0.5
+
+
+class TestFrozenValuesHoldTheirFields:
+    """`SourceStats` and `StreamScenario` are plain data: the normalizer and the stream compute each term they derive
+    from them where they read it, so no construction, forward or draw leaves an attribute that is not a field."""
+
+    def test_only_fields_after_forwards_and_draws(self, default_setup):
+        cfg, net, bank, _ = default_setup
+        scenario = replace(cfg.scenario, batch_size=3, num_batches=50)  # stacks of 43 batches and of 7
+        identity = SourceStats.with_identity_affine(ChannelStats(np.zeros(2), np.ones(2)))
+        values = [*net.source_stats, identity, scenario]
+
+        def assert_only_fields():
+            for value in values:
+                assert set(vars(value)) == {f.name for f in fields(value)}, type(value).__name__
+
+        assert_only_fields()
+        x, small = sample_batch(scenario, bank, 0).x, np.ones((2, 2, 2, 2), np.float32)
+        for mode in MODES:
+            for alpha in (0.3, 0.8):
+                ncfg = NormalizerConfig(mode=mode, alpha=alpha)
+                net.forward(x, ncfg)
+                apply_normalizer(small, identity, ncfg)
+                with closing(iter_stacks(scenario, bank, net.stem(ncfg))) as stacks:
+                    for _, result in stacks:
+                        net.forward(result(), ncfg, segment=scenario.batch_size)
+                assert_only_fields()
 
 
 def parts_of(net) -> dict:

@@ -299,7 +299,8 @@ def reference_batch(scenario, bank, batch_index):
     domain_ids = _domain_ids(rng, scenario, eff)
     x = bank.templates[labels].astype(np.float32)
     x += rng.normal(0.0, bank.base_noise, size=x.shape).astype(np.float32)
-    contrast, brightness, noise_sigma = scenario._domain_table[domain_ids].T
+    table = np.array([[d.contrast, d.brightness, d.noise_sigma] for d in scenario.domains], np.float32)
+    contrast, brightness, noise_sigma = table[domain_ids].T
     shift_noise = rng.standard_normal(size=x.shape).astype(np.float32)
     x *= contrast[:, None, None, None]
     x += brightness[:, None, None, None]
